@@ -10,16 +10,26 @@ combination of their images, which makes the k^m-anonymity check cheap: it is
 enough to count the supports of the node combinations that actually occur in
 the generalized transactions.
 
+The counting runs on record bitsets.  The transactions are tokenized once
+into per-item posting bitsets; for each cut, the rows of the items a node
+covers are OR-ed into that node's row (the records whose generalized
+transaction holds the node), and the support of a node combination is the
+popcount of the AND of its rows.  Violations are enumerated by
+:func:`repro.columnar.bitset.rare_combinations`, the kernel the k^m verifier
+(:func:`repro.metrics.privacy_checks.km_violations`) runs on as well.
+
 :class:`ItemCut` implements the cut and its generalization step;
 :class:`KmAnonymityChecker` enumerates violating combinations.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.columnar.bitset import posting_matrix, rare_combinations
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
 
@@ -102,56 +112,71 @@ class ItemCut:
 class KmAnonymityChecker:
     """Finds combinations of at most ``m`` cut nodes with support below ``k``."""
 
-    def __init__(self, itemsets: Sequence[frozenset], k: int, m: int):
+    def __init__(self, itemsets: Sequence[Iterable], k: int, m: int):
         if k < 2:
             raise AlgorithmError("k must be at least 2")
         if m < 1:
             raise AlgorithmError("m must be at least 1")
-        self.itemsets = list(itemsets)
         self.k = k
         self.m = m
-        #: single-slot cache of the generalized itemsets for the last cut seen
-        self._generalized_cut: "weakref.ref[ItemCut] | None" = None
-        self._generalized_version = -1
-        self._generalized: list[list[str]] = []
+        rows = [sorted({str(item) for item in itemset}) for itemset in itemsets]
+        #: the distinct items of the transactions; posting row ``t`` is item ``t``
+        self._items = sorted({item for row in rows for item in row})
+        token = {item: position for position, item in enumerate(self._items)}
+        self._postings = posting_matrix(
+            [token[item] for row in rows for item in row],
+            np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows]),
+            len(self._items),
+            len(rows),
+        )
+        #: single-slot cache of the node bitsets for the last cut seen
+        self._cut: "weakref.ref[ItemCut] | None" = None
+        self._cut_version = -1
+        self._nodes: list[str] = []
+        self._node_bits = self._postings[:0]
 
-    def _generalized_itemsets(self, cut: ItemCut) -> list[list[str]]:
-        """Every itemset mapped through the cut (cached per cut version).
+    def _node_bitsets(self, cut: ItemCut) -> tuple[list[str], np.ndarray]:
+        """The cut's nodes (sorted) and their record bitsets, cached per cut version.
 
-        The checker is asked for violations of sizes 1..m against the same
-        cut; generalizing the transactions once per cut version instead of
-        once per size removes the dominant posting-union loop.
+        A node's row is the OR of the posting rows of the items it covers.
         """
-        cached = self._generalized_cut() if self._generalized_cut is not None else None
-        if cached is not cut or self._generalized_version != cut.version:
-            self._generalized = [
-                sorted(cut.generalize_itemset(itemset)) for itemset in self.itemsets
-            ]
-            self._generalized_cut = weakref.ref(cut)
-            self._generalized_version = cut.version
-        return self._generalized
-
-    def combination_supports(
-        self, cut: ItemCut, size: int
-    ) -> dict[tuple[str, ...], int]:
-        """Support of every node combination of exactly ``size`` that occurs."""
-        supports: dict[tuple[str, ...], int] = {}
-        for generalized in self._generalized_itemsets(cut):
-            if len(generalized) < size:
-                continue
-            for combination in itertools.combinations(generalized, size):
-                supports[combination] = supports.get(combination, 0) + 1
-        return supports
+        cached = self._cut() if self._cut is not None else None
+        if cached is not cut or self._cut_version != cut.version:
+            images = [cut.mapping[item] for item in self._items]
+            self._nodes = sorted(set(images))
+            position = {node: index for index, node in enumerate(self._nodes)}
+            bits = np.zeros((len(self._nodes), self._postings.shape[1]), dtype=np.uint64)
+            np.bitwise_or.at(
+                bits,
+                np.array([position[image] for image in images], dtype=np.int64),
+                self._postings,
+            )
+            self._node_bits = bits
+            self._cut = weakref.ref(cut)
+            self._cut_version = cut.version
+        return self._nodes, self._node_bits
 
     def violations(
         self, cut: ItemCut, size: int
     ) -> dict[tuple[str, ...], int]:
         """Node combinations of ``size`` with support in (0, k)."""
+        nodes, bits = self._node_bitsets(cut)
         return {
-            combination: support
-            for combination, support in self.combination_supports(cut, size).items()
-            if 0 < support < self.k
+            tuple(nodes[index] for index in combination): support
+            for combinations, supports in rare_combinations(bits, size, self.k)
+            for combination, support in zip(combinations.tolist(), supports.tolist())
         }
+
+    def participation(
+        self, cut: ItemCut, sizes: Iterable[int]
+    ) -> tuple[list[str], list[int]]:
+        """Per cut node, how many violating combinations of ``sizes`` contain it."""
+        nodes, bits = self._node_bitsets(cut)
+        counts = np.zeros(len(nodes), dtype=np.int64)
+        for size in sizes:
+            for combinations, _ in rare_combinations(bits, size, self.k):
+                counts += np.bincount(combinations.ravel(), minlength=len(nodes))
+        return nodes, counts.tolist()
 
     def all_violations(self, cut: ItemCut) -> dict[tuple[str, ...], int]:
         """Violating combinations of every size from 1 to ``m``."""
@@ -192,35 +217,31 @@ def greedy_km_anonymize(
     checker = KmAnonymityChecker(itemsets, k, m)
 
     generalization_steps = 0
-    sizes = range(1, m + 1) if apriori_order else [None]
-    for size in sizes:
-        while True:
-            if size is None:
-                violations = checker.all_violations(cut)
-            else:
-                violations = checker.violations(cut, size)
-            if not violations or cut.is_fully_generalized():
-                break
+    rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
+    for sizes in rounds:
+        while not cut.is_fully_generalized():
+            nodes, counts = checker.participation(cut, sizes)
             # Promote the node involved in the largest number of violations;
-            # prefer the most specific node on ties (cheapest promotion).
-            node_scores: dict[str, int] = {}
-            for combination in violations:
-                for node in combination:
-                    node_scores[node] = node_scores.get(node, 0) + 1
-            promotable = {
-                node: score
-                for node, score in node_scores.items()
-                if cut.hierarchy.parent(node) is not None
-            }
+            # prefer the most specific node on ties (cheapest promotion).  No
+            # promotable node means no violation is left, or every violating
+            # node is already the hierarchy root (too few non-empty
+            # transactions), where no generalization can help.
+            promotable = [
+                index
+                for index, count in enumerate(counts)
+                if count and cut.hierarchy.parent(nodes[index]) is not None
+            ]
             if not promotable:
-                # Every violating node is already the hierarchy root; no
-                # generalization can help (too few non-empty transactions).
                 break
             target = max(
                 promotable,
-                key=lambda node: (promotable[node], -cut.generalization_level(node), node),
+                key=lambda index: (
+                    counts[index],
+                    -cut.generalization_level(nodes[index]),
+                    nodes[index],
+                ),
             )
-            cut.generalize_node(target)
+            cut.generalize_node(nodes[target])
             generalization_steps += 1
 
     remaining = checker.all_violations(cut)

@@ -14,12 +14,16 @@ own the memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 #: Bits per storage word.
 WORD_BITS = 64
+
+#: Upper bound on the words one :func:`pair_supports` block materializes
+#: (2 MiB of ``uint64``); larger matrices are processed in row blocks.
+_PAIR_BLOCK_WORDS = 1 << 18
 
 _ONE = np.uint64(1)
 _WORD_SHIFT = 6  # log2(WORD_BITS)
@@ -117,6 +121,87 @@ def intersect_rows(
     if rows.size == 1:
         return matrix[rows[0]].copy()
     return np.bitwise_and.reduce(matrix[rows], axis=0)
+
+
+def pair_supports(matrix: np.ndarray) -> np.ndarray:
+    """``(n, n)`` matrix of ``popcount(matrix[i] & matrix[j])`` over the rows.
+
+    The pairwise ANDs are materialized a block of rows at a time (at most
+    ``_PAIR_BLOCK_WORDS`` words), so a wide matrix never allocates
+    ``n * n * words`` at once.
+    """
+    n, width = matrix.shape
+    supports = np.zeros((n, n), dtype=np.int64)
+    if n == 0 or width == 0:
+        return supports
+    step = max(1, _PAIR_BLOCK_WORDS // (n * width))
+    for begin in range(0, n, step):
+        block = matrix[begin : begin + step, None, :] & matrix[None, :, :]
+        supports[begin : begin + step] = _bitwise_count(block).sum(
+            axis=2, dtype=np.int64
+        )
+    return supports
+
+
+def rare_combinations(
+    matrix: np.ndarray, size: int, k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row combinations of exactly ``size`` whose joint support lies in ``(0, k)``.
+
+    The support of a combination is the popcount of the AND of its rows.
+    Yields ``(combinations, supports)`` blocks: an ``(n, size)`` ``int64``
+    array of row indices (ascending within each combination) and the support
+    of each.  Blocks arrive in lexicographic order of the combinations.
+    Empty rows and prefixes whose AND is empty are pruned: every superset of
+    an empty record set is empty as well, so it cannot be rare.  The last two
+    positions of a combination are scored together, one :func:`pair_supports`
+    block per ``size - 2`` prefix, so the common ``size <= 2`` check is a
+    handful of array passes whatever the number of rows.
+    """
+    counts = popcount_rows(matrix)
+    occupied = np.flatnonzero(counts)
+    if size == 1:
+        rare = occupied[counts[occupied] < k]
+        if rare.size:
+            yield rare[:, None], counts[rare]
+        return
+    yield from _rare_extensions(matrix[occupied], occupied, (), None, 0, size, k)
+
+
+def _rare_extensions(
+    rows: np.ndarray,
+    index: np.ndarray,
+    prefix: tuple[int, ...],
+    bits: np.ndarray | None,
+    start: int,
+    remaining: int,
+    k: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Extend ``prefix`` (whose AND is ``bits``) by ``remaining`` rows from ``start`` on."""
+    if remaining == 2:
+        block = rows[start:] if bits is None else rows[start:] & bits
+        supports = pair_supports(block)
+        first, second = np.nonzero(np.triu((supports > 0) & (supports < k), 1))
+        if first.size:
+            combinations = np.empty((first.size, len(prefix) + 2), dtype=np.int64)
+            if prefix:
+                combinations[:, : len(prefix)] = prefix
+            combinations[:, -2] = index[start + first]
+            combinations[:, -1] = index[start + second]
+            yield combinations, supports[first, second]
+        return
+    for position in range(start, len(rows) - remaining + 1):
+        narrowed = rows[position] if bits is None else bits & rows[position]
+        if narrowed.any():
+            yield from _rare_extensions(
+                rows,
+                index,
+                prefix + (int(index[position]),),
+                narrowed,
+                position + 1,
+                remaining - 1,
+                k,
+            )
 
 
 def indices_of(bits: np.ndarray) -> np.ndarray:

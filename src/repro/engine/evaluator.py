@@ -76,7 +76,7 @@ class MethodEvaluator:
         #: k^m / (k,k^m) verification enumerates item combinations, so it is
         #: skipped (reported as ``None``) when the item universe exceeds this
         #: limit, exactly like a GUI would avoid freezing on huge data.  The
-        #: bitset-backed checker (one AND + popcount per combination, with
+        #: bitset-backed checker (pairwise AND + popcount blocks, with
         #: zero-support pruning) verifies far larger universes than the
         #: per-record scans it replaced, so the default is generous.
         self.km_check_limit = km_check_limit

@@ -19,9 +19,11 @@ suite and (optionally) by the engine after each run.
 The *k*:sup:`m` check runs on the interpretation index and the bitset layer:
 labels resolve to leaf sets through the memoized
 :func:`repro.index.interpreter_for` (once per *distinct* itemset instead of
-per record per label), per-item candidate bitsets are packed once, and each
-item combination costs one word-wise AND plus a popcount — with zero-support
-prefixes pruned, since their supersets cannot violate.
+per record per label), per-item candidate bitsets are packed once, and the
+combinations are scored by :func:`repro.columnar.bitset.rare_combinations` —
+pairs in one pairwise AND + popcount block, zero-support prefixes pruned since
+their supersets cannot violate.  The item-cut search of Apriori, LRA and VPA
+runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import indices_of, popcount, posting_matrix
+from repro.columnar.bitset import (
+    indices_of,
+    intersect_rows,
+    posting_matrix,
+    rare_combinations,
+)
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -221,43 +228,22 @@ def km_violations(
     interpreter = interpreter_for(hierarchy, universe_set)
     candidates = candidate_matrix(dataset, attribute, interpreter, ordered)
 
+    # Enumerate by combination size, then lexicographically: the order of the
+    # original itertools.combinations scan.
     violations: list[KmViolation] = []
-    limit = max_violations if max_violations is not None else -1
-
-    def scan(prefix_bits, start: int, remaining: int, prefix: tuple[str, ...]) -> bool:
-        """Extend ``prefix`` by every item from ``start`` on; True = limit hit."""
-        for token in range(start, len(ordered) - remaining + 1):
-            bits = (
-                candidates[token]
-                if prefix_bits is None
-                else prefix_bits & candidates[token]
-            )
-            if remaining == 1:
-                support = popcount(bits)
-                if 0 < support < k:
-                    violations.append(
-                        KmViolation(
-                            items=prefix + (ordered[token],),
-                            support=support,
-                            records=tuple(int(i) for i in indices_of(bits)),
-                        )
-                    )
-                    if limit >= 0 and len(violations) >= limit:
-                        return True
-            else:
-                # A zero-support prefix cannot produce a violation: all of
-                # its supersets have support 0 as well.
-                if not bits.any():
-                    continue
-                if scan(bits, token + 1, remaining - 1, prefix + (ordered[token],)):
-                    return True
-        return False
-
-    # Enumerate by combination size (then lexicographically), matching the
-    # order of the original itertools.combinations scan.
     for size in range(1, m + 1):
-        if scan(None, 0, size, ()):
-            return violations
+        for combinations, supports in rare_combinations(candidates, size, k):
+            for combination, support in zip(combinations.tolist(), supports.tolist()):
+                records = indices_of(intersect_rows(candidates, combination))
+                violations.append(
+                    KmViolation(
+                        items=tuple(ordered[token] for token in combination),
+                        support=support,
+                        records=tuple(records.tolist()),
+                    )
+                )
+                if max_violations is not None and len(violations) >= max_violations:
+                    return violations
     return violations
 
 

@@ -10,11 +10,19 @@ random data rarely hits (empty postings, unknown items, all-records groups,
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.transaction._itemcut import (
+    ItemCut,
+    KmAnonymityChecker,
+    greedy_km_anonymize,
+)
+from repro.columnar.bitset import bitset_from_indices, rare_combinations
 from repro.datasets import Attribute, Dataset, Schema, generate_market_basket
+from repro.hierarchy import build_item_hierarchy
 from repro.index import InvertedIndex
 from repro.metrics import km_violations, label_leaves
 
@@ -220,9 +228,103 @@ class TestKmEquivalence:
         slow = brute_force_km_violations(dataset, k, m, universe=universe)
         assert [(v.items, v.support) for v in fast] == slow
 
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, 1), min_size=70, max_size=70), min_size=0, max_size=9
+        ),
+        size=st.integers(1, 4),
+        k=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rare_combinations_match_brute_force(self, rows, size, k):
+        """Word-boundary rows (70 bits), every size up to 4, lexicographic order."""
+        matrix = np.stack(
+            [bitset_from_indices(np.flatnonzero(row), 70) for row in rows]
+        ) if rows else np.zeros((0, 2), dtype=np.uint64)
+        members = [set(np.flatnonzero(row).tolist()) for row in rows]
+        expected = []
+        for combination in itertools.combinations(range(len(rows)), size):
+            support = len(set.intersection(*(members[i] for i in combination)))
+            if 0 < support < k:
+                expected.append((combination, support))
+        found = [
+            (tuple(combination), support)
+            for combinations, supports in rare_combinations(matrix, size, k)
+            for combination, support in zip(combinations.tolist(), supports.tolist())
+        ]
+        assert found == expected
+
     def test_km_checker_handles_universe_beyond_old_limit(self):
         """Universes > 40 items (the old km_check_limit) verify quickly now."""
         dataset = generate_market_basket(n_records=400, n_items=64, seed=17)
         violations = km_violations(dataset, k=2, m=2)
         brute = brute_force_km_violations(dataset, k=2, m=2)
         assert [(v.items, v.support) for v in violations] == brute
+
+
+# -- item-cut search equivalence -------------------------------------------------
+def scalar_cut_violations(itemsets, cut, k, size):
+    """The per-record combination count the bitset checker replaced, restated."""
+    supports = {}
+    for itemset in itemsets:
+        generalized = sorted(cut.generalize_itemset(itemset))
+        for combination in itertools.combinations(generalized, size):
+            supports[combination] = supports.get(combination, 0) + 1
+    return {c: s for c, s in supports.items() if 0 < s < k}
+
+
+def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, apriori_order=True):
+    """The greedy promotion loop over scalar violation counts, restated."""
+    universe = {str(item) for itemset in itemsets for item in itemset}
+    cut = ItemCut(hierarchy, universe)
+    steps = 0
+    rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
+    for sizes in rounds:
+        while True:
+            violations = {}
+            for size in sizes:
+                violations.update(scalar_cut_violations(itemsets, cut, k, size))
+            if not violations or cut.is_fully_generalized():
+                break
+            scores = {}
+            for combination in violations:
+                for node in combination:
+                    scores[node] = scores.get(node, 0) + 1
+            promotable = {n: s for n, s in scores.items() if hierarchy.parent(n) is not None}
+            if not promotable:
+                break
+            target = max(
+                promotable,
+                key=lambda node: (promotable[node], -cut.generalization_level(node), node),
+            )
+            cut.generalize_node(target)
+            steps += 1
+    return cut, steps
+
+
+class TestItemCutEquivalence:
+    @given(
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=40),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+        apriori_order=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_greedy_search_matches_scalar_reference(self, itemsets, k, m, apriori_order):
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        if not any(itemsets):
+            return
+        hierarchy = build_item_hierarchy(ITEMS, fanout=3)
+        cut, statistics = greedy_km_anonymize(
+            itemsets, hierarchy, k, m, apriori_order=apriori_order
+        )
+        reference, steps = scalar_greedy_km_anonymize(
+            itemsets, hierarchy, k, m, apriori_order=apriori_order
+        )
+        assert cut.mapping == reference.mapping
+        assert statistics["generalization_steps"] == steps
+        checker = KmAnonymityChecker(itemsets, k, m)
+        for size in range(1, m + 1):
+            assert checker.violations(cut, size) == scalar_cut_violations(
+                itemsets, cut, k, size
+            )
