@@ -5,18 +5,20 @@ of the generalization lattice and repeatedly need the equivalence-class sizes
 a level vector induces.  Recomputing generalized tuples record by record for
 every candidate is prohibitively slow in Python, so :class:`FullDomainIndex`
 pre-computes, per attribute and per level, an integer code for every record
-and answers class-size queries with a single vectorised pass.
+and answers class-size queries with a single vectorised pass; the same codes
+score NCP per level and write the chosen generalization.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.datasets.dataset import Dataset
-from repro.hierarchy.hierarchy import Hierarchy
+from repro.columnar.relational import class_sizes, mixed_radix_keys
+from repro.datasets.dataset import Dataset, _normalise_cell
 from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
+from repro.metrics.relational import RelationalLossContext
 
 
 class FullDomainIndex:
@@ -30,55 +32,41 @@ class FullDomainIndex:
         self.lattice = lattice
         self.attributes = lattice.attributes
         self._n_records = len(dataset)
-        # codes[attribute][level] -> np.ndarray of int codes per record
-        self._codes: dict[str, list[np.ndarray]] = {}
-        # label_count[attribute][level] -> number of distinct labels
-        self._label_counts: dict[str, list[int]] = {}
-        # labels[attribute][level] -> original value -> generalized label
-        self._mappings: dict[str, list[dict]] = {}
-
+        # levels[attribute][level] -> (int code per record, labels in code order)
+        self._levels: dict[str, list[tuple[np.ndarray, tuple[str, ...]]]] = {}
         for attribute in self.attributes:
             hierarchy = lattice.hierarchies[attribute]
-            column = dataset.column(attribute)
-            distinct = sorted({value for value in column}, key=str)
-            per_level_codes: list[np.ndarray] = []
-            per_level_counts: list[int] = []
-            per_level_mappings: list[dict] = []
-            max_level = hierarchy.height
-            for level in range(max_level + 1):
-                mapping = {
-                    value: hierarchy.generalize_to_level(str(value), level)
-                    for value in distinct
-                }
-                labels = sorted(set(mapping.values()))
+            column = dataset.columnar(attribute)
+            self._levels[attribute] = []
+            for level in range(hierarchy.height + 1):
+                generalized = [
+                    hierarchy.generalize_to_level(str(value), level)
+                    for value in column.values
+                ]
+                labels = tuple(sorted(set(generalized)))
                 label_code = {label: position for position, label in enumerate(labels)}
-                codes = np.fromiter(
-                    (label_code[mapping[value]] for value in column),
+                value_codes = np.fromiter(
+                    (label_code[label] for label in generalized),
                     dtype=np.int64,
-                    count=self._n_records,
+                    count=len(generalized),
                 )
-                per_level_codes.append(codes)
-                per_level_counts.append(len(labels))
-                per_level_mappings.append(mapping)
-            self._codes[attribute] = per_level_codes
-            self._label_counts[attribute] = per_level_counts
-            self._mappings[attribute] = per_level_mappings
+                self._levels[attribute].append((column.take(value_codes), labels))
+
+    def _level(self, attribute: str, level: int) -> tuple[np.ndarray, tuple[str, ...]]:
+        levels = self._levels[attribute]
+        return levels[min(level, len(levels) - 1)]
 
     # -- class structure -------------------------------------------------------
     def _keys(self, node: LevelVector) -> np.ndarray:
         """Mixed-radix record keys identifying each record's equivalence class."""
-        keys = np.zeros(self._n_records, dtype=np.int64)
-        for attribute, level in zip(self.attributes, node):
-            level = min(level, len(self._codes[attribute]) - 1)
-            keys = keys * self._label_counts[attribute][level] + self._codes[attribute][level]
-        return keys
+        levels = (self._level(a, level) for a, level in zip(self.attributes, node))
+        return mixed_radix_keys(
+            ((codes, len(labels)) for codes, labels in levels), self._n_records
+        )
 
     def class_sizes(self, node: LevelVector) -> np.ndarray:
         """Sizes of the equivalence classes induced by the level vector."""
-        if self._n_records == 0:
-            return np.array([], dtype=np.int64)
-        _, counts = np.unique(self._keys(node), return_counts=True)
-        return counts
+        return class_sizes(self._keys(node))
 
     def min_class_size(self, node: LevelVector) -> int:
         sizes = self.class_sizes(node)
@@ -91,25 +79,42 @@ class FullDomainIndex:
         sizes = self.class_sizes(node)
         return int(sizes.size)
 
-    def discernibility(self, node: LevelVector) -> int:
-        sizes = self.class_sizes(node)
-        return int((sizes.astype(np.int64) ** 2).sum())
-
     # -- application --------------------------------------------------------------
-    def mapping_for(self, attribute: str, level: int) -> Mapping:
-        """Original value -> generalized label mapping for one attribute level."""
-        levels = self._mappings[attribute]
-        return levels[min(level, len(levels) - 1)]
-
     def apply(self, dataset: Dataset, node: LevelVector) -> Dataset:
         """Return a copy of ``dataset`` generalized to the level vector."""
         result = dataset.copy(name=f"{dataset.name}[full-domain]")
         for attribute, level in zip(self.attributes, node):
             if level <= 0:
                 continue
-            mapping = self.mapping_for(attribute, level)
-            result.map_column(attribute, lambda value, m=mapping: m.get(value, value))
+            codes, labels = self._level(attribute, level)
+            result.set_column(attribute, np.array(labels, dtype=object)[codes].tolist())
         return result
+
+    def level_ncp(
+        self,
+        dataset: Dataset,
+        context: RelationalLossContext,
+        attribute: str,
+        level: int,
+    ) -> np.ndarray:
+        """Per-record NCP of ``attribute`` as :meth:`apply` publishes it at ``level``.
+
+        One ``cell_ncp`` per level label, normalised as the dataset stores it
+        (the original values at level 0), gathered by the level's codes.
+        """
+        if level <= 0:
+            column = dataset.columnar(attribute)
+            cells: Sequence = column.values
+            codes = column.codes
+        else:
+            codes, labels = self._level(attribute, level)
+            cells = [_normalise_cell(dataset.schema[attribute], label) for label in labels]
+        table = np.fromiter(
+            (context.cell_ncp(attribute, cell) for cell in cells),
+            dtype=np.float64,
+            count=len(cells),
+        )
+        return np.take(table, codes)
 
     def loss_proxy(self, node: LevelVector) -> float:
         """A cheap information-loss proxy: mean normalised level height."""

@@ -35,96 +35,15 @@ from repro.metrics.relational import global_certainty_penalty
 from repro.policies.utility import generalized_label
 
 
-class _ClusterBounds:
-    """Incrementally maintained bounding generalization of one growing cluster.
-
-    Scoring a candidate record against the running bounds is O(#attributes),
-    which keeps the greedy clustering loop close to linear.  The categorical
-    cost uses the number of distinct values in the cluster (a lower bound of
-    the LCA's leaf count); the exact hierarchy-based cost is only needed when
-    the cluster is finally generalized.
-    """
-
-    def __init__(self, owner: "ClusterAnonymizer", dataset: Dataset, attributes, seed: int):
-        self._owner = owner
-        self._dataset = dataset
-        self._attributes = list(attributes)
-        #: name -> (low, high), or ``None`` while the cluster holds no numeric
-        #: value for the attribute (a ``None`` seed must not anchor the bounds
-        #: at 0 — missing values are skipped exactly as :meth:`add` does).
-        self._numeric_bounds: dict[str, tuple[float, float] | None] = {}
-        self._categorical_values: dict[str, set[str]] = {}
-        for name in self._attributes:
-            value = dataset[seed][name]
-            if name in owner._numeric:
-                self._numeric_bounds[name] = (
-                    (float(value), float(value)) if value is not None else None
-                )
-            else:
-                self._categorical_values[name] = (
-                    {str(value)} if value is not None else set()
-                )
-
-    def cost_with(self, candidate: int) -> float:
-        record = self._dataset[candidate]
-        cost = 0.0
-        for name in self._attributes:
-            value = record[name]
-            if name in self._owner._numeric:
-                span = self._owner._domain_span[name]
-                if span <= 0:
-                    continue
-                bounds = self._numeric_bounds[name]
-                if value is not None:
-                    number = float(value)
-                    low, high = (
-                        (number, number)
-                        if bounds is None
-                        else (min(bounds[0], number), max(bounds[1], number))
-                    )
-                elif bounds is None:
-                    continue
-                else:
-                    low, high = bounds
-                cost += (high - low) / span
-            else:
-                size = self._owner._domain_size[name]
-                if size <= 1:
-                    continue
-                values = self._categorical_values[name]
-                extra = 0 if value is None or str(value) in values else 1
-                cost += (len(values) + extra - 1) / max(size - 1, 1)
-        return cost / max(len(self._attributes), 1)
-
-    def add(self, candidate: int) -> None:
-        record = self._dataset[candidate]
-        for name in self._attributes:
-            value = record[name]
-            if value is None:
-                continue
-            if name in self._owner._numeric:
-                bounds = self._numeric_bounds[name]
-                number = float(value)
-                self._numeric_bounds[name] = (
-                    (number, number)
-                    if bounds is None
-                    else (min(bounds[0], number), max(bounds[1], number))
-                )
-            else:
-                self._categorical_values[name].add(str(value))
-
-
 class _ClusterKernel:
-    """Vectorized twin of :class:`_ClusterBounds`.
+    """Running bounding generalization of the cluster being grown.
 
     Column arrays (from ``Dataset.columnar``) plus the running bounds of the
-    cluster being grown, scoring *all* candidate records of one greedy step in
-    a single array pass: numeric span widening via ``np.fmin``/``np.fmax``
-    against the ``NaN``-missing value vectors, categorical membership via code
-    comparison against the cluster's value-code mask.  The per-candidate costs
-    are numerically identical to :meth:`_ClusterBounds.cost_with` — the same
-    operations run in the same attribute order — so the greedy choice (first
-    minimum) matches the scalar loop exactly.
+    cluster, scoring *all* candidate records of one greedy step in a single
+    array pass: numeric span widening via ``np.fmin``/``np.fmax`` against the
+    ``NaN``-missing value vectors, categorical membership via code comparison
+    against the cluster's value-code mask.  The categorical cost counts the
+    cluster's distinct values (a lower bound of the LCA's leaf count).
     """
 
     def __init__(self, owner: "ClusterAnonymizer", dataset: Dataset, attributes):
@@ -175,7 +94,7 @@ class _ClusterKernel:
                     self._counts[position] = 0
 
     def add(self, index: int) -> None:
-        """Widen the bounds with record ``index`` (mirrors ``_ClusterBounds.add``)."""
+        """Widen the bounds with record ``index`` (missing cells widen nothing)."""
         for kind, cells_or_numbers, _parameter, position in self._specs:
             if kind == "num":
                 value = cells_or_numbers[index]
@@ -210,10 +129,6 @@ class ClusterAnonymizer(Anonymizer):
 
     name = "cluster"
     data_kind = "relational"
-    #: Grow clusters through the vectorized :class:`_ClusterKernel`; the
-    #: scalar :class:`_ClusterBounds` loop (identical output) remains behind
-    #: this switch as the equivalence reference.
-    vectorized = True
 
     def __init__(
         self,
@@ -257,34 +172,66 @@ class ClusterAnonymizer(Anonymizer):
                 self._domain_span[name] = max(high - low, 0.0)
             self._domain_size[name] = len(set(domain)) or 1
 
-    def _cluster_cost(
-        self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
-    ) -> float:
-        """NCP of the minimum bounding generalization of the given records."""
+    def _bounds(
+        self,
+        dataset: Dataset,
+        attributes: Sequence[str],
+        indices: Sequence[int],
+        start: list | None = None,
+    ) -> list:
+        """Per-attribute bounds of the records, widening ``start``.
+
+        ``(low, high)`` of a numeric attribute's present values (``None`` while
+        there are none), the frozenset of value strings of any other attribute.
+        """
+        bounds = list(start) if start is not None else [
+            None if name in self._numeric else frozenset() for name in attributes
+        ]
+        for index in indices:
+            record = dataset[index]
+            for position, name in enumerate(attributes):
+                value = record[name]
+                if value is None:
+                    continue
+                bound = bounds[position]
+                if name in self._numeric:
+                    number = float(value)
+                    bounds[position] = (
+                        (number, number)
+                        if bound is None
+                        else (min(bound[0], number), max(bound[1], number))
+                    )
+                else:
+                    bounds[position] = bound | {str(value)}
+        return bounds
+
+    def _bounds_cost(self, attributes: Sequence[str], bounds: list) -> float:
+        """NCP of the minimum bounding generalization summarised by ``bounds``."""
         cost = 0.0
-        for name in attributes:
-            values = [dataset[index][name] for index in indices]
+        for name, bound in zip(attributes, bounds):
             if name in self._numeric:
                 span = self._domain_span[name]
-                if span <= 0:
+                if span <= 0 or bound is None:
                     continue
-                numeric_values = [float(v) for v in values if v is not None]
-                if not numeric_values:
-                    continue
-                cost += (max(numeric_values) - min(numeric_values)) / span
+                cost += (bound[1] - bound[0]) / span
             else:
-                distinct = {str(v) for v in values if v is not None}
                 size = self._domain_size[name]
                 if size <= 1:
                     continue
                 hierarchy = self.hierarchies.get(name)
-                if hierarchy is not None and len(distinct) > 1:
-                    ancestor = hierarchy.lowest_common_ancestor(distinct)
+                if hierarchy is not None and len(bound) > 1:
+                    ancestor = hierarchy.lowest_common_ancestor(bound)
                     width = hierarchy.leaf_count(ancestor)
                 else:
-                    width = len(distinct)
+                    width = len(bound)
                 cost += (width - 1) / max(size - 1, 1)
         return cost / max(len(attributes), 1)
+
+    def _cluster_cost(
+        self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
+    ) -> float:
+        """NCP of the minimum bounding generalization of the given records."""
+        return self._bounds_cost(attributes, self._bounds(dataset, attributes, indices))
 
     def _generalized_values(
         self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
@@ -322,28 +269,39 @@ class ClusterAnonymizer(Anonymizer):
         attributes = list(attributes or self.attributes or relational_quasi_identifiers(dataset))
         validate_k(self.k, len(dataset), "ClusterAnonymizer")
         self._prepare(dataset, attributes)
-        if self.vectorized:
-            clusters, leftovers = self._grow_clusters_vectorized(dataset, attributes)
-        else:
-            clusters, leftovers = self._grow_clusters_scalar(dataset, attributes)
-        # Attach the leftovers (fewer than k records) to their cheapest cluster.
-        for leftover in leftovers:
-            best_position = None
-            best_cost = None
-            for position, cluster in enumerate(clusters):
-                cost = self._cluster_cost(dataset, attributes, cluster + [leftover])
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_position = position
-            if best_position is None:
-                raise AlgorithmError(
-                    "ClusterAnonymizer: cannot place leftover records; "
-                    "the dataset is smaller than k"
-                )
-            clusters[best_position].append(leftover)
+        clusters, leftovers = self._grow_clusters(dataset, attributes)
+        self._attach_leftovers(dataset, attributes, clusters, leftovers)
         return clusters
 
-    def _grow_clusters_vectorized(
+    def _attach_leftovers(
+        self,
+        dataset: Dataset,
+        attributes: Sequence[str],
+        clusters: list[list[int]],
+        leftovers: Sequence[int],
+    ) -> None:
+        """Append each leftover to the first cluster it widens least.
+
+        Bounds are summarised once per cluster and widened as leftovers join.
+        """
+        if not leftovers:
+            return
+        if not clusters:
+            raise AlgorithmError(
+                "ClusterAnonymizer: cannot place leftover records; "
+                "the dataset is smaller than k"
+            )
+        bounds = [self._bounds(dataset, attributes, cluster) for cluster in clusters]
+        for leftover in leftovers:
+            widened = [
+                self._bounds(dataset, attributes, [leftover], bound) for bound in bounds
+            ]
+            costs = [self._bounds_cost(attributes, bound) for bound in widened]
+            best = min(range(len(costs)), key=costs.__getitem__)
+            clusters[best].append(leftover)
+            bounds[best] = widened[best]
+
+    def _grow_clusters(
         self, dataset: Dataset, attributes: Sequence[str]
     ) -> tuple[list[list[int]], list[int]]:
         """Greedy growth with one whole-frontier kernel pass per added member."""
@@ -369,35 +327,6 @@ class ClusterAnonymizer(Anonymizer):
             clusters.append(cluster)
         return clusters, [int(index) for index in unassigned]
 
-    def _grow_clusters_scalar(
-        self, dataset: Dataset, attributes: Sequence[str]
-    ) -> tuple[list[list[int]], list[int]]:
-        """The per-candidate Python scoring loop (the kernel's reference)."""
-        unassigned = list(range(len(dataset)))
-        clusters: list[list[int]] = []
-        while len(unassigned) >= self.k:
-            seed = unassigned.pop(0)
-            cluster = [seed]
-            bounds = _ClusterBounds(self, dataset, attributes, seed)
-            while len(cluster) < self.k:
-                candidates = (
-                    unassigned
-                    if self.candidate_limit is None
-                    else unassigned[: self.candidate_limit]
-                )
-                best_index = None
-                best_cost = None
-                for candidate in candidates:
-                    cost = bounds.cost_with(candidate)
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        best_index = candidate
-                cluster.append(best_index)
-                bounds.add(best_index)
-                unassigned.remove(best_index)
-            clusters.append(cluster)
-        return clusters, unassigned
-
     def generalize_clusters(
         self,
         dataset: Dataset,
@@ -410,11 +339,15 @@ class ClusterAnonymizer(Anonymizer):
         if not hasattr(self, "_domain_size") or not self._domain_size:
             self._prepare(dataset, attributes)
         anonymized = dataset.copy(name=f"{dataset.name}[{name_suffix}]")
+        columns = {attribute: anonymized.column(attribute) for attribute in attributes}
         for cluster in clusters:
             published = self._generalized_values(dataset, attributes, cluster)
-            for index in cluster:
-                for attribute, value in published.items():
-                    anonymized.set_value(index, attribute, value)
+            for attribute, value in published.items():
+                column = columns[attribute]
+                for index in cluster:
+                    column[index] = value
+        for attribute, column in columns.items():
+            anonymized.set_column(attribute, column)
         return anonymized
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:

@@ -4,8 +4,9 @@ Incognito searches the lattice of full-domain generalization level vectors
 bottom-up (breadth-first), checking k-anonymity of each candidate and using
 the *generalization property* to prune: once a level vector is k-anonymous,
 every vector that generalizes it is k-anonymous as well and need not be
-checked.  Among the minimal k-anonymous vectors found, the one with the best
-utility (lowest Global Certainty Penalty) is applied to the dataset.
+checked.  Of the minimal k-anonymous vectors found, the ten best by a cheap
+proxy (mean normalised level height) are scored by Global Certainty Penalty,
+and the lowest-GCP one among them is applied to the dataset.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
-from repro.metrics.relational import global_certainty_penalty
+from repro.metrics.relational import RelationalLossContext
 
 
 class Incognito(Anonymizer):
@@ -81,11 +82,11 @@ class Incognito(Anonymizer):
             )
 
         with timer.phase("selection"):
-            best_node, best_dataset, best_gcp = self._select_best(
+            best_node, best_gcp = self._select_best(
                 dataset, index, minimal_nodes, attributes
             )
+            result_dataset = index.apply(dataset, best_node)
 
-        result_dataset = best_dataset
         result_dataset.name = f"{dataset.name}[incognito]"
         return AnonymizationResult(
             dataset=result_dataset,
@@ -109,21 +110,26 @@ class Incognito(Anonymizer):
         index: FullDomainIndex,
         candidates: list[LevelVector],
         attributes: Sequence[str],
-    ) -> tuple[LevelVector, Dataset, float]:
-        """Pick the minimal k-anonymous node with the lowest GCP."""
-        best: tuple[LevelVector, Dataset, float] | None = None
-        # Cheap pre-ranking keeps the number of exact GCP evaluations small.
+    ) -> tuple[LevelVector, float]:
+        """Pick the lowest-GCP node among the best-ranked minimal nodes.
+
+        Only the 10 minimal nodes with the lowest
+        :meth:`FullDomainIndex.loss_proxy` are scored, so the result is the
+        GCP-optimal node of that shortlist, not necessarily of every minimal
+        node; ties keep the better-ranked node.  Scores add the per-(attribute,
+        level) NCP arrays in attribute order: the exact GCP of the applied node.
+        """
         ranked = sorted(candidates, key=index.loss_proxy)[:10]
-        for node in ranked:
-            candidate = index.apply(dataset, node)
-            gcp = global_certainty_penalty(
-                dataset, candidate, attributes=attributes, hierarchies=self.hierarchies
-            )
-            if best is None or gcp < best[2]:
-                best = (node, candidate, gcp)
-        if best is None:
-            raise AlgorithmError(
-                "incognito produced no k-anonymous candidate to rank; the "
-                "minimal-solution set was empty"
-            )
-        return best
+        if len(dataset) == 0:
+            return ranked[0], 0.0
+        context = RelationalLossContext(dataset, attributes, self.hierarchies)
+        levels = dict.fromkeys(key for node in ranked for key in zip(attributes, node))
+        ncp = {key: index.level_ncp(dataset, context, *key) for key in levels}
+
+        def gcp(node: LevelVector) -> float:
+            totals = sum(ncp[key] for key in zip(attributes, node))
+            return float((totals / len(attributes)).sum()) / len(dataset)
+
+        scores = [gcp(node) for node in ranked]
+        best = min(range(len(ranked)), key=scores.__getitem__)
+        return ranked[best], scores[best]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.algorithms.base import (
     AnonymizationResult,
     Anonymizer,
@@ -27,6 +29,7 @@ from repro.algorithms.base import (
     require_hierarchies,
     validate_k,
 )
+from repro.columnar.relational import class_sizes, mixed_radix_keys
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -39,10 +42,14 @@ class _AttributeState:
     def __init__(self, attribute: str, hierarchy: Hierarchy, values: list):
         self.attribute = attribute
         self.hierarchy = hierarchy
-        self.distinct = sorted({str(value) for value in values})
-        self.counts = {
-            value: sum(1 for v in values if str(v) == value) for value in self.distinct
-        }
+        strings = [str(value) for value in values]
+        self.distinct = sorted(set(strings))
+        position = {value: code for code, value in enumerate(self.distinct)}
+        #: Per-record index into ``distinct``.
+        self.codes = np.array([position[value] for value in strings], dtype=np.int64)
+        self.counts = dict(
+            zip(self.distinct, np.bincount(self.codes, minlength=len(self.distinct)).tolist())
+        )
         # Leaf-to-root path (inclusive) per distinct value.
         self.paths = {
             value: [value] + hierarchy.ancestors(value) for value in self.distinct
@@ -53,6 +60,13 @@ class _AttributeState:
         self.domain_span = (
             (root_interval[1] - root_interval[0]) if root_interval else None
         )
+
+    def label_codes(self) -> tuple[np.ndarray, int]:
+        """Per-record codes of the current cut labels, and how many there are."""
+        labels = [self.current_label(value) for value in self.distinct]
+        position = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        per_value = np.array([position[label] for label in labels], dtype=np.int64)
+        return per_value[self.codes], len(position)
 
     def current_label(self, value: str) -> str:
         for label in self.paths[value]:
@@ -117,21 +131,11 @@ class TopDownSpecialization(Anonymizer):
     def _min_class_size(
         self, dataset: Dataset, states: dict[str, _AttributeState]
     ) -> int:
-        groups: dict[tuple, int] = {}
-        attributes = list(states)
-        value_maps = {
-            attribute: {
-                value: states[attribute].current_label(value)
-                for value in states[attribute].distinct
-            }
-            for attribute in attributes
-        }
-        for record in dataset:
-            key = tuple(
-                value_maps[attribute][str(record[attribute])] for attribute in attributes
-            )
-            groups[key] = groups.get(key, 0) + 1
-        return min(groups.values()) if groups else 0
+        keys = mixed_radix_keys(
+            (state.label_codes() for state in states.values()), len(dataset)
+        )
+        sizes = class_sizes(keys)
+        return int(sizes.min()) if sizes.size else 0
 
     # -- main ----------------------------------------------------------------------
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:

@@ -23,12 +23,35 @@ drops it on any dataset mutation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
     from repro.datasets.dataset import Dataset
+
+
+def mixed_radix_keys(
+    columns: Iterable[tuple[np.ndarray, int]], n_records: int
+) -> np.ndarray:
+    """Per-record keys, equal exactly when every ``(codes, radix)`` column agrees.
+
+    Keys are renumbered densely whenever the next column could overflow ``int64``.
+    """
+    keys = np.zeros(n_records, dtype=np.int64)
+    span = 1
+    for codes, radix in columns:
+        if span * radix > 2**63:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            span = len(distinct)
+        keys = keys * radix + codes
+        span *= radix
+    return keys
+
+
+def class_sizes(keys: np.ndarray) -> np.ndarray:
+    """Sizes of the classes of equal ``keys``, in key order."""
+    return np.unique(keys, return_counts=True)[1]
 
 
 class CategoricalColumn:

@@ -377,7 +377,7 @@ class Dataset:
         attribute = self._schema[name]
         if attribute.is_transaction:
             return sorted(self.item_universe(name))
-        values = {record[name] for record in self._records if record[name] is not None}
+        values = {value for value in self.columnar(name).values if value is not None}
         try:
             return sorted(values)
         except TypeError:
@@ -508,14 +508,36 @@ class Dataset:
             raise DatasetError("subset index out of range") from None
         return selected
 
+    def set_column(self, name: str, values: Sequence[Any]) -> None:
+        """Replace every value of attribute ``name``, in record order, in one write.
+
+        Each distinct string (or ``None``) is normalised once; a value that
+        cannot be stored raises before any cell changes.
+        """
+        self._require_attribute(name)
+        if len(values) != len(self._records):
+            raise DatasetError(
+                f"got {len(values)} values for {len(self._records)} records"
+            )
+        attribute = self._schema[name]
+        normalised: dict[str | None, Any] = {}
+        cells = []
+        for value in values:
+            if value is None or type(value) is str:
+                if value not in normalised:
+                    normalised[value] = _normalise_cell(attribute, value)
+                cells.append(normalised[value])
+            else:
+                cells.append(_normalise_cell(attribute, value))
+        for record, cell in zip(self._records, cells):
+            record._set(name, cell)
+        self._columnar.pop(name, None)
+        self._version += 1
+
     def map_column(self, name: str, transform: Callable[[Any], Any]) -> None:
         """Apply ``transform`` to every value of attribute ``name`` in place."""
         self._require_attribute(name)
-        attribute = self._schema[name]
-        for record in self._records:
-            record._set(name, _normalise_cell(attribute, transform(record[name])))
-        self._columnar.pop(name, None)
-        self._version += 1
+        self.set_column(name, [transform(record[name]) for record in self._records])
 
     def to_rows(self) -> list[list[Any]]:
         """Positional rows aligned with the schema order (deep copies)."""

@@ -43,6 +43,7 @@ from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import interpreter_for
+from repro.metrics.relational import equivalence_class_sizes, quasi_identifier_attributes
 
 
 # -- relational: k-anonymity ---------------------------------------------------
@@ -51,18 +52,16 @@ def equivalence_classes(
 ) -> dict[tuple, list[int]]:
     """Equivalence classes over the given (default: QI relational) attributes."""
     if attributes is None:
-        attributes = [
-            attribute.name
-            for attribute in dataset.schema.relational
-            if attribute.quasi_identifier
-        ]
+        attributes = quasi_identifier_attributes(dataset)
     return dataset.group_by(list(attributes))
 
 
 def min_class_size(dataset: Dataset, attributes: Sequence[str] | None = None) -> int:
     """Size of the smallest equivalence class (0 for an empty dataset)."""
-    groups = equivalence_classes(dataset, attributes)
-    return min((len(indices) for indices in groups.values()), default=0)
+    if attributes is None:
+        attributes = quasi_identifier_attributes(dataset)
+    sizes = equivalence_class_sizes(dataset, list(attributes))
+    return int(sizes.min()) if sizes.size else 0
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,8 @@ def k_violations(
     """Every equivalence class of fewer than ``k`` records, as witnesses."""
     if k < 1:
         raise DatasetError("k must be at least 1")
+    if len(dataset) == 0 or min_class_size(dataset, attributes) >= k:
+        return []  # confirmed on the code matrix; no classes to materialise
     violations: list[KViolation] = []
     for values, indices in equivalence_classes(dataset, attributes).items():
         if len(indices) < k:

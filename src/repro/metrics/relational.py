@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.columnar.relational import class_sizes, mixed_radix_keys
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -248,10 +249,10 @@ def equivalence_class_sizes(
 ) -> np.ndarray:
     """Sizes of the equivalence classes induced by ``attributes`` (``int64``).
 
-    Grouping runs over the columnar code matrix (one ``np.unique`` pass over
-    ``(records, attributes)`` ``int32`` codes) instead of building a
-    per-record tuple dictionary; codes share the dictionary-key equality of
-    ``Dataset.group_by``, so the class structure is identical.
+    Grouping runs over the columnar codes (one mixed-radix key per record,
+    counted in one pass) instead of building a per-record tuple dictionary;
+    codes share the dictionary-key equality of ``Dataset.group_by``, so the
+    class structure is identical.
     """
     if len(anonymized) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -265,11 +266,11 @@ def equivalence_class_sizes(
             dtype=np.int64,
             count=len(groups),
         )
-    matrix = np.stack(
-        [anonymized.columnar(attribute).codes for attribute in attributes], axis=1
+    columns = [anonymized.columnar(attribute) for attribute in attributes]
+    keys = mixed_radix_keys(
+        ((column.codes, len(column.values)) for column in columns), len(anonymized)
     )
-    _, counts = np.unique(matrix, axis=0, return_counts=True)
-    return counts.astype(np.int64)
+    return class_sizes(keys)
 
 
 def discernibility_metric(

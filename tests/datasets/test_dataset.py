@@ -166,3 +166,88 @@ class TestTransformation:
     def test_to_rows_round_trip(self, dataset, schema):
         rebuilt = Dataset.from_rows(schema, dataset.to_rows())
         assert rebuilt == dataset
+
+
+class TestSetColumn:
+    def test_normalisation_keeps_types(self, dataset):
+        dataset.set_column("Age", [25, 25.0, "25"])
+        ages = dataset.column("Age")
+        assert ages == [25, 25, 25]
+        assert [type(age) for age in ages] == [int, float, int]
+        dataset.set_column("Age", ["[20-40]", " [20-40] ", None])
+        assert dataset.column("Age") == ["[20-40]", "[20-40]", None]
+        dataset.set_column("Education", [1, "1", None])
+        assert dataset.column("Education") == ["1", "1", None]
+
+    def test_signed_zero_stays_distinct_on_categorical(self, dataset):
+        dataset.set_column("Education", [0.0, -0.0, 0.0])
+        assert dataset.column("Education") == ["0.0", "-0.0", "0.0"]
+
+    def test_transaction_iterables_and_none(self, dataset):
+        dataset.set_column("Items", [["a", "b"], None, {1, "c"}])
+        assert dataset.column("Items") == [
+            frozenset({"a", "b"}),
+            frozenset(),
+            frozenset({"1", "c"}),
+        ]
+        with pytest.raises(DatasetError):
+            dataset.set_column("Items", ["ab", [], []])
+
+    def test_rejected_cell_raises_before_any_write(self, dataset):
+        before = dataset.version
+        with pytest.raises(DatasetError):
+            dataset.set_column("Age", [1, "young", 3])
+        assert dataset.column("Age") == [25, 30, 25]
+        assert dataset.version == before
+
+    def test_version_goes_up_by_exactly_one(self, dataset):
+        before = dataset.version
+        dataset.set_column("Age", [1, 2, 3])
+        assert dataset.version == before + 1
+        dataset.map_column("Age", lambda v: v * 2)
+        assert dataset.version == before + 2
+        assert dataset.column("Age") == [2, 4, 6]
+
+    def test_drops_only_that_attributes_columnar_view(self, dataset):
+        age_view = dataset.columnar("Age")
+        education_view = dataset.columnar("Education")
+        items_view = dataset.columnar("Items")
+        dataset.set_column("Age", [40, 40, 41])
+        assert dataset.columnar("Education") is education_view
+        assert dataset.columnar("Items") is items_view
+        fresh = dataset.columnar("Age")
+        assert fresh is not age_view
+        assert fresh.values == (40, 41)
+        assert dataset.domain("Age") == [40, 41]
+
+    def test_length_mismatch_raises(self, dataset):
+        before = dataset.version
+        with pytest.raises(DatasetError):
+            dataset.set_column("Age", [1, 2])
+        assert dataset.version == before
+        assert dataset.column("Age") == [25, 30, 25]
+
+    def test_unknown_attribute_raises(self, dataset):
+        with pytest.raises(SchemaError):
+            dataset.set_column("Salary", [1, 2, 3])
+
+    def test_matches_per_cell_writes(self, dataset):
+        values = ["[20-40]", 30, "31"]
+        bulk = dataset.copy()
+        bulk.set_column("Age", values)
+        cells = dataset.copy()
+        for index, value in enumerate(values):
+            cells.set_value(index, "Age", value)
+        assert bulk.fingerprint() == cells.fingerprint()
+
+
+class TestDomain:
+    def test_domain_reads_the_columnar_view(self, dataset):
+        dataset.set_column("Age", [30, None, 25])
+        assert dataset.domain("Age") == [25, 30]
+        assert dataset.domain("Education") == ["Bachelors", "Masters"]
+        assert dataset.domain("Items") == ["a", "b", "c"]
+
+    def test_mixed_domain_sorts_by_string(self, dataset):
+        dataset.set_column("Age", [30, "[20-40]", 25])
+        assert dataset.domain("Age") == [25, 30, "[20-40]"]

@@ -1,0 +1,278 @@
+"""Scalar references of the relational algorithms' columnar paths.
+
+Each reference restates, record by record, a path the relational algorithms
+now run on code arrays; the equivalence tests pin the two to identical
+outputs:
+
+* :class:`ClusterBounds` and :func:`grow_clusters_scalar` — greedy k-member
+  growth scoring one candidate record at a time (``_ClusterKernel``);
+* :class:`ScalarClusterAnonymizer` — the clustering with that growth, each
+  leftover scored by :func:`cluster_cost_scalar` over all members of every
+  cluster, and per-cell ``set_value`` publishing;
+* :class:`ScalarIncognito` — selection that builds every shortlisted
+  candidate dataset and scores it with ``global_certainty_penalty``;
+* :class:`ScalarTopDown` — ``_min_class_size`` grouping records into a tuple
+  dictionary;
+* :func:`apply_by_cells` — full-domain generalization by per-cell writes;
+* :func:`min_class_size_group_by` and :func:`k_violations_group_by` — the
+  k-anonymity checks on ``Dataset.group_by``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.algorithms import ClusterAnonymizer, Incognito, TopDownSpecialization
+from repro.algorithms.base import relational_quasi_identifiers
+from repro.datasets import Dataset
+from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
+from repro.metrics.privacy_checks import KViolation, equivalence_classes
+from repro.metrics.relational import global_certainty_penalty
+
+
+class ClusterBounds:
+    """Incrementally maintained bounding generalization of one growing cluster.
+
+    Scoring a candidate record against the running bounds is O(#attributes).
+    The categorical cost uses the number of distinct values in the cluster.
+    """
+
+    def __init__(self, owner: ClusterAnonymizer, dataset: Dataset, attributes, seed: int):
+        self._owner = owner
+        self._dataset = dataset
+        self._attributes = list(attributes)
+        #: name -> (low, high), or ``None`` while the cluster holds no numeric
+        #: value for the attribute (a ``None`` seed must not anchor the bounds
+        #: at 0 — missing values are skipped exactly as :meth:`add` does).
+        self._numeric_bounds: dict[str, tuple[float, float] | None] = {}
+        self._categorical_values: dict[str, set[str]] = {}
+        for name in self._attributes:
+            value = dataset[seed][name]
+            if name in owner._numeric:
+                self._numeric_bounds[name] = (
+                    (float(value), float(value)) if value is not None else None
+                )
+            else:
+                self._categorical_values[name] = (
+                    {str(value)} if value is not None else set()
+                )
+
+    def cost_with(self, candidate: int) -> float:
+        record = self._dataset[candidate]
+        cost = 0.0
+        for name in self._attributes:
+            value = record[name]
+            if name in self._owner._numeric:
+                span = self._owner._domain_span[name]
+                if span <= 0:
+                    continue
+                bounds = self._numeric_bounds[name]
+                if value is not None:
+                    number = float(value)
+                    low, high = (
+                        (number, number)
+                        if bounds is None
+                        else (min(bounds[0], number), max(bounds[1], number))
+                    )
+                elif bounds is None:
+                    continue
+                else:
+                    low, high = bounds
+                cost += (high - low) / span
+            else:
+                size = self._owner._domain_size[name]
+                if size <= 1:
+                    continue
+                values = self._categorical_values[name]
+                extra = 0 if value is None or str(value) in values else 1
+                cost += (len(values) + extra - 1) / max(size - 1, 1)
+        return cost / max(len(self._attributes), 1)
+
+    def add(self, candidate: int) -> None:
+        record = self._dataset[candidate]
+        for name in self._attributes:
+            value = record[name]
+            if value is None:
+                continue
+            if name in self._owner._numeric:
+                bounds = self._numeric_bounds[name]
+                number = float(value)
+                self._numeric_bounds[name] = (
+                    (number, number)
+                    if bounds is None
+                    else (min(bounds[0], number), max(bounds[1], number))
+                )
+            else:
+                self._categorical_values[name].add(str(value))
+
+
+def grow_clusters_scalar(
+    algorithm: ClusterAnonymizer, dataset: Dataset, attributes: Sequence[str]
+) -> tuple[list[list[int]], list[int]]:
+    """Greedy growth scoring every candidate through :class:`ClusterBounds`."""
+    unassigned = list(range(len(dataset)))
+    clusters: list[list[int]] = []
+    while len(unassigned) >= algorithm.k:
+        seed = unassigned.pop(0)
+        cluster = [seed]
+        bounds = ClusterBounds(algorithm, dataset, attributes, seed)
+        while len(cluster) < algorithm.k:
+            candidates = (
+                unassigned
+                if algorithm.candidate_limit is None
+                else unassigned[: algorithm.candidate_limit]
+            )
+            best_index = None
+            best_cost = None
+            for candidate in candidates:
+                cost = bounds.cost_with(candidate)
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best_index = candidate
+            cluster.append(best_index)
+            bounds.add(best_index)
+            unassigned.remove(best_index)
+        clusters.append(cluster)
+    return clusters, unassigned
+
+
+def cluster_cost_scalar(
+    algorithm: ClusterAnonymizer,
+    dataset: Dataset,
+    attributes: Sequence[str],
+    indices: Sequence[int],
+) -> float:
+    """NCP of the minimum bounding generalization, walking every member."""
+    cost = 0.0
+    for name in attributes:
+        values = [dataset[index][name] for index in indices]
+        if name in algorithm._numeric:
+            span = algorithm._domain_span[name]
+            if span <= 0:
+                continue
+            numeric_values = [float(v) for v in values if v is not None]
+            if not numeric_values:
+                continue
+            cost += (max(numeric_values) - min(numeric_values)) / span
+        else:
+            distinct = {str(v) for v in values if v is not None}
+            size = algorithm._domain_size[name]
+            if size <= 1:
+                continue
+            hierarchy = algorithm.hierarchies.get(name)
+            if hierarchy is not None and len(distinct) > 1:
+                ancestor = hierarchy.lowest_common_ancestor(distinct)
+                width = hierarchy.leaf_count(ancestor)
+            else:
+                width = len(distinct)
+            cost += (width - 1) / max(size - 1, 1)
+    return cost / max(len(attributes), 1)
+
+
+class ScalarClusterAnonymizer(ClusterAnonymizer):
+    """:class:`ClusterAnonymizer` with every step on per-record loops."""
+
+    def _grow_clusters(self, dataset, attributes):
+        return grow_clusters_scalar(self, dataset, attributes)
+
+    def _attach_leftovers(self, dataset, attributes, clusters, leftovers):
+        for leftover in leftovers:
+            best_position = None
+            best_cost = None
+            for position, cluster in enumerate(clusters):
+                cost = cluster_cost_scalar(self, dataset, attributes, cluster + [leftover])
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best_position = position
+            clusters[best_position].append(leftover)
+
+    def generalize_clusters(self, dataset, clusters, attributes=None, name_suffix="cluster"):
+        attributes = list(
+            attributes or self.attributes or relational_quasi_identifiers(dataset)
+        )
+        if not getattr(self, "_domain_size", None):
+            self._prepare(dataset, attributes)
+        anonymized = dataset.copy(name=f"{dataset.name}[{name_suffix}]")
+        for cluster in clusters:
+            published = self._generalized_values(dataset, attributes, cluster)
+            for index in cluster:
+                for attribute, value in published.items():
+                    anonymized.set_value(index, attribute, value)
+        return anonymized
+
+
+def apply_by_cells(
+    dataset: Dataset, lattice: GeneralizationLattice, node: LevelVector
+) -> Dataset:
+    """``dataset`` generalized to ``node``, one ``set_value`` per cell."""
+    result = dataset.copy(name=f"{dataset.name}[full-domain]")
+    for attribute, level in zip(lattice.attributes, node):
+        if level <= 0:
+            continue
+        hierarchy = lattice.hierarchies[attribute]
+        for index, record in enumerate(dataset):
+            label = hierarchy.generalize_to_level(str(record[attribute]), level)
+            result.set_value(index, attribute, label)
+    return result
+
+
+class ScalarIncognito(Incognito):
+    """:class:`Incognito` choosing by building and scoring every shortlisted node.
+
+    ``selected`` keeps the winning candidate dataset as the selection built it.
+    """
+
+    selected: Dataset | None = None
+
+    def _select_best(self, dataset, index, candidates, attributes):
+        best = None
+        ranked = sorted(candidates, key=index.loss_proxy)[:10]
+        for node in ranked:
+            candidate = apply_by_cells(dataset, index.lattice, node)
+            gcp = global_certainty_penalty(
+                dataset, candidate, attributes=attributes, hierarchies=self.hierarchies
+            )
+            if best is None or gcp < best[2]:
+                best = (node, candidate, gcp)
+        node, self.selected, gcp = best
+        return node, gcp
+
+
+class ScalarTopDown(TopDownSpecialization):
+    """:class:`TopDownSpecialization` counting classes in a tuple dictionary."""
+
+    def _min_class_size(self, dataset, states):
+        groups: dict[tuple, int] = {}
+        attributes = list(states)
+        value_maps = {
+            attribute: {
+                value: states[attribute].current_label(value)
+                for value in states[attribute].distinct
+            }
+            for attribute in attributes
+        }
+        for record in dataset:
+            key = tuple(
+                value_maps[attribute][str(record[attribute])] for attribute in attributes
+            )
+            groups[key] = groups.get(key, 0) + 1
+        return min(groups.values()) if groups else 0
+
+
+def min_class_size_group_by(
+    dataset: Dataset, attributes: Sequence[str] | None = None
+) -> int:
+    """Size of the smallest equivalence class, from the per-record groups."""
+    groups = equivalence_classes(dataset, attributes)
+    return min((len(indices) for indices in groups.values()), default=0)
+
+
+def k_violations_group_by(
+    dataset: Dataset, k: int, attributes: Sequence[str] | None = None
+) -> list[KViolation]:
+    """Every class of fewer than ``k`` records, from the per-record groups."""
+    return [
+        KViolation(values=values, size=len(indices), records=tuple(indices))
+        for values, indices in equivalence_classes(dataset, attributes).items()
+        if len(indices) < k
+    ]

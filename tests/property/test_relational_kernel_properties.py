@@ -8,7 +8,7 @@ reference element-for-element:
 
 * ``RelationalLossContext.dataset_ncp_values`` vs the ``record_ncp`` loop,
 * ``equivalence_class_sizes`` vs ``Dataset.group_by``,
-* ``_ClusterKernel.costs`` vs ``_ClusterBounds.cost_with``,
+* ``_ClusterKernel.costs`` vs ``ClusterBounds.cost_with`` (``tests/oracles``),
 * ``_MergeState`` scores vs ``RtBoundingAnonymizer._merge_score``,
 * the full Rmerger / Tmerger / RTmerger outputs with and without the
   vectorized paths.
@@ -24,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import ClusterAnonymizer, Rmerger, RTmerger, Tmerger
-from repro.algorithms.relational.cluster import _ClusterBounds, _ClusterKernel
+from oracles.relational import ClusterBounds, ScalarClusterAnonymizer
+from repro.algorithms.relational.cluster import _ClusterKernel
 from repro.algorithms.rt.bounding import _MergeState
+from repro.columnar.relational import class_sizes, mixed_radix_keys
 from repro.datasets import Attribute, Dataset, Schema, generate_rt_dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy import build_categorical_hierarchy, build_item_hierarchy
@@ -188,6 +190,14 @@ class TestGroupingKernels:
             pytest.approx((len(anonymized) / len(groups)) / 2)
         )
 
+    def test_wide_key_products_keep_classes_apart(self):
+        # 256**9 wraps int64 to 0 for the first column; renumbering the keys
+        # before that product keeps the two classes apart.
+        first = np.array([0, 1, 0, 1])
+        rest = np.zeros(4, dtype=np.int64)
+        keys = mixed_radix_keys([(first, 256)] + [(rest, 256)] * 8, 4)
+        assert sorted(class_sizes(keys).tolist()) == [2, 2]
+
     def test_grouping_still_accepts_transaction_attributes(self):
         dataset = make_rt(
             [(1, "A", (0, 0), {"i0"}), (2, "B", (0, 0), {"i0"}), (3, "A", (0, 0), set())]
@@ -209,7 +219,7 @@ class TestClusterKernels:
         algorithm = ClusterAnonymizer(2, attributes=["Age", "Education"])
         algorithm._prepare(dataset, ["Age", "Education"])
         kernel = _ClusterKernel(algorithm, dataset, ["Age", "Education"])
-        bounds = _ClusterBounds(algorithm, dataset, ["Age", "Education"], 0)
+        bounds = ClusterBounds(algorithm, dataset, ["Age", "Education"], 0)
         kernel.reset(0)
         members = list(range(1, len(dataset), 3))
         for member in members:
@@ -227,8 +237,9 @@ class TestClusterKernels:
         if len(dataset) < k:
             return
         fast = ClusterAnonymizer(k, attributes=["Age", "Education"], candidate_limit=limit)
-        slow = ClusterAnonymizer(k, attributes=["Age", "Education"], candidate_limit=limit)
-        slow.vectorized = False
+        slow = ScalarClusterAnonymizer(
+            k, attributes=["Age", "Education"], candidate_limit=limit
+        )
         assert fast.build_clusters(dataset) == slow.build_clusters(dataset)
 
     def test_kernel_matches_scalar_on_dict_equal_mixed_cells(self):
@@ -242,7 +253,7 @@ class TestClusterKernels:
         algorithm = ClusterAnonymizer(2, attributes=["Age"])
         algorithm._prepare(dataset, ["Age"])
         kernel = _ClusterKernel(algorithm, dataset, ["Age"])
-        bounds = _ClusterBounds(algorithm, dataset, ["Age"], 0)
+        bounds = ClusterBounds(algorithm, dataset, ["Age"], 0)
         kernel.reset(0)
         candidates = np.arange(len(dataset), dtype=np.int64)
         scalar = [bounds.cost_with(int(index)) for index in candidates]
@@ -260,7 +271,7 @@ class TestClusterKernels:
         dataset = make_rt(rows)
         algorithm = ClusterAnonymizer(2, attributes=["Age"])
         algorithm._prepare(dataset, ["Age"])
-        bounds = _ClusterBounds(algorithm, dataset, ["Age"], 0)
+        bounds = ClusterBounds(algorithm, dataset, ["Age"], 0)
         # Any first numeric value forms a zero-width range, whatever its size.
         assert bounds.cost_with(1) == 0.0
         assert bounds.cost_with(2) == 0.0
@@ -343,9 +354,7 @@ class TestMergeKernels:
         fast = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
         slow = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
         slow.vectorized_merge = False
-        slow_cluster = ClusterAnonymizer(3)
-        slow_cluster.vectorized = False
-        slow.relational_algorithm = slow_cluster
+        slow.relational_algorithm = ScalarClusterAnonymizer(3)
         fast_result = fast.anonymize(rt)
         slow_result = slow.anonymize(rt)
         assert fast_result.dataset.to_rows() == slow_result.dataset.to_rows()
