@@ -11,8 +11,9 @@ Measures the two hot paths PR 3 vectorized, on a 50k-record RT-dataset:
   where one experiment scores the same dataset pair many times.
 * **RT bounding merge phase** — repeated merge-partner selection over
   thousands of clusters (strategy ``"rt"``: relational bound widening plus
-  transaction Jaccard).  Baseline: the scalar ``_merge_score`` loop that
-  re-walks every member record of both clusters per candidate partner.  The
+  transaction Jaccard).  Baseline: the scalar merge-score loop that
+  re-walks every member record of both clusters per candidate partner
+  (restated verbatim as :func:`scalar_merge_score`).  The
   kernel path maintains per-cluster summaries (:class:`_MergeState`) and
   scores all partners in one vectorized pass per step.
 
@@ -65,8 +66,22 @@ def scalar_gcp(context: RelationalLossContext, anonymized) -> float:
     return total / len(anonymized)
 
 
+def scalar_merge_score(helper, dataset, attributes, attribute, cluster_a, cluster_b):
+    """The pre-kernel RTmerger score: half merged-cluster NCP, half item Jaccard distance."""
+    relational = helper._cluster_cost(dataset, list(attributes), list(cluster_a) + list(cluster_b))
+    items_a: set = set()
+    for index in cluster_a:
+        items_a |= set(dataset[index][attribute])
+    items_b: set = set()
+    for index in cluster_b:
+        items_b |= set(dataset[index][attribute])
+    union = items_a | items_b
+    transactional = 1.0 - len(items_a & items_b) / len(union) if union else 0.0
+    return 0.5 * relational + 0.5 * transactional
+
+
 def scalar_merge_phase(algorithm, helper, dataset, attributes, attribute, clusters, steps):
-    """The pre-kernel merge loop: scalar ``_merge_score`` over every partner."""
+    """The pre-kernel merge loop: :func:`scalar_merge_score` over every partner."""
     clusters = [list(cluster) for cluster in clusters]
     chosen = []
     for _ in range(steps):
@@ -74,7 +89,7 @@ def scalar_merge_phase(algorithm, helper, dataset, attributes, attribute, cluste
         candidates = [p for p in range(len(clusters)) if p != worst]
         partner = min(
             candidates,
-            key=lambda p: algorithm._merge_score(
+            key=lambda p: scalar_merge_score(
                 helper, dataset, attributes, attribute, clusters[worst], clusters[p]
             ),
         )

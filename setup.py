@@ -18,7 +18,7 @@ setup(
     ),
     author="SECRETA reproduction authors",
     license="MIT",
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],

@@ -61,9 +61,9 @@ class _MergeState:
     the worst cluster against *all* partners is one vectorized pass
     (``fmin``/``fmax`` widening, OR + popcount), and a merge updates the
     summaries in O(clusters) instead of rebuilding them.  Scores are
-    numerically identical to :meth:`RtBoundingAnonymizer._merge_score`: the
-    same operations run in the same attribute order, and the LCA of a merged
-    value set equals the LCA of the two clusters' LCA nodes.
+    numerically identical to the scalar re-scan of both clusters' members:
+    the same operations run in the same attribute order, and the LCA of a
+    merged value set equals the LCA of the two clusters' LCA nodes.
     """
 
     def __init__(
@@ -231,10 +231,6 @@ class RtBoundingAnonymizer(Anonymizer):
     data_kind = "rt"
     #: Merge-partner policy: ``"r"``, ``"t"`` or ``"rt"`` (set by subclasses).
     merge_strategy = "rt"
-    #: Choose merge partners through the incremental :class:`_MergeState`
-    #: kernels; the scalar per-partner re-scan (identical output) remains
-    #: behind this switch as the equivalence reference.
-    vectorized_merge = True
 
     def __init__(
         self,
@@ -321,54 +317,6 @@ class RtBoundingAnonymizer(Anonymizer):
         )
         return itemsets, loss
 
-    # -- phase 3: merging ---------------------------------------------------------
-    def _cluster_items(self, dataset: Dataset, cluster: Sequence[int], attribute: str) -> set:
-        items: set = set()
-        for index in cluster:
-            items |= set(dataset[index][attribute])
-        return items
-
-    def _relational_merge_cost(
-        self,
-        helper: ClusterAnonymizer,
-        dataset: Dataset,
-        attributes: Sequence[str],
-        cluster_a: Sequence[int],
-        cluster_b: Sequence[int],
-    ) -> float:
-        merged = list(cluster_a) + list(cluster_b)
-        return helper._cluster_cost(dataset, list(attributes), merged)
-
-    def _transaction_merge_cost(
-        self, dataset: Dataset, cluster_a: Sequence[int], cluster_b: Sequence[int], attribute: str
-    ) -> float:
-        items_a = self._cluster_items(dataset, cluster_a, attribute)
-        items_b = self._cluster_items(dataset, cluster_b, attribute)
-        union = items_a | items_b
-        if not union:
-            return 0.0
-        jaccard = len(items_a & items_b) / len(union)
-        return 1.0 - jaccard
-
-    def _merge_score(
-        self,
-        helper: ClusterAnonymizer,
-        dataset: Dataset,
-        attributes: Sequence[str],
-        attribute: str,
-        cluster_a: Sequence[int],
-        cluster_b: Sequence[int],
-    ) -> float:
-        if self.merge_strategy == "r":
-            return self._relational_merge_cost(helper, dataset, attributes, cluster_a, cluster_b)
-        if self.merge_strategy == "t":
-            return self._transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
-        relational = self._relational_merge_cost(
-            helper, dataset, attributes, cluster_a, cluster_b
-        )
-        transactional = self._transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
-        return 0.5 * relational + 0.5 * transactional
-
     # -- main -----------------------------------------------------------------------
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
         attributes = self.relational_attributes or relational_quasi_identifiers(dataset)
@@ -398,22 +346,11 @@ class RtBoundingAnonymizer(Anonymizer):
                 worst = max(range(len(clusters)), key=lambda position: losses[position])
                 if losses[worst] <= self.delta:
                     break
-                if self.vectorized_merge:
-                    if state is None:
-                        state = _MergeState(
-                            self.merge_strategy, helper, dataset, attributes, attribute, clusters
-                        )
-                    partner = state.best_partner(worst)
-                else:
-                    candidates = [
-                        position for position in range(len(clusters)) if position != worst
-                    ]
-                    partner = min(
-                        candidates,
-                        key=lambda position: self._merge_score(
-                            helper, dataset, attributes, attribute, clusters[worst], clusters[position]
-                        ),
+                if state is None:
+                    state = _MergeState(
+                        self.merge_strategy, helper, dataset, attributes, attribute, clusters
                     )
+                partner = state.best_partner(worst)
                 merged_cluster = sorted(clusters[worst] + clusters[partner])
                 keep = [
                     position
@@ -424,8 +361,7 @@ class RtBoundingAnonymizer(Anonymizer):
                 outputs = [outputs[position] for position in keep] + [
                     self._anonymize_cluster_transactions(dataset, merged_cluster, attribute, factory)
                 ]
-                if state is not None:
-                    state.merge(worst, partner)
+                state.merge(worst, partner)
                 merges += 1
 
         with timer.phase("apply"):

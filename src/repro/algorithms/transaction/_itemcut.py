@@ -10,38 +10,45 @@ combination of their images, which makes the k^m-anonymity check cheap: it is
 enough to count the supports of the node combinations that actually occur in
 the generalized transactions.
 
-The counting runs on record bitsets.  The transactions are tokenized once
-into per-item posting bitsets; for each cut, the rows of the items a node
-covers are OR-ed into that node's row (the records whose generalized
-transaction holds the node), and the support of a node combination is the
-popcount of the AND of its rows.  Violations are enumerated by
-:func:`repro.columnar.bitset.rare_combinations`, the kernel the k^m verifier
-(:func:`repro.metrics.privacy_checks.km_violations`) runs on as well.
-
-:class:`ItemCut` implements the cut and its generalization step;
-:class:`KmAnonymityChecker` enumerates violating combinations.
+The counting runs on per-record bitsets (Python ``int`` values, cheap at the
+size of an RT cluster): a cut node's bitset is the OR of its items', and a
+node combination's support is the popcount of the AND of its nodes'.
+:class:`KmAnonymityChecker` enumerates violations through
+:func:`repro.columnar.bitset.rare_combinations`, the kernel of the k^m
+verifier (:func:`repro.metrics.privacy_checks.km_violations`) as well;
+:func:`greedy_km_anonymize` updates its rare combinations per promotion.
 """
 
 from __future__ import annotations
 
-import weakref
+import copy
+import functools
+from collections import Counter
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.columnar.bitset import posting_matrix, rare_combinations
+from repro.columnar.bitset import bitset_rows, rare_combinations
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
+
+
+@functools.lru_cache(maxsize=32)
+def _node_memo(hierarchy: Hierarchy) -> tuple[dict, dict, dict[str, frozenset[str]]]:
+    """Per hierarchy (immutable once built): parents, promotion ranks, leaf sets.
+
+    A rank breaks ties between promotion targets: the deepest node, then the
+    largest label.  Leaf sets fill in as nodes are promoted to.
+    """
+    nodes = list(hierarchy.iter_nodes())
+    parents = {node.label: node.parent.label if node.parent else None for node in nodes}
+    return parents, {node.label: (node.depth, node.label) for node in nodes}, {}
 
 
 class ItemCut:
     """A full-subtree generalization cut over an item hierarchy.
 
-    The cut carries a ``version`` counter that increments on every mutation;
-    consumers (the k^m-anonymity checker) key their per-cut caches on it.
-    Subtree leaf sets are memoized per node label (resolved from the
-    hierarchy itself — cut nodes are always hierarchy nodes, never item-group
-    labels), so repeated promotions never re-walk a subtree.
+    Parents and subtree leaf sets are memoized per hierarchy (resolved from
+    the hierarchy itself — cut nodes are always hierarchy nodes, never
+    item-group labels), so repeated promotions never re-walk a subtree.
     """
 
     def __init__(self, hierarchy: Hierarchy, items: Iterable[str]):
@@ -54,10 +61,7 @@ class ItemCut:
             )
         #: original item -> current cut node label
         self.mapping: dict[str, str] = {item: item for item in self.items}
-        #: incremented on every mutation; cache key for derived structures
-        self.version = 0
-        #: node label -> its subtree's leaf set (shared across copies)
-        self._node_leaves: dict[str, frozenset[str]] = {}
+        self._parents, _, self._leaves = _node_memo(hierarchy)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -75,8 +79,11 @@ class ItemCut:
     def is_fully_generalized(self) -> bool:
         return self.nodes == {self.hierarchy.root.label}
 
-    def generalization_level(self, node: str) -> int:
-        return self.hierarchy.level(node)
+    def leaves(self, node: str) -> frozenset[str]:
+        """The leaves under ``node``: the items its promotion maps to it."""
+        if node not in self._leaves:
+            self._leaves[node] = frozenset(self.hierarchy.leaves(node))
+        return self._leaves[node]
 
     # -- transformation -------------------------------------------------------
     def generalize_node(self, node: str) -> str:
@@ -85,27 +92,18 @@ class ItemCut:
         Promoting the whole sibling group keeps the cut a partition of the
         item universe, which the k^m-anonymity check relies on.
         """
-        parent = self.hierarchy.parent(node)
+        if node not in self._parents:
+            self.hierarchy.node(node)  # raises the typed "not in hierarchy" error
+        parent = self._parents[node]
         if parent is None:
             return node
-        parent_leaves = self._node_leaves.get(parent)
-        if parent_leaves is None:
-            parent_leaves = frozenset(self.hierarchy.leaves(parent))
-            self._node_leaves[parent] = parent_leaves
-        for item in self.items:
-            if item in parent_leaves:
-                self.mapping[item] = parent
-        self.version += 1
+        for item in self.leaves(parent).intersection(self.mapping):
+            self.mapping[item] = parent
         return parent
 
     def copy(self) -> "ItemCut":
-        clone = ItemCut.__new__(ItemCut)
-        clone.hierarchy = self.hierarchy
-        clone.items = list(self.items)
-        clone.mapping = dict(self.mapping)
-        clone.version = self.version
-        # The leaf memo is pure (the hierarchy is immutable), so copies share it.
-        clone._node_leaves = self._node_leaves
+        clone = copy.copy(self)
+        clone.items, clone.mapping = list(self.items), dict(self.mapping)
         return clone
 
 
@@ -117,76 +115,137 @@ class KmAnonymityChecker:
             raise AlgorithmError("k must be at least 2")
         if m < 1:
             raise AlgorithmError("m must be at least 1")
-        self.k = k
-        self.m = m
-        rows = [sorted({str(item) for item in itemset}) for itemset in itemsets]
-        #: the distinct items of the transactions; posting row ``t`` is item ``t``
-        self._items = sorted({item for row in rows for item in row})
-        token = {item: position for position, item in enumerate(self._items)}
-        self._postings = posting_matrix(
-            [token[item] for row in rows for item in row],
-            np.repeat(np.arange(len(rows), dtype=np.int64), [len(row) for row in rows]),
-            len(self._items),
-            len(rows),
-        )
-        #: single-slot cache of the node bitsets for the last cut seen
-        self._cut: "weakref.ref[ItemCut] | None" = None
-        self._cut_version = -1
-        self._nodes: list[str] = []
-        self._node_bits = self._postings[:0]
+        self.k, self.m, self.n_records = k, m, len(itemsets)
+        postings: dict[str, int] = {}
+        for record, itemset in enumerate(itemsets):
+            for item in map(str, itemset):
+                postings[item] = postings.get(item, 0) | 1 << record
+        #: the distinct items of the transactions (sorted) and, per item, the
+        #: bitset of the records holding it (bit r = record r)
+        self.items = sorted(postings)
+        self.postings = [postings[item] for item in self.items]
 
-    def _node_bitsets(self, cut: ItemCut) -> tuple[list[str], np.ndarray]:
-        """The cut's nodes (sorted) and their record bitsets, cached per cut version.
+    def node_bitsets(self, mapping: dict[str, str]) -> dict[str, int]:
+        """The record bitset of every node the items map to: the OR of its items'."""
+        bits: dict[str, int] = {}
+        for item, posting in zip(self.items, self.postings):
+            bits[mapping[item]] = bits.get(mapping[item], 0) | posting
+        return bits
 
-        A node's row is the OR of the posting rows of the items it covers.
-        """
-        cached = self._cut() if self._cut is not None else None
-        if cached is not cut or self._cut_version != cut.version:
-            images = [cut.mapping[item] for item in self._items]
-            self._nodes = sorted(set(images))
-            position = {node: index for index, node in enumerate(self._nodes)}
-            bits = np.zeros((len(self._nodes), self._postings.shape[1]), dtype=np.uint64)
-            np.bitwise_or.at(
-                bits,
-                np.array([position[image] for image in images], dtype=np.int64),
-                self._postings,
-            )
-            self._node_bits = bits
-            self._cut = weakref.ref(cut)
-            self._cut_version = cut.version
-        return self._nodes, self._node_bits
-
-    def violations(
-        self, cut: ItemCut, size: int
-    ) -> dict[tuple[str, ...], int]:
-        """Node combinations of ``size`` with support in (0, k)."""
-        nodes, bits = self._node_bitsets(cut)
+    def violations(self, cut: ItemCut, *sizes: int) -> dict[tuple[str, ...], int]:
+        """Node combinations of the given sizes with support in (0, k)."""
+        bits = self.node_bitsets(cut.mapping)
+        nodes = sorted(bits)
+        matrix = bitset_rows([bits[node] for node in nodes], self.n_records)
         return {
             tuple(nodes[index] for index in combination): support
-            for combinations, supports in rare_combinations(bits, size, self.k)
+            for size in sizes
+            for combinations, supports in rare_combinations(matrix, size, self.k)
             for combination, support in zip(combinations.tolist(), supports.tolist())
         }
 
-    def participation(
-        self, cut: ItemCut, sizes: Iterable[int]
-    ) -> tuple[list[str], list[int]]:
-        """Per cut node, how many violating combinations of ``sizes`` contain it."""
-        nodes, bits = self._node_bitsets(cut)
-        counts = np.zeros(len(nodes), dtype=np.int64)
-        for size in sizes:
-            for combinations, _ in rare_combinations(bits, size, self.k):
-                counts += np.bincount(combinations.ravel(), minlength=len(nodes))
-        return nodes, counts.tolist()
-
     def all_violations(self, cut: ItemCut) -> dict[tuple[str, ...], int]:
         """Violating combinations of every size from 1 to ``m``."""
-        result: dict[tuple[str, ...], int] = {}
-        for size in range(1, self.m + 1):
-            result.update(self.violations(cut, size))
-        return result
+        return self.violations(cut, *range(1, self.m + 1))
 
     def is_km_anonymous(self, cut: ItemCut) -> bool:
         return not self.all_violations(cut)
+
+
+def _rare_extensions(
+    bits: int, combination: tuple, nodes: Sequence[tuple[str, int]], start: int, size: int, k: int
+) -> list[tuple]:
+    """Rare extensions of ``combination`` (whose AND is ``bits``) by ``size`` nodes.
+
+    The nodes come from ``nodes[start:]``, ``(label, bitset)`` pairs.  An
+    extension is rare when its support lies in (0, k); empty prefixes prune.
+    """
+    if not size:
+        return [combination] if 0 < bits.bit_count() < k else []
+    found: list[tuple] = []
+    for position in range(start, len(nodes) - size + 1):
+        label, narrowed = nodes[position][0], bits & nodes[position][1]
+        if narrowed and size == 1:
+            if narrowed.bit_count() < k:
+                found.append(combination + (label,))
+        elif narrowed:
+            extended = combination + (label,)
+            found += _rare_extensions(narrowed, extended, nodes, position + 1, size - 1, k)
+    return found
+
+
+class _Promotions:
+    """The search's live cut nodes and the rare combinations of its current round.
+
+    ``live`` maps each node the items reach to its bitset.  A round's rare
+    combinations are enumerated once, with each node's count of them (the
+    root, never promotable, is not counted).  A promotion ORs the sibling
+    group's bitsets into the parent's, drops the combinations touching the
+    group and adds those containing the parent.
+    """
+
+    def __init__(self, checker: KmAnonymityChecker, cut: ItemCut):
+        self.checker, self.cut, self.root = checker, cut, cut.hierarchy.root.label
+        self.rank = _node_memo(cut.hierarchy)[1]
+        #: checker item -> the live node it maps to
+        self.images = {item: cut.mapping[item] for item in checker.items}
+
+    def start_round(self, sizes: Sequence[int]) -> None:
+        """Rebuild the live nodes from the cut and enumerate the round's combinations."""
+        self.sizes = sizes
+        self.live = self.checker.node_bitsets(self.images)
+        #: live node -> how many checker items map to it
+        self.members = Counter(self.images.values())
+        self.rare: set[tuple] = set()
+        self.counts: dict[str, int] = {}
+        self.touching: dict[str, list[tuple]] = {}
+        universe, nodes = (1 << self.checker.n_records) - 1, list(self.live.items())
+        for size in sizes:
+            self._add(_rare_extensions(universe, (), nodes, 0, size, self.checker.k))
+
+    def _add(self, combinations: list[tuple]) -> None:
+        for combination in combinations:
+            self.rare.add(combination)
+            for node in combination:
+                self.touching.setdefault(node, []).append(combination)
+                if node != self.root:
+                    self.counts[node] = self.counts.get(node, 0) + 1
+
+    def target(self) -> str | None:
+        """The node in the most rare combinations (ties: ``rank``), if any."""
+        most = max(self.counts.values(), default=0)
+        tied = [node for node, count in self.counts.items() if count == most]
+        return max(tied, key=self.rank.__getitem__) if most else None
+
+    def promote(self, node: str) -> str:
+        """Generalize ``node``'s sibling group in the cut; return the parent."""
+        parent = self.cut.generalize_node(node)
+        under = self.cut.leaves(parent).intersection(self.images)
+        moved = [item for item in under if self.images[item] != parent]
+        group = {self.images[item] for item in moved}
+        self.images.update(dict.fromkeys(moved, parent))
+        if not moved or parent in self.live or sum(map(self.members.get, group)) != len(moved):
+            # Not whole cut nodes moving into a new one: an item that is an
+            # inner hierarchy node splits its cut node.  Recount the round.
+            self.start_round(self.sizes)
+            return parent
+        bits = 0
+        for member in group:
+            bits |= self.live.pop(member)
+            del self.members[member]
+            for combination in self.touching.pop(member, ()):
+                if combination in self.rare:
+                    self.rare.remove(combination)
+                    for other in combination:
+                        if other != self.root:
+                            self.counts[other] -= 1
+        for member in group:
+            self.counts.pop(member, None)
+        others = list(self.live.items())
+        self.live[parent], self.members[parent] = bits, len(moved)
+        for size in self.sizes:
+            self._add(_rare_extensions(bits, (parent,), others, 0, size - 1, self.checker.k))
+        return parent
 
 
 def greedy_km_anonymize(
@@ -209,46 +268,30 @@ def greedy_km_anonymize(
     the hierarchy root (fewer than ``k`` non-empty transactions), the cut is
     returned fully generalized and the caller decides whether to suppress.
     """
-    universe: set[str] = set()
-    for itemset in itemsets:
-        universe.update(str(item) for item in itemset)
-    if cut is None:
-        cut = ItemCut(hierarchy, universe)
     checker = KmAnonymityChecker(itemsets, k, m)
+    if cut is None:
+        cut = ItemCut(hierarchy, checker.items)
+    missing = [item for item in checker.items if item not in cut.mapping]
+    if missing:
+        raise AlgorithmError(f"items {missing[:5]} are not covered by the item cut")
+    search = _Promotions(checker, cut)
 
     generalization_steps = 0
     rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
     for sizes in rounds:
-        while not cut.is_fully_generalized():
-            nodes, counts = checker.participation(cut, sizes)
-            # Promote the node involved in the largest number of violations;
-            # prefer the most specific node on ties (cheapest promotion).  No
-            # promotable node means no violation is left, or every violating
-            # node is already the hierarchy root (too few non-empty
-            # transactions), where no generalization can help.
-            promotable = [
-                index
-                for index, count in enumerate(counts)
-                if count and cut.hierarchy.parent(nodes[index]) is not None
-            ]
-            if not promotable:
-                break
-            target = max(
-                promotable,
-                key=lambda index: (
-                    counts[index],
-                    -cut.generalization_level(nodes[index]),
-                    nodes[index],
-                ),
-            )
-            cut.generalize_node(nodes[target])
+        if cut.is_fully_generalized():
+            break
+        search.start_round(sizes)
+        while (node := search.target()) is not None:
             generalization_steps += 1
+            # Only a promotion to the root can generalize the cut fully.
+            if search.promote(node) == search.root and cut.is_fully_generalized():
+                break
 
-    remaining = checker.all_violations(cut)
     statistics = {
         "generalization_steps": generalization_steps,
         "final_nodes": len(cut.nodes),
         "fully_generalized": cut.is_fully_generalized(),
-        "unresolvable_violations": len(remaining),
+        "unresolvable_violations": len(checker.all_violations(cut)),
     }
     return cut, statistics

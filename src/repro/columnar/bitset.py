@@ -86,6 +86,16 @@ def posting_matrix(
     return bits
 
 
+def bitset_rows(values: Sequence[int], n_bits: int) -> np.ndarray:
+    """Pack Python ``int`` bitsets (bit ``r`` = record ``r``) into this layout.
+
+    Returns a ``(len(values), word_count(n_bits))`` ``uint64`` matrix.
+    """
+    width = word_count(n_bits)
+    packed = b"".join(value.to_bytes(width * 8, "little") for value in values)
+    return np.frombuffer(packed, dtype="<u8").astype(np.uint64).reshape(len(values), width)
+
+
 def popcount(bits: np.ndarray) -> int:
     """Total number of set bits (the cardinality of the record set)."""
     return int(_bitwise_count(bits).sum())

@@ -123,3 +123,13 @@ class TestGreedy:
         itemsets = [frozenset({"i0"})]  # a single non-empty transaction, k=2
         cut, statistics = greedy_km_anonymize(itemsets, hierarchy, k=2, m=1)
         assert statistics["unresolvable_violations"] > 0
+
+    def test_cut_missing_transaction_items_is_a_typed_error(self):
+        # Regression: a supplied cut that does not cover every item of the
+        # itemsets raised a raw KeyError instead of naming the items.
+        hierarchy = build_item_hierarchy(["a", "b", "c"], fanout=2)
+        itemsets = [frozenset({"a", "c"}), frozenset({"b"})]
+        with pytest.raises(AlgorithmError, match="'c'"):
+            greedy_km_anonymize(
+                itemsets, hierarchy, k=2, m=1, cut=ItemCut(hierarchy, ["a", "b"])
+            )

@@ -1,0 +1,85 @@
+"""Scalar references of the item-cut search shared by Apriori, LRA and VPA.
+
+``greedy_km_anonymize`` keeps its rare combinations incrementally: a
+promotion retires the combinations of the absorbed sibling group and adds
+only those that contain the new parent.  The references below recount from
+scratch at every step:
+
+* :func:`scalar_cut_violations` — per-record combination counting over the
+  generalized itemsets;
+* :func:`scalar_greedy_km_anonymize` — the greedy promotion loop over those
+  counts, with the search's four statistics;
+* :func:`participation` — the per-step rescoring on the bitset kernel that
+  the incremental search replaced: every cut node's count of rare
+  combinations, re-enumerated from the cut's node rows.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from repro.algorithms.transaction._itemcut import ItemCut, KmAnonymityChecker
+from repro.columnar.bitset import bitset_rows, rare_combinations
+
+
+def scalar_cut_violations(itemsets, cut, k, size):
+    """Generalized item combinations of ``size`` with support in (0, k)."""
+    supports = {}
+    for itemset in itemsets:
+        generalized = sorted(cut.generalize_itemset(itemset))
+        for combination in itertools.combinations(generalized, size):
+            supports[combination] = supports.get(combination, 0) + 1
+    return {c: s for c, s in supports.items() if 0 < s < k}
+
+
+def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, cut=None, apriori_order=True):
+    """The greedy promotion loop over scalar violation counts; returns (cut, statistics)."""
+    if cut is None:
+        cut = ItemCut(hierarchy, {str(item) for itemset in itemsets for item in itemset})
+    steps = 0
+    rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
+    for sizes in rounds:
+        while True:
+            violations = {}
+            for size in sizes:
+                violations.update(scalar_cut_violations(itemsets, cut, k, size))
+            if not violations or cut.is_fully_generalized():
+                break
+            scores = {}
+            for combination in violations:
+                for node in combination:
+                    scores[node] = scores.get(node, 0) + 1
+            promotable = {
+                n: s for n, s in scores.items() if cut.hierarchy.parent(n) is not None
+            }
+            if not promotable:
+                break
+            target = max(
+                promotable,
+                key=lambda node: (promotable[node], -cut.hierarchy.level(node), node),
+            )
+            cut.generalize_node(target)
+            steps += 1
+    remaining = sum(
+        len(scalar_cut_violations(itemsets, cut, k, size)) for size in range(1, m + 1)
+    )
+    return cut, {
+        "generalization_steps": steps,
+        "final_nodes": len(cut.nodes),
+        "fully_generalized": cut.is_fully_generalized(),
+        "unresolvable_violations": remaining,
+    }
+
+
+def participation(checker: KmAnonymityChecker, cut: ItemCut, sizes) -> dict[str, int]:
+    """Per cut node, how many rare combinations of ``sizes`` contain it (zeros omitted)."""
+    bits = checker.node_bitsets(cut.mapping)
+    nodes = sorted(bits)
+    matrix = bitset_rows([bits[node] for node in nodes], checker.n_records)
+    counts = np.zeros(len(nodes), dtype=np.int64)
+    for size in sizes:
+        for combinations, _ in rare_combinations(matrix, size, checker.k):
+            counts += np.bincount(combinations.ravel(), minlength=len(nodes))
+    return {node: count for node, count in zip(nodes, counts.tolist()) if count}

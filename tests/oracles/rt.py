@@ -1,0 +1,110 @@
+"""Scalar reference of the RT bounding methods' merge-partner selection.
+
+``_MergeState`` scores the worst cluster against every partner from
+incrementally maintained per-cluster summaries.  The reference below
+re-walks every member record of both clusters for every candidate partner,
+as the merge loop did before the summaries existed:
+
+* :func:`merge_score` — the bounding-generalization NCP of the merged
+  cluster (Rmerger), the Jaccard distance of the two clusters' item sets
+  (Tmerger), or their even blend (RTmerger);
+* :class:`ScalarMergeState` — the same interface as ``_MergeState``
+  (``best_partner`` / ``merge``) over :func:`merge_score`, so an end-to-end
+  run can swap it in and compare outputs.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.algorithms import ClusterAnonymizer
+from repro.datasets import Dataset
+
+
+def cluster_items(dataset: Dataset, cluster: Sequence[int], attribute: str) -> set:
+    items: set = set()
+    for index in cluster:
+        items |= set(dataset[index][attribute])
+    return items
+
+
+def relational_merge_cost(
+    helper: ClusterAnonymizer,
+    dataset: Dataset,
+    attributes: Sequence[str],
+    cluster_a: Sequence[int],
+    cluster_b: Sequence[int],
+) -> float:
+    merged = list(cluster_a) + list(cluster_b)
+    return helper._cluster_cost(dataset, list(attributes), merged)
+
+
+def transaction_merge_cost(
+    dataset: Dataset, cluster_a: Sequence[int], cluster_b: Sequence[int], attribute: str
+) -> float:
+    items_a = cluster_items(dataset, cluster_a, attribute)
+    items_b = cluster_items(dataset, cluster_b, attribute)
+    union = items_a | items_b
+    if not union:
+        return 0.0
+    jaccard = len(items_a & items_b) / len(union)
+    return 1.0 - jaccard
+
+
+def merge_score(
+    strategy: str,
+    helper: ClusterAnonymizer,
+    dataset: Dataset,
+    attributes: Sequence[str],
+    attribute: str,
+    cluster_a: Sequence[int],
+    cluster_b: Sequence[int],
+) -> float:
+    """Cost of merging two clusters under a bounding method's ``strategy``."""
+    if strategy == "r":
+        return relational_merge_cost(helper, dataset, attributes, cluster_a, cluster_b)
+    if strategy == "t":
+        return transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
+    relational = relational_merge_cost(helper, dataset, attributes, cluster_a, cluster_b)
+    transactional = transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
+    return 0.5 * relational + 0.5 * transactional
+
+
+class ScalarMergeState:
+    """``_MergeState``'s interface over a per-partner :func:`merge_score` re-scan."""
+
+    def __init__(
+        self,
+        strategy: str,
+        helper: ClusterAnonymizer,
+        dataset: Dataset,
+        attributes: Sequence[str],
+        attribute: str,
+        clusters: Sequence[Sequence[int]],
+    ):
+        self._strategy = strategy
+        self._helper = helper
+        self._dataset = dataset
+        self._attributes = list(attributes)
+        self._attribute = attribute
+        self._clusters = [list(cluster) for cluster in clusters]
+
+    def best_partner(self, worst: int) -> int:
+        candidates = [p for p in range(len(self._clusters)) if p != worst]
+        return min(
+            candidates,
+            key=lambda position: merge_score(
+                self._strategy,
+                self._helper,
+                self._dataset,
+                self._attributes,
+                self._attribute,
+                self._clusters[worst],
+                self._clusters[position],
+            ),
+        )
+
+    def merge(self, worst: int, partner: int) -> None:
+        merged = sorted(self._clusters[worst] + self._clusters[partner])
+        keep = [p for p in range(len(self._clusters)) if p not in (worst, partner)]
+        self._clusters = [self._clusters[p] for p in keep] + [merged]

@@ -9,20 +9,35 @@ random data rarely hits (empty postings, unknown items, all-records groups,
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.itemcut import (
+    participation,
+    scalar_cut_violations,
+    scalar_greedy_km_anonymize,
+)
+from repro.algorithms import RTmerger
+from repro.algorithms.transaction import apriori
 from repro.algorithms.transaction._itemcut import (
     ItemCut,
     KmAnonymityChecker,
+    _Promotions,
     greedy_km_anonymize,
 )
-from repro.columnar.bitset import bitset_from_indices, rare_combinations
-from repro.datasets import Attribute, Dataset, Schema, generate_market_basket
-from repro.hierarchy import build_item_hierarchy
+from repro.columnar.bitset import bitset_from_indices, bitset_rows, rare_combinations
+from repro.datasets import (
+    Attribute,
+    Dataset,
+    Schema,
+    generate_market_basket,
+    generate_rt_dataset,
+)
+from repro.hierarchy import HierarchyBuilder, build_item_hierarchy
 from repro.index import InvertedIndex
 from repro.metrics import km_violations, label_leaves
 
@@ -254,6 +269,19 @@ class TestKmEquivalence:
         ]
         assert found == expected
 
+    @given(
+        rows=st.lists(st.sets(st.integers(0, 199)), min_size=0, max_size=6),
+        n_bits=st.integers(0, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitset_rows_match_packed_indices(self, rows, n_bits):
+        rows = [{bit for bit in row if bit < n_bits} for row in rows]
+        matrix = bitset_rows([sum(1 << bit for bit in row) for row in rows], n_bits)
+        assert matrix.dtype == np.uint64
+        assert matrix.shape == (len(rows), (n_bits + 63) // 64)
+        for packed, row in zip(matrix, rows):
+            assert np.array_equal(packed, bitset_from_indices(row, n_bits))
+
     def test_km_checker_handles_universe_beyond_old_limit(self):
         """Universes > 40 items (the old km_check_limit) verify quickly now."""
         dataset = generate_market_basket(n_records=400, n_items=64, seed=17)
@@ -263,43 +291,61 @@ class TestKmEquivalence:
 
 
 # -- item-cut search equivalence -------------------------------------------------
-def scalar_cut_violations(itemsets, cut, k, size):
-    """The per-record combination count the bitset checker replaced, restated."""
-    supports = {}
-    for itemset in itemsets:
-        generalized = sorted(cut.generalize_itemset(itemset))
-        for combination in itertools.combinations(generalized, size):
-            supports[combination] = supports.get(combination, 0) + 1
-    return {c: s for c, s in supports.items() if 0 < s < k}
+WIDE_ITEMS = [f"w{n:02d}" for n in range(24)]
 
 
-def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, apriori_order=True):
-    """The greedy promotion loop over scalar violation counts, restated."""
-    universe = {str(item) for itemset in itemsets for item in itemset}
-    cut = ItemCut(hierarchy, universe)
+def random_cut(hierarchy, items, promotions, seed):
+    """A cut after ``promotions`` random promotions, like VPA's starting cuts."""
+    cut = ItemCut(hierarchy, items)
+    rng = random.Random(seed)
+    for _ in range(promotions):
+        cut.generalize_node(rng.choice(sorted(cut.nodes)))
+    return cut
+
+
+def assert_search_matches_reference(itemsets, hierarchy, k, m, apriori_order, cut=None):
+    cut_out, statistics = greedy_km_anonymize(
+        itemsets, hierarchy, k, m,
+        cut=None if cut is None else cut.copy(), apriori_order=apriori_order,
+    )
+    reference, expected = scalar_greedy_km_anonymize(
+        itemsets, hierarchy, k, m,
+        cut=None if cut is None else cut.copy(), apriori_order=apriori_order,
+    )
+    assert cut_out.mapping == reference.mapping
+    assert statistics == expected
+
+
+def assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, m, apriori_order):
+    """Drive the search a step at a time against a recount from the cut; return the steps.
+
+    After every promotion the live node bitsets must equal the OR of their
+    items' bitsets under the cut, and the kept participation counts must
+    equal a full re-enumeration (the root is never counted).
+    """
+    checker = KmAnonymityChecker(itemsets, k, m)
+    cut = ItemCut(hierarchy, checker.items)
+    search = _Promotions(checker, cut)
+    root = hierarchy.root.label
     steps = 0
     rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
     for sizes in rounds:
+        if cut.is_fully_generalized():
+            break
+        search.start_round(sizes)
         while True:
-            violations = {}
-            for size in sizes:
-                violations.update(scalar_cut_violations(itemsets, cut, k, size))
-            if not violations or cut.is_fully_generalized():
+            assert search.live == checker.node_bitsets(cut.mapping)
+            expected = participation(checker, cut, sizes)
+            expected.pop(root, None)
+            assert {node: n for node, n in search.counts.items() if n} == expected
+            node = search.target()
+            if node is None:
                 break
-            scores = {}
-            for combination in violations:
-                for node in combination:
-                    scores[node] = scores.get(node, 0) + 1
-            promotable = {n: s for n, s in scores.items() if hierarchy.parent(n) is not None}
-            if not promotable:
-                break
-            target = max(
-                promotable,
-                key=lambda node: (promotable[node], -cut.generalization_level(node), node),
-            )
-            cut.generalize_node(target)
+            search.promote(node)
             steps += 1
-    return cut, steps
+            if cut.is_fully_generalized():
+                break
+    return steps
 
 
 class TestItemCutEquivalence:
@@ -315,16 +361,114 @@ class TestItemCutEquivalence:
         if not any(itemsets):
             return
         hierarchy = build_item_hierarchy(ITEMS, fanout=3)
-        cut, statistics = greedy_km_anonymize(
-            itemsets, hierarchy, k, m, apriori_order=apriori_order
-        )
-        reference, steps = scalar_greedy_km_anonymize(
-            itemsets, hierarchy, k, m, apriori_order=apriori_order
-        )
-        assert cut.mapping == reference.mapping
-        assert statistics["generalization_steps"] == steps
+        assert_search_matches_reference(itemsets, hierarchy, k, m, apriori_order)
+        cut, _ = greedy_km_anonymize(itemsets, hierarchy, k, m, apriori_order=apriori_order)
         checker = KmAnonymityChecker(itemsets, k, m)
         for size in range(1, m + 1):
             assert checker.violations(cut, size) == scalar_cut_violations(
                 itemsets, cut, k, size
             )
+
+    @given(
+        itemsets=st.lists(
+            st.sets(st.sampled_from(WIDE_ITEMS), min_size=1, max_size=6),
+            min_size=65,
+            max_size=200,
+        ),
+        k=st.integers(2, 8),
+        m=st.integers(1, 3),
+        apriori_order=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_multi_word_record_sets_match_scalar_reference(
+        self, itemsets, k, m, apriori_order
+    ):
+        """65-200 records: the record bitsets span two to four 64-bit words."""
+        hierarchy = build_item_hierarchy(WIDE_ITEMS, fanout=3)
+        assert_search_matches_reference(itemsets, hierarchy, k, m, apriori_order)
+
+    @given(
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=40),
+        promotions=st.integers(0, 8),
+        seed=st.integers(0, 10_000),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+        apriori_order=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_supplied_starting_cut_matches_scalar_reference(
+        self, itemsets, promotions, seed, k, m, apriori_order
+    ):
+        """VPA's path: the search resumes a cut over a universe wider than its itemsets."""
+        hierarchy = build_item_hierarchy(ITEMS, fanout=3)
+        cut = random_cut(hierarchy, ITEMS, promotions, seed)
+        assert_search_matches_reference(itemsets, hierarchy, k, m, apriori_order, cut=cut)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("apriori_order", [True, False])
+    def test_every_m_and_order_on_market_baskets(self, m, apriori_order):
+        dataset = generate_market_basket(n_records=130, n_items=20, seed=30 + m)
+        itemsets = [frozenset(record["Items"]) for record in dataset]
+        hierarchy = build_item_hierarchy(dataset.item_universe("Items"), fanout=3)
+        assert_search_matches_reference(itemsets, hierarchy, 4, m, apriori_order)
+
+    @given(
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=70),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+        apriori_order=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_incremental_state_matches_per_step_rescoring(self, itemsets, k, m, apriori_order):
+        hierarchy = build_item_hierarchy(ITEMS, fanout=3)
+        assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, m, apriori_order)
+
+    @pytest.mark.parametrize(
+        "itemsets, k, steps, mapping",
+        [
+            # Promoting ``a`` lands on the live node ``(a,b)``, the item of that name.
+            ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}, {"c"}, {"c"}], 3, 1,
+             {"(a,b)": "(a,b)", "a": "(a,b)", "c": "c"}),
+            # ... and promoting ``c`` then moves ``a`` to the root but leaves
+            # the item ``(a,b)`` behind, splitting its cut node.
+            ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}], 2, 2,
+             {"(a,b)": "(a,b)", "a": "*", "c": "*"}),
+        ],
+    )
+    def test_items_that_are_inner_nodes_match_scalar_reference(self, itemsets, k, steps, mapping):
+        """Inner-node items break whole-group moves: the search recounts instead."""
+        builder = HierarchyBuilder(attribute="Items")
+        builder.add("(a,b)", "*").add("c", "*").add("a", "(a,b)").add("b", "(a,b)")
+        hierarchy = builder.build()
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        assert assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, 1, True) == steps
+        cut, statistics = greedy_km_anonymize(itemsets, hierarchy, k, 1)
+        assert statistics["generalization_steps"] == steps
+        assert cut.mapping == mapping
+        assert_search_matches_reference(itemsets, hierarchy, k, 1, True)
+
+    def test_every_rtmerger_cluster_search_matches_scalar_reference(self, monkeypatch):
+        rt = generate_rt_dataset(n_records=600, n_items=30, seed=41)
+        item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
+        searches = []
+
+        def recording(itemsets, hierarchy, k, m, cut=None, apriori_order=True):
+            itemsets = list(itemsets)
+            result = greedy_km_anonymize(
+                itemsets, hierarchy, k, m, cut=cut, apriori_order=apriori_order
+            )
+            searches.append((itemsets, hierarchy, k, m, apriori_order, result))
+            return result
+
+        monkeypatch.setattr(apriori, "greedy_km_anonymize", recording)
+        result = RTmerger(k=5, m=2, delta=0.3, item_hierarchy=item_hierarchy).anonymize(rt)
+        assert result.statistics["merges"] > 0
+        assert len(searches) == (
+            result.statistics["initial_clusters"] + result.statistics["merges"]
+        )
+        for itemsets, hierarchy, k, m, apriori_order, (cut, statistics) in searches:
+            reference, expected = scalar_greedy_km_anonymize(
+                itemsets, hierarchy, k, m, apriori_order=apriori_order
+            )
+            assert cut.mapping == reference.mapping
+            assert statistics == expected

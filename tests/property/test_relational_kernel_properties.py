@@ -9,9 +9,9 @@ reference element-for-element:
 * ``RelationalLossContext.dataset_ncp_values`` vs the ``record_ncp`` loop,
 * ``equivalence_class_sizes`` vs ``Dataset.group_by``,
 * ``_ClusterKernel.costs`` vs ``ClusterBounds.cost_with`` (``tests/oracles``),
-* ``_MergeState`` scores vs ``RtBoundingAnonymizer._merge_score``,
+* ``_MergeState`` scores vs ``merge_score`` (``tests/oracles/rt.py``),
 * the full Rmerger / Tmerger / RTmerger outputs with and without the
-  vectorized paths.
+  scalar references swapped in.
 
 The generated datasets deliberately include missing cells (``None``),
 all-``None`` columns, single-value domains, generalized interval/group/root
@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms import ClusterAnonymizer, Rmerger, RTmerger, Tmerger
 from oracles.relational import ClusterBounds, ScalarClusterAnonymizer
+from oracles.rt import ScalarMergeState, merge_score
 from repro.algorithms.relational.cluster import _ClusterKernel
+from repro.algorithms.rt import bounding
 from repro.algorithms.rt.bounding import _MergeState
 from repro.columnar.relational import class_sizes, mixed_radix_keys
 from repro.datasets import Attribute, Dataset, Schema, generate_rt_dataset
@@ -322,8 +324,8 @@ class TestMergeKernels:
             worst = len(clusters) - 1
             partner = state.best_partner(worst)
             scalar = [
-                algorithm._merge_score(
-                    helper, dataset, attributes, "Items",
+                merge_score(
+                    algorithm.merge_strategy, helper, dataset, attributes, "Items",
                     clusters[worst], clusters[position],
                 )
                 for position in range(len(clusters))
@@ -348,14 +350,14 @@ class TestMergeKernels:
                 assert incremental == rebuilt
 
     @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
-    def test_bounding_output_equivalence_end_to_end(self, merger):
+    def test_bounding_output_equivalence_end_to_end(self, merger, monkeypatch):
         rt = generate_rt_dataset(n_records=90, n_items=15, seed=23)
         item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
         fast = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
         slow = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
-        slow.vectorized_merge = False
         slow.relational_algorithm = ScalarClusterAnonymizer(3)
         fast_result = fast.anonymize(rt)
+        monkeypatch.setattr(bounding, "_MergeState", ScalarMergeState)
         slow_result = slow.anonymize(rt)
         assert fast_result.dataset.to_rows() == slow_result.dataset.to_rows()
         assert (
