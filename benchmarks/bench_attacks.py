@@ -6,8 +6,8 @@ run (interval labels on numerics, value groups on categoricals, item-triple
 groups with a root ``*`` tail):
 
 * **qi** — :func:`qi_attack`: per-record QI matching sets.  Baseline: the
-  per-record Python-set oracle (``vectorized=False``, the REP003 semantic
-  reference).  Kernel: per-value cover bitsets gathered through the columnar
+  per-record Python-set oracle (``tests/oracles/attacks.py``, the REP003
+  semantic reference).  Kernel: per-value cover bitsets gathered through the columnar
   code arrays, chunked AND + popcount.
 * **item** — :func:`item_attack` at ``m = 2``: worst item-combination
   matching sets over the km checker's candidate bitsets versus the oracle's
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -46,6 +47,8 @@ from repro.datasets import generate_rt_dataset
 from repro.hierarchy.builders import format_interval
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles import attacks as oracle  # noqa: E402  (the oracle lives with the tests)
 TRAJECTORY_FILE = REPO_ROOT / "BENCH_attack.json"
 
 N_RECORDS = 50_000
@@ -123,12 +126,12 @@ def run_benchmark(
 
     entries: dict[str, dict] = {}
 
-    def measure(name: str, attack, *args, **kwargs) -> None:
+    def measure(name: str, attack, scalar_attack, *args, **kwargs) -> None:
         oracle_result, oracle_seconds = timed_best(
-            attack, *args, vectorized=False, repeats=scan_repeats, **kwargs
+            scalar_attack, *args, repeats=scan_repeats, **kwargs
         )
         kernel_result, kernel_seconds = timed_best(
-            attack, *args, vectorized=True, repeats=kernel_repeats, **kwargs
+            attack, *args, repeats=kernel_repeats, **kwargs
         )
         # Bit-identical as dataclasses, not approximately: the REP003
         # contract holds at benchmark scale too.
@@ -142,11 +145,13 @@ def run_benchmark(
             "records": kernel_result.n_records,
         }
 
-    measure("qi", qi_attack, original, anonymized)
-    measure("item", item_attack, original, anonymized, M)
+    measure("qi", qi_attack, oracle.qi_attack, original, anonymized)
+    measure("item", item_attack, oracle.item_attack, original, anonymized, M)
 
     rt_original = generate_rt_dataset(n_records=rt_records, n_items=40, seed=2014)
-    measure("rt", rt_attack, rt_original, generalized_copy(rt_original), M)
+    measure(
+        "rt", rt_attack, oracle.rt_attack, rt_original, generalized_copy(rt_original), M
+    )
 
     return {
         "dataset": {

@@ -4,12 +4,13 @@ Figure 1 shows the component wiring: the frontend editors feed the Policy
 Specification Module and the Method Evaluator/Comparator, which spawn
 Anonymization Module instances and forward results to the Experimentation,
 Plotting and Data Export modules.  This benchmark drives that entire pipeline
-once (two configurations, sequential and parallel) and times it end to end.
+once (two configurations, sequential and thread mode) and times it end to end.
 """
 
 from __future__ import annotations
 
 from repro.engine import (
+    Execution,
     MethodComparator,
     ParameterSweep,
     rt_config,
@@ -24,16 +25,19 @@ CONFIGURATIONS = [
 ]
 
 
-def _run_pipeline(session, parallel: bool):
+def _run_pipeline(session, mode: str):
     comparator = MethodComparator(
-        session.dataset, session.resources(), verify_privacy=False, parallel=parallel
+        session.dataset,
+        session.resources(),
+        verify_privacy=False,
+        execution=Execution(mode=mode),
     )
     return comparator.compare(CONFIGURATIONS, ParameterSweep("k", (5,)))
 
 
 def test_end_to_end_pipeline_sequential(benchmark, session, record, tmp_path_factory):
     """Editors -> resources -> anonymization modules -> evaluation -> export."""
-    report = benchmark.pedantic(_run_pipeline, args=(session, False), rounds=1, iterations=1)
+    report = benchmark.pedantic(_run_pipeline, args=(session, "sequential"), rounds=1, iterations=1)
     directory = tmp_path_factory.mktemp("fig1")
     exporter = DataExportModule(directory)
     written = exporter.export_comparison(report, stem="architecture")
@@ -52,5 +56,5 @@ def test_end_to_end_pipeline_sequential(benchmark, session, record, tmp_path_fac
 
 def test_end_to_end_pipeline_parallel(benchmark, session):
     """The same pipeline with N parallel Anonymization Module instances."""
-    report = benchmark.pedantic(_run_pipeline, args=(session, True), rounds=1, iterations=1)
+    report = benchmark.pedantic(_run_pipeline, args=(session, "thread"), rounds=1, iterations=1)
     assert len(report.sweeps) == 2

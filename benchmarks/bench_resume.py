@@ -54,6 +54,7 @@ import pytest
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
     CheckpointStore,
+    Execution,
     MethodComparator,
     ParameterSweep,
     relational_config,
@@ -100,7 +101,7 @@ def _fingerprint(comparison) -> list:
 
 
 def _compare(dataset, checkpoint=None, configurations=None):
-    comparator = MethodComparator(dataset, checkpoint=checkpoint)
+    comparator = MethodComparator(dataset, execution=Execution(checkpoint=checkpoint))
     start = time.perf_counter()
     result = comparator.compare(
         configurations if configurations is not None else HEAVY_CONFIGS + LIGHT_CONFIGS,

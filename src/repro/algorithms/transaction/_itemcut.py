@@ -181,7 +181,8 @@ class _Promotions:
     combinations are enumerated once, with each node's count of them (the
     root, never promotable, is not counted).  A promotion ORs the sibling
     group's bitsets into the parent's, drops the combinations touching the
-    group and adds those containing the parent.
+    group and adds those containing the parent.  A node whose promotion
+    moves no item leaves the round's candidates (``stuck``).
     """
 
     def __init__(self, checker: KmAnonymityChecker, cut: ItemCut):
@@ -191,8 +192,13 @@ class _Promotions:
         self.images = {item: cut.mapping[item] for item in checker.items}
 
     def start_round(self, sizes: Sequence[int]) -> None:
-        """Rebuild the live nodes from the cut and enumerate the round's combinations."""
+        """Start a round over the combinations of ``sizes``; no node is stuck yet."""
         self.sizes = sizes
+        self.stuck: set[str] = set()
+        self._recount()
+
+    def _recount(self) -> None:
+        """Rebuild the live nodes from the cut and enumerate the round's combinations."""
         self.live = self.checker.node_bitsets(self.images)
         #: live node -> how many checker items map to it
         self.members = Counter(self.images.values())
@@ -200,7 +206,7 @@ class _Promotions:
         self.counts: dict[str, int] = {}
         self.touching: dict[str, list[tuple]] = {}
         universe, nodes = (1 << self.checker.n_records) - 1, list(self.live.items())
-        for size in sizes:
+        for size in self.sizes:
             self._add(_rare_extensions(universe, (), nodes, 0, size, self.checker.k))
 
     def _add(self, combinations: list[tuple]) -> None:
@@ -212,22 +218,34 @@ class _Promotions:
                     self.counts[node] = self.counts.get(node, 0) + 1
 
     def target(self) -> str | None:
-        """The node in the most rare combinations (ties: ``rank``), if any."""
-        most = max(self.counts.values(), default=0)
-        tied = [node for node, count in self.counts.items() if count == most]
+        """The unstuck node in the most rare combinations (ties: ``rank``), if any."""
+        counts = self.counts
+        if self.stuck:
+            counts = {node: count for node, count in counts.items() if node not in self.stuck}
+        most = max(counts.values(), default=0)
+        tied = [node for node, count in counts.items() if count == most]
         return max(tied, key=self.rank.__getitem__) if most else None
 
-    def promote(self, node: str) -> str:
-        """Generalize ``node``'s sibling group in the cut; return the parent."""
+    def promote(self, node: str) -> str | None:
+        """Generalize ``node``'s sibling group in the cut; return the parent.
+
+        Returns ``None`` when no item moves: ``node`` is an item that is an
+        inner hierarchy node, and its siblings already reached the parent.
+        Promoting it again would change nothing, so it is stuck for the
+        round and its rare combinations stay unresolved.
+        """
         parent = self.cut.generalize_node(node)
         under = self.cut.leaves(parent).intersection(self.images)
         moved = [item for item in under if self.images[item] != parent]
+        if not moved:
+            self.stuck.add(node)
+            return None
         group = {self.images[item] for item in moved}
         self.images.update(dict.fromkeys(moved, parent))
-        if not moved or parent in self.live or sum(map(self.members.get, group)) != len(moved):
+        if parent in self.live or sum(map(self.members.get, group)) != len(moved):
             # Not whole cut nodes moving into a new one: an item that is an
             # inner hierarchy node splits its cut node.  Recount the round.
-            self.start_round(self.sizes)
+            self._recount()
             return parent
         bits = 0
         for member in group:
@@ -283,9 +301,12 @@ def greedy_km_anonymize(
             break
         search.start_round(sizes)
         while (node := search.target()) is not None:
+            parent = search.promote(node)
+            if parent is None:
+                continue
             generalization_steps += 1
             # Only a promotion to the root can generalize the cut fully.
-            if search.promote(node) == search.root and cut.is_fully_generalized():
+            if parent == search.root and cut.is_fully_generalized():
                 break
 
     statistics = {

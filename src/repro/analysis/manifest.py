@@ -52,9 +52,10 @@ class WorkerCall:
     """One REP006 declaration: a callable that ships a worker to a pool.
 
     ``arg`` is the positional index of the worker argument.  ``process_only``
-    marks callables that always pickle the worker (``fan_out_shared``,
-    ``pool.map``); for the others (``run_many``) a lambda is only unsafe when
-    the call requests process mode explicitly or dynamically.
+    marks callables that always pickle the worker (``pool.map``); for the
+    others (``run_many``, ``fan_out_shared``) a lambda is only unsafe when
+    the call's ``Execution`` argument — the one after the worker, or the
+    ``execution=`` keyword — can select process mode.
     """
 
     arg: int

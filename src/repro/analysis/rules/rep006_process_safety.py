@@ -5,9 +5,10 @@ process boundary is pickled.  The manifest's ``spec_classes`` are the
 dataclasses shipped inside task tuples; this rule bans fields whose types
 can never pickle (locks, shared-memory handles, open files, executors) and
 lambda defaults.  It also checks the worker argument of the pool entry
-points (``run_many``/``fan_out_shared``/``pool.map``): lambdas and local
-functions fail at fan-out time with an opaque pickling error, so the rule
-surfaces them at lint time instead.
+points (``run_many``/``fan_out_shared``/``pool.map``) whenever the call's
+``Execution`` can select process mode: lambdas and local functions fail at
+fan-out time with an opaque pickling error, so the rule surfaces them at
+lint time instead.
 """
 
 from __future__ import annotations
@@ -58,17 +59,31 @@ def _worker_call_key(
     return None
 
 
+def _argument(call: ast.Call, index: int, name: str) -> ast.expr | None:
+    """The argument passed at positional ``index`` or as keyword ``name``."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    return call.args[index] if index < len(call.args) else None
+
+
 def _can_reach_process_mode(call: ast.Call, spec: WorkerCall) -> bool:
     """Whether this call site can end up pickling its worker."""
     if spec.process_only:
         return True
-    for keyword in call.keywords:
-        if keyword.arg == "mode":
-            value = keyword.value
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                return value.value == "process"
-            return True  # dynamic mode expression: assume the worst
-    return False  # run_many defaults resolve to sequential/thread
+    execution = _argument(call, spec.arg + 1, "execution")
+    if execution is None:
+        return False  # the default Execution() is sequential
+    if isinstance(execution, ast.Call):
+        func = execution.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee == "Execution":
+            mode = _argument(execution, 0, "mode")
+            if mode is None:
+                return False  # Execution() defaults to sequential
+            if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+                return mode.value == "process"
+    return True  # a variable or computed Execution: assume the worst
 
 
 @register
@@ -146,12 +161,7 @@ class ProcessSafety(Rule):
         key, spec = resolved
         if not _can_reach_process_mode(call, spec):
             return
-        worker: ast.expr | None = None
-        if spec.arg < len(call.args):
-            worker = call.args[spec.arg]
-        for keyword in call.keywords:
-            if keyword.arg == "worker":
-                worker = keyword.value
+        worker = _argument(call, spec.arg, "worker")
         if worker is None:
             return
         if isinstance(worker, ast.Lambda):
@@ -185,12 +195,7 @@ class ProcessSafety(Rule):
             key, spec = resolved
             if not _can_reach_process_mode(site.call, spec):
                 continue
-            worker: ast.expr | None = None
-            if spec.arg < len(site.call.args):
-                worker = site.call.args[spec.arg]
-            for keyword in site.call.keywords:
-                if keyword.arg == "worker":
-                    worker = keyword.value
+            worker = _argument(site.call, spec.arg, "worker")
             module = project.module(site.module)
             if worker is None or module is None:
                 continue

@@ -2,7 +2,7 @@
 
 Both attack implementations — the bitset kernels in
 :mod:`repro.attacks.simulator` and the per-record scalar oracle in
-:mod:`repro.attacks.oracle` — must agree *exactly* on two questions:
+``tests/oracles/attacks.py`` — must agree *exactly* on two questions:
 
 * **Coverage** — given a target's original cell value, can a published
   (possibly generalized) cell belong to that target?  A label *covers* a

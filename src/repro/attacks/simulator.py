@@ -30,9 +30,8 @@ per-record matching sets are then chunked fancy-gathers AND-ed across
 attributes and popcounted.  Item knowledge reuses the km checker's per-item
 candidate bitsets (:func:`repro.metrics.privacy_checks.candidate_matrix`):
 one AND + popcount per distinct item combination, memoized across the
-(typically heavily repeated) baskets.  Every function takes
-``vectorized=False`` to run the per-record scalar oracle instead
-(:mod:`repro.attacks.oracle`), the REP003 equivalence reference.
+(typically heavily repeated) baskets.  The per-record scalar oracle in
+``tests/oracles/attacks.py`` is the REP003 equivalence reference.
 """
 
 from __future__ import annotations
@@ -183,8 +182,14 @@ def resolve_qi_attributes(
     return resolved
 
 
-def _numeric_attributes(dataset: Dataset, attributes: Sequence[str]) -> set[str]:
-    return {name for name in attributes if dataset.schema[name].is_numeric}
+def qi_coverages(
+    original: Dataset,
+    attributes: Sequence[str],
+    hierarchies: dict[str, Hierarchy] | None,
+) -> dict[str, AttributeCoverage]:
+    """The coverage semantics of every QI attribute (numeric ones as intervals)."""
+    numeric = {name for name in attributes if original.schema[name].is_numeric}
+    return coverage_for(attributes, numeric, hierarchies)
 
 
 # -- QI attack -----------------------------------------------------------------
@@ -250,25 +255,18 @@ def qi_attack(
     anonymized: Dataset,
     attributes: Sequence[str] | None = None,
     hierarchies: dict[str, Hierarchy] | None = None,
-    vectorized: bool = True,
 ) -> AttackResult:
     """Simulate the QI-knowledge adversary against an anonymized output."""
     check_aligned(original, anonymized)
     attributes = resolve_qi_attributes(original, attributes)
-    coverages = coverage_for(
-        attributes, _numeric_attributes(original, attributes), hierarchies
+    coverages = qi_coverages(original, attributes, hierarchies)
+    return finalize_sizes(
+        "qi", _qi_sizes_kernel(original, anonymized, attributes, coverages)
     )
-    if vectorized:
-        sizes = _qi_sizes_kernel(original, anonymized, attributes, coverages)
-    else:
-        from repro.attacks.oracle import qi_sizes_scalar
-
-        sizes = qi_sizes_scalar(original, anonymized, attributes, coverages)
-    return finalize_sizes("qi", sizes)
 
 
 # -- item attack ---------------------------------------------------------------
-def _item_attack_inputs(
+def item_attack_inputs(
     original: Dataset,
     attribute: str | None,
     universe: set[str] | None,
@@ -332,7 +330,6 @@ def item_attack(
     hierarchy: Hierarchy | None = None,
     universe: set[str] | None = None,
     knowledge_cap: int | None = None,
-    vectorized: bool = True,
 ) -> AttackResult:
     """Simulate the m-item-knowledge adversary against an anonymized output.
 
@@ -343,18 +340,13 @@ def item_attack(
     if m < 1:
         raise DatasetError("m must be at least 1")
     check_aligned(original, anonymized)
-    attribute, ordered_items = _item_attack_inputs(original, attribute, universe)
-    if vectorized:
-        sizes, knowledge, truncated = _item_sizes_kernel(
+    attribute, ordered_items = item_attack_inputs(original, attribute, universe)
+    return finalize_sizes(
+        "item",
+        *_item_sizes_kernel(
             original, anonymized, m, attribute, ordered_items, hierarchy, knowledge_cap
-        )
-    else:
-        from repro.attacks.oracle import item_sizes_scalar
-
-        sizes, knowledge, truncated = item_sizes_scalar(
-            original, anonymized, m, attribute, ordered_items, hierarchy, knowledge_cap
-        )
-    return finalize_sizes("item", sizes, knowledge, truncated)
+        ),
+    )
 
 
 # -- combined RT attack --------------------------------------------------------
@@ -427,7 +419,6 @@ def rt_attack(
     item_hierarchy: Hierarchy | None = None,
     universe: set[str] | None = None,
     knowledge_cap: int | None = None,
-    vectorized: bool = True,
 ) -> AttackResult:
     """Simulate the combined QI + m-item adversary of the (k, k^m) model.
 
@@ -439,14 +430,13 @@ def rt_attack(
         raise DatasetError("m must be at least 1")
     check_aligned(original, anonymized)
     attributes = resolve_qi_attributes(original, relational_attributes)
-    coverages = coverage_for(
-        attributes, _numeric_attributes(original, attributes), hierarchies
-    )
-    attribute, ordered_items = _item_attack_inputs(
+    coverages = qi_coverages(original, attributes, hierarchies)
+    attribute, ordered_items = item_attack_inputs(
         original, transaction_attribute, universe
     )
-    if vectorized:
-        sizes, knowledge, truncated = _rt_sizes_kernel(
+    return finalize_sizes(
+        "rt",
+        *_rt_sizes_kernel(
             original,
             anonymized,
             m,
@@ -456,22 +446,8 @@ def rt_attack(
             ordered_items,
             item_hierarchy,
             knowledge_cap,
-        )
-    else:
-        from repro.attacks.oracle import rt_sizes_scalar
-
-        sizes, knowledge, truncated = rt_sizes_scalar(
-            original,
-            anonymized,
-            m,
-            attributes,
-            coverages,
-            attribute,
-            ordered_items,
-            item_hierarchy,
-            knowledge_cap,
-        )
-    return finalize_sizes("rt", sizes, knowledge, truncated)
+        ),
+    )
 
 
 def simulate_attacks(
@@ -484,7 +460,6 @@ def simulate_attacks(
     item_hierarchy: Hierarchy | None = None,
     universe: set[str] | None = None,
     knowledge_cap: int | None = None,
-    vectorized: bool = True,
 ) -> dict[str, AttackResult]:
     """Run every attack the dataset's schema supports.
 
@@ -513,7 +488,6 @@ def simulate_attacks(
             anonymized,
             attributes=relational_attributes,
             hierarchies=hierarchies,
-            vectorized=vectorized,
         )
     if transaction is not None:
         results["item"] = item_attack(
@@ -524,7 +498,6 @@ def simulate_attacks(
             hierarchy=item_hierarchy,
             universe=universe,
             knowledge_cap=knowledge_cap,
-            vectorized=vectorized,
         )
     if has_relational and transaction is not None:
         results["rt"] = rt_attack(
@@ -537,6 +510,5 @@ def simulate_attacks(
             item_hierarchy=item_hierarchy,
             universe=universe,
             knowledge_cap=knowledge_cap,
-            vectorized=vectorized,
         )
     return results

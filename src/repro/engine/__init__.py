@@ -25,7 +25,7 @@ from repro.engine.experiment import (
     indicator_series,
 )
 from repro.engine.faults import CheckpointFaults, Fault, FaultPlan
-from repro.engine.pool import WorkerPool, fan_out_shared
+from repro.engine.pool import WorkerPool
 from repro.engine.resilience import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -42,11 +42,11 @@ from repro.engine.results import (
     SweepResult,
     merge_series,
 )
-from repro.engine.runner import EXECUTION_MODES, resolve_mode, run_many
+from repro.engine.runner import EXECUTION_MODES, Execution, fan_out_shared, run_many
 
 __all__ = [
     "EXECUTION_MODES",
-    "resolve_mode",
+    "Execution",
     "AnonymizationModule",
     "MethodComparator",
     "MethodEvaluator",

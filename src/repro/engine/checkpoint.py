@@ -30,7 +30,8 @@ three classic durability disciplines:
   cells dropped) rather than misread.
 
 Execution threads through :func:`run_checkpointed`, which
-:func:`~repro.engine.runner.run_many` delegates to when a store is passed:
+:func:`~repro.engine.runner.run_many` delegates to when its
+:class:`~repro.engine.runner.Execution` carries a store:
 hits are served from disk (and re-validated by the policy's result
 validator when one exists), misses run through the ordinary resilient
 engine wrapped in a :class:`_StoringWorker` that persists every result the
@@ -69,9 +70,9 @@ from repro.queries.workload import QueryWorkload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.engine.config import AnonymizationConfig
     from repro.engine.experiment import ParameterSweep
-    from repro.engine.pool import WorkerPool
-    from repro.engine.resilience import ExecutionPolicy, RunReport
+    from repro.engine.resilience import RunReport
     from repro.engine.resources import ExperimentResources
+    from repro.engine.runner import Execution
 
 # ---------------------------------------------------------------------------
 # CRC32C (Castagnoli), slicing-by-8.
@@ -708,19 +709,15 @@ class _StoringWorker:
 def run_checkpointed(
     tasks: Sequence[Any],
     worker: Callable[[Any], Any],
-    store: CheckpointStore,
+    execution: "Execution",
     keys: Sequence[str] | None,
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    mode: str | None = None,
-    pool: "WorkerPool | None" = None,
-    policy: "ExecutionPolicy | None" = None,
     report: "RunReport | None" = None,
 ) -> list[Any]:
     """:func:`~repro.engine.runner.run_many` with durable resume.
 
-    Every task needs a content-addressed key (``keys[i]`` for ``tasks[i]``).
+    The store is ``execution.checkpoint``; the misses run under the rest of
+    ``execution``.  Every task needs a content-addressed key (``keys[i]``
+    for ``tasks[i]``).
     Hits are served from the store — re-validated by ``policy.validate_result``
     when one exists, so a stored-but-invalid value is recomputed, never
     served.  Misses (including corrupt cells, which also land a structured
@@ -732,6 +729,9 @@ def run_checkpointed(
     from repro.engine.resilience import RunReport
     from repro.engine.runner import run_many
 
+    store, policy = execution.checkpoint, execution.policy
+    if store is None:
+        raise CheckpointError("checkpointed execution needs a checkpoint store")
     task_list = list(tasks)
     if keys is None:
         raise CheckpointError(
@@ -784,12 +784,8 @@ def run_checkpointed(
         sub_results = run_many(
             [(key, task) for _, key, task in misses],
             _StoringWorker(worker, store),
-            parallel=parallel,
-            max_workers=max_workers,
-            mode=mode,
-            pool=pool,
-            policy=policy,
-            report=sub_report,
+            dataclasses.replace(execution, checkpoint=None),
+            sub_report,
         )
         for (position, _key, _task), value in zip(misses, sub_results):
             results[position] = value

@@ -8,11 +8,12 @@ per-indicator series so they can be plotted side by side — "an interactive
 and progressive comparison of sets of algorithms, with respect to their
 utility and efficiency".
 
-Comparisons can fan out across CPU cores: pass ``mode="process"`` and every
-configuration's sweep runs in its own worker process; the dataset is
+Comparisons can fan out across CPU cores: give the comparator an
+``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
+every configuration's sweep runs in its own worker process; the dataset is
 exported once to shared memory and each task carries only the picklable
-manifest (pass ``pool`` to reuse workers and the export across comparisons).
-The legacy ``parallel=True`` flag keeps selecting the thread pool.
+manifest (an ``Execution`` with a persistent ``pool`` reuses workers and the
+export across comparisons).
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from typing import Iterable, Sequence
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
 from repro.datasets.domains import DatasetDomains
-from repro.engine.checkpoint import CheckpointStore, configuration_keys
+from repro.engine.checkpoint import configuration_keys
 from repro.engine.config import AnonymizationConfig
 from repro.engine.experiment import ParameterSweep, VaryingParameterExperiment
-from repro.engine.pool import WorkerPool, fan_out_shared
-from repro.engine.resilience import ExecutionPolicy, RunReport
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import ComparisonReport, SweepResult
-from repro.engine.runner import resolve_mode, run_many
+from repro.engine.runner import Execution, fan_out_shared
 from repro.exceptions import ConfigurationError
 
 
@@ -56,8 +55,8 @@ def _run_configuration(task: tuple) -> SweepResult:
         resolve_shared_dataset(dataset),
         resources,
         verify_privacy=verify_privacy,
+        execution=Execution(checkpoint=checkpoint),
         universe_mode=universe_mode,
-        checkpoint=checkpoint,
         simulate_attacks=simulate_attacks,
     )
     return experiment.run(config, sweep)
@@ -71,25 +70,15 @@ class MethodComparator:
         dataset: Dataset,
         resources: ExperimentResources | None = None,
         verify_privacy: bool = False,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        mode: str | None = None,
-        pool: WorkerPool | None = None,
+        execution: Execution = Execution(),
         universe_mode: str = "original",
-        policy: ExecutionPolicy | None = None,
-        checkpoint: CheckpointStore | None = None,
         simulate_attacks: bool = False,
     ) -> None:
         self.dataset = dataset
         self.resources = resources or ExperimentResources()
         self.verify_privacy = verify_privacy
-        self.parallel = parallel
-        self.max_workers = max_workers
-        self.mode = mode
-        self.pool = pool
+        self.execution = execution
         self.universe_mode = universe_mode
-        self.policy = policy
-        self.checkpoint = checkpoint
         self.simulate_attacks = simulate_attacks
 
     def _tasks(
@@ -107,7 +96,7 @@ class MethodComparator:
                 self.simulate_attacks,
                 config,
                 sweep,
-                self.checkpoint,
+                self.execution.checkpoint,
             )
             for config in configurations
         ]
@@ -126,7 +115,6 @@ class MethodComparator:
             # One snapshot shared by every configuration's sweep (and every
             # worker process the comparison fans out to).
             self.resources.domains = DatasetDomains.capture(self.dataset)
-        resolved = resolve_mode(self.parallel, self.mode)
         # Whole-configuration checkpoint keys, derived in the orchestrating
         # process from the real dataset (workers additionally checkpoint
         # their per-sweep-point cells — see ``_run_configuration``).
@@ -140,38 +128,18 @@ class MethodComparator:
                 sweep,
                 self.simulate_attacks,
             )
-            if self.checkpoint is not None
+            if self.execution.checkpoint is not None
             else None
         )
-        if resolved == "process" and len(configurations) > 1:
-            report = RunReport()
-            sweeps = fan_out_shared(
-                self.dataset,
-                lambda payload: self._tasks(payload, configurations, sweep),
-                _run_configuration,
-                pool=self.pool,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
-        else:
-            report = (
-                RunReport()
-                if self.policy is not None or self.checkpoint is not None
-                else None
-            )
-            sweeps = run_many(
-                self._tasks(self.dataset, configurations, sweep),
-                _run_configuration,
-                mode=resolved,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
+        report = self.execution.run_report(len(configurations))
+        sweeps = fan_out_shared(
+            self.dataset,
+            lambda payload: self._tasks(payload, configurations, sweep),
+            _run_configuration,
+            self.execution,
+            report,
+            keys,
+        )
         return ComparisonReport(
             parameter=sweep.parameter,
             values=list(sweep.values),

@@ -7,15 +7,16 @@ fixed values for other parameters" and the system plots utility indicators
 and runtime against the varying parameter.  This module implements the sweep
 machinery used by both the Evaluation and the Comparison mode.
 
-Sweeps can fan out across CPU cores: pass ``mode="process"`` to
-:class:`VaryingParameterExperiment` and every sweep point is evaluated in its
-own worker process (the algorithms are CPU-bound pure Python, so threads
-cannot speed them up — see :mod:`repro.engine.runner`).  In process mode the
-dataset is not pickled into every task: it is exported once to shared memory
-and the tasks carry only the small manifest
-(:mod:`repro.columnar.shared`); pass a persistent
-:class:`~repro.engine.pool.WorkerPool` to reuse workers and the export
-across several sweeps.
+Sweeps can fan out across CPU cores: give
+:class:`VaryingParameterExperiment` an
+``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
+every sweep point is evaluated in its own worker process (the algorithms are
+CPU-bound pure Python, so threads cannot speed them up — see
+:mod:`repro.engine.runner`).  In process mode the dataset is not pickled
+into every task: it is exported once to shared memory and the tasks carry
+only the small manifest (:mod:`repro.columnar.shared`); an ``Execution``
+with a persistent :class:`~repro.engine.pool.WorkerPool` reuses the workers
+and the export across several sweeps.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from typing import Any, Sequence
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
 from repro.datasets.domains import DatasetDomains
-from repro.engine.checkpoint import CheckpointStore, sweep_point_keys
+from repro.engine.checkpoint import sweep_point_keys
 from repro.engine.config import SWEEPABLE_PARAMETERS, AnonymizationConfig
 from repro.engine.evaluator import MethodEvaluator
-from repro.engine.pool import WorkerPool, fan_out_shared
-from repro.engine.resilience import ExecutionPolicy, RunReport
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import (
     ATTACK_INDICATORS,
@@ -38,7 +37,7 @@ from repro.engine.results import (
     Series,
     SweepResult,
 )
-from repro.engine.runner import resolve_mode, run_many
+from repro.engine.runner import Execution, fan_out_shared
 from repro.exceptions import ConfigurationError
 
 #: Indicators extracted from every evaluation report into sweep series.
@@ -157,19 +156,11 @@ def _evaluate_sweep_point(task: tuple) -> EvaluationReport:
 class VaryingParameterExperiment:
     """Run one configuration across a parameter sweep and collect series.
 
-    ``mode`` selects how sweep points execute: ``"sequential"`` (default),
-    ``"thread"``, or ``"process"`` to fan the CPU-bound anonymization runs out
-    across cores.  ``max_workers`` caps the pool size.  In process mode the
-    dataset ships to workers as a shared-memory manifest; pass ``pool`` (a
-    :class:`~repro.engine.pool.WorkerPool`) to keep the workers and the
-    export alive across several ``run`` calls instead of rebuilding them per
-    sweep.
-
-    ``policy`` (an :class:`~repro.engine.resilience.ExecutionPolicy`)
-    controls fault tolerance: retries, per-point timeouts, crash recovery
-    and the degradation ladder.  Process fan-out is resilient even without
-    one; the resulting :class:`~repro.engine.resilience.RunReport` is
-    attached to the :class:`SweepResult` as ``run_report``.
+    ``execution`` (an :class:`~repro.engine.runner.Execution`) says how the
+    sweep points run: sequentially by default, or fanned out to threads or
+    processes, under an optional fault-tolerance policy and checkpoint
+    store.  The run's :class:`~repro.engine.resilience.RunReport`, when it
+    keeps one, is attached to the :class:`SweepResult` as ``run_report``.
     """
 
     def __init__(
@@ -177,23 +168,15 @@ class VaryingParameterExperiment:
         dataset: Dataset,
         resources: ExperimentResources | None = None,
         verify_privacy: bool = False,
-        mode: str = "sequential",
-        max_workers: int | None = None,
-        pool: WorkerPool | None = None,
+        execution: Execution = Execution(),
         universe_mode: str = "original",
-        policy: ExecutionPolicy | None = None,
-        checkpoint: CheckpointStore | None = None,
         simulate_attacks: bool = False,
     ) -> None:
         self.dataset = dataset
         self.resources = resources or ExperimentResources()
         self.verify_privacy = verify_privacy
-        self.mode = mode
-        self.max_workers = max_workers
-        self.pool = pool
+        self.execution = execution
         self.universe_mode = universe_mode
-        self.policy = policy
-        self.checkpoint = checkpoint
         self.simulate_attacks = simulate_attacks
 
     def _tasks(
@@ -218,7 +201,6 @@ class VaryingParameterExperiment:
             # Capture the original-domain snapshot once in the parent so every
             # sweep point (and worker process) shares one equal snapshot.
             self.resources.domains = DatasetDomains.capture(self.dataset)
-        resolved = resolve_mode(mode=self.mode)
         # Checkpoint keys are derived here, in the orchestrating process and
         # *after* the domain snapshot above, from the real dataset — so a
         # resumed run (which captures the identical snapshot) computes the
@@ -233,38 +215,18 @@ class VaryingParameterExperiment:
                 sweep,
                 self.simulate_attacks,
             )
-            if self.checkpoint is not None
+            if self.execution.checkpoint is not None
             else None
         )
-        if resolved == "process" and len(sweep) > 1:
-            report = RunReport()
-            reports = fan_out_shared(
-                self.dataset,
-                lambda payload: self._tasks(payload, config, sweep),
-                _evaluate_sweep_point,
-                pool=self.pool,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
-        else:
-            report = (
-                RunReport()
-                if self.policy is not None or self.checkpoint is not None
-                else None
-            )
-            reports = run_many(
-                self._tasks(self.dataset, config, sweep),
-                _evaluate_sweep_point,
-                mode=resolved,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
+        report = self.execution.run_report(len(sweep))
+        reports = fan_out_shared(
+            self.dataset,
+            lambda payload: self._tasks(payload, config, sweep),
+            _evaluate_sweep_point,
+            self.execution,
+            report,
+            keys,
+        )
         series = indicator_series(
             reports, list(sweep.values), sweep.parameter, config.display_label
         )

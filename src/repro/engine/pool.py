@@ -48,7 +48,6 @@ from repro.exceptions import ConfigurationError, SecretaError
 
 if TYPE_CHECKING:
     from repro.datasets.dataset import Dataset
-    from repro.engine.checkpoint import CheckpointStore
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -334,56 +333,3 @@ class WorkerPool:
             f"exports={len(self._exports)}, {state})"
         )
 
-
-def fan_out_shared(
-    dataset: "Dataset",
-    make_tasks: Callable[[Any], Sequence[Any]],
-    worker: Callable[..., Any],
-    pool: WorkerPool | None = None,
-    max_workers: int | None = None,
-    policy: ExecutionPolicy | None = None,
-    report: RunReport | None = None,
-    checkpoint: "CheckpointStore | None" = None,
-    checkpoint_keys: Sequence[str] | None = None,
-) -> list[Any]:
-    """Run ``worker`` over ``make_tasks(manifest)`` with a shared dataset.
-
-    The one orchestration pattern the experiment and comparator both need:
-    export ``dataset`` to shared memory, build the tasks around the manifest,
-    and fan them out — on the caller's persistent ``pool`` when given (the
-    export is cached there), otherwise on an ephemeral pool sized to the
-    task count and torn down (segments unlinked) before returning.  The
-    fan-out runs under ``policy`` (the pool's default when omitted) and
-    fills ``report`` in place when one is given.
-    """
-    from repro.engine.runner import run_many
-
-    validate_max_workers(max_workers)
-    if pool is not None:
-        return run_many(
-            make_tasks(pool.share(dataset)),
-            worker,
-            mode="process",
-            pool=pool,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-            checkpoint_keys=checkpoint_keys,
-        )
-    # The ephemeral pool (rather than a bare export) owns the segment so the
-    # crash-recovery path can re-export it; its executor is spawned lazily,
-    # which leaves room to right-size the pool once the task count is known.
-    with WorkerPool(max_workers=max_workers, policy=policy) as ephemeral:
-        tasks = make_tasks(ephemeral.share(dataset))
-        if max_workers is None:
-            ephemeral._max_workers = min(len(tasks) or 1, os.cpu_count() or 1)
-        return run_many(
-            tasks,
-            worker,
-            mode="process",
-            pool=ephemeral,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-            checkpoint_keys=checkpoint_keys,
-        )

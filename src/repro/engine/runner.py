@@ -1,8 +1,10 @@
 """Execution of multiple anonymization requests: sequential, threads or processes.
 
 SECRETA's backend "invokes one or more instances (threads) of the
-Anonymization Module" and collects their results.  The pure-Python equivalent
-offers three execution modes:
+Anonymization Module" and collects their results.  How those instances run
+is one frozen :class:`Execution` value, passed unchanged from ``Session``
+through the experiment and comparator down to :func:`run_many`.  Its
+``mode`` is one of:
 
 * ``"sequential"`` — the default: one task after another in this process,
 * ``"thread"`` — a thread pool.  The support/union/metric kernels now run as
@@ -14,26 +16,31 @@ offers three execution modes:
 * ``"process"`` — a process pool that actually fans CPU-bound anonymization
   out across cores.  The worker callable and every task/result must be
   picklable (module-level functions, not closures or lambdas).  Large
-  datasets should not travel inside the tasks: export them once through
-  :meth:`repro.engine.pool.WorkerPool.share` and ship the manifest instead
-  (the engine's experiment/comparator callers do this automatically — see
+  datasets should not travel inside the tasks: :func:`fan_out_shared`
+  exports them once to shared memory and ships the manifest instead (see
   ``docs/parallelism.md``).
 
-The legacy ``parallel=True`` flag remains an alias for thread mode.
+The rest of the value says where and how: ``max_workers`` caps the pool,
+``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool`,
+``policy`` the :class:`~repro.engine.resilience.ExecutionPolicy` and
+``checkpoint`` a durable :class:`~repro.engine.checkpoint.CheckpointStore`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterable, Literal, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Sequence, TypeVar
 
-from repro.engine.resilience import ExecutionPolicy, RunReport, execute_tasks
+from repro.engine.checkpoint import CheckpointStore, run_checkpointed
+from repro.engine.pool import WorkerPool, validate_max_workers
+from repro.engine.resilience import DEFAULT_POLICY, ExecutionPolicy, RunReport, execute_tasks
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:
-    from repro.engine.checkpoint import CheckpointStore
-    from repro.engine.pool import WorkerPool
+    from repro.datasets.dataset import Dataset
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -43,99 +50,140 @@ ExecutionMode = Literal["sequential", "thread", "process"]
 EXECUTION_MODES: tuple[ExecutionMode, ...] = ("sequential", "thread", "process")
 
 
-def resolve_mode(parallel: bool = False, mode: str | None = None) -> ExecutionMode:
-    """Normalise the (legacy flag, explicit mode) pair to one execution mode."""
-    if mode is None:
-        return "thread" if parallel else "sequential"
-    if mode not in EXECUTION_MODES:
-        raise ConfigurationError(
-            f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-        )
-    return mode  # type: ignore[return-value]
+@dataclass(frozen=True)
+class Execution:
+    """How a batch of tasks runs: one value for every layer of the engine.
+
+    ``mode`` selects the backend (see the module docstring).  Both pool
+    modes default to one worker per task capped at the CPU count;
+    ``max_workers`` must be positive (or ``None`` for that default).
+
+    ``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool`
+    for process mode; without one, an ephemeral pool is created per run.
+    The sequential and thread backends ignore it, and its own worker count
+    takes precedence over ``max_workers``.
+
+    ``policy`` selects the :class:`~repro.engine.resilience.ExecutionPolicy`
+    the run executes under.  Process mode is *always* resilient (per-task
+    futures, bounded retries, crash recovery; the pool's default policy
+    applies without one).  Sequential and thread mode run the plain fast
+    path unless a ``policy`` or a per-call report is given, in which case
+    they route through the same engine.
+
+    ``checkpoint`` threads a durable
+    :class:`~repro.engine.checkpoint.CheckpointStore` through the run:
+    completed tasks are persisted the moment they finish, and a re-run
+    serves stored cells instead of recomputing.
+
+    The value holds live resources (the pool), so it stays in the
+    orchestrating process: task payloads carry the picklable store, never
+    an ``Execution``.
+    """
+
+    mode: ExecutionMode = "sequential"
+    max_workers: int | None = None
+    pool: WorkerPool | None = None
+    policy: ExecutionPolicy | None = None
+    checkpoint: CheckpointStore | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in EXECUTION_MODES:
+            raise ConfigurationError(
+                f"unknown execution mode {self.mode!r}; expected one of {EXECUTION_MODES}"
+            )
+        validate_max_workers(self.max_workers)
+
+    def fans_out(self, task_count: int) -> bool:
+        """Whether ``task_count`` tasks fan out to worker processes."""
+        return self.mode == "process" and task_count > 1
+
+    def run_report(self, task_count: int) -> RunReport | None:
+        """A fresh report when a run of ``task_count`` tasks keeps one.
+
+        A run keeps a :class:`~repro.engine.resilience.RunReport` when it
+        fans out to processes, or has a policy or a checkpoint store.
+        """
+        if self.fans_out(task_count) or self.policy is not None or self.checkpoint is not None:
+            return RunReport()
+        return None
 
 
 def run_many(
     tasks: Sequence[TaskT] | Iterable[TaskT],
     worker: Callable[[TaskT], ResultT],
-    parallel: bool = False,
-    max_workers: int | None = None,
-    mode: str | None = None,
-    pool: "WorkerPool | None" = None,
-    policy: "ExecutionPolicy | None" = None,
+    execution: Execution = Execution(),
     report: RunReport | None = None,
-    checkpoint: "CheckpointStore | None" = None,
     checkpoint_keys: Sequence[str] | None = None,
 ) -> list[ResultT]:
-    """Apply ``worker`` to every task, preserving input order.
+    """Apply ``worker`` to every task under ``execution``, preserving order.
 
-    ``mode`` selects the execution backend (see the module docstring); when
-    omitted, ``parallel=True`` selects thread mode for backward compatibility.
-    Both pool modes default to one worker per task capped at the CPU count:
-    the thread-mode kernels are GIL-releasing NumPy passes, so threads scale
-    with cores just like processes do.  ``max_workers`` must be positive (or
-    ``None`` for the default).
-
-    ``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool` for
-    process mode; without one, an ephemeral pool is created for the call.
-    ``pool`` is ignored by the sequential and thread backends, and its own
-    worker count takes precedence over ``max_workers``.
-
-    ``policy`` selects the :class:`~repro.engine.resilience.ExecutionPolicy`
-    the run executes under.  Process mode is *always* resilient (per-task
-    futures, bounded retries, crash recovery; the pool's default policy
-    applies when ``policy`` is omitted).  Sequential and thread mode run the
-    plain fast path unless a ``policy`` or ``report`` is passed, in which
-    case they route through the same engine — with retries, deterministic
-    backoff and the per-task attempt history filled into ``report``.
-
-    ``checkpoint`` threads a durable
-    :class:`~repro.engine.checkpoint.CheckpointStore` through the run: every
-    task needs a content-addressed key in ``checkpoint_keys``, completed
-    tasks are persisted the moment they finish, and a re-run serves stored
-    cells instead of recomputing (see :mod:`repro.engine.checkpoint`).
+    ``report``, when given, is filled in place with the per-task attempt
+    history (and makes sequential and thread runs resilient too).  With a
+    checkpoint store every task needs a content-addressed key in
+    ``checkpoint_keys`` (see :func:`~repro.engine.checkpoint.run_checkpointed`).
     """
-    from repro.engine.pool import WorkerPool, validate_max_workers
-
-    resolved = resolve_mode(parallel, mode)
-    validate_max_workers(max_workers)
     tasks = list(tasks)
     if not tasks:
         return []
-    if checkpoint is not None:
-        from repro.engine.checkpoint import run_checkpointed
-
-        return run_checkpointed(
-            tasks,
-            worker,
-            checkpoint,
-            checkpoint_keys,
-            parallel=parallel,
-            max_workers=max_workers,
-            mode=mode,
-            pool=pool,
-            policy=policy,
-            report=report,
-        )
+    if execution.checkpoint is not None:
+        return run_checkpointed(tasks, worker, execution, checkpoint_keys, report=report)
+    mode, policy = execution.mode, execution.policy
     resilient = policy is not None or report is not None
-    if not resilient and (resolved == "sequential" or len(tasks) == 1):
+    if not resilient and (mode == "sequential" or len(tasks) == 1):
         return [worker(task) for task in tasks]
-    if resolved == "thread" and not resilient:
-        workers = max_workers or min(len(tasks), os.cpu_count() or 1)
+    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
+    if mode == "thread" and not resilient:
         with ThreadPoolExecutor(max_workers=workers) as executor:
             return list(executor.map(worker, tasks))
-    if resolved != "process":
-        from repro.engine.resilience import DEFAULT_POLICY
-
+    if mode != "process":
         return execute_tasks(
             tasks,
             worker,
             policy or DEFAULT_POLICY,
-            backend=resolved,
-            max_workers=max_workers or min(len(tasks), os.cpu_count() or 1),
+            backend=mode,
+            max_workers=workers,
             report=report,
         )
-    if pool is not None:
-        return pool.map(worker, tasks, policy=policy, report=report)
-    workers = max_workers or min(len(tasks), os.cpu_count() or 1)
+    if execution.pool is not None:
+        return execution.pool.map(worker, tasks, policy=policy, report=report)
     with WorkerPool(max_workers=workers, policy=policy) as ephemeral:
         return ephemeral.map(worker, tasks, report=report)
+
+
+def fan_out_shared(
+    dataset: "Dataset",
+    make_tasks: Callable[[Any], Sequence[Any]],
+    worker: Callable[..., Any],
+    execution: Execution = Execution(),
+    report: RunReport | None = None,
+    checkpoint_keys: Sequence[str] | None = None,
+) -> list[Any]:
+    """Run ``worker`` over ``make_tasks(payload)``: the engine's one dispatch.
+
+    The experiment and the comparator both go through here.
+    ``make_tasks`` builds the tasks around ``payload``.  When ``execution``
+    fans the tasks out to processes, ``payload`` is the manifest of a
+    one-time shared-memory export of ``dataset``.  The export is cached on
+    the execution's persistent pool when it has one; otherwise an ephemeral
+    pool sized to the task count owns it and unlinks it before returning.
+    Every other run gets ``dataset`` itself and goes through
+    :func:`run_many` in this process.
+    """
+    tasks = make_tasks(dataset)
+    if not execution.fans_out(len(tasks)):
+        return run_many(tasks, worker, execution, report, checkpoint_keys)
+    if execution.pool is not None:
+        return run_many(
+            make_tasks(execution.pool.share(dataset)), worker, execution, report, checkpoint_keys
+        )
+    # The ephemeral pool (rather than a bare export) owns the segment so the
+    # crash-recovery path can re-export it; its executor is spawned lazily.
+    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
+    with WorkerPool(max_workers=workers, policy=execution.policy) as ephemeral:
+        return run_many(
+            make_tasks(ephemeral.share(dataset)),
+            worker,
+            dataclasses.replace(execution, pool=ephemeral),
+            report,
+            checkpoint_keys,
+        )

@@ -33,6 +33,7 @@ from repro.engine.pool import WorkerPool
 from repro.engine.resilience import ExecutionPolicy
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import ComparisonReport, EvaluationReport, SweepResult
+from repro.engine.runner import Execution, ExecutionMode
 from repro.exceptions import ConfigurationError
 from repro.frontend.editors import ConfigurationEditor, QueriesEditor
 from repro.frontend.export import DataExportModule
@@ -212,7 +213,7 @@ class Session:
         end: float,
         step: float,
         resources: ExperimentResources | None = None,
-        mode: str = "sequential",
+        mode: ExecutionMode = "sequential",
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
         universe_mode: str = "original",
@@ -237,12 +238,14 @@ class Session:
             self.dataset,
             resources or self.resources(),
             verify_privacy=False,
-            mode=mode,
-            max_workers=max_workers,
-            pool=pool,
+            execution=Execution(
+                mode=mode,
+                max_workers=max_workers,
+                pool=pool,
+                policy=policy,
+                checkpoint=checkpoint or self._checkpoint,
+            ),
             universe_mode=universe_mode,
-            policy=policy,
-            checkpoint=checkpoint or self._checkpoint,
             simulate_attacks=simulate_attacks,
         )
         return experiment.run(config, ParameterSweep.from_range(parameter, start, end, step))
@@ -256,8 +259,7 @@ class Session:
         end: float,
         step: float,
         resources: ExperimentResources | None = None,
-        parallel: bool = False,
-        mode: str | None = None,
+        mode: ExecutionMode = "sequential",
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
         universe_mode: str = "original",
@@ -270,8 +272,7 @@ class Session:
         ``mode="process"`` fans the configurations out across CPU cores
         (capped by ``max_workers``), shipping the dataset through shared
         memory; a persistent ``pool`` (see :meth:`worker_pool`) reuses the
-        workers and the export across calls.  ``parallel=True`` keeps
-        selecting the legacy thread pool.  ``policy`` tunes fault tolerance;
+        workers and the export across calls.  ``policy`` tunes fault tolerance;
         the fan-out's :class:`~repro.engine.resilience.RunReport` lands on
         the report's ``run_report``.
         """
@@ -281,13 +282,14 @@ class Session:
             self.dataset,
             resources or self.resources(),
             verify_privacy=False,
-            parallel=parallel,
-            max_workers=max_workers,
-            mode=mode,
-            pool=pool,
+            execution=Execution(
+                mode=mode,
+                max_workers=max_workers,
+                pool=pool,
+                policy=policy,
+                checkpoint=checkpoint or self._checkpoint,
+            ),
             universe_mode=universe_mode,
-            policy=policy,
-            checkpoint=checkpoint or self._checkpoint,
             simulate_attacks=simulate_attacks,
         )
         return comparator.compare(

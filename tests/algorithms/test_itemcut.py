@@ -1,6 +1,9 @@
 """Tests for the shared item-cut machinery of the hierarchy-based algorithms."""
 
+import signal
+
 import pytest
+from oracles.itemcut import scalar_greedy_km_anonymize
 
 from repro.algorithms.transaction._itemcut import (
     ItemCut,
@@ -133,3 +136,49 @@ class TestGreedy:
             greedy_km_anonymize(
                 itemsets, hierarchy, k=2, m=1, cut=ItemCut(hierarchy, ["a", "b"])
             )
+
+
+class TestInnerNodeItem:
+    """An item that is itself an inner hierarchy node never moves.
+
+    Hierarchy ``* -> {(a,b) -> {a, b}, c}`` with the item ``(a,b)`` once and
+    ``a`` and ``c`` three times each, k=3, m=1.  The first promotion of
+    ``(a,b)`` moves ``a`` and ``c`` to ``*``; a second one would move
+    nothing.  The search used to pick the same node forever; now it drops
+    the node from the round and reports its violation as unresolvable.
+    """
+
+    @pytest.fixture
+    def inner_item(self):
+        builder = HierarchyBuilder(attribute="Items")
+        builder.add("(a,b)", "*")
+        for leaf, parent in (("a", "(a,b)"), ("b", "(a,b)"), ("c", "*")):
+            builder.add(leaf, parent)
+        itemsets = [frozenset({"(a,b)"})] + [frozenset({"a"})] * 3 + [frozenset({"c"})] * 3
+        return builder.build(), itemsets
+
+    @pytest.mark.parametrize("search", [greedy_km_anonymize, scalar_greedy_km_anonymize])
+    @pytest.mark.parametrize("apriori_order", [True, False])
+    def test_search_returns_with_the_violation_unresolved(
+        self, inner_item, search, apriori_order
+    ):
+        def hang(signum, frame):
+            raise TimeoutError("the item-cut search did not return within 1 s")
+
+        hierarchy, itemsets = inner_item
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(1)
+        try:
+            cut, statistics = search(
+                itemsets, hierarchy, k=3, m=1, apriori_order=apriori_order
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert cut.mapping == {"(a,b)": "(a,b)", "a": "*", "c": "*"}
+        assert statistics == {
+            "generalization_steps": 1,
+            "final_nodes": 2,
+            "fully_generalized": False,
+            "unresolvable_violations": 1,
+        }

@@ -185,6 +185,9 @@ class TestManifest:
         assert manifest.hot_modules
         assert "run_many" in manifest.worker_calls
         assert manifest.worker_calls["run_many"].process_only is False
+        assert manifest.worker_calls["fan_out_shared"].process_only is False
+        # An Execution can hold a WorkerPool, so no task payload may carry one.
+        assert "Execution" in manifest.forbidden_field_types
 
     def test_bad_worker_call_entry_rejected(self):
         with pytest.raises(AnalysisError, match="worker_calls"):

@@ -8,10 +8,10 @@ from repro.analysis.manifest import InvariantManifest, WorkerCall
 
 MANIFEST = InvariantManifest(
     spec_classes=("src/pkg/specs.py::TaskSpec",),
-    forbidden_field_types=("Lock", "SharedMemory", "TextIO"),
+    forbidden_field_types=("Lock", "SharedMemory", "TextIO", "Execution"),
     worker_calls={
         "run_many": WorkerCall(arg=1, process_only=False),
-        "fan_out_shared": WorkerCall(arg=2),
+        "fan_out_shared": WorkerCall(arg=2, process_only=False),
         "pool.map": WorkerCall(arg=0),
     },
 )
@@ -24,6 +24,15 @@ LOCK_FIELD = """
     class TaskSpec:
         name: str
         guard: threading.Lock
+"""
+
+EXECUTION_FIELD = """
+    from dataclasses import dataclass
+
+    @dataclass
+    class TaskSpec:
+        name: str
+        execution: "Execution"
 """
 
 LAMBDA_DEFAULT = """
@@ -46,8 +55,13 @@ CLEAN_SPEC = """
 """
 
 LAMBDA_TO_FAN_OUT = """
-    def launch(dataset, tasks):
-        return fan_out_shared(dataset, make_tasks, lambda task: task)
+    def launch(dataset, execution):
+        return fan_out_shared(dataset, make_tasks, lambda task: task, execution)
+"""
+
+LAMBDA_TO_FAN_OUT_DEFAULT = """
+    def launch(dataset):
+        return fan_out_shared(dataset, make_tasks, lambda task: task, Execution())
 """
 
 LOCAL_WORKER_TO_POOL_MAP = """
@@ -65,20 +79,30 @@ LAMBDA_TO_RUN_MANY_DEFAULT = """
 
 LAMBDA_TO_RUN_MANY_PROCESS = """
     def launch(tasks):
-        return run_many(tasks, lambda task: task, mode="process")
+        return run_many(tasks, lambda task: task, Execution(mode="process"))
+"""
+
+LAMBDA_TO_RUN_MANY_THREAD = """
+    def launch(tasks):
+        return run_many(tasks, lambda task: task, execution=Execution("thread"))
 """
 
 LAMBDA_TO_RUN_MANY_DYNAMIC = """
+    def launch(tasks, execution):
+        return run_many(tasks, lambda task: task, execution)
+"""
+
+LAMBDA_TO_RUN_MANY_DYNAMIC_MODE = """
     def launch(tasks, mode):
-        return run_many(tasks, lambda task: task, mode=mode)
+        return run_many(tasks, lambda task: task, execution=Execution(mode=mode))
 """
 
 MODULE_LEVEL_WORKER = """
     def worker(task):
         return task
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, worker)
+    def launch(dataset, execution):
+        return fan_out_shared(dataset, make_tasks, worker, execution)
 """
 
 NESTED_WORKER_VIA_FACTORY = """
@@ -88,8 +112,8 @@ NESTED_WORKER_VIA_FACTORY = """
 
         return worker
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, make_worker(2))
+    def launch(dataset, execution):
+        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
 """
 
 MODULE_LEVEL_WORKER_VIA_FACTORY = """
@@ -99,16 +123,16 @@ MODULE_LEVEL_WORKER_VIA_FACTORY = """
     def make_worker(scale):
         return worker
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, make_worker(2))
+    def launch(dataset, execution):
+        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
 """
 
 NESTED_WORKER_PASSED_BY_NAME = """
-    def launch(dataset):
+    def launch(dataset, execution):
         def worker(task):
             return task
 
-        return fan_out_shared(dataset, make_tasks, worker)
+        return fan_out_shared(dataset, make_tasks, worker, execution)
 """
 
 
@@ -119,6 +143,13 @@ class TestRep006SpecClasses:
         )
         assert new_codes(findings) == ["REP006"]
         assert "guard" in findings[0].message
+
+    def test_execution_field_is_flagged(self, harness):
+        findings = harness.findings(
+            "src/pkg/specs.py", EXECUTION_FIELD, manifest=MANIFEST, select=["REP006"]
+        )
+        assert new_codes(findings) == ["REP006"]
+        assert "Execution" in findings[0].message
 
     def test_lambda_default_is_flagged(self, harness):
         findings = harness.findings(
@@ -148,6 +179,17 @@ class TestRep006Workers:
             "src/pkg/mod.py", LAMBDA_TO_FAN_OUT, manifest=MANIFEST, select=["REP006"]
         )
         assert new_codes(findings) == ["REP006"]
+
+    def test_fan_out_shared_with_default_execution_is_clean(self, harness):
+        assert (
+            harness.findings(
+                "src/pkg/mod.py",
+                LAMBDA_TO_FAN_OUT_DEFAULT,
+                manifest=MANIFEST,
+                select=["REP006"],
+            )
+            == []
+        )
 
     def test_local_function_to_pool_map_is_flagged(self, harness):
         findings = harness.findings(
@@ -179,10 +221,30 @@ class TestRep006Workers:
         )
         assert new_codes(findings) == ["REP006"]
 
+    def test_run_many_literal_thread_execution_is_clean(self, harness):
+        assert (
+            harness.findings(
+                "src/pkg/mod.py",
+                LAMBDA_TO_RUN_MANY_THREAD,
+                manifest=MANIFEST,
+                select=["REP006"],
+            )
+            == []
+        )
+
     def test_run_many_dynamic_mode_is_flagged(self, harness):
         findings = harness.findings(
             "src/pkg/mod.py",
             LAMBDA_TO_RUN_MANY_DYNAMIC,
+            manifest=MANIFEST,
+            select=["REP006"],
+        )
+        assert new_codes(findings) == ["REP006"]
+
+    def test_run_many_execution_with_dynamic_mode_is_flagged(self, harness):
+        findings = harness.findings(
+            "src/pkg/mod.py",
+            LAMBDA_TO_RUN_MANY_DYNAMIC_MODE,
             manifest=MANIFEST,
             select=["REP006"],
         )
@@ -230,8 +292,8 @@ class TestRep006Workers:
 
     def test_suppression_with_reason_is_honored(self, harness):
         source = LAMBDA_TO_RUN_MANY_PROCESS.replace(
-            'mode="process")',
-            'mode="process")  # repro: allow[REP006] -- fixture: tests the error',
+            'mode="process"))',
+            'mode="process"))  # repro: allow[REP006] -- fixture: tests the error',
         )
         findings = harness.findings(
             "src/pkg/mod.py", source, manifest=MANIFEST, select=["REP006"]

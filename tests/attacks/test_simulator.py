@@ -6,7 +6,9 @@ adversary could derive with pencil and paper.
 """
 
 import pytest
+from oracles import attacks as oracle
 
+from repro import attacks as kernel
 from repro.attacks import (
     AttackResult,
     MAX_WITNESSES,
@@ -57,10 +59,12 @@ def anonymized() -> Dataset:
     )
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize(
+    "attacks", [pytest.param(kernel, id="kernel"), pytest.param(oracle, id="oracle")]
+)
 class TestHandComputedMatchingSets:
-    def test_qi_attack(self, original, anonymized, vectorized):
-        result = qi_attack(original, anonymized, vectorized=vectorized)
+    def test_qi_attack(self, original, anonymized, attacks):
+        result = attacks.qi_attack(original, anonymized)
         assert result.match_sizes == (2, 2, 2, 2)
         assert result.empirical_k == 2
         assert result.max_risk == 0.5
@@ -68,60 +72,62 @@ class TestHandComputedMatchingSets:
         assert result.worst_records == (0, 1, 2, 3)
         assert result.worst_knowledge is None
 
-    def test_item_attack_m1(self, original, anonymized, vectorized):
+    def test_item_attack_m1(self, original, anonymized, attacks):
         # Candidates: a -> {0,1}, b -> all four, c -> {2,3}.
-        result = item_attack(original, anonymized, m=1, vectorized=vectorized)
+        result = attacks.item_attack(original, anonymized, m=1)
         assert result.match_sizes == (2, 2, 2, 2)
         assert result.empirical_k == 2
         # Record 0's best single item is "a" (2 candidates vs 4 for "b").
         assert result.worst_knowledge == ("a",)
 
     def test_item_attack_m2_cannot_beat_class_size(
-        self, original, anonymized, vectorized
+        self, original, anonymized, attacks
     ):
-        result = item_attack(original, anonymized, m=2, vectorized=vectorized)
+        result = attacks.item_attack(original, anonymized, m=2)
         assert result.empirical_k == 2
 
-    def test_rt_attack_items_add_nothing_here(self, original, anonymized, vectorized):
-        result = rt_attack(original, anonymized, m=2, vectorized=vectorized)
+    def test_rt_attack_items_add_nothing_here(self, original, anonymized, attacks):
+        result = attacks.rt_attack(original, anonymized, m=2)
         assert result.match_sizes == (2, 2, 2, 2)
         assert result.empirical_k == 2
         # The QI matching set already equals every intersection, so the
         # seeded minimum is never strictly beaten: no witness.
         assert result.worst_knowledge is None
 
-    def test_identity_output_is_fully_exposed(self, original, vectorized):
-        result = qi_attack(original, original, vectorized=vectorized)
+    def test_identity_output_is_fully_exposed(self, original, attacks):
+        result = attacks.qi_attack(original, original)
         assert result.match_sizes == (1, 1, 1, 1)
         assert result.empirical_k == 1
         assert result.max_risk == 1.0
 
-    def test_suppressed_cells_match_everyone(self, original, vectorized):
+    def test_suppressed_cells_match_everyone(self, original, attacks):
         blanked = make_rt(
             [
                 {"Age": SUPPRESSED, "Edu": SUPPRESSED, "Items": []}
                 for _ in range(len(original))
             ]
         )
-        result = qi_attack(original, blanked, vectorized=vectorized)
+        result = attacks.qi_attack(original, blanked)
         assert result.match_sizes == (4, 4, 4, 4)
 
-    def test_wiped_items_mean_failed_item_attack(self, original, vectorized):
+    def test_wiped_items_mean_failed_item_attack(self, original, attacks):
         blanked = make_rt(
             [
                 {"Age": SUPPRESSED, "Edu": SUPPRESSED, "Items": []}
                 for _ in range(len(original))
             ]
         )
-        result = item_attack(original, blanked, m=2, vectorized=vectorized)
+        result = attacks.item_attack(original, blanked, m=2)
         assert result.match_sizes == (0, 0, 0, 0)
         assert result.empirical_k is None
         assert result.matched == 0
         assert result.max_risk == 0.0
         assert result.worst_records == ()
 
-    def test_simulate_attacks_runs_all_three(self, original, anonymized, vectorized):
-        results = simulate_attacks(original, anonymized, m=2, vectorized=vectorized)
+
+class TestSimulateAttacks:
+    def test_simulate_attacks_runs_all_three(self, original, anonymized):
+        results = simulate_attacks(original, anonymized, m=2)
         assert sorted(results) == ["item", "qi", "rt"]
         assert all(value.empirical_k == 2 for value in results.values())
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import Attribute, Dataset, Schema
-from repro.engine import run_many
+from repro.engine import Execution, run_many
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
@@ -388,7 +388,7 @@ class TestRunManyIntegration:
         keys = [task_key("t", n) for n in range(4)]
         report = RunReport()
         first = run_many(
-            [0, 1, 2, 3], _double, checkpoint=store, checkpoint_keys=keys,
+            [0, 1, 2, 3], _double, Execution(checkpoint=store), checkpoint_keys=keys,
             report=report,
         )
         assert first == [0, 2, 4, 6]
@@ -397,7 +397,7 @@ class TestRunManyIntegration:
 
         second_report = RunReport()
         second = run_many(
-            [0, 1, 2, 3], _double, checkpoint=store, checkpoint_keys=keys,
+            [0, 1, 2, 3], _double, Execution(checkpoint=store), checkpoint_keys=keys,
             report=second_report,
         )
         assert second == first
@@ -410,10 +410,10 @@ class TestRunManyIntegration:
     def test_partial_resume(self, tmp_path):
         store = CheckpointStore(tmp_path)
         keys = [task_key("t", n) for n in range(4)]
-        run_many([0, 1], _double, checkpoint=store, checkpoint_keys=keys[:2])
+        run_many([0, 1], _double, Execution(checkpoint=store), checkpoint_keys=keys[:2])
         report = RunReport()
         results = run_many(
-            [0, 1, 2, 3], _double, checkpoint=store, checkpoint_keys=keys,
+            [0, 1, 2, 3], _double, Execution(checkpoint=store), checkpoint_keys=keys,
             report=report,
         )
         assert results == [0, 2, 4, 6]
@@ -424,11 +424,11 @@ class TestRunManyIntegration:
     def test_corrupt_cell_recomputed_and_warned(self, tmp_path):
         store = CheckpointStore(tmp_path)
         keys = [task_key("t", n) for n in range(3)]
-        run_many([0, 1, 2], _double, checkpoint=store, checkpoint_keys=keys)
+        run_many([0, 1, 2], _double, Execution(checkpoint=store), checkpoint_keys=keys)
         os.truncate(store.cell_path(keys[1]), 5)
         report = RunReport()
         results = run_many(
-            [0, 1, 2], _double, checkpoint=store, checkpoint_keys=keys,
+            [0, 1, 2], _double, Execution(checkpoint=store), checkpoint_keys=keys,
             report=report,
         )
         assert results == [0, 2, 4]
@@ -446,8 +446,8 @@ class TestRunManyIntegration:
         policy = ExecutionPolicy(validate_result=lambda value: value >= 0)
         report = RunReport()
         results = run_many(
-            [5], _double, checkpoint=store, checkpoint_keys=[key],
-            policy=policy, report=report,
+            [5], _double, Execution(policy=policy, checkpoint=store),
+            checkpoint_keys=[key], report=report,
         )
         assert results == [10]
         assert report.checkpoint_counts()["corrupt"] == 1
@@ -457,10 +457,10 @@ class TestRunManyIntegration:
     def test_missing_keys_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         with pytest.raises(CheckpointError, match="one checkpoint key per task"):
-            run_many([1, 2], _double, checkpoint=store, checkpoint_keys=None)
+            run_many([1, 2], _double, Execution(checkpoint=store), checkpoint_keys=None)
         with pytest.raises(CheckpointError, match="2 task"):
             run_many(
-                [1, 2], _double, checkpoint=store,
+                [1, 2], _double, Execution(checkpoint=store),
                 checkpoint_keys=[task_key("t", 0)],
             )
 
@@ -468,10 +468,11 @@ class TestRunManyIntegration:
         store = CheckpointStore(tmp_path)
         key = task_key("t", 0)
         with pytest.raises(CheckpointError, match="unique"):
-            run_many([1, 2], _double, checkpoint=store, checkpoint_keys=[key, key])
+            run_many([1, 2], _double, Execution(checkpoint=store), checkpoint_keys=[key, key])
 
     def test_no_report_no_policy_still_resumes(self, tmp_path):
         store = CheckpointStore(tmp_path)
         keys = [task_key("t", n) for n in range(2)]
-        assert run_many([3, 4], _double, checkpoint=store, checkpoint_keys=keys) == [6, 8]
-        assert run_many([3, 4], _double, checkpoint=store, checkpoint_keys=keys) == [6, 8]
+        execution = Execution(checkpoint=store)
+        assert run_many([3, 4], _double, execution, checkpoint_keys=keys) == [6, 8]
+        assert run_many([3, 4], _double, execution, checkpoint_keys=keys) == [6, 8]

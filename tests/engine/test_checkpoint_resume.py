@@ -30,6 +30,7 @@ from repro.datasets import generate_rt_dataset
 from repro.engine import (
     CheckpointFaults,
     CheckpointStore,
+    Execution,
     ParameterSweep,
     VaryingParameterExperiment,
     WorkerPool,
@@ -74,7 +75,7 @@ KILL_SCRIPT = textwrap.dedent(
     import sys
     from repro.datasets import generate_rt_dataset
     from repro.engine import (
-        CheckpointFaults, CheckpointStore, ParameterSweep,
+        CheckpointFaults, CheckpointStore, Execution, ParameterSweep,
         VaryingParameterExperiment, transaction_config,
     )
 
@@ -85,7 +86,9 @@ KILL_SCRIPT = textwrap.dedent(
         directory, faults=CheckpointFaults(kill_after_store=kill_after)
     )
     experiment = VaryingParameterExperiment(
-        dataset, checkpoint=store, simulate_attacks=simulate_attacks
+        dataset,
+        execution=Execution(checkpoint=store),
+        simulate_attacks=simulate_attacks,
     )
     experiment.run(
         transaction_config("coat", k=3, m=2),
@@ -146,7 +149,7 @@ def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path, dataset, kill_after)
     store = CheckpointStore(directory)
     assert len(store.keys()) == kill_after
 
-    resumed = VaryingParameterExperiment(dataset, checkpoint=store).run(
+    resumed = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=store)).run(
         config, CHAOS_SWEEP
     )
     assert fingerprint(resumed) == reference
@@ -162,7 +165,7 @@ def test_sigkill_mid_sweep_resumes_byte_identical(tmp_path, dataset, kill_after)
     assert all(task.completed for task in report.tasks)
 
     # A third run over the now-complete store is pure hits.
-    final = VaryingParameterExperiment(dataset, checkpoint=store).run(
+    final = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=store)).run(
         config, CHAOS_SWEEP
     )
     assert fingerprint(final) == reference
@@ -187,7 +190,7 @@ def test_sigkill_attack_sweep_resumes_byte_identical(tmp_path, dataset):
     assert len(store.keys()) == 4
 
     resumed = VaryingParameterExperiment(
-        dataset, checkpoint=store, simulate_attacks=True
+        dataset, execution=Execution(checkpoint=store), simulate_attacks=True
     ).run(config, CHAOS_SWEEP)
     assert fingerprint(resumed) == reference
     assert resumed.run_report.checkpoint_counts() == {
@@ -203,11 +206,11 @@ def test_attack_flag_partitions_the_key_space(tmp_path, dataset):
     sweep = ParameterSweep("k", (3, 4))
     store = CheckpointStore(tmp_path / "ckpt")
 
-    VaryingParameterExperiment(dataset, checkpoint=store).run(config, sweep)
+    VaryingParameterExperiment(dataset, execution=Execution(checkpoint=store)).run(config, sweep)
     assert len(store.keys()) == 2
 
     attacked = VaryingParameterExperiment(
-        dataset, checkpoint=store, simulate_attacks=True
+        dataset, execution=Execution(checkpoint=store), simulate_attacks=True
     ).run(config, sweep)
     assert attacked.run_report.checkpoint_counts() == {
         "hit": 0, "miss": 2, "corrupt": 0,
@@ -226,12 +229,12 @@ def test_resume_in_process_mode_serves_hits_and_leaks_nothing(tmp_path, dataset)
 
     store = CheckpointStore(tmp_path / "ckpt")
     half = ParameterSweep("k", CHAOS_SWEEP.values[:4])
-    VaryingParameterExperiment(dataset, checkpoint=store).run(config, half)
+    VaryingParameterExperiment(dataset, execution=Execution(checkpoint=store)).run(config, half)
     assert len(store.keys()) == 4
 
     with WorkerPool(max_workers=2) as pool:
         resumed = VaryingParameterExperiment(
-            dataset, mode="process", pool=pool, checkpoint=store
+            dataset, execution=Execution(mode="process", pool=pool, checkpoint=store)
         ).run(config, CHAOS_SWEEP)
         segments = pool.segment_names()
 
@@ -257,13 +260,13 @@ def test_torn_write_degrades_to_recompute_with_warning(tmp_path, dataset):
     faulted = CheckpointStore(
         directory, faults=CheckpointFaults(truncate_after_store=3, truncate_to=7)
     )
-    first = VaryingParameterExperiment(dataset, checkpoint=faulted).run(
+    first = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=faulted)).run(
         config, CHAOS_SWEEP
     )
     assert fingerprint(first) == reference  # the tear is on disk, not in RAM
 
     clean = CheckpointStore(directory)
-    resumed = VaryingParameterExperiment(dataset, checkpoint=clean).run(
+    resumed = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=clean)).run(
         config, CHAOS_SWEEP
     )
     assert fingerprint(resumed) == reference
@@ -275,7 +278,7 @@ def test_torn_write_degrades_to_recompute_with_warning(tmp_path, dataset):
     assert report.checkpoint_counts() == report.summary()["checkpoints"]
 
     # The recompute repaired the cell: the next run is pure hits.
-    final = VaryingParameterExperiment(dataset, checkpoint=clean).run(
+    final = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=clean)).run(
         config, CHAOS_SWEEP
     )
     assert final.run_report.checkpoint_counts() == {
@@ -316,11 +319,11 @@ def test_dataset_mutation_invalidates_every_cell(tmp_path, dataset):
     store = CheckpointStore(tmp_path / "ckpt")
 
     edited = generate_rt_dataset(**DATASET_KWARGS)
-    VaryingParameterExperiment(edited, checkpoint=store).run(config, sweep)
+    VaryingParameterExperiment(edited, execution=Execution(checkpoint=store)).run(config, sweep)
     assert len(store.keys()) == 2
 
     edited.set_value(0, edited.schema.names[0], 99)
-    report = VaryingParameterExperiment(edited, checkpoint=store).run(
+    report = VaryingParameterExperiment(edited, execution=Execution(checkpoint=store)).run(
         config, sweep
     ).run_report
     assert report.checkpoint_counts() == {"hit": 0, "miss": 2, "corrupt": 0}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
+    Execution,
     MethodComparator,
     ParameterSweep,
     VaryingParameterExperiment,
@@ -112,12 +113,14 @@ class TestComparator:
             transaction_config("vpa", m=1, label="VPA"),
         ]
         sweep = ParameterSweep("k", (3,))
-        sequential = MethodComparator(rt, parallel=False).compare(configurations, sweep)
-        parallel = MethodComparator(rt, parallel=True).compare(configurations, sweep)
+        sequential = MethodComparator(rt).compare(configurations, sweep)
+        threaded = MethodComparator(rt, execution=Execution(mode="thread")).compare(
+            configurations, sweep
+        )
         assert [s.configuration["label"] for s in sequential.sweeps] == [
-            s.configuration["label"] for s in parallel.sweeps
+            s.configuration["label"] for s in threaded.sweeps
         ]
-        for left, right in zip(sequential.sweeps, parallel.sweeps):
+        for left, right in zip(sequential.sweeps, threaded.sweeps):
             assert left.series["transaction_ul"].y == pytest.approx(
                 right.series["transaction_ul"].y
             )
@@ -125,26 +128,25 @@ class TestComparator:
 
 class TestRunner:
     def test_run_many_preserves_order(self):
-        results = run_many([3, 1, 2], lambda value: value * 10, parallel=False)
+        results = run_many([3, 1, 2], lambda value: value * 10)
         assert results == [30, 10, 20]
 
     def test_run_many_parallel(self):
-        results = run_many(list(range(20)), lambda value: value + 1, parallel=True, max_workers=4)
+        results = run_many(
+            list(range(20)), lambda value: value + 1, Execution(mode="thread", max_workers=4)
+        )
         assert results == list(range(1, 21))
 
     def test_run_many_empty(self):
         assert run_many([], lambda value: value) == []
 
     def test_run_many_process_mode(self):
-        results = run_many(list(range(8)), _add_one, mode="process", max_workers=2)
+        results = run_many(list(range(8)), _add_one, Execution(mode="process", max_workers=2))
         assert results == list(range(1, 9))
-
-    def test_run_many_mode_overrides_parallel_flag(self):
-        assert run_many([1, 2], _add_one, parallel=True, mode="sequential") == [2, 3]
 
     def test_run_many_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError):
-            run_many([1], _add_one, mode="gpu")
+            Execution(mode="gpu")
 
 
 class TestProcessExecution:
@@ -152,7 +154,9 @@ class TestProcessExecution:
         config = transaction_config("apriori", m=1)
         sweep = ParameterSweep("k", (2, 5))
         sequential = VaryingParameterExperiment(rt).run(config, sweep)
-        processed = VaryingParameterExperiment(rt, mode="process", max_workers=2).run(
+        processed = VaryingParameterExperiment(
+            rt, execution=Execution(mode="process", max_workers=2)
+        ).run(
             config, sweep
         )
         assert processed.values == sequential.values
@@ -168,7 +172,9 @@ class TestProcessExecution:
         ]
         sweep = ParameterSweep("k", (3,))
         sequential = MethodComparator(rt).compare(configurations, sweep)
-        processed = MethodComparator(rt, mode="process", max_workers=2).compare(
+        processed = MethodComparator(
+            rt, execution=Execution(mode="process", max_workers=2)
+        ).compare(
             configurations, sweep
         )
         assert [s.configuration["label"] for s in processed.sweeps] == [

@@ -21,6 +21,7 @@ import pytest
 
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
+    Execution,
     ExecutionPolicy,
     FaultPlan,
     ParameterSweep,
@@ -71,7 +72,9 @@ def run_in_mode(dataset, config, mode: str, simulate_attacks: bool = False):
     # A fresh experiment (and freshly generated resources) per mode: nothing
     # may leak between executions through shared resource objects.
     experiment = VaryingParameterExperiment(
-        dataset, mode=mode, max_workers=2, simulate_attacks=simulate_attacks
+        dataset,
+        execution=Execution(mode=mode, max_workers=2),
+        simulate_attacks=simulate_attacks,
     )
     return experiment.run(config, SWEEP)
 
@@ -116,7 +119,9 @@ def test_persistent_pool_matches_sequential_across_sweeps(dataset):
     with WorkerPool(max_workers=2) as pool:
         pooled = [
             fingerprint(
-                VaryingParameterExperiment(dataset, mode="process", pool=pool).run(
+                VaryingParameterExperiment(
+                    dataset, execution=Execution(mode="process", pool=pool)
+                ).run(
                     config, SWEEP
                 )
             )
@@ -148,7 +153,9 @@ def test_mixed_int_float_cells_do_not_diverge():
 def test_process_mode_unlinks_segments(dataset):
     """After pool shutdown no named shared-memory segment survives."""
     with WorkerPool(max_workers=1) as pool:
-        experiment = VaryingParameterExperiment(dataset, mode="process", pool=pool)
+        experiment = VaryingParameterExperiment(
+            dataset, execution=Execution(mode="process", pool=pool)
+        )
         experiment.run(transaction_config("coat", k=3, m=2), SWEEP)
         segments = pool.segment_names()
         assert segments
@@ -192,16 +199,16 @@ def chaos_policy(plan: FaultPlan, task_timeout: float | None) -> ExecutionPolicy
 def test_faulted_sweep_is_byte_identical_to_sequential(dataset, plan, task_timeout):
     config = transaction_config("coat", k=3, m=2)
     reference = fingerprint(
-        VaryingParameterExperiment(dataset, mode="sequential").run(
+        VaryingParameterExperiment(dataset).run(
             config, CHAOS_SWEEP
         )
     )
     with WorkerPool(max_workers=2) as pool:
         experiment = VaryingParameterExperiment(
             dataset,
-            mode="process",
-            pool=pool,
-            policy=chaos_policy(plan, task_timeout),
+            execution=Execution(
+                mode="process", pool=pool, policy=chaos_policy(plan, task_timeout)
+            ),
         )
         faulted = experiment.run(config, CHAOS_SWEEP)
         segments = pool.segment_names()
@@ -229,16 +236,16 @@ def test_faulted_attack_sweep_is_byte_identical_to_sequential(dataset):
     config = transaction_config("coat", k=3, m=2)
     reference = fingerprint(
         VaryingParameterExperiment(
-            dataset, mode="sequential", simulate_attacks=True
+            dataset, simulate_attacks=True
         ).run(config, CHAOS_SWEEP)
     )
     assert all(entry[-1] for entry in reference)  # attacks actually ran
     with WorkerPool(max_workers=2) as pool:
         experiment = VaryingParameterExperiment(
             dataset,
-            mode="process",
-            pool=pool,
-            policy=chaos_policy(plan, None),
+            execution=Execution(
+                mode="process", pool=pool, policy=chaos_policy(plan, None)
+            ),
             simulate_attacks=True,
         )
         faulted = experiment.run(config, CHAOS_SWEEP)
@@ -258,13 +265,16 @@ def test_chaos_storm_pcta_sweep_survives_multiple_faults(dataset):
     )
     config = transaction_config("pcta", k=3, m=2)
     reference = fingerprint(
-        VaryingParameterExperiment(dataset, mode="sequential").run(
+        VaryingParameterExperiment(dataset).run(
             config, CHAOS_SWEEP
         )
     )
     with WorkerPool(max_workers=2) as pool:
         experiment = VaryingParameterExperiment(
-            dataset, mode="process", pool=pool, policy=chaos_policy(plan, 15.0)
+            dataset,
+            execution=Execution(
+                mode="process", pool=pool, policy=chaos_policy(plan, 15.0)
+            ),
         )
         faulted = experiment.run(config, CHAOS_SWEEP)
         segments = pool.segment_names()

@@ -22,7 +22,7 @@ from repro.engine.resilience import (
     RunReport,
     execute_tasks,
 )
-from repro.engine.runner import run_many
+from repro.engine.runner import Execution, run_many
 from repro.exceptions import ConfigurationError, TaskError
 
 #: A fast policy for tests: no real sleeping between retries.
@@ -289,11 +289,11 @@ class TestProcessRecovery:
 class TestRunManyIntegration:
     def test_sequential_fast_path_still_bypasses_the_engine(self):
         # No policy, no report: the legacy in-process shortcut.
-        assert run_many([1, 2], _triple, mode="sequential") == [3, 6]
+        assert run_many([1, 2], _triple) == [3, 6]
 
     def test_report_alone_opts_into_the_resilient_path(self):
         report = RunReport()
-        assert run_many([1, 2], _triple, mode="sequential", report=report) == [3, 6]
+        assert run_many([1, 2], _triple, report=report) == [3, 6]
         assert report.total_attempts == 2
 
     def test_thread_mode_with_policy_routes_through_engine(self):
@@ -302,8 +302,10 @@ class TestRunManyIntegration:
         results = run_many(
             [1, 2, 3],
             _triple,
-            mode="thread",
-            policy=ExecutionPolicy(retry_errors=True, fault_plan=plan, **FAST),
+            Execution(
+                mode="thread",
+                policy=ExecutionPolicy(retry_errors=True, fault_plan=plan, **FAST),
+            ),
             report=report,
         )
         assert results == [3, 6, 9]
@@ -312,7 +314,7 @@ class TestRunManyIntegration:
 
     def test_run_report_summary_shape(self):
         report = RunReport()
-        run_many([1], _triple, mode="sequential", report=report)
+        run_many([1], _triple, report=report)
         summary = report.summary()
         assert summary["tasks"] == 1
         assert summary["total_attempts"] == 1

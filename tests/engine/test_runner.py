@@ -1,9 +1,9 @@
 """Unit tests for the execution runner (`repro.engine.runner`).
 
-Covers mode resolution (including the legacy ``parallel=True`` alias and the
-unknown-mode error), order preservation across all three backends, the
-empty/single-task shortcuts, ``max_workers`` validation, and the clear error
-process mode raises for unpicklable workers.
+Covers the ``Execution`` value (its defaults and the unknown-mode and
+``max_workers`` errors), order preservation across all three backends, the
+empty/single-task shortcuts, and the clear error process mode raises for
+unpicklable workers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.engine.pool import WorkerPool, validate_max_workers
-from repro.engine.runner import EXECUTION_MODES, resolve_mode, run_many
+from repro.engine.resilience import ExecutionPolicy
+from repro.engine.runner import EXECUTION_MODES, Execution, run_many
 from repro.exceptions import ConfigurationError, TaskError
 
 
@@ -34,37 +35,45 @@ def _explode(value):  # pragma: no cover - must never be called
     raise AssertionError("worker must not run for an empty task list")
 
 
-class TestResolveMode:
+class TestExecution:
     def test_defaults_to_sequential(self):
-        assert resolve_mode() == "sequential"
-
-    def test_legacy_parallel_flag_is_thread_alias(self):
-        assert resolve_mode(parallel=True) == "thread"
+        assert Execution() == Execution(mode="sequential")
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_explicit_modes_pass_through(self, mode):
-        assert resolve_mode(mode=mode) == mode
+        assert Execution(mode=mode).mode == mode
 
-    def test_explicit_mode_wins_over_legacy_flag(self):
-        assert resolve_mode(parallel=True, mode="sequential") == "sequential"
-        assert resolve_mode(parallel=True, mode="process") == "process"
-
-    @pytest.mark.parametrize("mode", ["threads", "parallel", "", "PROCESS"])
+    @pytest.mark.parametrize("mode", ["bogus", "threads", "parallel", "", "PROCESS"])
     def test_unknown_mode_raises_configuration_error(self, mode):
         with pytest.raises(ConfigurationError, match="unknown execution mode"):
-            resolve_mode(mode=mode)
+            Execution(mode=mode)
+
+    @pytest.mark.parametrize("bad_workers", [0, -1, -8])
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_nonpositive_max_workers_rejected(self, mode, bad_workers):
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            Execution(mode=mode, max_workers=bad_workers)
+
+    def test_run_report_rule(self):
+        # A run keeps a report when it fans out to processes, or has a
+        # policy or a checkpoint store; a one-task process run does not fan out.
+        assert Execution().run_report(4) is None
+        assert Execution(mode="thread").run_report(4) is None
+        assert Execution(mode="process").run_report(1) is None
+        assert Execution(mode="process").run_report(2) is not None
+        assert Execution(policy=ExecutionPolicy()).run_report(1) is not None
 
 
 class TestRunMany:
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_empty_tasks_shortcut(self, mode):
-        assert run_many([], _explode, mode=mode) == []
+        assert run_many([], _explode, Execution(mode=mode)) == []
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_single_task_runs_in_this_process(self, mode):
         # The one-task shortcut never pays pool startup: even in process
         # mode the worker executes in the calling process.
-        assert run_many([os.getpid()], _same_pid, mode=mode) == [True]
+        assert run_many([os.getpid()], _same_pid, Execution(mode=mode)) == [True]
 
     def test_iterable_tasks_are_accepted(self):
         assert run_many(iter(range(4)), _square) == [0, 1, 4, 9]
@@ -72,7 +81,7 @@ class TestRunMany:
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_order_preserved(self, mode):
         values = [3.0, 0.0, 2.0, 1.0, 4.0]
-        assert run_many(values, _slow_identity, mode=mode, max_workers=2) == values
+        assert run_many(values, _slow_identity, Execution(mode=mode, max_workers=2)) == values
 
     def test_thread_mode_actually_uses_threads(self):
         seen: set[str] = set()
@@ -82,27 +91,21 @@ class TestRunMany:
             time.sleep(0.02)
             return value
 
-        run_many(list(range(4)), worker, mode="thread", max_workers=2)
+        run_many(list(range(4)), worker, Execution(mode="thread", max_workers=2))
         assert len(seen) > 1
 
     def test_process_mode_computes_results(self):
-        assert run_many([1, 2, 3], _square, mode="process", max_workers=2) == [1, 4, 9]
-
-    @pytest.mark.parametrize("bad_workers", [0, -1, -8])
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_nonpositive_max_workers_rejected(self, mode, bad_workers):
-        with pytest.raises(ConfigurationError, match="max_workers"):
-            run_many([1, 2], _square, mode=mode, max_workers=bad_workers)
+        assert run_many([1, 2, 3], _square, Execution(mode="process", max_workers=2)) == [1, 4, 9]
 
     def test_max_workers_one_is_allowed(self):
-        assert run_many([1, 2], _square, mode="thread", max_workers=1) == [1, 4]
+        assert run_many([1, 2], _square, Execution(mode="thread", max_workers=1)) == [1, 4]
         assert validate_max_workers(1) is None
         assert validate_max_workers(None) is None
 
     def test_unpicklable_worker_raises_clear_error(self):
         with pytest.raises(ConfigurationError, match="module-level function"):
             # repro: allow[REP006] -- deliberately unpicklable: tests the error
-            run_many([1, 2], lambda value: value, mode="process")
+            run_many([1, 2], lambda value: value, Execution(mode="process"))
 
     def test_unpicklable_worker_error_names_the_worker(self):
         def local_closure(value):
@@ -110,19 +113,19 @@ class TestRunMany:
 
         with pytest.raises(ConfigurationError, match="picklable worker"):
             # repro: allow[REP006] -- deliberately unpicklable: tests the error
-            run_many([1, 2], local_closure, mode="process")
+            run_many([1, 2], local_closure, Execution(mode="process"))
 
     def test_unpicklable_task_raises_clear_error(self):
         tasks = [(1, threading.Lock()), (2, threading.Lock())]
         with pytest.raises(ConfigurationError, match="could not pickle a task"):
-            run_many(tasks, _square, mode="process")
+            run_many(tasks, _square, Execution(mode="process"))
 
     def test_worker_type_error_surfaces_with_task_identity(self):
         # A genuine TypeError raised *by the worker* must not be mislabelled
         # as a pickling problem: it surfaces as a TaskError naming the failed
         # task, with the original TypeError chained as __cause__.
         with pytest.raises(TaskError, match="task 0") as excinfo:
-            run_many([1, 2], _raise_type_error, mode="process")
+            run_many([1, 2], _raise_type_error, Execution(mode="process"))
         error = excinfo.value
         assert error.task_index == 0
         assert error.attempts == 1
@@ -132,9 +135,9 @@ class TestRunMany:
 
     def test_explicit_pool_is_used_and_survives(self):
         with WorkerPool(max_workers=1) as pool:
-            assert run_many([1, 2, 3], _square, mode="process", pool=pool) == [1, 4, 9]
+            assert run_many([1, 2, 3], _square, Execution(mode="process", pool=pool)) == [1, 4, 9]
             # The pool stays open for further calls (persistent workers).
-            assert run_many([4, 5], _square, mode="process", pool=pool) == [16, 25]
+            assert run_many([4, 5], _square, Execution(mode="process", pool=pool)) == [16, 25]
         with pytest.raises(ConfigurationError, match="closed"):
             pool.map(_square, [1, 2])
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Session, relational_config, rt_config, transaction_config
+from repro.engine import CheckpointStore, ExecutionPolicy, RunReport
 from repro.exceptions import ConfigurationError
 
 
@@ -63,6 +64,34 @@ class TestEvaluationWorkflow:
         )
         assert len(report.sweeps) == 2
         assert report.values == [2, 4]
+
+    @pytest.mark.parametrize("call", ["sweep", "compare"])
+    @pytest.mark.parametrize(
+        "settings, keeps_report",
+        [
+            ({}, False),
+            ({"mode": "thread"}, False),
+            ({"mode": "process", "max_workers": 2}, True),
+            ({"policy": ExecutionPolicy()}, True),
+            ({"checkpoint": "store"}, True),
+        ],
+        ids=["sequential", "thread", "process", "policy", "checkpoint"],
+    )
+    def test_run_report_rule(self, session, tmp_path, call, settings, keeps_report):
+        """A run keeps a RunReport when it fans out to processes, or has a
+        policy or a checkpoint store — the same rule for sweep and compare."""
+        if "checkpoint" in settings:
+            settings = {"checkpoint": CheckpointStore(tmp_path / "ckpt")}
+        config = transaction_config("apriori", m=1, label="AA")
+        if call == "sweep":
+            result = session.sweep(config, "k", 2, 4, 2, **settings)
+        else:
+            other = transaction_config("vpa", m=1, label="VPA")
+            result = session.compare([config, other], "k", 2, 2, 1, **settings)
+        if keeps_report:
+            assert isinstance(result.run_report, RunReport)
+        else:
+            assert result.run_report is None
 
     def test_verify_privacy_toggle(self, session):
         session.verify_privacy = False

@@ -1,13 +1,13 @@
 """Per-record scalar reference implementation of the attack simulator.
 
-The brute-force oracle behind the ``vectorized=False`` switch of
-:mod:`repro.attacks.simulator`: matching sets are plain Python sets of
-record indices, built by probing every published record against the shared
-coverage semantics (:mod:`repro.attacks.coverage`).  No bitsets, no NumPy
-reductions — only the set algebra a pencil-and-paper check would use.  The
-REP003 manifest pins each kernel to its function here, and the Hypothesis
-property suite asserts the two paths produce equal :class:`AttackResult`
-values on arbitrary small instances.
+The brute-force oracle for :mod:`repro.attacks.simulator`: matching sets are
+plain Python sets of record indices, built by probing every published record
+against the shared coverage semantics (:mod:`repro.attacks.coverage`).  No
+bitsets, no NumPy reductions — only the set algebra a pencil-and-paper check
+would use.  The REP003 manifest pins each kernel to its ``*_sizes_scalar``
+function here.  :func:`qi_attack`, :func:`item_attack` and :func:`rt_attack`
+take the simulator's arguments and return its :class:`AttackResult`, so the
+tests and the attack benchmark compare the two paths as equal dataclasses.
 
 Per-value and per-combination matching sets are memoized (the semantics are
 pure functions of the value/combination), which keeps the oracle runnable at
@@ -19,6 +19,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.attacks.coverage import AttributeCoverage, best_knowledge
+from repro.attacks.simulator import (
+    AttackResult,
+    check_aligned,
+    finalize_sizes,
+    item_attack_inputs,
+    qi_coverages,
+    resolve_qi_attributes,
+)
 from repro.datasets.dataset import Dataset, Record
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import interpreter_for
@@ -182,3 +190,68 @@ def rt_sizes_scalar(
             knowledge[index] = witness
         truncated = truncated or hit_cap
     return sizes, knowledge, truncated
+
+
+def qi_attack(
+    original: Dataset,
+    anonymized: Dataset,
+    attributes: Sequence[str] | None = None,
+    hierarchies: dict[str, Hierarchy] | None = None,
+) -> AttackResult:
+    """:func:`repro.attacks.qi_attack` on per-record set intersection."""
+    check_aligned(original, anonymized)
+    attributes = resolve_qi_attributes(original, attributes)
+    coverages = qi_coverages(original, attributes, hierarchies)
+    return finalize_sizes("qi", qi_sizes_scalar(original, anonymized, attributes, coverages))
+
+
+def item_attack(
+    original: Dataset,
+    anonymized: Dataset,
+    m: int,
+    attribute: str | None = None,
+    hierarchy: Hierarchy | None = None,
+    universe: set[str] | None = None,
+    knowledge_cap: int | None = None,
+) -> AttackResult:
+    """:func:`repro.attacks.item_attack` on per-record set algebra."""
+    check_aligned(original, anonymized)
+    attribute, ordered_items = item_attack_inputs(original, attribute, universe)
+    return finalize_sizes(
+        "item",
+        *item_sizes_scalar(
+            original, anonymized, m, attribute, ordered_items, hierarchy, knowledge_cap
+        ),
+    )
+
+
+def rt_attack(
+    original: Dataset,
+    anonymized: Dataset,
+    m: int,
+    relational_attributes: Sequence[str] | None = None,
+    transaction_attribute: str | None = None,
+    hierarchies: dict[str, Hierarchy] | None = None,
+    item_hierarchy: Hierarchy | None = None,
+    universe: set[str] | None = None,
+    knowledge_cap: int | None = None,
+) -> AttackResult:
+    """:func:`repro.attacks.rt_attack`, one target at a time."""
+    check_aligned(original, anonymized)
+    attributes = resolve_qi_attributes(original, relational_attributes)
+    coverages = qi_coverages(original, attributes, hierarchies)
+    attribute, ordered_items = item_attack_inputs(original, transaction_attribute, universe)
+    return finalize_sizes(
+        "rt",
+        *rt_sizes_scalar(
+            original,
+            anonymized,
+            m,
+            attributes,
+            coverages,
+            attribute,
+            ordered_items,
+            item_hierarchy,
+            knowledge_cap,
+        ),
+    )

@@ -8,7 +8,8 @@ scratch at every step:
 * :func:`scalar_cut_violations` — per-record combination counting over the
   generalized itemsets;
 * :func:`scalar_greedy_km_anonymize` — the greedy promotion loop over those
-  counts, with the search's four statistics;
+  counts, with the search's four statistics; a promotion that moves no item
+  takes its node out of the round's candidates;
 * :func:`participation` — the per-step rescoring on the bitset kernel that
   the incremental search replaced: every cut node's count of rare
   combinations, re-enumerated from the cut's node rows.
@@ -36,11 +37,14 @@ def scalar_cut_violations(itemsets, cut, k, size):
 
 def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, cut=None, apriori_order=True):
     """The greedy promotion loop over scalar violation counts; returns (cut, statistics)."""
+    items = sorted({str(item) for itemset in itemsets for item in itemset})
     if cut is None:
-        cut = ItemCut(hierarchy, {str(item) for itemset in itemsets for item in itemset})
+        cut = ItemCut(hierarchy, items)
     steps = 0
     rounds = [[size] for size in range(1, m + 1)] if apriori_order else [range(1, m + 1)]
     for sizes in rounds:
+        # Nodes whose promotion moved no item: they sit out the rest of the round.
+        stuck = set()
         while True:
             violations = {}
             for size in sizes:
@@ -52,7 +56,9 @@ def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, cut=None, apriori_orde
                 for node in combination:
                     scores[node] = scores.get(node, 0) + 1
             promotable = {
-                n: s for n, s in scores.items() if cut.hierarchy.parent(n) is not None
+                n: s
+                for n, s in scores.items()
+                if cut.hierarchy.parent(n) is not None and n not in stuck
             }
             if not promotable:
                 break
@@ -60,8 +66,12 @@ def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, cut=None, apriori_orde
                 promotable,
                 key=lambda node: (promotable[node], -cut.hierarchy.level(node), node),
             )
+            before = [cut.mapping[item] for item in items]
             cut.generalize_node(target)
-            steps += 1
+            if [cut.mapping[item] for item in items] == before:
+                stuck.add(target)
+            else:
+                steps += 1
     remaining = sum(
         len(scalar_cut_violations(itemsets, cut, k, size)) for size in range(1, m + 1)
     )

@@ -1,7 +1,7 @@
 """Property-based tests: attack kernels bit-identical to the scalar oracle.
 
 The bitset kernels of :mod:`repro.attacks.simulator` and the Python-set
-oracle of :mod:`repro.attacks.oracle` must produce *equal*
+oracle of ``tests/oracles/attacks.py`` must produce *equal*
 :class:`~repro.attacks.AttackResult` dataclasses — per-record matching-set
 sizes, empirical k, risks, witnesses, truncation flag — on arbitrary small
 instances, including non-truthful "anonymized" outputs a buggy algorithm
@@ -10,6 +10,7 @@ could emit.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import attacks as oracle
 
 from repro.attacks import item_attack, qi_attack, rt_attack
 from repro.datasets import Attribute, Dataset, Schema
@@ -93,9 +94,7 @@ class TestKernelOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_qi_attack(self, instance):
         original, published = instance
-        assert qi_attack(original, published, vectorized=True) == qi_attack(
-            original, published, vectorized=False
-        )
+        assert qi_attack(original, published) == oracle.qi_attack(original, published)
 
     @given(
         instance=attack_instances(),
@@ -106,10 +105,8 @@ class TestKernelOracleEquivalence:
     def test_item_attack(self, instance, m, cap):
         original, published = instance
         assert item_attack(
-            original, published, m, knowledge_cap=cap, vectorized=True
-        ) == item_attack(
-            original, published, m, knowledge_cap=cap, vectorized=False
-        )
+            original, published, m, knowledge_cap=cap
+        ) == oracle.item_attack(original, published, m, knowledge_cap=cap)
 
     @given(
         instance=attack_instances(),
@@ -120,10 +117,8 @@ class TestKernelOracleEquivalence:
     def test_rt_attack(self, instance, m, cap):
         original, published = instance
         assert rt_attack(
-            original, published, m, knowledge_cap=cap, vectorized=True
-        ) == rt_attack(
-            original, published, m, knowledge_cap=cap, vectorized=False
-        )
+            original, published, m, knowledge_cap=cap
+        ) == oracle.rt_attack(original, published, m, knowledge_cap=cap)
 
 
 class TestAttackSemantics:

@@ -29,7 +29,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import run_many
+from repro.engine import Execution, run_many
 from repro.engine.checkpoint import CheckpointStore, stable_digest, task_key
 from repro.engine.resilience import RunReport
 
@@ -52,7 +52,7 @@ def run_all(store: CheckpointStore, report: RunReport | None = None) -> list:
     return run_many(
         list(range(TASK_COUNT)),
         _evaluate,
-        checkpoint=store,
+        Execution(checkpoint=store),
         checkpoint_keys=keys,
         report=report,
     )
