@@ -4,9 +4,8 @@ Incognito searches the lattice of full-domain generalization level vectors
 bottom-up (breadth-first), checking k-anonymity of each candidate and using
 the *generalization property* to prune: once a level vector is k-anonymous,
 every vector that generalizes it is k-anonymous as well and need not be
-checked.  Of the minimal k-anonymous vectors found, the ten best by a cheap
-proxy (mean normalised level height) are scored by Global Certainty Penalty,
-and the lowest-GCP one among them is applied to the dataset.
+checked.  Every minimal k-anonymous vector found is scored by Global
+Certainty Penalty, and the lowest-GCP one is applied to the dataset.
 """
 
 from __future__ import annotations
@@ -111,15 +110,14 @@ class Incognito(Anonymizer):
         candidates: list[LevelVector],
         attributes: Sequence[str],
     ) -> tuple[LevelVector, float]:
-        """Pick the lowest-GCP node among the best-ranked minimal nodes.
+        """Pick the lowest-GCP minimal node.
 
-        Only the 10 minimal nodes with the lowest
-        :meth:`FullDomainIndex.loss_proxy` are scored, so the result is the
-        GCP-optimal node of that shortlist, not necessarily of every minimal
-        node; ties keep the better-ranked node.  Scores add the per-(attribute,
-        level) NCP arrays in attribute order: the exact GCP of the applied node.
+        Every minimal node is scored; ties keep the node with the lower
+        :meth:`FullDomainIndex.loss_proxy`, then the one found first.  Scores
+        add the per-(attribute, level) NCP arrays in attribute order: the
+        exact GCP of the applied node.
         """
-        ranked = sorted(candidates, key=index.loss_proxy)[:10]
+        ranked = sorted(candidates, key=index.loss_proxy)
         if len(dataset) == 0:
             return ranked[0], 0.0
         context = RelationalLossContext(dataset, attributes, self.hierarchies)

@@ -12,11 +12,13 @@ the generalized transactions.
 
 The counting runs on per-record bitsets (Python ``int`` values, cheap at the
 size of an RT cluster): a cut node's bitset is the OR of its items', and a
-node combination's support is the popcount of the AND of its nodes'.
-:class:`KmAnonymityChecker` enumerates violations through
-:func:`repro.columnar.bitset.rare_combinations`, the kernel of the k^m
-verifier (:func:`repro.metrics.privacy_checks.km_violations`) as well;
-:func:`greedy_km_anonymize` updates its rare combinations per promotion.
+node combination's support is the popcount of the AND of its nodes'.  Rare
+combinations are enumerated by :func:`repro.columnar.bitset.rare_combinations`,
+the enumerator of the k^m verifier
+(:func:`repro.metrics.privacy_checks.km_violations`) as well:
+:class:`KmAnonymityChecker` over a cut's node rows, and
+:func:`greedy_km_anonymize` once per round and then, per promotion, only for
+the combinations containing the new parent.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 from collections import Counter
 from typing import Iterable, Sequence
 
-from repro.columnar.bitset import bitset_rows, rare_combinations
+from repro.columnar.bitset import rare_combinations
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
 
@@ -136,12 +138,11 @@ class KmAnonymityChecker:
         """Node combinations of the given sizes with support in (0, k)."""
         bits = self.node_bitsets(cut.mapping)
         nodes = sorted(bits)
-        matrix = bitset_rows([bits[node] for node in nodes], self.n_records)
+        rows = [bits[node] for node in nodes]
         return {
-            tuple(nodes[index] for index in combination): support
+            tuple(nodes[index] for index in combination): together.bit_count()
             for size in sizes
-            for combinations, supports in rare_combinations(matrix, size, self.k)
-            for combination, support in zip(combinations.tolist(), supports.tolist())
+            for combination, together in rare_combinations(rows, size, self.k)
         }
 
     def all_violations(self, cut: ItemCut) -> dict[tuple[str, ...], int]:
@@ -150,28 +151,6 @@ class KmAnonymityChecker:
 
     def is_km_anonymous(self, cut: ItemCut) -> bool:
         return not self.all_violations(cut)
-
-
-def _rare_extensions(
-    bits: int, combination: tuple, nodes: Sequence[tuple[str, int]], start: int, size: int, k: int
-) -> list[tuple]:
-    """Rare extensions of ``combination`` (whose AND is ``bits``) by ``size`` nodes.
-
-    The nodes come from ``nodes[start:]``, ``(label, bitset)`` pairs.  An
-    extension is rare when its support lies in (0, k); empty prefixes prune.
-    """
-    if not size:
-        return [combination] if 0 < bits.bit_count() < k else []
-    found: list[tuple] = []
-    for position in range(start, len(nodes) - size + 1):
-        label, narrowed = nodes[position][0], bits & nodes[position][1]
-        if narrowed and size == 1:
-            if narrowed.bit_count() < k:
-                found.append(combination + (label,))
-        elif narrowed:
-            extended = combination + (label,)
-            found += _rare_extensions(narrowed, extended, nodes, position + 1, size - 1, k)
-    return found
 
 
 class _Promotions:
@@ -205,17 +184,24 @@ class _Promotions:
         self.rare: set[tuple] = set()
         self.counts: dict[str, int] = {}
         self.touching: dict[str, list[tuple]] = {}
-        universe, nodes = (1 << self.checker.n_records) - 1, list(self.live.items())
-        for size in self.sizes:
-            self._add(_rare_extensions(universe, (), nodes, 0, size, self.checker.k))
+        self._add((), None)
 
-    def _add(self, combinations: list[tuple]) -> None:
-        for combination in combinations:
-            self.rare.add(combination)
-            for node in combination:
-                self.touching.setdefault(node, []).append(combination)
-                if node != self.root:
-                    self.counts[node] = self.counts.get(node, 0) + 1
+    def _add(self, prefix: tuple, bits: int | None) -> None:
+        """Record the round's rare combinations made of ``prefix`` and live nodes.
+
+        ``bits`` is the AND of ``prefix``'s bitsets; the rest of each
+        combination comes from the live nodes outside ``prefix``, in order.
+        """
+        labels = [node for node in self.live if node not in prefix]
+        rows = [self.live[node] for node in labels]
+        for size in self.sizes:
+            for positions, _ in rare_combinations(rows, size - len(prefix), self.checker.k, bits):
+                combination = prefix + tuple(labels[position] for position in positions)
+                self.rare.add(combination)
+                for node in combination:
+                    self.touching.setdefault(node, []).append(combination)
+                    if node != self.root:
+                        self.counts[node] = self.counts.get(node, 0) + 1
 
     def target(self) -> str | None:
         """The unstuck node in the most rare combinations (ties: ``rank``), if any."""
@@ -259,10 +245,8 @@ class _Promotions:
                             self.counts[other] -= 1
         for member in group:
             self.counts.pop(member, None)
-        others = list(self.live.items())
         self.live[parent], self.members[parent] = bits, len(moved)
-        for size in self.sizes:
-            self._add(_rare_extensions(bits, (parent,), others, 0, size - 1, self.checker.k))
+        self._add((parent,), bits)
         return parent
 
 

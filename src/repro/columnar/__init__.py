@@ -13,7 +13,8 @@ loss).  This package supplies the compact, vectorizable twin:
   one ``int32`` code per record over the column's distinct values (plus a
   ``float64`` ``NaN``-missing view for numeric attributes),
 * :mod:`repro.columnar.bitset` — dense ``uint64`` posting bitsets with
-  popcount-based union/intersection/support kernels,
+  popcount-based union/intersection/support kernels, and the k^m
+  rare-combination enumerator over Python ``int`` bitsets,
 * :mod:`repro.columnar.estimation` — shape-level reduction kernels for the
   query-estimation hot path (order-preserving :func:`sequential_sum`,
   per-CSR-row :func:`row_max`, boolean-mask packing),
@@ -35,7 +36,6 @@ from repro.columnar.bitset import (
     WORD_BITS,
     bitset_from_indices,
     empty_bitset,
-    indices_of,
     intersect_rows,
     popcount,
     popcount_rows,
@@ -68,7 +68,6 @@ __all__ = [
     "resolve_shared_dataset",
     "bitset_from_indices",
     "empty_bitset",
-    "indices_of",
     "intersect_rows",
     "mask_to_bitset",
     "popcount",

@@ -9,7 +9,10 @@ algebra over thousands of boxed integers.  These kernels release the GIL for
 the duration of each array operation.
 
 All functions are pure; bitsets are plain ``numpy.ndarray`` values and callers
-own the memory.
+own the memory.  The one exception is :func:`rare_combinations`, the k^m
+enumerator, which walks Python ``int`` bitsets (bit ``r`` = record ``r``): its
+inputs are a few dozen rows of at most a few thousand records, where one
+``int`` AND plus ``int.bit_count()`` beats a NumPy call per step.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ import numpy as np
 
 #: Bits per storage word.
 WORD_BITS = 64
-
-#: Upper bound on the words one :func:`pair_supports` block materializes
-#: (2 MiB of ``uint64``); larger matrices are processed in row blocks.
-_PAIR_BLOCK_WORDS = 1 << 18
 
 _ONE = np.uint64(1)
 _WORD_SHIFT = 6  # log2(WORD_BITS)
@@ -86,16 +85,6 @@ def posting_matrix(
     return bits
 
 
-def bitset_rows(values: Sequence[int], n_bits: int) -> np.ndarray:
-    """Pack Python ``int`` bitsets (bit ``r`` = record ``r``) into this layout.
-
-    Returns a ``(len(values), word_count(n_bits))`` ``uint64`` matrix.
-    """
-    width = word_count(n_bits)
-    packed = b"".join(value.to_bytes(width * 8, "little") for value in values)
-    return np.frombuffer(packed, dtype="<u8").astype(np.uint64).reshape(len(values), width)
-
-
 def popcount(bits: np.ndarray) -> int:
     """Total number of set bits (the cardinality of the record set)."""
     return int(_bitwise_count(bits).sum())
@@ -133,92 +122,45 @@ def intersect_rows(
     return np.bitwise_and.reduce(matrix[rows], axis=0)
 
 
-def pair_supports(matrix: np.ndarray) -> np.ndarray:
-    """``(n, n)`` matrix of ``popcount(matrix[i] & matrix[j])`` over the rows.
-
-    The pairwise ANDs are materialized a block of rows at a time (at most
-    ``_PAIR_BLOCK_WORDS`` words), so a wide matrix never allocates
-    ``n * n * words`` at once.
-    """
-    n, width = matrix.shape
-    supports = np.zeros((n, n), dtype=np.int64)
-    if n == 0 or width == 0:
-        return supports
-    step = max(1, _PAIR_BLOCK_WORDS // (n * width))
-    for begin in range(0, n, step):
-        block = matrix[begin : begin + step, None, :] & matrix[None, :, :]
-        supports[begin : begin + step] = _bitwise_count(block).sum(
-            axis=2, dtype=np.int64
-        )
-    return supports
-
-
 def rare_combinations(
-    matrix: np.ndarray, size: int, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row combinations of exactly ``size`` whose joint support lies in ``(0, k)``.
+    rows: Sequence[int], size: int, k: int, bits: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Combinations of exactly ``size`` rows whose joint support lies in ``(0, k)``.
 
-    The support of a combination is the popcount of the AND of its rows.
-    Yields ``(combinations, supports)`` blocks: an ``(n, size)`` ``int64``
-    array of row indices (ascending within each combination) and the support
-    of each.  Blocks arrive in lexicographic order of the combinations.
-    Empty rows and prefixes whose AND is empty are pruned: every superset of
-    an empty record set is empty as well, so it cannot be rare.  The last two
-    positions of a combination are scored together, one :func:`pair_supports`
-    block per ``size - 2`` prefix, so the common ``size <= 2`` check is a
-    handful of array passes whatever the number of rows.
+    ``rows`` are Python ``int`` bitsets.  Yields ``(combination, together)``
+    pairs in lexicographic order: the ascending row positions and the AND of
+    their rows (and of ``bits``, when a starting bitset is given), whose
+    popcount is the support.  Empty rows and prefixes whose AND is empty are
+    pruned: every superset of an empty record set is empty as well, so it
+    cannot be rare.  With ``size == 0`` the only combination is the empty one,
+    whose AND is ``bits`` itself.
     """
-    counts = popcount_rows(matrix)
-    occupied = np.flatnonzero(counts)
-    if size == 1:
-        rare = occupied[counts[occupied] < k]
-        if rare.size:
-            yield rare[:, None], counts[rare]
+    if size == 0:
+        if bits is not None and 0 < bits.bit_count() < k:
+            yield (), bits
         return
-    yield from _rare_extensions(matrix[occupied], occupied, (), None, 0, size, k)
+    # -1 is the all-ones int: the AND of no rows.
+    yield from _rare_extensions(rows, (), -1 if bits is None else bits, 0, size, k)
 
 
 def _rare_extensions(
-    rows: np.ndarray,
-    index: np.ndarray,
+    rows: Sequence[int],
     prefix: tuple[int, ...],
-    bits: np.ndarray | None,
+    bits: int,
     start: int,
     remaining: int,
     k: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Extend ``prefix`` (whose AND is ``bits``) by ``remaining`` rows from ``start`` on."""
-    if remaining == 2:
-        block = rows[start:] if bits is None else rows[start:] & bits
-        supports = pair_supports(block)
-        first, second = np.nonzero(np.triu((supports > 0) & (supports < k), 1))
-        if first.size:
-            combinations = np.empty((first.size, len(prefix) + 2), dtype=np.int64)
-            if prefix:
-                combinations[:, : len(prefix)] = prefix
-            combinations[:, -2] = index[start + first]
-            combinations[:, -1] = index[start + second]
-            yield combinations, supports[first, second]
+    if remaining == 1:
+        for position in range(start, len(rows)):
+            together = bits & rows[position]
+            if together and together.bit_count() < k:
+                yield prefix + (position,), together
         return
     for position in range(start, len(rows) - remaining + 1):
-        narrowed = rows[position] if bits is None else bits & rows[position]
-        if narrowed.any():
+        narrowed = bits & rows[position]
+        if narrowed:
             yield from _rare_extensions(
-                rows,
-                index,
-                prefix + (int(index[position]),),
-                narrowed,
-                position + 1,
-                remaining - 1,
-                k,
+                rows, prefix + (position,), narrowed, position + 1, remaining - 1, k
             )
-
-
-def indices_of(bits: np.ndarray) -> np.ndarray:
-    """The sorted bit positions set in ``bits`` (inverse of packing)."""
-    # Force a little-endian byte view so bit i of each word unpacks to
-    # position i regardless of the host's endianness.
-    flat = np.unpackbits(
-        np.ascontiguousarray(bits, dtype="<u8").view(np.uint8), bitorder="little"
-    )
-    return np.flatnonzero(flat)

@@ -2,85 +2,44 @@
 
 The constraint-based transaction algorithms (COAT, PCTA) spend almost all of
 their time asking *"which records could contain an item of this group?"* —
-the union of the group members' posting lists.  Since PR 2 the postings are
-stored as dense ``uint64`` bitsets (:mod:`repro.columnar.bitset`): a group
-union is a vectorized word-wise OR, constraint support is ANDs plus a
-popcount, and the record *sets* the PR 1 API promised (``postings()``,
-``union()`` returning ``frozenset``) are materialized lazily and memoized, so
-callers that only need supports/sizes never pay for boxing record ids.
+the union of the group members' posting lists.  The postings are stored as
+dense ``uint64`` bitsets (:mod:`repro.columnar.bitset`): a group union is a
+vectorized word-wise OR and constraint support is ANDs plus a popcount.  The
+algorithms only need sizes and supports, so record ids are never boxed.
 
 The same groups recur across constraint iterations, so the per-group union
-bitsets and materialized frozensets are memoized by the (frozen) item group.
-The memoization is pure: a cached union is exactly the union that would be
-recomputed, so algorithm outputs are unchanged.
+bitsets are memoized by the (frozen) item group.  The memoization is pure: a
+cached union is exactly the union that would be recomputed, so algorithm
+outputs are unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from repro.columnar.bitset import (
-    bitset_from_indices,
-    indices_of,
-    popcount,
-    popcount_rows,
-    union_rows,
-    word_count,
-)
+from repro.columnar.bitset import popcount, popcount_rows, union_rows
+from repro.columnar.column import TransactionColumn
 from repro.datasets.dataset import Dataset
 from repro.index.interpreter import evict_when_full
 
-_EMPTY: frozenset[int] = frozenset()
-
 
 class InvertedIndex:
-    """Per-item posting bitsets over one transaction attribute.
+    """Per-item posting bitsets over one tokenized transaction column.
 
     ``cached=False`` disables union memoization (every union is recomputed);
     it exists so tests can verify the memoization changes nothing.
     """
 
-    def __init__(
-        self,
-        postings: Mapping[str, Iterable[int]],
-        n_records: int = 0,
-        cached: bool = True,
-    ) -> None:
-        materialized = {
-            str(item): frozenset(int(i) for i in records)
-            for item, records in postings.items()
-        }
-        capacity = int(n_records)
-        for records in materialized.values():
-            if records:
-                capacity = max(capacity, max(records) + 1)
-        items = sorted(materialized)
-        bits = np.zeros((len(items), word_count(capacity)), dtype=np.uint64)
-        for token, item in enumerate(items):
-            bits[token] = bitset_from_indices(materialized[item], capacity)
-        self._init_from_bits(items, bits, n_records=n_records, cached=cached)
-        # The constructor was handed the record sets already; keep them so
-        # postings() needs no re-materialization on this path.
-        self._posting_sets = materialized
-
-    def _init_from_bits(
-        self,
-        items: list[str],
-        bits: np.ndarray,
-        n_records: int,
-        cached: bool,
-    ) -> None:
-        self._items = items
-        self._token: dict[str, int] = {item: t for t, item in enumerate(items)}
-        self._bits = bits
-        self._frequencies = popcount_rows(bits) if len(items) else np.zeros(0, np.int64)
-        self.n_records = n_records
+    def __init__(self, column: TransactionColumn, cached: bool = True) -> None:
+        self._items = list(column.vocabulary.items)
+        self._token: dict[str, int] = {item: t for t, item in enumerate(self._items)}
+        self._bits = column.bitset_postings()
+        self._frequencies = popcount_rows(self._bits)
+        self.n_records = column.n_records
         self._cached = cached
-        self._posting_sets: dict[str, frozenset[int]] = {}
         self._union_bits_memo: dict[frozenset, np.ndarray] = {}
-        self._union_sets: dict[frozenset, frozenset[int]] = {}
 
     @classmethod
     def from_dataset(
@@ -92,15 +51,7 @@ class InvertedIndex:
         (:meth:`~repro.datasets.dataset.Dataset.columnar`): the CSR token
         column is scattered into posting bitsets in one vectorized pass.
         """
-        column = dataset.columnar(attribute)
-        index = cls.__new__(cls)
-        index._init_from_bits(
-            list(column.vocabulary.items),
-            column.bitset_postings(),
-            n_records=column.n_records,
-            cached=cached,
-        )
-        return index
+        return cls(dataset.columnar(attribute), cached=cached)
 
     def __repr__(self) -> str:
         return (
@@ -118,18 +69,6 @@ class InvertedIndex:
     def universe(self) -> frozenset[str]:
         """All indexed items."""
         return frozenset(self._items)
-
-    def postings(self, item: str) -> frozenset[int]:
-        """Records containing ``item`` (empty for unknown items)."""
-        cached = self._posting_sets.get(item)
-        if cached is not None:
-            return cached
-        token = self._token.get(item)
-        if token is None:
-            return _EMPTY
-        records = frozenset(int(i) for i in indices_of(self._bits[token]))
-        self._posting_sets[item] = records
-        return records
 
     def frequency(self, item: str) -> int:
         """Support of a single item."""
@@ -154,27 +93,14 @@ class InvertedIndex:
     def _as_key(items: Iterable[str]) -> frozenset:
         return items if isinstance(items, frozenset) else frozenset(items)
 
-    def union(self, items: Iterable[str]) -> frozenset[int]:
-        """Records containing *any* item of the group (memoized per group)."""
-        key = self._as_key(items)
-        if self._cached:
-            cached = self._union_sets.get(key)
-            if cached is not None:
-                return cached
-        result = frozenset(int(i) for i in indices_of(self._group_bits(key)))
-        if self._cached:
-            evict_when_full(self._union_sets)
-            self._union_sets[key] = result
-        return result
-
     def union_size(self, items: Iterable[str]) -> int:
-        """``len(union(items))`` without materializing the record set."""
+        """Number of records containing *any* item of the group (memoized per group)."""
         return popcount(self._group_bits(self._as_key(items)))
 
     def merged_union_size(
         self, items_a: Iterable[str], items_b: Iterable[str]
     ) -> int:
-        """``len(union(items_a) | union(items_b))`` in the bitset domain.
+        """Records containing an item of ``items_a`` or of ``items_b``.
 
         The PCTA merge scorer uses this to rate a candidate cluster merge
         without building either record set.

@@ -19,11 +19,11 @@ suite and (optionally) by the engine after each run.
 The *k*:sup:`m` check runs on the interpretation index and the bitset layer:
 labels resolve to leaf sets through the memoized
 :func:`repro.index.interpreter_for` (once per *distinct* itemset instead of
-per record per label), per-item candidate bitsets are packed once, and the
-combinations are scored by :func:`repro.columnar.bitset.rare_combinations` —
-pairs in one pairwise AND + popcount block, zero-support prefixes pruned since
-their supersets cannot violate.  The item-cut search of Apriori, LRA and VPA
-runs on the same kernel.
+per record per label), per-item candidate bitsets are packed once and turned
+into Python ``int`` rows, and the combinations are enumerated by
+:func:`repro.columnar.bitset.rare_combinations` — one ``int`` AND + popcount
+per step, zero-support prefixes pruned since their supersets cannot violate.
+The item-cut search of Apriori, LRA and VPA runs on the same enumerator.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import (
-    indices_of,
-    intersect_rows,
-    posting_matrix,
-    rare_combinations,
-)
+from repro.columnar.bitset import posting_matrix, rare_combinations
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -228,24 +223,34 @@ def km_violations(
     # per distinct itemset by the shared interpreter.
     interpreter = interpreter_for(hierarchy, universe_set)
     candidates = candidate_matrix(dataset, attribute, interpreter, ordered)
+    little_endian = candidates.astype("<u8", copy=False)
+    rows = [int.from_bytes(row.tobytes(), "little") for row in little_endian]
 
     # Enumerate by combination size, then lexicographically: the order of the
     # original itertools.combinations scan.
     violations: list[KmViolation] = []
     for size in range(1, m + 1):
-        for combinations, supports in rare_combinations(candidates, size, k):
-            for combination, support in zip(combinations.tolist(), supports.tolist()):
-                records = indices_of(intersect_rows(candidates, combination))
-                violations.append(
-                    KmViolation(
-                        items=tuple(ordered[token] for token in combination),
-                        support=support,
-                        records=tuple(records.tolist()),
-                    )
+        for combination, together in rare_combinations(rows, size, k):
+            violations.append(
+                KmViolation(
+                    items=tuple(ordered[token] for token in combination),
+                    support=together.bit_count(),
+                    records=_set_bits(together),
                 )
-                if max_violations is not None and len(violations) >= max_violations:
-                    return violations
+            )
+            if max_violations is not None and len(violations) >= max_violations:
+                return violations
     return violations
+
+
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``bits``, ascending."""
+    positions = []
+    while bits:
+        lowest = bits & -bits
+        positions.append(lowest.bit_length() - 1)
+        bits ^= lowest
+    return tuple(positions)
 
 
 def is_km_anonymous(

@@ -106,6 +106,32 @@ class TestIncognito:
         assert stats["minimal_solutions"] >= 1
         assert set(stats["chosen_levels"]) == set(QI)
 
+    def test_selects_the_gcp_optimal_minimal_node_beyond_the_proxy_top_ten(self):
+        # Seeded so that 12 minimal nodes exist and the lowest-GCP one ranks
+        # below the ten best by loss_proxy.
+        attributes = ["Age", "Hours", "Workclass", "Education", "Marital"]
+        dataset = generate_adult_like(n_records=200, seed=25, include_sensitive=False)
+        hierarchies = build_hierarchies_for_dataset(dataset, fanout=3, attributes=attributes)
+
+        class Recording(Incognito):
+            def _select_best(self, dataset, index, candidates, attributes):
+                self.index = index
+                self.ranked = sorted(candidates, key=index.loss_proxy)
+                self.chosen, gcp = super()._select_best(dataset, index, candidates, attributes)
+                return self.chosen, gcp
+
+        incognito = Recording(2, hierarchies, attributes)
+        result = incognito.anonymize(dataset)
+        scores = {
+            node: global_certainty_penalty(
+                dataset, incognito.index.apply(dataset, node), attributes, hierarchies
+            )
+            for node in incognito.ranked
+        }
+        assert len(scores) == result.statistics["minimal_solutions"] == 12
+        assert incognito.chosen not in incognito.ranked[:10]
+        assert result.statistics["gcp"] == scores[incognito.chosen] == min(scores.values())
+
     def test_full_domain_recoding_is_uniform_per_attribute(self, adult, hierarchies):
         result = Incognito(5, hierarchies, attributes=QI).anonymize(adult)
         # Full-domain recoding: all records with the same original value get

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.index import FrozensetIndex
 from repro.datasets import Attribute, Dataset, Schema
 from repro.hierarchy import build_item_hierarchy
 from repro.index import InvertedIndex, LabelInterpreter, interpreter_for
@@ -118,32 +119,36 @@ def index(simple_transactions):
 
 class TestInvertedIndex:
     def test_postings_and_frequency(self, index, simple_transactions):
-        expected = {
-            i
-            for i, record in enumerate(simple_transactions)
-            if "a" in record["Items"]
-        }
-        assert index.postings("a") == frozenset(expected)
-        assert index.frequency("a") == len(expected)
-        assert index.postings("unknown") == frozenset()
+        reference = FrozensetIndex(simple_transactions)
+        for item in ("a", "b", "c", "d", "e", "unknown"):
+            assert index.frequency(item) == reference.frequency(item)
+            assert index.union_size({item}) == len(reference.postings(item))
 
     def test_universe(self, index):
         assert index.universe == frozenset({"a", "b", "c", "d", "e"})
         assert "a" in index
         assert len(index) == 5
 
-    def test_union_matches_manual_union(self, index):
-        manual = set(index.postings("a")) | set(index.postings("d"))
-        assert index.union({"a", "d"}) == frozenset(manual)
+    def test_union_size_matches_manual_union(self, index, simple_transactions):
+        reference = FrozensetIndex(simple_transactions)
+        manual = reference.postings("a") | reference.postings("d")
+        assert index.union_size({"a", "d"}) == len(manual)
+        assert index.merged_union_size({"a"}, {"d"}) == len(manual)
 
     def test_union_is_memoized(self, index):
-        assert index.union(frozenset({"a", "d"})) is index.union(frozenset({"a", "d"}))
+        index.union_size(frozenset({"a", "d"}))
+        index.union_size({"a", "d"})
+        assert "cached_unions=1" in repr(index)
 
     def test_uncached_union_matches_cached(self, simple_transactions):
         cached = InvertedIndex.from_dataset(simple_transactions)
         uncached = InvertedIndex.from_dataset(simple_transactions, cached=False)
         for group in ({"a"}, {"a", "b"}, {"c", "d", "e"}, set()):
-            assert cached.union(group) == uncached.union(group)
+            assert cached.union_size(group) == uncached.union_size(group)
+            assert cached.joint_support([group, {"a"}]) == uncached.joint_support(
+                [group, {"a"}]
+            )
+        assert "cached_unions=0" in repr(uncached)
 
     def test_joint_support_counts_intersection(self, index, simple_transactions):
         expected = sum(

@@ -10,19 +10,19 @@ scratch at every step:
 * :func:`scalar_greedy_km_anonymize` — the greedy promotion loop over those
   counts, with the search's four statistics; a promotion that moves no item
   takes its node out of the round's candidates;
-* :func:`participation` — the per-step rescoring on the bitset kernel that
-  the incremental search replaced: every cut node's count of rare
-  combinations, re-enumerated from the cut's node rows.
+* :func:`participation` — the per-step rescoring that the incremental
+  search replaced: every cut node's count of rare combinations, recounted
+  with ``itertools.combinations`` over the cut's node bitsets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-
-import numpy as np
+import operator
+from collections import Counter
 
 from repro.algorithms.transaction._itemcut import ItemCut, KmAnonymityChecker
-from repro.columnar.bitset import bitset_rows, rare_combinations
 
 
 def scalar_cut_violations(itemsets, cut, k, size):
@@ -86,10 +86,10 @@ def scalar_greedy_km_anonymize(itemsets, hierarchy, k, m, cut=None, apriori_orde
 def participation(checker: KmAnonymityChecker, cut: ItemCut, sizes) -> dict[str, int]:
     """Per cut node, how many rare combinations of ``sizes`` contain it (zeros omitted)."""
     bits = checker.node_bitsets(cut.mapping)
-    nodes = sorted(bits)
-    matrix = bitset_rows([bits[node] for node in nodes], checker.n_records)
-    counts = np.zeros(len(nodes), dtype=np.int64)
+    counts: Counter[str] = Counter()
     for size in sizes:
-        for combinations, _ in rare_combinations(matrix, size, checker.k):
-            counts += np.bincount(combinations.ravel(), minlength=len(nodes))
-    return {node: count for node, count in zip(nodes, counts.tolist()) if count}
+        for combination in itertools.combinations(sorted(bits), size):
+            together = functools.reduce(operator.and_, (bits[node] for node in combination))
+            if 0 < together.bit_count() < checker.k:
+                counts.update(combination)
+    return dict(counts)

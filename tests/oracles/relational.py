@@ -9,7 +9,7 @@ outputs:
 * :class:`ScalarClusterAnonymizer` — the clustering with that growth, each
   leftover scored by :func:`cluster_cost_scalar` over all members of every
   cluster, and per-cell ``set_value`` publishing;
-* :class:`ScalarIncognito` — selection that builds every shortlisted
+* :class:`ScalarIncognito` — selection that builds every minimal
   candidate dataset and scores it with ``global_certainty_penalty``;
 * :class:`ScalarTopDown` — ``_min_class_size`` grouping records into a tuple
   dictionary;
@@ -217,7 +217,7 @@ def apply_by_cells(
 
 
 class ScalarIncognito(Incognito):
-    """:class:`Incognito` choosing by building and scoring every shortlisted node.
+    """:class:`Incognito` choosing by building and scoring every minimal node.
 
     ``selected`` keeps the winning candidate dataset as the selection built it.
     """
@@ -226,7 +226,7 @@ class ScalarIncognito(Incognito):
 
     def _select_best(self, dataset, index, candidates, attributes):
         best = None
-        ranked = sorted(candidates, key=index.loss_proxy)[:10]
+        ranked = sorted(candidates, key=index.loss_proxy)
         for node in ranked:
             candidate = apply_by_cells(dataset, index.lattice, node)
             gcp = global_certainty_penalty(

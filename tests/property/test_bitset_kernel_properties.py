@@ -1,21 +1,21 @@
 """Property tests: the bitset kernels are element-for-element equal to sets.
 
-The bitset rewrite of :class:`repro.index.InvertedIndex` and the bitset-backed
-k^m checker must be pure representation changes.  The references below are the
-PR 1 ``frozenset`` implementations, re-stated verbatim; hypothesis drives
-random schemas/datasets against them, and explicit cases cover the edges that
-random data rarely hits (empty postings, unknown items, all-records groups,
->64 and >4096 records to cross word and block boundaries).
+The bitset-backed :class:`repro.index.InvertedIndex`, the rare-combination
+enumerator and the k^m checker must be pure representation changes.  The
+references below are ``frozenset`` and ``itertools.combinations`` scans;
+hypothesis drives random schemas/datasets against them, and explicit cases
+cover the edges that random data rarely hits (empty postings, unknown items,
+all-records groups, >64 and >4096 records to cross word and block boundaries).
 """
 
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.index import FrozensetIndex
 from oracles.itemcut import (
     participation,
     scalar_cut_violations,
@@ -29,7 +29,7 @@ from repro.algorithms.transaction._itemcut import (
     _Promotions,
     greedy_km_anonymize,
 )
-from repro.columnar.bitset import bitset_from_indices, bitset_rows, rare_combinations
+from repro.columnar.bitset import rare_combinations
 from repro.datasets import (
     Attribute,
     Dataset,
@@ -61,39 +61,6 @@ def make_dataset(itemsets) -> Dataset:
     return Dataset(schema, [{"Items": sorted(itemset)} for itemset in itemsets])
 
 
-class FrozensetIndex:
-    """The PR 1 pure-frozenset inverted index (reference implementation)."""
-
-    def __init__(self, dataset: Dataset, attribute: str = "Items"):
-        self._postings: dict[str, frozenset[int]] = {}
-        raw: dict[str, set[int]] = {}
-        for position, record in enumerate(dataset):
-            for item in record[attribute]:
-                raw.setdefault(item, set()).add(position)
-        self._postings = {item: frozenset(records) for item, records in raw.items()}
-
-    def postings(self, item):
-        return self._postings.get(item, frozenset())
-
-    def frequency(self, item):
-        return len(self.postings(item))
-
-    def union(self, items):
-        combined: set[int] = set()
-        for item in items:
-            combined |= self.postings(item)
-        return frozenset(combined)
-
-    def joint_support(self, group_list):
-        covering = None
-        for group in group_list:
-            records = self.union(group)
-            covering = records if covering is None else covering & records
-            if not covering:
-                return 0
-        return len(covering) if covering is not None else 0
-
-
 class TestIndexEquivalence:
     @given(itemsets=baskets, group_list=groups)
     @settings(max_examples=80, deadline=None)
@@ -102,7 +69,6 @@ class TestIndexEquivalence:
         bitset = InvertedIndex.from_dataset(dataset)
         reference = FrozensetIndex(dataset)
         for group in group_list:
-            assert bitset.union(group) == reference.union(group)
             assert bitset.union_size(group) == len(reference.union(group))
         assert bitset.joint_support(group_list) == reference.joint_support(group_list)
 
@@ -113,8 +79,11 @@ class TestIndexEquivalence:
         bitset = InvertedIndex.from_dataset(dataset)
         reference = FrozensetIndex(dataset)
         for item in ITEMS + ["never-seen"]:
-            assert bitset.postings(item) == reference.postings(item)
+            assert (item in bitset) == bool(reference.postings(item))
             assert bitset.frequency(item) == reference.frequency(item)
+        for first, second in itertools.combinations(ITEMS, 2):
+            shared = reference.postings(first) & reference.postings(second)
+            assert bitset.joint_support([{first}, {second}]) == len(shared)
 
     @given(itemsets=baskets, first=groups, second=groups)
     @settings(max_examples=50, deadline=None)
@@ -133,23 +102,22 @@ class TestIndexEdges:
         dataset = make_dataset([])
         index = InvertedIndex.from_dataset(dataset)
         assert index.universe == frozenset()
-        assert index.union({"a"}) == frozenset()
+        assert index.union_size({"a"}) == 0
         assert index.joint_support([{"a"}]) == 0
         assert index.joint_support([]) == 0
 
     def test_unknown_items_and_empty_groups(self):
         dataset = make_dataset([{"a"}, {"a", "b"}])
         index = InvertedIndex.from_dataset(dataset)
-        assert index.postings("z") == frozenset()
-        assert index.union({"z"}) == frozenset()
-        assert index.union(set()) == frozenset()
+        assert index.frequency("z") == 0
+        assert index.union_size({"z"}) == 0
+        assert index.union_size(set()) == 0
         assert index.joint_support([{"a"}, set()]) == 0
         assert index.joint_support([{"a"}, {"z"}]) == 0
 
     def test_all_records_group(self):
         dataset = make_dataset([{"a"}, {"b"}, {"c"}])
         index = InvertedIndex.from_dataset(dataset)
-        assert index.union({"a", "b", "c"}) == frozenset({0, 1, 2})
         assert index.union_size({"a", "b", "c"}) == 3
         assert index.joint_support([{"a", "b", "c"}]) == 3
 
@@ -163,21 +131,17 @@ class TestIndexEdges:
         reference = FrozensetIndex(dataset)
         assert bitset.universe == frozenset(reference._postings)
         for item in sorted(reference._postings)[:10]:
-            assert bitset.postings(item) == reference.postings(item)
+            assert bitset.frequency(item) == reference.frequency(item)
         probe = sorted(reference._postings)[:6]
         group_pairs = [set(pair) for pair in itertools.combinations(probe, 2)]
         for group in group_pairs:
-            assert bitset.union(group) == reference.union(group)
+            assert bitset.union_size(group) == len(reference.union(group))
+            assert bitset.joint_support([{item} for item in group]) == (
+                reference.joint_support([{item} for item in group])
+            )
         assert bitset.joint_support(group_pairs[:3]) == reference.joint_support(
             group_pairs[:3]
         )
-
-    def test_constructor_accepts_indices_beyond_n_records(self):
-        # The mapping constructor sizes its bitsets to the largest index even
-        # when n_records understates it (the PR 1 behavior).
-        index = InvertedIndex({"a": [0, 100], "b": [70]}, n_records=0)
-        assert index.postings("a") == frozenset({0, 100})
-        assert index.union({"a", "b"}) == frozenset({0, 70, 100})
 
 
 # -- k^m checker equivalence ----------------------------------------------------
@@ -244,43 +208,47 @@ class TestKmEquivalence:
         assert [(v.items, v.support) for v in fast] == slow
 
     @given(
-        rows=st.lists(
-            st.lists(st.integers(0, 1), min_size=70, max_size=70), min_size=0, max_size=9
-        ),
-        size=st.integers(1, 4),
-        k=st.integers(1, 40),
+        data=st.data(),
+        width=st.sampled_from([70, 130]),
+        size=st.integers(0, 4),
+        k=st.integers(1, 70),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_rare_combinations_match_brute_force(self, rows, size, k):
-        """Word-boundary rows (70 bits), every size up to 4, lexicographic order."""
-        matrix = np.stack(
-            [bitset_from_indices(np.flatnonzero(row), 70) for row in rows]
-        ) if rows else np.zeros((0, 2), dtype=np.uint64)
-        members = [set(np.flatnonzero(row).tolist()) for row in rows]
+    @settings(max_examples=80, deadline=None)
+    def test_rare_combinations_match_itertools_brute_force(self, data, width, size, k):
+        """Rows crossing word boundaries (70 and 130 bits), with and without a start.
+
+        The enumerator must yield exactly the rare combinations, in
+        lexicographic order, each with the AND of its rows and the start.
+        """
+        bitset = st.integers(0, (1 << width) - 1)
+        rows = data.draw(st.lists(bitset, max_size=9), label="rows")
+        start = data.draw(st.none() | bitset, label="start")
+        members = [{bit for bit in range(width) if row >> bit & 1} for row in rows]
+        base = [] if start is None else [{bit for bit in range(width) if start >> bit & 1}]
         expected = []
         for combination in itertools.combinations(range(len(rows)), size):
-            support = len(set.intersection(*(members[i] for i in combination)))
-            if 0 < support < k:
-                expected.append((combination, support))
-        found = [
-            (tuple(combination), support)
-            for combinations, supports in rare_combinations(matrix, size, k)
-            for combination, support in zip(combinations.tolist(), supports.tolist())
-        ]
-        assert found == expected
+            sets = [members[i] for i in combination] + base
+            together = set.intersection(*sets) if sets else set()
+            if 0 < len(together) < k:
+                expected.append((combination, sum(1 << bit for bit in together)))
+        assert list(rare_combinations(rows, size, k, start)) == expected
 
     @given(
-        rows=st.lists(st.sets(st.integers(0, 199)), min_size=0, max_size=6),
-        n_bits=st.integers(0, 200),
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), max_size=140),
+        k=st.integers(2, 5),
+        m=st.integers(1, 3),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_bitset_rows_match_packed_indices(self, rows, n_bits):
-        rows = [{bit for bit in row if bit < n_bits} for row in rows]
-        matrix = bitset_rows([sum(1 << bit for bit in row) for row in rows], n_bits)
-        assert matrix.dtype == np.uint64
-        assert matrix.shape == (len(rows), (n_bits + 63) // 64)
-        for packed, row in zip(matrix, rows):
-            assert np.array_equal(packed, bitset_from_indices(row, n_bits))
+    @settings(max_examples=30, deadline=None)
+    def test_km_witness_records_are_the_supporting_records(self, itemsets, k, m):
+        """Up to 140 records: the witnesses' record sets span up to three words."""
+        for violation in km_violations(make_dataset(itemsets), k, m):
+            supporting = tuple(
+                record
+                for record, itemset in enumerate(itemsets)
+                if itemset.issuperset(violation.items)
+            )
+            assert violation.records == supporting
+            assert violation.support == len(supporting)
 
     def test_km_checker_handles_universe_beyond_old_limit(self):
         """Universes > 40 items (the old km_check_limit) verify quickly now."""

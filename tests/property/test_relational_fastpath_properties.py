@@ -1,6 +1,6 @@
 """The relational algorithms' code-array paths against their scalar references.
 
-Incognito scores its shortlisted lattice nodes from per-level codes and
+Incognito scores its minimal lattice nodes from per-level codes and
 builds only the winner, Top-Down counts classes on mixed-radix keys, Cluster
 places leftovers against cached bounds and publishes one column write per
 attribute, and the k-anonymity checks count classes on the code matrix.
