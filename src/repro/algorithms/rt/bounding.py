@@ -22,6 +22,12 @@ one algorithm of each kind through a *bounding method*:
 
 SECRETA exposes 20 relational×transaction algorithm combinations, each usable
 with any of the three bounding methods.
+
+One transaction algorithm instance serves every cluster.  Apriori over the
+bounding method's own item hierarchy (the default) runs on each cluster's
+itemsets through :meth:`~repro.algorithms.transaction.apriori.AprioriAnonymizer.publish`;
+any other algorithm runs on the cluster's ``Dataset.subset``.  Both routes
+score a cluster by :func:`~repro.metrics.transaction.itemset_utility_loss`.
 """
 
 from __future__ import annotations
@@ -44,10 +50,55 @@ from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.metrics.relational import global_certainty_penalty
-from repro.metrics.transaction import utility_loss
+from repro.metrics.transaction import itemset_utility_loss, utility_loss
 
-#: A factory producing a configured transaction anonymizer for one cluster.
-TransactionFactory = Callable[[Dataset], Anonymizer]
+
+class _LcaReps:
+    """The per-slot LCA node of one hierarchy-scored attribute, as integer ids.
+
+    Ids index the hierarchy's :meth:`~repro.hierarchy.hierarchy.Hierarchy.ancestor_table`;
+    ``-1`` marks a cluster with no value.  A single-valued cluster whose value
+    is not in the hierarchy gets an id past the table, and raises the typed
+    :class:`~repro.exceptions.HierarchyError` only where the merge score would
+    have to climb the hierarchy from it.
+    """
+
+    def __init__(self, hierarchy: Hierarchy, capacity: int):
+        self.hierarchy = hierarchy
+        index, self._table, self._leaf_counts = hierarchy.ancestor_table()
+        self._ids = dict(index)
+        #: the LCA node id per slot
+        self.ids = np.full(capacity, -1, dtype=np.int64)
+
+    def id_of(self, label: str) -> int:
+        return self._ids.setdefault(label, len(self._ids))
+
+    def label_of(self, node: int) -> str:
+        return list(self._ids)[node]
+
+    def merged(self, rep: int, others: np.ndarray) -> np.ndarray:
+        """The LCA id of the node ``rep`` with each of ``others``."""
+        merged = np.where(others < 0, rep, others)
+        if rep < 0:
+            return merged
+        lca = (others >= 0) & (others != rep)
+        pairs = others[lca]
+        if pairs.size:
+            self._require_known(np.append(pairs, rep))
+            table = self._table
+            first_mismatch = np.argmin(table[pairs] == table[rep], axis=1)
+            merged[lca] = table[rep, first_mismatch - 1]
+        return merged
+
+    def leaf_counts(self, ids: np.ndarray) -> np.ndarray:
+        """Leaf count per node id (the LCA width a merge would publish)."""
+        self._require_known(ids)
+        return self._leaf_counts[ids]
+
+    def _require_known(self, ids: np.ndarray) -> None:
+        unknown = ids[ids >= len(self._table)]
+        if unknown.size:
+            self.hierarchy.node(self.label_of(unknown[0]))  # raises the typed error
 
 
 class _MergeState:
@@ -56,14 +107,22 @@ class _MergeState:
     The scalar merge loop re-walks every member record of both clusters for
     every candidate partner at every merge step.  This state keeps, per
     cluster, exactly what the merge score needs — numeric lo/hi vectors,
-    categorical distinct-value bitsets (plus the running LCA node for
+    categorical distinct-value bitsets (plus the cluster's LCA node id for
     hierarchy-scored attributes), and transaction item bitsets — so scoring
     the worst cluster against *all* partners is one vectorized pass
-    (``fmin``/``fmax`` widening, OR + popcount), and a merge updates the
-    summaries in O(clusters) instead of rebuilding them.  Scores are
-    numerically identical to the scalar re-scan of both clusters' members:
-    the same operations run in the same attribute order, and the LCA of a
-    merged value set equals the LCA of the two clusters' LCA nodes.
+    (``fmin``/``fmax`` widening, OR + popcount, and an ancestor-table LCA:
+    one ``==`` against the worst cluster's ancestor row, an ``argmin`` for
+    the first mismatch and a leaf-count gather).  Scores are numerically
+    identical to the scalar re-scan of both clusters' members: the same
+    operations run in the same attribute order, widths are integer leaf
+    counts, and the LCA of a merged value set equals the LCA of the two
+    clusters' LCA nodes.
+
+    Summaries live in fixed-capacity slots, one per initial cluster.  A merge
+    writes the merged summary into the worst cluster's slot in place, and
+    ``_order`` maps the logical positions the caller sees (``keep +
+    [merged]`` after each merge) to slots, so ties break exactly as they
+    would over re-stacked rows.
     """
 
     def __init__(
@@ -78,16 +137,17 @@ class _MergeState:
         self._strategy = strategy
         self._attributes = list(attributes)
         self._n_attributes = max(len(self._attributes), 1)
-        self._n = len(clusters)
+        capacity = len(clusters)
+        self._order = np.arange(capacity, dtype=np.int64)
         #: record index -> cluster position, used to scatter per-record
         #: occurrences into per-cluster bitsets.
         membership = np.empty(len(dataset), dtype=np.int64)
         for position, cluster in enumerate(clusters):
             membership[np.asarray(cluster, dtype=np.int64)] = position
 
-        #: ("num", span, lo, hi) / ("cat", denominator, bits, hierarchy,
-        #: reps, width memo, lca memo) per contributing attribute, in order.
-        self._relational: list[list] = []
+        #: ("num", span, lo, hi) / ("cat", denominator, bits, reps or None)
+        #: per contributing attribute, in order.
+        self._relational: list[tuple] = []
         if strategy in ("r", "rt"):
             for name in self._attributes:
                 if name in helper._numeric:
@@ -95,13 +155,13 @@ class _MergeState:
                     if span <= 0:
                         continue
                     numbers = dataset.columnar(name).numbers
-                    lo = np.full(self._n, np.inf)
-                    hi = np.full(self._n, -np.inf)
+                    lo = np.full(capacity, np.inf)
+                    hi = np.full(capacity, -np.inf)
                     for position, cluster in enumerate(clusters):
                         values = numbers[np.asarray(cluster, dtype=np.int64)]
                         lo[position] = np.fmin.reduce(values, initial=np.inf)
                         hi[position] = np.fmax.reduce(values, initial=-np.inf)
-                    self._relational.append(["num", span, lo, hi])
+                    self._relational.append(("num", span, lo, hi))
                 else:
                     size = helper._domain_size[name]
                     if size <= 1:
@@ -109,80 +169,62 @@ class _MergeState:
                     cells, labels = dataset.columnar(name).string_codes()
                     present = cells < len(labels)
                     bits = posting_matrix(
-                        membership[present], cells[present], self._n, len(labels)
+                        membership[present], cells[present], capacity, len(labels)
                     )
                     hierarchy = helper.hierarchies.get(name)
-                    reps: list[str | None] | None = None
+                    reps: _LcaReps | None = None
                     if hierarchy is not None:
-                        reps = []
+                        reps = _LcaReps(hierarchy, capacity)
                         for position, cluster in enumerate(clusters):
                             indices = np.asarray(cluster, dtype=np.int64)
                             codes = np.unique(cells[indices])
                             distinct = [labels[c] for c in codes if c < len(labels)]
-                            if not distinct:
-                                reps.append(None)
-                            elif len(distinct) == 1:
-                                reps.append(distinct[0])
-                            else:
-                                reps.append(hierarchy.lowest_common_ancestor(distinct))
-                    self._relational.append(
-                        ["cat", max(size - 1, 1), bits, hierarchy, reps, {}, {}]
-                    )
+                            if len(distinct) == 1:
+                                reps.ids[position] = reps.id_of(distinct[0])
+                            elif distinct:
+                                reps.ids[position] = reps.id_of(
+                                    hierarchy.lowest_common_ancestor(distinct)
+                                )
+                    self._relational.append(("cat", max(size - 1, 1), bits, reps))
         self._transaction_bits: np.ndarray | None = None
         if strategy in ("t", "rt"):
             column = dataset.columnar(attribute)
             self._transaction_bits = posting_matrix(
                 membership[column.record_ids()],
                 column.tokens,
-                self._n,
+                capacity,
                 len(column.vocabulary),
             )
 
     # -- scoring -------------------------------------------------------------------
-    def _merged_rep(self, spec: list, worst: int, partner: int) -> str | None:
-        """LCA node of the merged distinct-value set (via the two cluster LCAs)."""
-        _, _, _, hierarchy, reps, _, lca_memo = spec
-        rep_w, rep_p = reps[worst], reps[partner]
-        if rep_w is None:
-            return rep_p
-        if rep_p is None or rep_p == rep_w:
-            return rep_w
-        key = (rep_w, rep_p) if rep_w <= rep_p else (rep_p, rep_w)
-        merged = lca_memo.get(key)
-        if merged is None:
-            merged = hierarchy.lowest_common_ancestor(key)
-            lca_memo[key] = merged
-        return merged
-
     def relational_scores(self, worst: int) -> np.ndarray:
         """Bounding-generalization NCP of merging ``worst`` with each cluster."""
-        cost = np.zeros(self._n)
+        order = self._order
+        slot = order[worst]
+        cost = np.zeros(len(order))
         for spec in self._relational:
             if spec[0] == "num":
                 _, span, lo, hi = spec
-                width = np.maximum(hi, hi[worst]) - np.minimum(lo, lo[worst])
+                width = np.maximum(hi[order], hi[slot]) - np.minimum(lo[order], lo[slot])
                 cost += np.maximum(width, 0.0) / span
             else:
-                _, denominator, bits, hierarchy, _reps, width_memo, _ = spec
-                counts = popcount_rows(bits | bits[worst])
+                _, denominator, bits, reps = spec
+                counts = popcount_rows(bits | bits[slot])[order]
                 width = counts.astype(np.float64)
-                if hierarchy is not None:
-                    for partner in np.flatnonzero(counts > 1):
-                        rep = self._merged_rep(spec, worst, int(partner))
-                        leaf_count = width_memo.get(rep)
-                        if leaf_count is None:
-                            leaf_count = hierarchy.leaf_count(rep)
-                            width_memo[rep] = leaf_count
-                        width[partner] = leaf_count
+                if reps is not None:
+                    wide = np.flatnonzero(counts > 1)
+                    merged = reps.merged(reps.ids[slot], reps.ids[order[wide]])
+                    width[wide] = reps.leaf_counts(merged)
                 cost += (width - 1.0) / denominator
         return cost / self._n_attributes
 
     def transaction_scores(self, worst: int) -> np.ndarray:
         """Jaccard distance between ``worst``'s item set and each cluster's."""
         bits = self._transaction_bits
-        intersection = popcount_rows(bits & bits[worst])
-        union = popcount_rows(bits | bits[worst])
-        cost = np.zeros(self._n)
+        slot = self._order[worst]
+        intersection = popcount_rows(bits & bits[slot])[self._order]
+        union = popcount_rows(bits | bits[slot])[self._order]
+        cost = np.zeros(len(self._order))
         covered = union > 0
         cost[covered] = 1.0 - intersection[covered] / union[covered]
         return cost
@@ -202,26 +244,21 @@ class _MergeState:
 
     # -- update --------------------------------------------------------------------
     def merge(self, worst: int, partner: int) -> None:
-        """Combine two clusters' summaries, mirroring ``keep + [merged]`` order."""
-        keep = [p for p in range(self._n) if p not in (worst, partner)]
+        """Merge ``partner`` into ``worst``'s slot; the merged cluster goes last."""
+        slot, other = self._order[worst], self._order[partner]
         for spec in self._relational:
             if spec[0] == "num":
                 _, _, lo, hi = spec
-                spec[2] = np.append(lo[keep], min(lo[worst], lo[partner]))
-                spec[3] = np.append(hi[keep], max(hi[worst], hi[partner]))
+                lo[slot] = min(lo[slot], lo[other])
+                hi[slot] = max(hi[slot], hi[other])
             else:
-                _, _, bits, hierarchy, reps, _, _ = spec
-                merged_row = bits[worst] | bits[partner]
-                spec[2] = np.vstack([bits[keep], merged_row[None, :]])
+                _, _, bits, reps = spec
+                bits[slot] |= bits[other]
                 if reps is not None:
-                    spec[4] = [reps[p] for p in keep] + [
-                        self._merged_rep(spec, worst, partner)
-                    ]
+                    reps.ids[slot] = reps.merged(reps.ids[slot], reps.ids[[other]])[0]
         if self._transaction_bits is not None:
-            bits = self._transaction_bits
-            merged_row = bits[worst] | bits[partner]
-            self._transaction_bits = np.vstack([bits[keep], merged_row[None, :]])
-        self._n -= 1
+            self._transaction_bits[slot] |= self._transaction_bits[other]
+        self._order = np.append(np.delete(self._order, [worst, partner]), slot)
 
 
 class RtBoundingAnonymizer(Anonymizer):
@@ -238,7 +275,7 @@ class RtBoundingAnonymizer(Anonymizer):
         m: int = 2,
         delta: float = 0.5,
         relational_algorithm: Anonymizer | None = None,
-        transaction_factory: TransactionFactory | None = None,
+        transaction_algorithm: Anonymizer | None = None,
         hierarchies: Mapping[str, Hierarchy] | None = None,
         item_hierarchy: Hierarchy | None = None,
         relational_attributes: Sequence[str] | None = None,
@@ -253,7 +290,7 @@ class RtBoundingAnonymizer(Anonymizer):
         self.m = int(m)
         self.delta = float(delta)
         self.relational_algorithm = relational_algorithm
-        self.transaction_factory = transaction_factory
+        self.transaction_algorithm = transaction_algorithm
         self.hierarchies = dict(hierarchies or {})
         self.item_hierarchy = item_hierarchy
         self.relational_attributes = (
@@ -292,30 +329,35 @@ class RtBoundingAnonymizer(Anonymizer):
         return clusters, helper
 
     # -- phase 2: per-cluster transaction anonymization -----------------------------
-    def _default_transaction_factory(self) -> TransactionFactory:
-        def factory(_subset: Dataset) -> Anonymizer:
-            return AprioriAnonymizer(
-                self.k, self.m, hierarchy=self.item_hierarchy, attribute=self.transaction_attribute
-            )
+    def _cluster_publisher(
+        self, dataset: Dataset, attribute: str
+    ) -> Callable[[Sequence[int]], tuple[list[frozenset], float]]:
+        """A function anonymizing one cluster's itemsets; returns them and their UL.
 
-        return factory
-
-    def _anonymize_cluster_transactions(
-        self,
-        dataset: Dataset,
-        cluster: Sequence[int],
-        attribute: str,
-        factory: TransactionFactory,
-    ) -> tuple[list[frozenset], float]:
-        """Anonymize one cluster's transaction projection; return itemsets and UL."""
-        subset = dataset.subset(cluster)
-        algorithm = factory(subset)
-        result = algorithm.anonymize(subset)
-        itemsets = [record[attribute] for record in result.dataset]
-        loss = utility_loss(
-            subset, result.dataset, attribute=attribute, hierarchy=self.item_hierarchy
+        Apriori over bounding's own item hierarchy runs on the cluster's
+        itemsets directly.  Any other transaction algorithm runs on the
+        cluster's ``subset`` of the dataset.
+        """
+        algorithm = self.transaction_algorithm or AprioriAnonymizer(
+            self.k, self.m, hierarchy=self.item_hierarchy, attribute=self.transaction_attribute
         )
-        return itemsets, loss
+        hierarchy = self.item_hierarchy
+        on_itemsets = (
+            isinstance(algorithm, AprioriAnonymizer)
+            and hierarchy is not None
+            and algorithm.hierarchy is hierarchy
+        )
+
+        def publish(cluster: Sequence[int]) -> tuple[list[frozenset], float]:
+            original = [dataset[index][attribute] for index in cluster]
+            if on_itemsets:
+                published, _ = algorithm.publish(original, hierarchy)
+            else:
+                result = algorithm.anonymize(dataset.subset(cluster))
+                published = result.dataset.column(attribute)
+            return published, itemset_utility_loss(original, published, hierarchy)
+
+        return publish
 
     # -- main -----------------------------------------------------------------------
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
@@ -324,7 +366,7 @@ class RtBoundingAnonymizer(Anonymizer):
             raise AlgorithmError(f"{self.name}: the dataset has no relational quasi-identifiers")
         attribute = self.transaction_attribute or dataset.single_transaction_attribute()
         validate_k(self.k, len(dataset), self.name)
-        factory = self.transaction_factory or self._default_transaction_factory()
+        publish = self._cluster_publisher(dataset, attribute)
 
         timer = PhaseTimer()
         with timer.phase("relational clustering"):
@@ -332,10 +374,7 @@ class RtBoundingAnonymizer(Anonymizer):
         initial_clusters = len(clusters)
 
         with timer.phase("transaction anonymization"):
-            outputs: list[tuple[list[frozenset], float]] = [
-                self._anonymize_cluster_transactions(dataset, cluster, attribute, factory)
-                for cluster in clusters
-            ]
+            outputs = [publish(cluster) for cluster in clusters]
 
         merges = 0
         merge_budget = self.max_merges if self.max_merges is not None else len(clusters)
@@ -358,9 +397,7 @@ class RtBoundingAnonymizer(Anonymizer):
                     if position not in (worst, partner)
                 ]
                 clusters = [clusters[position] for position in keep] + [merged_cluster]
-                outputs = [outputs[position] for position in keep] + [
-                    self._anonymize_cluster_transactions(dataset, merged_cluster, attribute, factory)
-                ]
+                outputs = [outputs[position] for position in keep] + [publish(merged_cluster)]
                 state.merge(worst, partner)
                 merges += 1
 
@@ -368,9 +405,11 @@ class RtBoundingAnonymizer(Anonymizer):
             anonymized = helper.generalize_clusters(
                 dataset, clusters, attributes, name_suffix=self.name
             )
+            published = anonymized.column(attribute)
             for cluster, (itemsets, _loss) in zip(clusters, outputs):
-                for position, index in enumerate(cluster):
-                    anonymized.set_value(index, attribute, itemsets[position])
+                for index, itemset in zip(cluster, itemsets):
+                    published[index] = itemset
+            anonymized.set_column(attribute, published)
 
         relational_gcp = global_certainty_penalty(
             dataset, anonymized, attributes=attributes, hierarchies=self.hierarchies

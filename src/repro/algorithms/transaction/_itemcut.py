@@ -63,7 +63,7 @@ class ItemCut:
             )
         #: original item -> current cut node label
         self.mapping: dict[str, str] = {item: item for item in self.items}
-        self._parents, _, self._leaves = _node_memo(hierarchy)
+        self._parents, self._rank, self._leaves = _node_memo(hierarchy)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -92,15 +92,20 @@ class ItemCut:
         """Replace ``node`` (and every cut node under the same parent) by the parent.
 
         Promoting the whole sibling group keeps the cut a partition of the
-        item universe, which the k^m-anonymity check relies on.
+        item universe, which the k^m-anonymity check relies on.  An item
+        already mapped at or above the parent stays where it is: a promotion
+        never moves an item down.  (Only an item that is itself an inner
+        hierarchy node can leave a leaf's image above a live cut node.)
         """
         if node not in self._parents:
             self.hierarchy.node(node)  # raises the typed "not in hierarchy" error
         parent = self._parents[node]
         if parent is None:
             return node
+        depth = self._rank[parent][0]
         for item in self.leaves(parent).intersection(self.mapping):
-            self.mapping[item] = parent
+            if self._rank[self.mapping[item]][0] > depth:
+                self.mapping[item] = parent
         return parent
 
     def copy(self) -> "ItemCut":
@@ -222,7 +227,7 @@ class _Promotions:
         """
         parent = self.cut.generalize_node(node)
         under = self.cut.leaves(parent).intersection(self.images)
-        moved = [item for item in under if self.images[item] != parent]
+        moved = [item for item in under if self.images[item] != self.cut.mapping[item]]
         if not moved:
             self.stuck.add(node)
             return None

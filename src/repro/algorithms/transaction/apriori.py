@@ -11,9 +11,17 @@ full-subtree global recoding over the item hierarchy.
 If even full generalization cannot protect the data (fewer than ``k``
 non-empty transactions), the remaining items are suppressed and the fact is
 reported in the result statistics.
+
+:meth:`AprioriAnonymizer.publish` runs the whole algorithm on a list of
+itemsets and returns the published itemsets, with no ``Dataset`` around
+them.  :meth:`~AprioriAnonymizer.anonymize` is a thin wrapper that writes
+them back as one column; the RT bounding methods call ``publish`` directly
+on each cluster's itemsets.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
 from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
@@ -61,32 +69,40 @@ class AprioriAnonymizer(Anonymizer):
             universe, fanout=self.hierarchy_fanout, attribute=attribute
         )
 
+    def publish(
+        self, itemsets: Sequence[frozenset[str]], hierarchy: Hierarchy
+    ) -> tuple[list[frozenset[str]], dict]:
+        """Anonymize ``itemsets`` through a k^m item cut of ``hierarchy``.
+
+        Returns the published itemsets, in input order, and the search
+        statistics.  When violations stay unresolvable even at the root,
+        every itemset is suppressed (published empty).
+        """
+        cut, statistics = greedy_km_anonymize(
+            itemsets, hierarchy, self.k, self.m, apriori_order=True
+        )
+        if statistics["unresolvable_violations"]:
+            return [frozenset()] * len(itemsets), statistics
+        return [cut.generalize_itemset(items) for items in itemsets], statistics
+
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
         attribute = self.attribute or dataset.single_transaction_attribute()
         timer = PhaseTimer()
         with timer.phase("hierarchy"):
             hierarchy = self._resolve_hierarchy(dataset, attribute)
-        itemsets = [record[attribute] for record in dataset]
 
         with timer.phase("apriori search"):
-            cut, search_statistics = greedy_km_anonymize(
-                itemsets, hierarchy, self.k, self.m, apriori_order=True
+            published, search_statistics = self.publish(
+                dataset.column(attribute), hierarchy
             )
 
-        suppressed_everything = False
         with timer.phase("apply"):
             anonymized = dataset.copy(name=f"{dataset.name}[apriori]")
-            if search_statistics["unresolvable_violations"]:
-                anonymized.map_column(attribute, lambda _items: [])
-                suppressed_everything = True
-            else:
-                anonymized.map_column(
-                    attribute, lambda items: sorted(cut.generalize_itemset(items))
-                )
+            anonymized.set_column(attribute, published)
 
         statistics = {
             **search_statistics,
-            "suppressed_everything": suppressed_everything,
+            "suppressed_everything": bool(search_statistics["unresolvable_violations"]),
             "utility_loss": utility_loss(
                 dataset, anonymized, attribute=attribute, hierarchy=hierarchy
             ),

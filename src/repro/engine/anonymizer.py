@@ -98,17 +98,12 @@ class AnonymizationModule:
             raise ConfigurationError(
                 f"{config.bounding_method!r} is not a bounding method"
             )
-        relational = self.build_relational(config)
-
-        def transaction_factory(_subset: Dataset) -> Anonymizer:
-            return self.build_transaction(config)
-
         return spec.cls(
             k=config.k,
             m=config.m,
             delta=config.delta,
-            relational_algorithm=relational,
-            transaction_factory=transaction_factory,
+            relational_algorithm=self.build_relational(config),
+            transaction_algorithm=self.build_transaction(config),
             hierarchies=self.resources.hierarchies,
             item_hierarchy=self.resources.item_hierarchy,
             relational_attributes=self._relational_attributes(config),

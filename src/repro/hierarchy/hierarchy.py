@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.exceptions import HierarchyError
 
 
@@ -62,6 +64,7 @@ class Hierarchy:
         self._nodes: dict[str, HierarchyNode] = {}
         self._index_nodes(root)
         self._height = max(node.depth for node in self._nodes.values())
+        self._ancestor_table: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None
 
     def _index_nodes(self, node: HierarchyNode) -> None:
         if node.label in self._nodes:
@@ -202,6 +205,31 @@ class Hierarchy:
             else:
                 break
         return lca
+
+    def ancestor_table(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """Node ids, the (node × depth) ancestor-id matrix and leaf counts (cached).
+
+        Node ids follow :attr:`labels`.  Row ``i`` of the matrix holds node
+        ``i``'s ancestors from the root (column 0) down to the node itself
+        (column ``depth``), and ``-1 - i`` past that depth, a padding unique
+        to the row.  Two rows therefore agree exactly on the columns of their
+        common ancestors, and the lowest common ancestor of two distinct
+        nodes is the entry just before their first disagreement.
+        """
+        if self._ancestor_table is None:
+            index = {label: position for position, label in enumerate(self._nodes)}
+            table = np.empty((len(index), self._height + 1), dtype=np.int64)
+            for position, node in enumerate(self._nodes.values()):
+                table[position] = -1 - position
+                current: HierarchyNode | None = node
+                while current is not None:
+                    table[position, current.depth] = index[current.label]
+                    current = current.parent
+            leaf_counts = np.array(
+                [self.leaf_count(label) for label in index], dtype=np.int64
+            )
+            self._ancestor_table = (index, table, leaf_counts)
+        return self._ancestor_table
 
     def is_ancestor(self, ancestor: str, descendant: str) -> bool:
         """Whether ``ancestor`` lies on the path from ``descendant`` to the root."""

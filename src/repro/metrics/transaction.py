@@ -26,6 +26,8 @@ per-occurrence "cheapest covering label" reduction becomes one vectorized
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.datasets.dataset import Dataset
@@ -162,16 +164,51 @@ def utility_loss(
     if charged is not None:
         loss, total_items = charged
         return loss / total_items if total_items else 0.0
-    # Exact per-record fallback for adversarial shapes (see the guards).
-    total_items = sum(len(record[attribute]) for record in original)
-    loss = 0.0
-    for original_record, anonymized_record in zip(original, anonymized):
-        best_costs = interpreter.best_costs(anonymized_record[attribute])
-        # Sorted: summing in frozenset iteration order would tie the result
-        # to the process hash seed by a few ulps (see checkpoint resume).
-        for item in sorted(original_record[attribute]):
-            loss += best_costs.get(item, 1.0)
-    return loss / total_items if total_items else 0.0
+    # Per-record fallback for adversarial shapes (see the guards).
+    return itemset_utility_loss(
+        original.column(attribute),
+        anonymized.column(attribute),
+        interpreter=interpreter,
+    )
+
+
+def itemset_utility_loss(
+    original: Sequence[frozenset[str]],
+    published: Sequence[frozenset[str]],
+    hierarchy: Hierarchy | None = None,
+    interpreter: LabelInterpreter | None = None,
+) -> float:
+    """UL of publishing ``published[r]`` for each original itemset ``original[r]``.
+
+    The record-by-record form of :func:`utility_loss`, for callers that hold
+    itemsets rather than datasets (an RT cluster).  Labels are interpreted
+    against the universe of ``original`` unless an ``interpreter`` is given.
+    The result is bit-identical to the vectorized path: occurrences of a
+    record left with no label count 1 each, the others are charged in sorted
+    item order (the column's token order) and summed by NumPy's pairwise
+    ``sum``, exactly as :func:`_occurrence_charge_sum` reduces them.
+    """
+    if len(original) != len(published):
+        raise DatasetError(
+            "itemset_utility_loss expects aligned itemsets "
+            f"({len(original)} vs {len(published)} records)"
+        )
+    if interpreter is None:
+        interpreter = interpreter_for(hierarchy, set().union(*original))
+    else:
+        _require_universe(interpreter)
+    unpaired = 0
+    charges: list[float] = []
+    for items, labels in zip(original, published):
+        if not labels:
+            unpaired += len(items)
+            continue
+        best_costs = interpreter.best_costs(labels)
+        charges.extend(best_costs.get(item, 1.0) for item in sorted(items))
+    occurrences = unpaired + len(charges)
+    if not occurrences:
+        return 0.0
+    return (float(unpaired) + float(np.array(charges).sum())) / occurrences
 
 
 def suppression_ratio(

@@ -3,6 +3,8 @@
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles.itemcut import scalar_greedy_km_anonymize
 
 from repro.algorithms.transaction._itemcut import (
@@ -182,3 +184,82 @@ class TestInnerNodeItem:
             "fully_generalized": False,
             "unresolvable_violations": 1,
         }
+
+
+@st.composite
+def item_hierarchies(draw):
+    """A random tree (possibly just the root) and itemsets over any of its nodes.
+
+    Items may be leaves, inner nodes, the root, or group labels that look
+    already generalized, so promotions can move nothing or split a cut node.
+    """
+    builder = HierarchyBuilder(attribute="Items")
+    labels = ["*"]
+    for node in range(1, draw(st.integers(1, 10))):
+        parent = labels[draw(st.integers(0, node - 1))]
+        label = draw(st.sampled_from([f"i{node}", f"(i{node},i{node}b)"]))
+        builder.add(label, parent)
+        labels.append(label)
+    itemsets = draw(
+        st.lists(st.frozensets(st.sampled_from(labels), max_size=3), min_size=1, max_size=12)
+    )
+    return builder.build(), itemsets
+
+
+def run_with_alarm(search, *args, **kwargs):
+    """Run an item-cut search, failing instead of hanging past 2 s."""
+
+    def hang(signum, frame):
+        raise TimeoutError("the item-cut search did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        return search(*args, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSearchTermination:
+    @pytest.mark.parametrize("search", [greedy_km_anonymize, scalar_greedy_km_anonymize])
+    @pytest.mark.parametrize("apriori_order", [True, False])
+    def test_promotion_never_moves_an_item_down(self, search, apriori_order):
+        """An inner-node item left a leaf above the promoted parent: no demotion.
+
+        Promoting ``i2``'s group to ``i1`` used to remap ``i5`` from the root
+        back down to ``i1``, and the search cycled between the two forever.
+        """
+        builder = HierarchyBuilder(attribute="Items")
+        for label, parent in (("i1", "*"), ("i2", "i1"), ("i3", "*"), ("i4", "*"), ("i5", "i2")):
+            builder.add(label, parent)
+        itemsets = [frozenset({"i2"}), frozenset({"i5", "*"})]
+        cut, statistics = run_with_alarm(
+            search, itemsets, builder.build(), 2, 2, apriori_order=apriori_order
+        )
+        assert cut.mapping == {"*": "*", "i2": "i2", "i5": "*"}
+        assert statistics == {
+            "generalization_steps": 3,
+            "final_nodes": 2,
+            "fully_generalized": False,
+            "unresolvable_violations": 2,
+        }
+
+    @given(
+        case=item_hierarchies(),
+        k=st.integers(2, 4),
+        m=st.integers(1, 3),
+        apriori_order=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_returns_within_m_promotions_per_node(self, case, k, m, apriori_order):
+        hierarchy, itemsets = case
+        cut, statistics = run_with_alarm(
+            greedy_km_anonymize, itemsets, hierarchy, k, m, apriori_order=apriori_order
+        )
+        assert statistics["generalization_steps"] <= m * len(hierarchy)
+        reference, expected = run_with_alarm(
+            scalar_greedy_km_anonymize, itemsets, hierarchy, k, m, apriori_order=apriori_order
+        )
+        assert cut.mapping == reference.mapping
+        assert statistics == expected

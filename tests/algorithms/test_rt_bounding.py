@@ -125,18 +125,14 @@ class TestBoundingMethods:
         )
         assert result.parameters["relational_algorithm"] == "incognito"
 
-    def test_with_coat_transaction_factory(self, rt, hierarchies):
+    def test_with_coat_transaction_algorithm(self, rt, hierarchies):
         privacy, utility = generate_policies(rt, k=K, attribute="Items", group_size=4)
-
-        def factory(subset):
-            return Coat(privacy, utility)
-
         algorithm = Rmerger(
             k=K,
             m=M,
             delta=1.0,
             relational_algorithm=ClusterAnonymizer(K, hierarchies),
-            transaction_factory=factory,
+            transaction_algorithm=Coat(privacy, utility),
             hierarchies=hierarchies,
         )
         result = algorithm.anonymize(rt)
@@ -146,9 +142,17 @@ class TestBoundingMethods:
         groups = result.dataset.group_by(relational)
         assert min(len(indices) for indices in groups.values()) >= K
 
-    def test_default_transaction_factory_is_apriori(self, rt, hierarchies, item_hierarchy):
-        algorithm = RTmerger(
+    def test_default_transaction_algorithm_is_apriori(self, rt, hierarchies, item_hierarchy):
+        default = RTmerger(
             k=K, m=M, delta=0.7, hierarchies=hierarchies, item_hierarchy=item_hierarchy
-        )
-        factory = algorithm._default_transaction_factory()
-        assert isinstance(factory(rt), AprioriAnonymizer)
+        ).anonymize(rt)
+        explicit = RTmerger(
+            k=K,
+            m=M,
+            delta=0.7,
+            hierarchies=hierarchies,
+            item_hierarchy=item_hierarchy,
+            transaction_algorithm=AprioriAnonymizer(K, M, hierarchy=item_hierarchy),
+        ).anonymize(rt)
+        assert default.dataset.to_rows() == explicit.dataset.to_rows()
+        assert default.statistics["merges"] == explicit.statistics["merges"]

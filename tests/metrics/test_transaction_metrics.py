@@ -2,16 +2,20 @@
 
 import pytest
 
-from repro.datasets import Attribute, Dataset, Schema
+from repro.algorithms import AprioriAnonymizer
+from repro.datasets import Attribute, Dataset, Schema, generate_market_basket
 from repro.exceptions import DatasetError
+from repro.hierarchy import build_item_hierarchy
 from repro.metrics import (
     average_item_frequency_error,
     estimated_item_frequencies,
     item_frequency_error,
     item_generalization_cost,
+    itemset_utility_loss,
     suppression_ratio,
     utility_loss,
 )
+from repro.metrics import transaction as transaction_metrics
 
 
 @pytest.fixture
@@ -94,6 +98,21 @@ class TestUtilityLoss:
             original, {item: "*" for item in original.item_universe()}
         )
         assert suppression_ratio(original, rooted) == 0.0
+
+
+class TestUtilityLossFallback:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_size_guard_fallback_matches_vectorized_value(self, seed, monkeypatch):
+        original = generate_market_basket(300, 30, seed=seed)
+        hierarchy = build_item_hierarchy(original.item_universe("Items"))
+        anonymized = AprioriAnonymizer(5, 2, hierarchy=hierarchy).anonymize(original).dataset
+        vectorized = utility_loss(original, anonymized, hierarchy=hierarchy)
+        monkeypatch.setattr(transaction_metrics, "_MAX_CHARGE_MATRIX_CELLS", 0)
+        assert utility_loss(original, anonymized, hierarchy=hierarchy) == vectorized
+
+    def test_itemset_utility_loss_rejects_misaligned_itemsets(self):
+        with pytest.raises(DatasetError):
+            itemset_utility_loss([frozenset({"a"})], [])
 
 
 class TestSuppressionRatio:

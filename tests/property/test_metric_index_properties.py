@@ -18,6 +18,7 @@ from repro.exceptions import AlgorithmError
 from repro.index import InvertedIndex
 from repro.metrics import (
     estimated_item_frequencies,
+    itemset_utility_loss,
     label_leaves,
     suppression_ratio,
     utility_loss,
@@ -133,6 +134,23 @@ class TestMetricEquivalence:
         assert utility_loss(original, anonymized) == pytest.approx(
             brute_force_utility_loss(original, anonymized)
         )
+
+    @given(
+        baskets=itemsets,
+        mapping=mappings,
+        suppressed=st.sets(st.integers(0, 24), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_itemset_utility_loss_matches_utility_loss(self, baskets, mapping, suppressed):
+        original = make_dataset(baskets)
+        anonymized = apply_mapping(original, mapping)
+        for index in suppressed & set(range(len(original))):
+            anonymized.set_value(index, "Items", [])
+        loss = itemset_utility_loss(
+            original.column("Items"), anonymized.column("Items")
+        )
+        assert loss == utility_loss(original, anonymized)
+        assert loss == pytest.approx(brute_force_utility_loss(original, anonymized))
 
     @given(baskets=itemsets, mapping=mappings)
     @settings(max_examples=60, deadline=None)

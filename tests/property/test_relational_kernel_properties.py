@@ -23,7 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import ClusterAnonymizer, Rmerger, RTmerger, Tmerger
+from repro.algorithms import (
+    AprioriAnonymizer,
+    ClusterAnonymizer,
+    Rmerger,
+    RTmerger,
+    Tmerger,
+)
+from repro.algorithms.base import Anonymizer
 from oracles.relational import ClusterBounds, ScalarClusterAnonymizer
 from oracles.rt import ScalarMergeState, merge_score
 from repro.algorithms.relational.cluster import _ClusterKernel
@@ -31,7 +38,7 @@ from repro.algorithms.rt import bounding
 from repro.algorithms.rt.bounding import _MergeState
 from repro.columnar.relational import class_sizes, mixed_radix_keys
 from repro.datasets import Attribute, Dataset, Schema, generate_rt_dataset
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, HierarchyError
 from repro.hierarchy import build_categorical_hierarchy, build_item_hierarchy
 from repro.hierarchy.builders import format_interval
 from repro.metrics import (
@@ -281,6 +288,67 @@ class TestClusterKernels:
         assert bounds.cost_with(3) == pytest.approx(1.0 / 41.0)
 
 
+#: A hierarchy over a random value set, and reps drawn from its labels
+#: (leaves, inner nodes, the root), ``None`` and labels outside it.
+hierarchy_values = st.lists(
+    st.text(alphabet="abcdef", min_size=1, max_size=3), min_size=1, max_size=20, unique=True
+)
+
+
+def scalar_merged_rep(hierarchy, rep, other):
+    """The merged cluster's LCA node from the two clusters' LCA nodes."""
+    if rep is None:
+        return other
+    if other is None or other == rep:
+        return rep
+    return hierarchy.lowest_common_ancestor([rep, other])
+
+
+class TestAncestorTable:
+    @given(
+        values=hierarchy_values,
+        fanout=st.integers(2, 4),
+        picks=st.lists(st.integers(-3, 60), min_size=2, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_table_lca_matches_hierarchy(self, values, fanout, picks):
+        hierarchy = build_categorical_hierarchy(values, fanout=fanout)
+        choices = [None, "zz-outside", "yy-outside"] + hierarchy.labels
+        labels = [choices[pick % len(choices)] for pick in picks]
+        reps = bounding._LcaReps(hierarchy, len(labels))
+        ids = np.array(
+            [-1 if label is None else reps.id_of(label) for label in labels], dtype=np.int64
+        )
+        for label, rep in zip(labels, ids):
+            try:
+                expected = [scalar_merged_rep(hierarchy, label, other) for other in labels]
+            except HierarchyError:
+                with pytest.raises(HierarchyError):
+                    reps.merged(rep, ids)
+                continue
+            merged = reps.merged(rep, ids)
+            assert [None if node < 0 else reps.label_of(node) for node in merged] == expected
+            for node, label_after in zip(merged, expected):
+                if label_after is None:
+                    continue
+                if label_after in hierarchy:
+                    assert reps.leaf_counts(np.array([node]))[0] == hierarchy.leaf_count(
+                        label_after
+                    )
+                else:
+                    with pytest.raises(HierarchyError):
+                        reps.leaf_counts(np.array([node]))
+
+    def test_equal_and_root_reps(self):
+        hierarchy = build_categorical_hierarchy(EDUCATION, fanout=2)
+        reps = bounding._LcaReps(hierarchy, 1)
+        root = reps.id_of("*")
+        leaf = reps.id_of("A")
+        others = np.array([root, leaf, -1], dtype=np.int64)
+        assert reps.merged(root, others).tolist() == [root, root, root]
+        assert reps.merged(leaf, others).tolist() == [root, leaf, leaf]
+
+
 #: Cluster sizes used to partition the generated records into merge clusters.
 partitions = st.lists(st.integers(1, 4), min_size=2, max_size=6)
 
@@ -296,6 +364,22 @@ def partition(dataset: Dataset, sizes) -> list[list[int]] | None:
     if start < len(dataset):
         clusters.append(list(range(start, len(dataset))))
     return clusters if len(clusters) >= 2 else None
+
+
+def assert_scores_match(state, strategy, helper, dataset, attributes, clusters, worst):
+    """Every partner's kernel score equals the scalar re-scan of both clusters."""
+    partners = [p for p in range(len(clusters)) if p != worst]
+    for part, kernel in (("r", state.relational_scores), ("t", state.transaction_scores)):
+        if part not in strategy:
+            continue
+        scores = kernel(worst)
+        assert len(scores) == len(clusters)
+        assert [scores[p] for p in partners] == [
+            merge_score(
+                part, helper, dataset, attributes, "Items", clusters[worst], clusters[p]
+            )
+            for p in partners
+        ]
 
 
 class TestMergeKernels:
@@ -317,37 +401,30 @@ class TestMergeKernels:
         helper = ClusterAnonymizer(2, hierarchies, attributes=attributes)
         helper._prepare(dataset, attributes)
         for merger in (Rmerger, Tmerger, RTmerger):
-            algorithm = merger(k=2, hierarchies=hierarchies)
-            state = _MergeState(
-                algorithm.merge_strategy, helper, dataset, attributes, "Items", clusters
-            )
+            strategy = merger.merge_strategy
+            state = _MergeState(strategy, helper, dataset, attributes, "Items", clusters)
             worst = len(clusters) - 1
+            assert_scores_match(state, strategy, helper, dataset, attributes, clusters, worst)
             partner = state.best_partner(worst)
-            scalar = [
-                merge_score(
-                    algorithm.merge_strategy, helper, dataset, attributes, "Items",
-                    clusters[worst], clusters[position],
-                )
-                for position in range(len(clusters))
-                if position != worst
-            ]
-            expected = min(range(len(scalar)), key=scalar.__getitem__)
-            # The state skips the worst position itself, so re-align indices.
-            candidates = [p for p in range(len(clusters)) if p != worst]
-            assert partner == candidates[expected]
-            # Exercise the incremental update: merge and re-score.
+            assert partner == min(
+                (p for p in range(len(clusters)) if p != worst),
+                key=lambda p: merge_score(
+                    strategy, helper, dataset, attributes, "Items", clusters[worst], clusters[p]
+                ),
+            )
+            # Exercise the in-place update: merge, then re-score every cluster.
             merged = sorted(clusters[worst] + clusters[partner])
             keep = [p for p in range(len(clusters)) if p not in (worst, partner)]
             new_clusters = [clusters[p] for p in keep] + [merged]
             state.merge(worst, partner)
-            fresh = _MergeState(
-                algorithm.merge_strategy, helper, dataset, attributes, "Items",
-                new_clusters,
-            )
-            if len(new_clusters) >= 2:
-                incremental = state.best_partner(0)
-                rebuilt = fresh.best_partner(0)
-                assert incremental == rebuilt
+            if len(new_clusters) < 2:
+                continue
+            fresh = _MergeState(strategy, helper, dataset, attributes, "Items", new_clusters)
+            for position in range(len(new_clusters)):
+                assert_scores_match(
+                    state, strategy, helper, dataset, attributes, new_clusters, position
+                )
+                assert state.best_partner(position) == fresh.best_partner(position)
 
     @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
     def test_bounding_output_equivalence_end_to_end(self, merger, monkeypatch):
@@ -365,3 +442,47 @@ class TestMergeKernels:
             == slow_result.statistics["cluster_assignment"]
         )
         assert fast_result.statistics["merges"] == slow_result.statistics["merges"]
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
+    def test_itemset_route_matches_subset_route(self, merger, delta):
+        rt = generate_rt_dataset(n_records=90, n_items=15, seed=23)
+        # Three records in four lose their items: empty itemsets, and clusters
+        # with fewer than k non-empty transactions (unresolvable, suppressed).
+        for index in range(len(rt)):
+            if index % 4:
+                rt.set_value(index, "Items", [])
+        item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
+        itemsets = merger(k=3, m=2, delta=delta, item_hierarchy=item_hierarchy)
+        subsets = merger(
+            k=3,
+            m=2,
+            delta=delta,
+            item_hierarchy=item_hierarchy,
+            transaction_algorithm=SubsetRouteApriori(3, 2, hierarchy=item_hierarchy),
+        )
+        fast, slow = itemsets.anonymize(rt), subsets.anonymize(rt)
+        assert fast.dataset.to_rows() == slow.dataset.to_rows()
+        for key in ("cluster_assignment", "merges", "max_cluster_ul", "transaction_ul"):
+            assert fast.statistics[key] == slow.statistics[key]
+        if delta == 1.0:
+            suppressed = [
+                cluster
+                for cluster in fast.statistics["cluster_assignment"]
+                if any(rt[i]["Items"] for i in cluster)
+                and not any(fast.dataset[i]["Items"] for i in cluster)
+            ]
+            assert suppressed
+
+
+class SubsetRouteApriori(Anonymizer):
+    """Apriori behind a plain ``Anonymizer``: bounding runs it on a ``subset``."""
+
+    name = "apriori"
+    data_kind = "transaction"
+
+    def __init__(self, *args, **kwargs):
+        self.apriori = AprioriAnonymizer(*args, **kwargs)
+
+    def anonymize(self, dataset):
+        return self.apriori.anonymize(dataset)
