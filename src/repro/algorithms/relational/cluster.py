@@ -7,7 +7,12 @@ generalization — the value range of its members for numeric attributes, the
 lowest common ancestor (or the explicit value set, when no hierarchy is
 supplied) for categorical ones.  Unlike the full-domain algorithms the
 recoding is *local*: different clusters may generalize the same value
-differently, which preserves substantially more utility.
+differently, which preserves substantially more utility.  A cluster whose
+members all lack an attribute publishes that attribute missing.
+
+Each greedy step adds the unassigned record that widens the cluster's
+bounding generalization least (the first on ties), rescoring only the
+attributes whose bound the previous member widened.
 
 The produced clusters are also the starting point of the RT bounding methods
 (Rmerger / Tmerger / RTmerger), which is why the cluster assignment is
@@ -36,92 +41,105 @@ from repro.policies.utility import generalized_label
 
 
 class _ClusterKernel:
-    """Running bounding generalization of the cluster being grown.
+    """Per-attribute cost columns of the cluster being grown.
 
-    Column arrays (from ``Dataset.columnar``) plus the running bounds of the
-    cluster, scoring *all* candidate records of one greedy step in a single
-    array pass: numeric span widening via ``np.fmin``/``np.fmax`` against the
-    ``NaN``-missing value vectors, categorical membership via code comparison
-    against the cluster's value-code mask.  The categorical cost counts the
-    cluster's distinct values (a lower bound of the LCA's leaf count).
+    :meth:`reset` gathers the ascending candidates' values once per
+    *contributing* attribute.  A column scores numeric span widening via
+    ``np.fmin``/``np.fmax`` against the ``NaN``-missing value vectors, or
+    categorical membership against the cluster's value-code mask (a count of
+    distinct values, a lower bound of the LCA's leaf count).  :meth:`take`
+    stales only the columns whose bound the member widened; :meth:`costs`
+    rebuilds those and re-sums all columns in attribute order, so every cost
+    is the float a whole-frontier pass gives.  Taken candidates cost ``+inf``,
+    so ``np.argmin`` picks the first cheapest one left.
     """
 
     def __init__(self, owner: "ClusterAnonymizer", dataset: Dataset, attributes):
         self._n_attributes = max(len(list(attributes)), 1)
-        #: ("num", numbers, span, state index) / ("cat", cells, denominator,
-        #: state index) per *contributing* attribute, in attribute order.
+        #: (numbers, span, None) / (cells, denominator, missing code) per
+        #: contributing attribute, in attribute order.
         self._specs: list[tuple] = []
-        numeric_count = 0
-        self._masks: list[np.ndarray] = []
-        self._counts: list[int] = []
         for name in attributes:
             if name in owner._numeric:
                 span = owner._domain_span[name]
                 if span <= 0:
                     continue
-                numbers = dataset.columnar(name).numbers
-                self._specs.append(("num", numbers, span, numeric_count))
-                numeric_count += 1
+                self._specs.append((dataset.columnar(name).numbers, span, None))
             else:
                 size = owner._domain_size[name]
                 if size <= 1:
                     continue
                 cells, labels = dataset.columnar(name).string_codes()
-                mask = np.zeros(len(labels) + 1, dtype=bool)
-                mask[len(labels)] = True  # missing cells never add a new value
-                self._specs.append(("cat", cells, max(size - 1, 1), len(self._masks)))
-                self._masks.append(mask)
-                self._counts.append(0)
-        self._lo = np.full(numeric_count, np.inf)
-        self._hi = np.full(numeric_count, -np.inf)
+                self._specs.append((cells, max(size - 1, 1), len(labels)))
 
-    def reset(self, seed: int) -> None:
-        """Re-anchor the running bounds on a fresh cluster seeded at ``seed``."""
-        for kind, cells_or_numbers, _parameter, position in self._specs:
-            if kind == "num":
-                value = cells_or_numbers[seed]
-                missing = np.isnan(value)
-                self._lo[position] = np.inf if missing else value
-                self._hi[position] = -np.inf if missing else value
-            else:
-                mask = self._masks[position]
-                mask[:-1] = False
-                code = cells_or_numbers[seed]
-                if code != mask.size - 1:
-                    mask[code] = True
-                    self._counts[position] = 1
-                else:
-                    self._counts[position] = 0
-
-    def add(self, index: int) -> None:
-        """Widen the bounds with record ``index`` (missing cells widen nothing)."""
-        for kind, cells_or_numbers, _parameter, position in self._specs:
-            if kind == "num":
-                value = cells_or_numbers[index]
-                if not np.isnan(value):
-                    self._lo[position] = min(self._lo[position], value)
-                    self._hi[position] = max(self._hi[position], value)
-            else:
-                mask = self._masks[position]
-                code = cells_or_numbers[index]
-                if code != mask.size - 1 and not mask[code]:
-                    mask[code] = True
-                    self._counts[position] += 1
-
-    def costs(self, candidates: np.ndarray) -> np.ndarray:
-        """Bounding-generalization NCP of the cluster widened by each candidate."""
-        cost = np.zeros(candidates.size)
-        for kind, cells_or_numbers, parameter, position in self._specs:
-            if kind == "num":
-                values = cells_or_numbers[candidates]
-                width = np.fmax(self._hi[position], values) - np.fmin(
-                    self._lo[position], values
+    def reset(self, seed: int, candidates: np.ndarray) -> None:
+        """Seed a cluster at ``seed``; ``candidates`` are the records it may take."""
+        #: Per attribute: [low, high] of the present values (``inf``/``-inf``
+        #: while there are none), or [value-code mask, distinct count].
+        self._bounds: list[list] = []
+        self._values: list[np.ndarray] = []
+        self._columns: list[np.ndarray | None] = []
+        self._size = candidates.size
+        for data, _parameter, missing in self._specs:
+            if missing is None:
+                value = data[seed]
+                self._bounds.append(
+                    [np.inf, -np.inf] if np.isnan(value) else [value, value]
                 )
-                cost += np.maximum(width, 0.0) / parameter
             else:
-                extra = ~self._masks[position][cells_or_numbers[candidates]]
-                cost += (self._counts[position] + extra - 1.0) / parameter
-        return cost / self._n_attributes
+                mask = np.zeros(missing + 1, dtype=bool)
+                mask[missing] = True  # missing cells never add a new value
+                code = data[seed]
+                mask[code] = True
+                self._bounds.append([mask, int(code != missing)])
+            self._values.append(data[candidates])
+            self._columns.append(None)
+        self.taken: list[int] = []
+        self._cost: np.ndarray | None = None
+
+    def take(self, position: int) -> None:
+        """Add ``candidates[position]``; stale only the columns it widens."""
+        self.taken.append(position)
+        if self._cost is not None:
+            self._cost[position] = np.inf
+        for spec, (_data, _parameter, missing) in enumerate(self._specs):
+            value = self._values[spec][position]
+            bound = self._bounds[spec]
+            if missing is None:
+                if np.isnan(value) or bound[0] <= value <= bound[1]:
+                    continue
+                bound[0] = min(bound[0], value)
+                bound[1] = max(bound[1], value)
+            else:
+                if bound[0][value]:
+                    continue
+                bound[0][value] = True
+                bound[1] += 1
+            self._columns[spec] = None
+            self._cost = None
+
+    def costs(self) -> np.ndarray:
+        """Bounding-generalization NCP of the cluster widened by each candidate."""
+        if self._cost is not None:
+            return self._cost
+        cost = np.zeros(self._size)
+        for spec, (_data, parameter, missing) in enumerate(self._specs):
+            column = self._columns[spec]
+            if column is None:
+                values = self._values[spec]
+                if missing is None:
+                    low, high = self._bounds[spec]
+                    width = np.fmax(high, values) - np.fmin(low, values)
+                    column = np.maximum(width, 0.0) / parameter
+                else:
+                    mask, count = self._bounds[spec]
+                    column = (count + ~mask[values] - 1.0) / parameter
+                self._columns[spec] = column
+            cost += column
+        cost /= self._n_attributes
+        cost[self.taken] = np.inf
+        self._cost = cost
+        return cost
 
 
 class ClusterAnonymizer(Anonymizer):
@@ -135,24 +153,13 @@ class ClusterAnonymizer(Anonymizer):
         k: int,
         hierarchies: Mapping[str, Hierarchy] | None = None,
         attributes: Sequence[str] | None = None,
-        candidate_limit: int | None = None,
     ):
         self.k = int(k)
         self.hierarchies = dict(hierarchies or {})
         self.attributes = list(attributes) if attributes is not None else None
-        #: Upper bound on how many unassigned records are scored when growing
-        #: a cluster (``None`` scores the whole frontier).  The vectorized
-        #: scoring kernel made the full frontier the default — the old
-        #: accuracy cap of 250 is no longer needed for speed — but a limit can
-        #: still be set to keep the greedy step near-linear on huge datasets.
-        self.candidate_limit = candidate_limit
 
     def parameters(self) -> dict:
-        return {
-            "k": self.k,
-            "attributes": self.attributes,
-            "candidate_limit": self.candidate_limit,
-        }
+        return {"k": self.k, "attributes": self.attributes}
 
     # -- cluster cost model ------------------------------------------------------
     def _prepare(self, dataset: Dataset, attributes: Sequence[str]) -> None:
@@ -235,13 +242,19 @@ class ClusterAnonymizer(Anonymizer):
 
     def _generalized_values(
         self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
-    ) -> dict[str, str]:
-        """The published value per attribute for one cluster."""
-        published: dict[str, str] = {}
+    ) -> dict[str, str | None]:
+        """The published value per attribute for one cluster.
+
+        An attribute that every member lacks stays missing (``None``).
+        """
+        published: dict[str, str | None] = {}
         for name in attributes:
             values = [dataset[index][name] for index in indices]
-            if name in self._numeric:
-                numeric_values = [float(v) for v in values if v is not None]
+            present = [value for value in values if value is not None]
+            if not present:
+                published[name] = None
+            elif name in self._numeric:
+                numeric_values = [float(v) for v in present]
                 low, high = min(numeric_values), max(numeric_values)
                 if low == high:
                     published[name] = (
@@ -250,7 +263,7 @@ class ClusterAnonymizer(Anonymizer):
                 else:
                     published[name] = format_interval(low, high)
             else:
-                distinct = {str(v) for v in values if v is not None}
+                distinct = {str(v) for v in present}
                 if len(distinct) == 1:
                     published[name] = next(iter(distinct))
                 else:
@@ -304,28 +317,21 @@ class ClusterAnonymizer(Anonymizer):
     def _grow_clusters(
         self, dataset: Dataset, attributes: Sequence[str]
     ) -> tuple[list[list[int]], list[int]]:
-        """Greedy growth with one whole-frontier kernel pass per added member."""
+        """Greedy growth; each added member rescores only the columns it widens."""
         kernel = _ClusterKernel(self, dataset, attributes)
         unassigned = np.arange(len(dataset), dtype=np.int64)
         clusters: list[list[int]] = []
         while unassigned.size >= self.k:
             seed = int(unassigned[0])
-            unassigned = unassigned[1:]
-            cluster = [seed]
-            kernel.reset(seed)
-            while len(cluster) < self.k:
-                candidates = (
-                    unassigned
-                    if self.candidate_limit is None
-                    else unassigned[: self.candidate_limit]
-                )
-                best_position = int(np.argmin(kernel.costs(candidates)))
-                best_index = int(candidates[best_position])
-                cluster.append(best_index)
-                kernel.add(best_index)
-                unassigned = np.delete(unassigned, best_position)
-            clusters.append(cluster)
-        return clusters, [int(index) for index in unassigned]
+            candidates = unassigned[1:]
+            kernel.reset(seed, candidates)
+            for _ in range(self.k - 1):
+                kernel.take(int(np.argmin(kernel.costs())))
+            clusters.append([seed, *candidates[kernel.taken].tolist()])
+            alive = np.ones(candidates.size, dtype=bool)
+            alive[kernel.taken] = False
+            unassigned = candidates[alive]
+        return clusters, unassigned.tolist()
 
     def generalize_clusters(
         self,

@@ -14,7 +14,7 @@ from repro.algorithms import (
     Incognito,
     TopDownSpecialization,
 )
-from repro.datasets import generate_adult_like
+from repro.datasets import Attribute, Dataset, Schema, generate_adult_like
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy import build_hierarchies_for_dataset
 from repro.metrics import global_certainty_penalty, is_k_anonymous
@@ -209,3 +209,39 @@ class TestCluster:
     def test_works_without_hierarchies(self, adult):
         result = ClusterAnonymizer(5, attributes=QI).anonymize(adult)
         assert is_k_anonymous(result.dataset, 5, attributes=QI)
+
+
+class TestClusterWithAllMissingValues:
+    """A cluster whose members all lack a quasi-identifier publishes it missing."""
+
+    SCHEMA = Schema([Attribute.numeric("Age"), Attribute.categorical("Edu")])
+
+    def dataset(self, rows):
+        return Dataset(self.SCHEMA, [{"Age": age, "Edu": edu} for age, edu in rows])
+
+    def test_numeric_attribute_missing_in_every_member(self):
+        dataset = self.dataset([(None, "A"), (None, "A"), (30, "B"), (40, "B")])
+        result = ClusterAnonymizer(2).anonymize(dataset)
+        assert result.statistics["cluster_assignment"] == [[0, 1], [2, 3]]
+        assert result.dataset.column("Age") == [None, None, "[30-40]", "[30-40]"]
+        assert result.dataset.column("Edu") == ["A", "A", "B", "B"]
+
+    def test_categorical_attribute_missing_in_every_member(self):
+        dataset = self.dataset([(30, None), (30, None), (40, "B"), (50, "C")])
+        result = ClusterAnonymizer(2).anonymize(dataset)
+        assert result.statistics["cluster_assignment"] == [[0, 1], [2, 3]]
+        assert result.dataset.column("Edu") == [None, None, "(B,C)", "(B,C)"]
+        assert result.dataset.column("Age") == [30, 30, "[40-50]", "[40-50]"]
+
+    def test_gcp_scores_the_missing_cells_as_the_input_does(self):
+        # A missing Age costs what it costs in the input (the metric charges a
+        # missing numeric cell fully); the other cluster spans the whole range.
+        dataset = self.dataset([(None, "A"), (None, "A"), (30, "B"), (40, "B")])
+        result = ClusterAnonymizer(2).anonymize(dataset)
+        expected = self.dataset(
+            [(None, "A"), (None, "A"), ("[30-40]", "B"), ("[30-40]", "B")]
+        )
+        assert repr(result.statistics["gcp"]) == repr(
+            global_certainty_penalty(dataset, expected)
+        )
+        assert result.statistics["gcp"] == 0.5

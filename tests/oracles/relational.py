@@ -5,7 +5,11 @@ now run on code arrays; the equivalence tests pin the two to identical
 outputs:
 
 * :class:`ClusterBounds` and :func:`grow_clusters_scalar` — greedy k-member
-  growth scoring one candidate record at a time (``_ClusterKernel``);
+  growth scoring one candidate record at a time;
+* :class:`FrontierClusterKernel` and :func:`grow_clusters_frontier` — the
+  same growth rescoring every attribute of the whole unassigned frontier per
+  added member, the reference of ``ClusterAnonymizer._grow_clusters`` at
+  sizes where the scalar growth is too slow;
 * :class:`ScalarClusterAnonymizer` — the clustering with that growth, each
   leftover scored by :func:`cluster_cost_scalar` over all members of every
   cluster, and per-cell ``set_value`` publishing;
@@ -21,6 +25,8 @@ outputs:
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.algorithms import ClusterAnonymizer, Incognito, TopDownSpecialization
 from repro.algorithms.base import relational_quasi_identifiers
@@ -117,14 +123,9 @@ def grow_clusters_scalar(
         cluster = [seed]
         bounds = ClusterBounds(algorithm, dataset, attributes, seed)
         while len(cluster) < algorithm.k:
-            candidates = (
-                unassigned
-                if algorithm.candidate_limit is None
-                else unassigned[: algorithm.candidate_limit]
-            )
             best_index = None
             best_cost = None
-            for candidate in candidates:
+            for candidate in unassigned:
                 cost = bounds.cost_with(candidate)
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
@@ -134,6 +135,115 @@ def grow_clusters_scalar(
             unassigned.remove(best_index)
         clusters.append(cluster)
     return clusters, unassigned
+
+
+class FrontierClusterKernel:
+    """Running bounds of the growing cluster, scoring a whole frontier per call.
+
+    Numeric span widening via ``np.fmin``/``np.fmax`` against the
+    ``NaN``-missing value vectors, categorical membership via code comparison
+    against the cluster's value-code mask; every contributing attribute is
+    gathered and rescored on every :meth:`costs` call.
+    """
+
+    def __init__(self, owner: ClusterAnonymizer, dataset: Dataset, attributes):
+        self._n_attributes = max(len(list(attributes)), 1)
+        #: ("num", numbers, span, state index) / ("cat", cells, denominator,
+        #: state index) per *contributing* attribute, in attribute order.
+        self._specs: list[tuple] = []
+        numeric_count = 0
+        self._masks: list[np.ndarray] = []
+        self._counts: list[int] = []
+        for name in attributes:
+            if name in owner._numeric:
+                span = owner._domain_span[name]
+                if span <= 0:
+                    continue
+                numbers = dataset.columnar(name).numbers
+                self._specs.append(("num", numbers, span, numeric_count))
+                numeric_count += 1
+            else:
+                size = owner._domain_size[name]
+                if size <= 1:
+                    continue
+                cells, labels = dataset.columnar(name).string_codes()
+                mask = np.zeros(len(labels) + 1, dtype=bool)
+                mask[len(labels)] = True  # missing cells never add a new value
+                self._specs.append(("cat", cells, max(size - 1, 1), len(self._masks)))
+                self._masks.append(mask)
+                self._counts.append(0)
+        self._lo = np.full(numeric_count, np.inf)
+        self._hi = np.full(numeric_count, -np.inf)
+
+    def reset(self, seed: int) -> None:
+        """Re-anchor the running bounds on a fresh cluster seeded at ``seed``."""
+        for kind, cells_or_numbers, _parameter, position in self._specs:
+            if kind == "num":
+                value = cells_or_numbers[seed]
+                missing = np.isnan(value)
+                self._lo[position] = np.inf if missing else value
+                self._hi[position] = -np.inf if missing else value
+            else:
+                mask = self._masks[position]
+                mask[:-1] = False
+                code = cells_or_numbers[seed]
+                if code != mask.size - 1:
+                    mask[code] = True
+                    self._counts[position] = 1
+                else:
+                    self._counts[position] = 0
+
+    def add(self, index: int) -> None:
+        """Widen the bounds with record ``index`` (missing cells widen nothing)."""
+        for kind, cells_or_numbers, _parameter, position in self._specs:
+            if kind == "num":
+                value = cells_or_numbers[index]
+                if not np.isnan(value):
+                    self._lo[position] = min(self._lo[position], value)
+                    self._hi[position] = max(self._hi[position], value)
+            else:
+                mask = self._masks[position]
+                code = cells_or_numbers[index]
+                if code != mask.size - 1 and not mask[code]:
+                    mask[code] = True
+                    self._counts[position] += 1
+
+    def costs(self, candidates: np.ndarray) -> np.ndarray:
+        """Bounding-generalization NCP of the cluster widened by each candidate."""
+        cost = np.zeros(candidates.size)
+        for kind, cells_or_numbers, parameter, position in self._specs:
+            if kind == "num":
+                values = cells_or_numbers[candidates]
+                width = np.fmax(self._hi[position], values) - np.fmin(
+                    self._lo[position], values
+                )
+                cost += np.maximum(width, 0.0) / parameter
+            else:
+                extra = ~self._masks[position][cells_or_numbers[candidates]]
+                cost += (self._counts[position] + extra - 1.0) / parameter
+        return cost / self._n_attributes
+
+
+def grow_clusters_frontier(
+    algorithm: ClusterAnonymizer, dataset: Dataset, attributes: Sequence[str]
+) -> tuple[list[list[int]], list[int]]:
+    """Greedy growth with one :class:`FrontierClusterKernel` pass per member."""
+    kernel = FrontierClusterKernel(algorithm, dataset, attributes)
+    unassigned = np.arange(len(dataset), dtype=np.int64)
+    clusters: list[list[int]] = []
+    while unassigned.size >= algorithm.k:
+        seed = int(unassigned[0])
+        unassigned = unassigned[1:]
+        cluster = [seed]
+        kernel.reset(seed)
+        while len(cluster) < algorithm.k:
+            best_position = int(np.argmin(kernel.costs(unassigned)))
+            best_index = int(unassigned[best_position])
+            cluster.append(best_index)
+            kernel.add(best_index)
+            unassigned = np.delete(unassigned, best_position)
+        clusters.append(cluster)
+    return clusters, [int(index) for index in unassigned]
 
 
 def cluster_cost_scalar(

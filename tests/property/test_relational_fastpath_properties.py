@@ -6,7 +6,9 @@ places leftovers against cached bounds and publishes one column write per
 attribute, and the k-anonymity checks count classes on the code matrix.
 Each is pinned to the per-record reference in ``tests/oracles/relational.py``:
 the same ``Dataset.fingerprint()`` and the same statistics, down to the
-``repr`` of every GCP float.
+``repr`` of every GCP float.  Cluster's incremental greedy growth is also
+pinned to the whole-frontier reference growth at the benchmark workloads'
+sizes, where the per-record growth is too slow.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from oracles.relational import (
     ScalarIncognito,
     ScalarTopDown,
     apply_by_cells,
+    grow_clusters_frontier,
     k_violations_group_by,
     min_class_size_group_by,
 )
@@ -29,7 +32,13 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import relational_quasi_identifiers
 from repro.algorithms.relational._fulldomain import FullDomainIndex
-from repro.datasets import Attribute, Dataset, Schema, generate_adult_like
+from repro.datasets import (
+    Attribute,
+    Dataset,
+    Schema,
+    generate_adult_like,
+    generate_rt_dataset,
+)
 from repro.hierarchy import build_hierarchies_for_dataset
 from repro.hierarchy.hierarchy import HierarchyBuilder
 from repro.hierarchy.lattice import GeneralizationLattice
@@ -40,14 +49,15 @@ SIZES = [63, 64, 65, 1500]
 KS = [2, 5, 25, 45]
 
 
-class _KernelGrowthCluster(ScalarClusterAnonymizer):
-    """Kernel growth (pinned by ``TestClusterKernels``), scalar everything else.
+class _FrontierGrowthCluster(ScalarClusterAnonymizer):
+    """Whole-frontier growth (pinned by ``TestClusterKernels``), scalar the rest.
 
     The scalar growth is quadratic in Python; at 1500 records it would
     dominate the suite without exercising anything the small sizes miss.
     """
 
-    _grow_clusters = ClusterAnonymizer._grow_clusters
+    def _grow_clusters(self, dataset, attributes):
+        return grow_clusters_frontier(self, dataset, attributes)
 
 
 @pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
@@ -132,7 +142,7 @@ class TestAdultLike:
 
     def test_cluster(self, adult, k):
         dataset, hierarchies = adult
-        oracle = _KernelGrowthCluster if len(dataset) > 500 else ScalarClusterAnonymizer
+        oracle = _FrontierGrowthCluster if len(dataset) > 500 else ScalarClusterAnonymizer
         result = run_cluster(dataset, hierarchies, k, oracle=oracle)
         assert_checks_agree(result.dataset, relational_quasi_identifiers(dataset), k)
 
@@ -140,6 +150,51 @@ class TestAdultLike:
         dataset, hierarchies = adult
         result = run_fullsubtree(dataset, hierarchies, k)
         assert_checks_agree(result.dataset, relational_quasi_identifiers(dataset), k)
+
+
+# -- incremental growth against the whole-frontier reference --------------------
+@pytest.mark.parametrize("seed", [1, 104729])
+@pytest.mark.parametrize("k", [5, 25, 45], ids=lambda k: f"k{k}")
+def test_cluster_growth_matches_frontier_on_adult_workload(seed, k):
+    dataset = generate_adult_like(n_records=1500, seed=seed)
+    run_cluster(
+        dataset, build_hierarchies_for_dataset(dataset), k, oracle=_FrontierGrowthCluster
+    )
+
+
+def test_cluster_growth_matches_frontier_on_rt_workload():
+    dataset = generate_rt_dataset(n_records=2500, n_items=40, seed=1)
+    run_cluster(
+        dataset, build_hierarchies_for_dataset(dataset), 10, oracle=_FrontierGrowthCluster
+    )
+
+
+TIED_SCHEMA = Schema(
+    [Attribute.numeric("N1"), Attribute.numeric("N2")]
+    + [Attribute.categorical(name) for name in ("C1", "C2", "C3")]
+)
+numeric_cells = st.one_of(st.none(), st.integers(0, 6), st.sampled_from([0.5, -0.0]))
+categorical_cells = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d"]))
+
+
+@st.composite
+def tied_datasets(draw):
+    """Records drawn from a few distinct rows, so most growth steps tie."""
+    row = st.tuples(numeric_cells, numeric_cells, *[categorical_cells] * 3)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+    names = [attribute.name for attribute in TIED_SCHEMA]
+    dataset = Dataset(TIED_SCHEMA, [dict(zip(names, values)) for values in picks])
+    return dataset, draw(st.integers(2, min(5, len(picks))))
+
+
+@given(inputs=tied_datasets())
+@settings(max_examples=60, deadline=None)
+def test_cluster_growth_matches_references_on_ties_and_missing_cells(inputs):
+    dataset, k = inputs
+    clusters = ClusterAnonymizer(k).build_clusters(dataset)
+    assert clusters == _FrontierGrowthCluster(k).build_clusters(dataset)
+    assert clusters == ScalarClusterAnonymizer(k).build_clusters(dataset)
 
 
 # -- hierarchies whose labels look numeric ---------------------------------------

@@ -8,7 +8,8 @@ reference element-for-element:
 
 * ``RelationalLossContext.dataset_ncp_values`` vs the ``record_ncp`` loop,
 * ``equivalence_class_sizes`` vs ``Dataset.group_by``,
-* ``_ClusterKernel.costs`` vs ``ClusterBounds.cost_with`` (``tests/oracles``),
+* ``_ClusterKernel.costs`` vs ``ClusterBounds.cost_with`` and, bit for bit,
+  the whole-frontier ``FrontierClusterKernel.costs`` (``tests/oracles``),
 * ``_MergeState`` scores vs ``merge_score`` (``tests/oracles/rt.py``),
 * the full Rmerger / Tmerger / RTmerger outputs with and without the
   scalar references swapped in.
@@ -31,7 +32,11 @@ from repro.algorithms import (
     Tmerger,
 )
 from repro.algorithms.base import Anonymizer
-from oracles.relational import ClusterBounds, ScalarClusterAnonymizer
+from oracles.relational import (
+    ClusterBounds,
+    FrontierClusterKernel,
+    ScalarClusterAnonymizer,
+)
 from oracles.rt import ScalarMergeState, merge_score
 from repro.algorithms.relational.cluster import _ClusterKernel
 from repro.algorithms.rt import bounding
@@ -227,28 +232,62 @@ class TestClusterKernels:
         dataset = make_rt(rows)
         algorithm = ClusterAnonymizer(2, attributes=["Age", "Education"])
         algorithm._prepare(dataset, ["Age", "Education"])
-        kernel = _ClusterKernel(algorithm, dataset, ["Age", "Education"])
         bounds = ClusterBounds(algorithm, dataset, ["Age", "Education"], 0)
-        kernel.reset(0)
+        frontier = FrontierClusterKernel(algorithm, dataset, ["Age", "Education"])
+        frontier.reset(0)
+        candidates = np.arange(len(dataset), dtype=np.int64)
+        kernel = _ClusterKernel(algorithm, dataset, ["Age", "Education"])
+        kernel.reset(0, candidates)
         members = list(range(1, len(dataset), 3))
         for member in members:
             bounds.add(member)
-            kernel.add(member)
-        candidates = np.arange(len(dataset), dtype=np.int64)
-        vectorized = kernel.costs(candidates)
+            frontier.add(member)
+            kernel.take(member)
         scalar = [bounds.cost_with(int(index)) for index in candidates]
-        assert vectorized.tolist() == pytest.approx(scalar, abs=1e-12)
+        assert frontier.costs(candidates).tolist() == pytest.approx(scalar, abs=1e-12)
+        alive = np.ones(len(dataset), dtype=bool)
+        alive[members] = False
+        costs = kernel.costs()
+        assert costs[alive].tolist() == pytest.approx(
+            [cost for cost, keep in zip(scalar, alive) if keep], abs=1e-12
+        )
+        assert np.isinf(costs[~alive]).all()
 
-    @given(rows=records, k=st.integers(2, 4), limit=st.sampled_from([None, 3]))
+    @given(rows=records, seed=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_costs_are_the_frontier_costs_bit_for_bit(self, rows, seed):
+        # Every greedy step's costs over the untaken candidates, the way the
+        # incremental columns and the whole-frontier pass compute them.
+        dataset = make_rt(rows)
+        seed %= len(dataset)
+        attributes = ["Age", "Education"]
+        algorithm = ClusterAnonymizer(2, attributes=attributes)
+        algorithm._prepare(dataset, attributes)
+        candidates = np.delete(np.arange(len(dataset), dtype=np.int64), seed)
+        kernel = _ClusterKernel(algorithm, dataset, attributes)
+        kernel.reset(seed, candidates)
+        frontier = FrontierClusterKernel(algorithm, dataset, attributes)
+        frontier.reset(seed)
+        alive = np.ones(candidates.size, dtype=bool)
+        for _ in range(candidates.size):
+            costs = kernel.costs()
+            expected = frontier.costs(candidates[alive])
+            assert costs[alive].tobytes() == expected.tobytes()
+            assert np.isinf(costs[~alive]).all()
+            position = int(np.argmin(costs))
+            assert candidates[position] == candidates[alive][np.argmin(expected)]
+            kernel.take(position)
+            frontier.add(int(candidates[position]))
+            alive[position] = False
+
+    @given(rows=records, k=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
-    def test_build_clusters_equivalent(self, rows, k, limit):
+    def test_build_clusters_equivalent(self, rows, k):
         dataset = make_rt(rows)
         if len(dataset) < k:
             return
-        fast = ClusterAnonymizer(k, attributes=["Age", "Education"], candidate_limit=limit)
-        slow = ScalarClusterAnonymizer(
-            k, attributes=["Age", "Education"], candidate_limit=limit
-        )
+        fast = ClusterAnonymizer(k, attributes=["Age", "Education"])
+        slow = ScalarClusterAnonymizer(k, attributes=["Age", "Education"])
         assert fast.build_clusters(dataset) == slow.build_clusters(dataset)
 
     def test_kernel_matches_scalar_on_dict_equal_mixed_cells(self):
@@ -263,10 +302,10 @@ class TestClusterKernels:
         algorithm._prepare(dataset, ["Age"])
         kernel = _ClusterKernel(algorithm, dataset, ["Age"])
         bounds = ClusterBounds(algorithm, dataset, ["Age"], 0)
-        kernel.reset(0)
         candidates = np.arange(len(dataset), dtype=np.int64)
+        kernel.reset(0, candidates)
         scalar = [bounds.cost_with(int(index)) for index in candidates]
-        assert kernel.costs(candidates).tolist() == pytest.approx(scalar)
+        assert kernel.costs().tolist() == pytest.approx(scalar)
 
     def test_none_numeric_seed_does_not_anchor_bounds_at_zero(self):
         # Regression: a cluster seeded on a missing Age used to get bounds
