@@ -1,14 +1,13 @@
 """Benchmark: repro-lint full-repository analysis cost.
 
-The interprocedural engine (call graph + summary fixpoint, PR 10) made the
-linter a whole-program analysis; this benchmark keeps its cost honest by
-timing each phase over the real repository:
+REP006 resolves workers through a whole-project call graph, so the linter
+reads every analyzed module before it reports; this benchmark keeps that
+cost honest by timing each phase over the real repository:
 
 * **parse** — reading and AST-parsing every analyzed module,
 * **graph** — building the import/call graph over the parsed project,
-* **summaries** — the dataflow summary fixpoint over the call graph,
 * **full** — an end-to-end ``analyze_paths`` run with every rule active
-  (which repeats parse/graph/summaries internally — it is the number CI's
+  (which repeats parse/graph internally — it is the number CI's
   static-analysis job actually pays).
 
 Besides asserting a generous wall-time ceiling, the run writes a
@@ -37,7 +36,6 @@ from repro.analysis.core import (
     analyze_paths,
     iter_python_files,
 )
-from repro.analysis.dataflow import compute_summaries
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.manifest import InvariantManifest
 
@@ -48,7 +46,7 @@ ANALYZED_PATHS = ("src", "tests", "benchmarks")
 
 #: Generous ceiling for one full analysis run: the gate is "stays usable in
 #: CI and pre-commit", not a micro-benchmark — flag only order-of-magnitude
-#: regressions (the full run takes ~5 s on a laptop-class machine).
+#: regressions (the full run takes ~2 s on a laptop-class machine).
 FULL_RUN_CEILING_SECONDS = 120.0
 
 
@@ -67,10 +65,6 @@ def run_benchmark() -> dict:
     graph_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    summaries = compute_summaries(graph, manifest)
-    summary_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
     report = analyze_paths(ANALYZED_PATHS, root=REPO_ROOT, manifest=manifest)
     full_seconds = time.perf_counter() - started
 
@@ -81,11 +75,9 @@ def run_benchmark() -> dict:
         "phases": {
             "parse_seconds": round(parse_seconds, 3),
             "graph_seconds": round(graph_seconds, 3),
-            "summaries_seconds": round(summary_seconds, 3),
             "full_run_seconds": round(full_seconds, 3),
         },
         "call_graph": graph.stats(),
-        "summarized_functions": len(summaries),
     }
 
 
@@ -99,7 +91,7 @@ class TestAnalysisBenchmark:
         _write_trajectory(payload)
         assert payload["phases"]["full_run_seconds"] < FULL_RUN_CEILING_SECONDS
         # The graph must actually cover the repository: a collapse to a
-        # near-empty graph would silently disable the interprocedural rules.
+        # near-empty graph would silently disable REP006's worker resolution.
         stats = payload["call_graph"]
         assert stats["functions"] > 500
         assert stats["resolved_call_sites"] > 500

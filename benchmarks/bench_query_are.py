@@ -6,16 +6,17 @@ RT-dataset, anonymized in the style of a cluster + item-grouping run
 
 * **estimate** — :meth:`Query.estimate` over the anonymized data under
   ``universe_mode="original"``.  Baseline: the per-record scan
-  (``vectorized=False``, the exact semantic reference).  Kernel: the
+  (``Query._estimate_scan``, the exact semantic reference).  Kernel: the
   per-distinct-label probability tables gathered through the columnar code
   arrays plus the CSR ``maximum.reduceat`` item reduction.  Both sides share
   one set of prebuilt universe-keyed interpreters (the workload-evaluation
   regime) and the kernel is asserted bit-for-bit equal per query.
 * **count** — :meth:`Query.count` over the original data.  Baseline: the
-  per-record match scan.  Kernel: per-distinct-value match tables plus
-  AND+popcount over the required items' posting bitsets.
+  per-record match scan (``Query._count_scan``).  Kernel: per-distinct-value
+  match tables plus AND+popcount over the required items' posting bitsets.
 * **are** — :func:`average_relative_error` end to end (count + estimate per
-  query), both ways.
+  query), against its per-record twin ``average_relative_error_scan``
+  (``tests/oracles/queries.py``).
 
 Besides asserting the >= 5x acceptance bar on the estimator, the run writes
 a machine-readable ``BENCH_are.json`` at the repository root (seconds and
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -45,6 +47,8 @@ from repro.queries import average_relative_error, generate_query_workload
 from repro.queries.are import workload_interpreters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.queries import average_relative_error_scan  # noqa: E402  (the oracle lives with the tests)
 TRAJECTORY_FILE = REPO_ROOT / "BENCH_are.json"
 
 N_RECORDS = 50_000
@@ -104,21 +108,22 @@ def timed_best(function, *args, repeats: int = 3, **kwargs):
     return result, best
 
 
-def workload_estimates(workload, anonymized, interpreters, domains, vectorized):
+def workload_estimates(workload, anonymized, interpreters, domains, scan):
     return [
-        query.estimate(
+        (query._estimate_scan if scan else query.estimate)(
             anonymized,
             interpreters=interpreters,
             domains=domains,
             universe_mode="original",
-            vectorized=vectorized,
         )
         for query in workload
     ]
 
 
-def workload_counts(workload, original, vectorized):
-    return [query.count(original, vectorized=vectorized) for query in workload]
+def workload_counts(workload, original, scan):
+    return [
+        (query._count_scan if scan else query.count)(original) for query in workload
+    ]
 
 
 # -- main -------------------------------------------------------------------------
@@ -138,32 +143,32 @@ def run_benchmark(
 
     # Estimation over the anonymized output (the ARE hot path).
     scan_estimates, scan_estimate_seconds = timed_best(
-        workload_estimates, workload, anonymized, interpreters, domains, False,
+        workload_estimates, workload, anonymized, interpreters, domains, True,
         repeats=scan_repeats,
     )
     kernel_estimates, kernel_estimate_seconds = timed_best(
-        workload_estimates, workload, anonymized, interpreters, domains, True,
+        workload_estimates, workload, anonymized, interpreters, domains, False,
         repeats=kernel_repeats,
     )
     assert kernel_estimates == scan_estimates  # bit-for-bit, not approximately
 
     # Exact counting over the original data.
     scan_counts, scan_count_seconds = timed_best(
-        workload_counts, workload, original, False, repeats=scan_repeats
+        workload_counts, workload, original, True, repeats=scan_repeats
     )
     kernel_counts, kernel_count_seconds = timed_best(
-        workload_counts, workload, original, True, repeats=kernel_repeats
+        workload_counts, workload, original, False, repeats=kernel_repeats
     )
     assert kernel_counts == scan_counts
 
     # End-to-end ARE, both ways (count + estimate per query).
     scan_are, scan_are_seconds = timed_best(
-        average_relative_error, workload, original, anonymized,
-        domains=domains, vectorized=False, repeats=scan_repeats,
+        average_relative_error_scan, workload, original, anonymized,
+        domains=domains, repeats=scan_repeats,
     )
     kernel_are, kernel_are_seconds = timed_best(
         average_relative_error, workload, original, anonymized,
-        domains=domains, vectorized=True, repeats=kernel_repeats,
+        domains=domains, repeats=kernel_repeats,
     )
     assert kernel_are.are == scan_are.are
 

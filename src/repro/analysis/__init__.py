@@ -12,6 +12,11 @@ as a CI gate:
 
 ``python -m repro.analysis [paths...]``
 
+The rules (REP000–REP008) are syntactic checks over one module at a time;
+only REP006 also consults the project call graph (:mod:`repro.analysis.graph`)
+to resolve worker names and factories.  A rule stays only while it catches
+bugs no other rule catches.
+
 Findings can be silenced three ways, in order of preference: fix the code,
 suppress one line with ``# repro: allow[REP0xx] -- reason`` (the reason is
 mandatory), or grandfather a pre-existing finding into the committed

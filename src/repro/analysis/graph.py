@@ -1,9 +1,9 @@
 """Project-wide module import graph and call graph.
 
 The file-local rules of :mod:`repro.analysis.rules` see one module at a
-time; the interprocedural rules (REP009–REP011, and REP006's worker
-resolution) need to know *who calls whom* across the whole analyzed path
-set.  This module builds that picture from nothing but the parsed ASTs:
+time; REP006's worker resolution needs to know *who calls whom* across the
+whole analyzed path set.  This module builds that picture from nothing but
+the parsed ASTs:
 
 * a **module graph** — every analyzed module keyed by root-relative path,
   with its import edges resolved back to analyzed modules where possible;
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core ↔ graph)
     from repro.analysis.core import ModuleContext, Project
@@ -68,20 +68,11 @@ class FunctionInfo:
     #: Positional-or-keyword parameter names, in order (``self``/``cls``
     #: included for methods so argument indices line up with call sites).
     params: tuple[str, ...]
-    #: Keyword-only parameter names.
-    kwonly: tuple[str, ...]
     #: Qualified name of the enclosing class ("" for plain functions).
     owner_class: str = ""
     #: True when the def is nested inside another function (not picklable
     #: under spawn, invisible at module import time).
     nested: bool = False
-
-    def param_index(self, name: str) -> int | None:
-        """Positional index of a parameter name (``None`` if keyword-only)."""
-        try:
-            return self.params.index(name)
-        except ValueError:
-            return None
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,6 @@ class ProjectGraph:
 
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
-        self.classes: dict[str, ast.ClassDef] = {}
         #: caller id -> call sites lexically inside that function.
         self._sites: dict[str, list[CallSite]] = {}
         #: caller id -> resolved callee ids.
@@ -132,8 +122,6 @@ class ProjectGraph:
         self._tables: dict[str, _ModuleTable] = {}
         self._by_dotted: dict[str, str] = {}
         self._modules: dict[str, "ModuleContext"] = {}
-        #: cache slot for the dataflow summary table (see dataflow.summaries).
-        self.summary_cache: object | None = None
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -191,7 +179,6 @@ class ProjectGraph:
                     qualname=qualname,
                     node=node,
                     params=params,
-                    kwonly=tuple(arg.arg for arg in node.args.kwonlyargs),
                     owner_class=owner,
                     nested=enclosing is not None,
                 )
@@ -199,7 +186,6 @@ class ProjectGraph:
             elif isinstance(node, ast.ClassDef):
                 qualname = module.qualname(node)
                 table.classes.add(qualname)
-                self.classes[f"{module.relpath}::{qualname}"] = node
         self.module_imports[module.relpath] = imported
 
     def _note_import(self, imported: set[str], dotted: str) -> None:
@@ -388,17 +374,8 @@ class ProjectGraph:
     def function(self, fid: str) -> FunctionInfo | None:
         return self.functions.get(fid)
 
-    def module(self, relpath: str) -> "ModuleContext | None":
-        return self._modules.get(relpath)
-
-    def modules(self) -> Mapping[str, "ModuleContext"]:
-        return self._modules
-
     def callers_of(self, fid: str) -> frozenset[str]:
         return frozenset(self.callers.get(fid, ()))
-
-    def class_node(self, class_id: str) -> ast.ClassDef | None:
-        return self.classes.get(class_id)
 
     def methods_of(self, class_id: str) -> Iterator[FunctionInfo]:
         relpath, _, qualname = class_id.partition("::")

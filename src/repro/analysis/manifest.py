@@ -34,20 +34,6 @@ class ParityPair:
 
 
 @dataclass(frozen=True)
-class DtypeContract:
-    """One REP011 declaration: a kernel parameter and its required dtype.
-
-    ``function`` is a ``path/to/file.py::Qualified.name`` reference; ``param``
-    names the parameter; ``dtype`` is the canonical numpy dtype name the
-    argument must carry (``uint64``, ``int64``, ...).
-    """
-
-    function: str
-    param: str
-    dtype: str
-
-
-@dataclass(frozen=True)
 class WorkerCall:
     """One REP006 declaration: a callable that ships a worker to a pool.
 
@@ -103,22 +89,6 @@ class InvariantManifest:
     #: atomic write-temp-fsync-rename implementation itself).
     durability_scope: tuple[str, ...] = ()
     atomic_helpers: tuple[str, ...] = ()
-    #: REP009: path prefixes the interprocedural resource-escape analysis
-    #: reports in, call names that acquire a leakable resource beyond the
-    #: built-in ``SharedMemory(create=True)`` detection, and names that count
-    #: as cleanup sinks (method- or callable-style).
-    resource_scope: tuple[str, ...] = ()
-    rep009_acquisition_calls: tuple[str, ...] = ()
-    rep009_cleanup_sinks: tuple[str, ...] = ()
-    #: REP010: path prefixes the stale-snapshot dataflow reports in, call
-    #: names that produce snapshot-derived values, and method names whose
-    #: invocation invalidates snapshots of the same receiver.
-    snapshot_scope: tuple[str, ...] = ()
-    rep010_snapshot_sources: tuple[str, ...] = ()
-    rep010_mutators: tuple[str, ...] = ()
-    #: REP011: declared kernel dtype contracts, checked at every analyzed
-    #: call site whose argument construction is statically evident.
-    dtype_contracts: tuple[DtypeContract, ...] = ()
 
     @classmethod
     def load(cls, path: Path | str | None = None) -> "InvariantManifest":
@@ -163,20 +133,6 @@ class InvariantManifest:
                 )
             )
 
-        contracts: list[DtypeContract] = []
-        for entry in raw.get("rep011", {}).get("contracts", ()):
-            function = entry.get("function")
-            param = entry.get("param")
-            dtype = entry.get("dtype")
-            if not function or not param or not dtype:
-                raise AnalysisError(
-                    f"{source}: every [[rep011.contracts]] entry needs "
-                    f"'function', 'param' and 'dtype'"
-                )
-            contracts.append(
-                DtypeContract(function=function, param=param, dtype=dtype)
-            )
-
         worker_calls_raw = raw.get("rep006", {}).get("worker_calls", {})
         worker_calls: dict[str, WorkerCall] = {}
         for name, entry in worker_calls_raw.items():
@@ -211,11 +167,4 @@ class InvariantManifest:
             sleep_helpers=strings("rep007", "sleep_helpers"),
             durability_scope=strings("rep008", "scope"),
             atomic_helpers=strings("rep008", "atomic_helpers"),
-            resource_scope=strings("rep009", "scope"),
-            rep009_acquisition_calls=strings("rep009", "acquisition_calls"),
-            rep009_cleanup_sinks=strings("rep009", "cleanup_sinks"),
-            snapshot_scope=strings("rep010", "scope"),
-            rep010_snapshot_sources=strings("rep010", "snapshot_sources"),
-            rep010_mutators=strings("rep010", "mutators"),
-            dtype_contracts=tuple(contracts),
         )

@@ -17,7 +17,4 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     rep006_process_safety,
     rep007_retry_discipline,
     rep008_durability,
-    rep009_resource_escape,
-    rep010_stale_snapshot,
-    rep011_dtype_contracts,
 )

@@ -86,6 +86,35 @@ def _can_reach_process_mode(call: ast.Call, spec: WorkerCall) -> bool:
     return True  # a variable or computed Execution: assume the worst
 
 
+def _returns_nested_function(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether ``function`` itself returns a lambda or one of its nested defs.
+
+    Returns inside nested functions, lambdas and classes belong to those
+    scopes and are not followed.
+    """
+    nested = {
+        node.name
+        for node in ast.walk(function)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node is not function
+    }
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            continue
+        if isinstance(node, ast.Return) and (
+            isinstance(node.value, ast.Lambda)
+            or isinstance(node.value, ast.Name)
+            and node.value.id in nested
+        ):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 @register
 class ProcessSafety(Rule):
     code = "REP006"
@@ -103,7 +132,7 @@ class ProcessSafety(Rule):
         "fail at fan-out time with an opaque PicklingError; this rule moves "
         "that failure to lint time.  Worker names are resolved through the "
         "project call graph, so a local function passed by name — or a "
-        "factory call whose summary says it returns a nested function — is "
+        "call to a factory that returns a nested function or lambda — is "
         "caught wherever it was defined, not just when it sits next to the "
         "call.  Hold live resources in the runner process and ship "
         "names/specs, as SharedDatasetManifest does."
@@ -178,16 +207,13 @@ class ProcessSafety(Rule):
         The per-module check catches a lambda sitting in the argument list;
         this pass resolves worker *names* through the project call graph
         (a nested function is unpicklable no matter how far from the call it
-        was defined) and follows factory calls whose summary says they
-        return a nested function or lambda.
+        was defined) and resolves factory calls to the function they call,
+        flagging a factory that returns a nested function or lambda.
         """
         worker_calls = dict(project.manifest.worker_calls)
         if not worker_calls:
             return
-        from repro.analysis.dataflow import project_summaries
-
         graph = project.graph()
-        summaries = project_summaries(project)
         for site in graph.all_call_sites():
             resolved = _worker_call_key(site.call, worker_calls)
             if resolved is None:
@@ -216,8 +242,8 @@ class ProcessSafety(Rule):
                 factory_id, _ = graph.resolve_call(
                     site.module, site.caller, worker
                 )
-                summary = summaries.get(factory_id)
-                if summary is not None and summary.returns_nested_function:
+                factory = graph.function(factory_id) if factory_id else None
+                if factory is not None and _returns_nested_function(factory.node):
                     yield module.finding(
                         self,
                         worker,

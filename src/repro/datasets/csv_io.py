@@ -159,12 +159,18 @@ def load_csv(
     delimiter: str = ",",
     item_separator: str = DEFAULT_ITEM_SEPARATOR,
 ) -> Dataset:
-    """Load a dataset from a CSV file. See :func:`read_csv_text`."""
+    """Load a dataset from a UTF-8 CSV file. See :func:`read_csv_text`.
+
+    A leading byte-order mark is skipped, so it never becomes part of the
+    first attribute name.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as error:
         raise DatasetError(f"cannot read dataset file {path}: {error}") from error
+    except UnicodeDecodeError as error:
+        raise DatasetError(f"dataset file {path} is not UTF-8: {error}") from error
     return read_csv_text(
         text,
         name=path.stem,

@@ -83,12 +83,17 @@ def load_hierarchy(
     delimiter: str = DEFAULT_DELIMITER,
     root_label: str = ROOT_LABEL,
 ) -> Hierarchy:
-    """Load a hierarchy from a CSV file (see module docstring for the format)."""
+    """Load a hierarchy from a UTF-8 CSV file (see module docstring for the format).
+
+    A leading byte-order mark is skipped, so it never becomes part of a label.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as error:
         raise HierarchyError(f"cannot read hierarchy file {path}: {error}") from error
+    except UnicodeDecodeError as error:
+        raise HierarchyError(f"hierarchy file {path} is not UTF-8: {error}") from error
     return read_hierarchy_text(
         text,
         attribute=attribute or path.stem,

@@ -56,13 +56,18 @@ def save_privacy_policy(policy: PrivacyPolicy, path: str | Path) -> Path:
     return path
 
 
-def load_privacy_policy(path: str | Path) -> PrivacyPolicy:
-    path = Path(path)
+def _read_policy_file(path: Path, kind: str) -> str:
+    """The text of a UTF-8 policy file, without a leading byte-order mark."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as error:
-        raise PolicyError(f"cannot read privacy policy file {path}: {error}") from error
-    return read_privacy_policy_text(text)
+        raise PolicyError(f"cannot read {kind} policy file {path}: {error}") from error
+    except UnicodeDecodeError as error:
+        raise PolicyError(f"{kind} policy file {path} is not UTF-8: {error}") from error
+
+
+def load_privacy_policy(path: str | Path) -> PrivacyPolicy:
+    return read_privacy_policy_text(_read_policy_file(Path(path), "privacy"))
 
 
 def write_utility_policy_text(policy: UtilityPolicy) -> str:
@@ -85,9 +90,4 @@ def save_utility_policy(policy: UtilityPolicy, path: str | Path) -> Path:
 
 
 def load_utility_policy(path: str | Path) -> UtilityPolicy:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise PolicyError(f"cannot read utility policy file {path}: {error}") from error
-    return read_utility_policy_text(text)
+    return read_utility_policy_text(_read_policy_file(Path(path), "utility"))

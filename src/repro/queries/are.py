@@ -85,10 +85,9 @@ def evaluate_query(
     *,
     domains: DatasetDomains | None = None,
     universe_mode: str = "original",
-    vectorized: bool = True,
 ) -> QueryEvaluation:
     """Evaluate one query on the original and the anonymized dataset."""
-    actual = float(query.count(original, vectorized=vectorized))
+    actual = float(query.count(original))
     estimate = float(
         query.estimate(
             anonymized,
@@ -96,7 +95,6 @@ def evaluate_query(
             interpreters=interpreters,
             domains=domains,
             universe_mode=universe_mode,
-            vectorized=vectorized,
         )
     )
     return QueryEvaluation(
@@ -142,7 +140,6 @@ def average_relative_error(
     *,
     domains: DatasetDomains | None = None,
     universe_mode: str = "original",
-    vectorized: bool = True,
 ) -> AreResult:
     """Evaluate a whole workload and return the ARE with per-query detail.
 
@@ -171,7 +168,6 @@ def average_relative_error(
             interpreters=interpreters,
             domains=domains,
             universe_mode=universe_mode,
-            vectorized=vectorized,
         )
         for query in workload
     )

@@ -27,10 +27,11 @@ Label resolution supports two *universe modes* (see ``docs/queries.md``):
   against).
 
 Both :meth:`Query.count` and :meth:`Query.estimate` run on the columnar
-kernel layer by default (per-distinct-label probability tables gathered
-through :meth:`Dataset.columnar` code arrays, AND+popcount over posting
-bitsets); the per-record path is retained as the exact reference and the
-fallback for shapes the kernels do not cover.
+kernel layer (per-distinct-label probability tables gathered through
+:meth:`Dataset.columnar` code arrays, AND+popcount over posting bitsets).
+The per-record scans (``Query._count_scan`` / ``Query._estimate_scan``) are
+the fallback for shapes the kernels do not cover and the exact reference the
+tests pin the kernels against.
 """
 
 from __future__ import annotations
@@ -226,13 +227,13 @@ class Query:
                 return False
         return True
 
-    def count(self, dataset: Dataset, vectorized: bool = True) -> int:
+    def count(self, dataset: Dataset) -> int:
         """Exact number of matching records (for original, truthful data).
 
-        ``vectorized`` answers through the columnar layer — per-distinct-value
-        match tables gathered over the relational code arrays, and an
-        AND+popcount over the required items' posting bitsets — falling back
-        to the per-record scan for shapes the kernel does not cover.
+        Answered through the columnar layer — per-distinct-value match tables
+        gathered over the relational code arrays, and an AND+popcount over
+        the required items' posting bitsets — falling back to the per-record
+        scan for shapes the kernel does not cover.
         """
         transaction_attribute = self._transaction_attribute(dataset)
         if self.items and transaction_attribute is None and len(dataset):
@@ -240,10 +241,12 @@ class Query:
                 "query has item predicates but the dataset has no "
                 "transaction attribute"
             )
-        if vectorized:
-            counted = self._count_columnar(dataset, transaction_attribute)
-            if counted is not None:
-                return counted
+        counted = self._count_columnar(dataset, transaction_attribute)
+        return counted if counted is not None else self._count_scan(dataset)
+
+    def _count_scan(self, dataset: Dataset) -> int:
+        """Per-record reference of :meth:`count`, and its fallback."""
+        transaction_attribute = self._transaction_attribute(dataset)
         return sum(
             1
             for record in dataset
@@ -301,7 +304,6 @@ class Query:
         *,
         domains: DatasetDomains | None = None,
         universe_mode: str = "original",
-        vectorized: bool = True,
     ) -> float:
         """Expected number of matching records in an anonymized dataset.
 
@@ -319,10 +321,63 @@ class Query:
         COAT/PCTA item groups) resolve to leaf-uniform probabilities
         consistent with the utility-loss charging rule.
         ``universe_mode="seed"`` (or a missing snapshot) keeps the
-        hierarchy-only resolution.  ``vectorized`` scores the query through
-        the columnar estimation kernel, which matches the per-record path
-        bit for bit; the per-record path remains the exact reference and the
-        fallback.
+        hierarchy-only resolution.  The query is scored by the columnar
+        estimation kernel, which matches the per-record scan bit for bit; the
+        scan is the fallback for shapes the kernel does not cover.
+        """
+        hierarchies, interpreters, transaction_attribute = self._estimate_inputs(
+            dataset, hierarchies, interpreters, domains, universe_mode
+        )
+        estimated = self._estimate_columnar(
+            dataset, hierarchies, interpreters, transaction_attribute
+        )
+        if estimated is not None:
+            return estimated
+        return self._estimate_scan(dataset, hierarchies, interpreters)
+
+    def _estimate_scan(
+        self,
+        dataset: Dataset,
+        hierarchies: Mapping[str, Hierarchy] | None = None,
+        interpreters: Mapping[str, LabelInterpreter] | None = None,
+        *,
+        domains: DatasetDomains | None = None,
+        universe_mode: str = "original",
+    ) -> float:
+        """Per-record reference of :meth:`estimate`, and its fallback."""
+        hierarchies, interpreters, transaction_attribute = self._estimate_inputs(
+            dataset, hierarchies, interpreters, domains, universe_mode
+        )
+        total = 0.0
+        for record in dataset:
+            probability = 1.0
+            for attribute, condition in self.conditions.items():
+                probability *= condition.match_probability(
+                    record[attribute],
+                    hierarchies.get(attribute),
+                    interpreters[attribute],
+                )
+                if probability == 0.0:
+                    break
+            if probability and self.items:
+                probability *= self._itemset_probability(
+                    record[transaction_attribute], interpreters[transaction_attribute]
+                )
+            total += probability
+        return total
+
+    def _estimate_inputs(
+        self,
+        dataset: Dataset,
+        hierarchies: Mapping[str, Hierarchy] | None,
+        interpreters: Mapping[str, LabelInterpreter] | None,
+        domains: DatasetDomains | None,
+        universe_mode: str,
+    ) -> tuple[Mapping[str, Hierarchy], dict[str, LabelInterpreter], str | None]:
+        """Hierarchies, an interpreter per queried attribute, the item attribute.
+
+        Interpreters missing from ``interpreters`` are resolved against
+        ``domains`` in the ``"original"`` mode.
         """
         _require_universe_mode(universe_mode)
         hierarchies = hierarchies or {}
@@ -341,29 +396,7 @@ class Query:
                 interpreters[attribute] = interpreter_for(
                     hierarchies.get(attribute), universe
                 )
-        if vectorized:
-            estimated = self._estimate_columnar(
-                dataset, hierarchies, interpreters, transaction_attribute
-            )
-            if estimated is not None:
-                return estimated
-        total = 0.0
-        for record in dataset:
-            probability = 1.0
-            for attribute, condition in self.conditions.items():
-                probability *= condition.match_probability(
-                    record[attribute],
-                    hierarchies.get(attribute),
-                    interpreters[attribute],
-                )
-                if probability == 0.0:
-                    break
-            if probability and self.items:
-                probability *= self._itemset_probability(
-                    record[transaction_attribute], interpreters[transaction_attribute]
-                )
-            total += probability
-        return total
+        return hierarchies, interpreters, transaction_attribute
 
     def _estimate_columnar(
         self,

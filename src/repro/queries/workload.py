@@ -84,9 +84,11 @@ class QueryWorkload:
     def load(cls, path: str | Path) -> "QueryWorkload":
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8-sig"))
         except OSError as error:
             raise QueryError(f"cannot read workload file {path}: {error}") from error
+        except UnicodeDecodeError as error:
+            raise QueryError(f"workload file {path} is not UTF-8: {error}") from error
         except json.JSONDecodeError as error:
             raise QueryError(f"workload file {path} is not valid JSON: {error}") from error
         return cls.from_dict(data)

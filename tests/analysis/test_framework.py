@@ -146,9 +146,6 @@ class TestRegistry:
             "REP006",
             "REP007",
             "REP008",
-            "REP009",
-            "REP010",
-            "REP011",
         }
 
     def test_rule_by_code_is_case_insensitive(self):

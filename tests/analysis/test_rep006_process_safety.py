@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import textwrap
+
+import pytest
+
 from lint_harness import new_codes
 
 from repro.analysis.manifest import InvariantManifest, WorkerCall
+from repro.analysis.rules.rep006_process_safety import _returns_nested_function
 
 MANIFEST = InvariantManifest(
     spec_classes=("src/pkg/specs.py::TaskSpec",),
@@ -122,6 +128,21 @@ MODULE_LEVEL_WORKER_VIA_FACTORY = """
 
     def make_worker(scale):
         return worker
+
+    def launch(dataset, execution):
+        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
+"""
+
+FACTORY_MODULE = """
+    def make_worker(scale):
+        def worker(task):
+            return task * scale
+
+        return worker
+"""
+
+LAUNCH_WITH_IMPORTED_FACTORY = """
+    from pkg.factories import make_worker
 
     def launch(dataset, execution):
         return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
@@ -301,3 +322,100 @@ class TestRep006Workers:
         assert len(findings) == 1
         assert findings[0].suppressed
         assert new_codes(findings) == []
+
+    def test_factory_imported_from_another_module_is_flagged(self, harness):
+        harness.write("src/pkg/factories.py", FACTORY_MODULE)
+        harness.write("src/pkg/mod.py", LAUNCH_WITH_IMPORTED_FACTORY)
+        report = harness.lint(
+            "src/pkg/factories.py",
+            "src/pkg/mod.py",
+            manifest=MANIFEST,
+            select=["REP006"],
+        )
+        assert new_codes(report.findings) == ["REP006"]
+        assert report.findings[0].path.endswith("mod.py")
+
+
+FACTORY_SHAPES = {
+    "returns-nested-def": (
+        """
+        def factory():
+            def worker(task):
+                return task
+            return worker
+        """,
+        True,
+    ),
+    "returns-lambda": (
+        """
+        def factory(scale):
+            return lambda task: task * scale
+        """,
+        True,
+    ),
+    "returns-nested-async-def": (
+        """
+        def factory():
+            async def worker(task):
+                return task
+            return worker
+        """,
+        True,
+    ),
+    "returns-nested-def-on-one-branch": (
+        """
+        def factory(fast):
+            def worker(task):
+                return task
+            if fast:
+                return worker
+            return module_worker
+        """,
+        True,
+    ),
+    "returns-module-level-name": (
+        """
+        def factory():
+            return module_worker
+        """,
+        False,
+    ),
+    "calls-its-nested-def": (
+        """
+        def factory(task):
+            def worker(value):
+                return value
+            return worker(task)
+        """,
+        False,
+    ),
+    "lambda-returned-only-by-a-nested-def": (
+        """
+        def factory():
+            def inner():
+                return lambda task: task
+            inner()
+        """,
+        False,
+    ),
+    "nested-def-returned-only-by-a-nested-class": (
+        """
+        def factory():
+            class Holder:
+                def get(self):
+                    def worker(task):
+                        return task
+                    return worker
+            return Holder()
+        """,
+        False,
+    ),
+}
+
+
+class TestReturnsNestedFunction:
+    @pytest.mark.parametrize("shape", sorted(FACTORY_SHAPES))
+    def test_factory_shape(self, shape):
+        source, expected = FACTORY_SHAPES[shape]
+        function = ast.parse(textwrap.dedent(source)).body[0]
+        assert _returns_nested_function(function) is expected

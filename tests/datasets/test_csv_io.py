@@ -93,3 +93,19 @@ class TestWriteCsv:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             load_csv(tmp_path / "missing.csv")
+
+    def test_load_non_utf8_file_raises_a_dataset_error_naming_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("City,Age\nZürich,30\n".encode("latin-1"))
+        with pytest.raises(DatasetError, match="latin1.csv"):
+            load_csv(path)
+
+    def test_load_skips_a_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("Age,City\n30,Zürich\n".encode("utf-8-sig"))
+        dataset = load_csv(path)
+        assert list(dataset.schema.names) == ["Age", "City"]
+        assert dataset.schema["Age"].is_numeric
+        assert dataset.column("City") == ["Zürich"]

@@ -74,3 +74,17 @@ class TestWriteAndRoundTrip:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(HierarchyError):
             load_hierarchy(tmp_path / "missing.csv")
+
+    def test_load_non_utf8_file_raises_a_hierarchy_error_naming_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("Zürich;Europe;*\n".encode("latin-1"))
+        with pytest.raises(HierarchyError, match="latin1.csv"):
+            load_hierarchy(path)
+
+    def test_load_skips_a_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(HIERARCHY_TEXT.encode("utf-8-sig"))
+        loaded = load_hierarchy(path)
+        assert sorted(loaded.leaves()) == ["BSc", "MSc", "Primary", "Secondary"]

@@ -49,6 +49,21 @@ class TestPrivacyPolicyIo:
         with pytest.raises(PolicyError):
             load_privacy_policy(tmp_path / "missing.txt")
 
+    def test_load_skips_a_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "privacy.txt"
+        path.write_bytes("k=4\na b\n".encode("utf-8-sig"))
+        loaded = load_privacy_policy(path)
+        assert loaded.k == 4
+        assert {c.items for c in loaded} == {frozenset({"a", "b"})}
+
+    def test_load_non_utf8_file_raises_a_policy_error_naming_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("k=4\nZürich\n".encode("latin-1"))
+        with pytest.raises(PolicyError, match="latin1.txt"):
+            load_privacy_policy(path)
+
 
 class TestUtilityPolicyIo:
     def test_round_trip(self, tmp_path):
@@ -68,3 +83,21 @@ class TestUtilityPolicyIo:
     def test_overlap_rejected_on_load(self):
         with pytest.raises(PolicyError):
             read_utility_policy_text("a b\nb c\n")
+
+    def test_load_skips_a_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "utility.txt"
+        path.write_bytes("a b\nc\n".encode("utf-8-sig"))
+        loaded = load_utility_policy(path)
+        assert {c.items for c in loaded} == {frozenset({"a", "b"}), frozenset({"c"})}
+
+    def test_load_non_utf8_file_raises_a_policy_error_naming_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("Zürich Genève\n".encode("latin-1"))
+        with pytest.raises(PolicyError, match="latin1.txt"):
+            load_utility_policy(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(PolicyError):
+            load_utility_policy(tmp_path / "missing.txt")

@@ -106,7 +106,7 @@ def test_estimate_equals_count_on_original_data(rows, query):
     dataset = make_dataset(rows)
     domains = DatasetDomains.capture(dataset)
     count = query.count(dataset)
-    assert query.count(dataset, vectorized=False) == count
+    assert query._count_scan(dataset) == count
     for mode in ("seed", "original"):
         estimate = query.estimate(dataset, domains=domains, universe_mode=mode)
         assert estimate == pytest.approx(count)
@@ -141,10 +141,8 @@ def test_columnar_kernel_matches_per_record_path_exactly(
     dataset = make_dataset(rows)
     anonymized = generalize(dataset, item_mapping, city_mapping)
     domains = DatasetDomains.capture(dataset)
-    assert query.count(anonymized) == query.count(anonymized, vectorized=False)
+    assert query.count(anonymized) == query._count_scan(anonymized)
     for mode in ("seed", "original"):
         kernel = query.estimate(anonymized, domains=domains, universe_mode=mode)
-        scalar = query.estimate(
-            anonymized, domains=domains, universe_mode=mode, vectorized=False
-        )
+        scalar = query._estimate_scan(anonymized, domains=domains, universe_mode=mode)
         assert kernel == scalar  # bit-for-bit, not approximately

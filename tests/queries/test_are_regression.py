@@ -16,6 +16,7 @@ charging rule.  This module is the committed baseline for that change:
 
 import pytest
 
+from oracles.queries import average_relative_error_scan
 from repro.algorithms.base import apply_item_mapping
 from repro.datasets import generate_rt_dataset
 from repro.engine import AnonymizationModule, ExperimentResources, transaction_config
@@ -68,9 +69,7 @@ class TestAreRegressionBaseline:
         result = average_relative_error(workload, rt, rooted, universe_mode="seed")
         assert result.are == pytest.approx(SEED_BASELINE[algorithm], rel=1e-12)
         # The kernel and per-record paths are the same semantics bit for bit.
-        scalar = average_relative_error(
-            workload, rt, rooted, universe_mode="seed", vectorized=False
-        )
+        scalar = average_relative_error_scan(workload, rt, rooted, universe_mode="seed")
         assert result.are == scalar.are
 
     def test_original_mode_direction_of_change(self, scenario, algorithm):

@@ -10,7 +10,9 @@ from repro.queries import (
     Query,
     RangeCondition,
     ValueCondition,
+    average_relative_error,
     condition_from_dict,
+    evaluate_query,
 )
 
 
@@ -171,9 +173,9 @@ class TestUniverseModes:
         assert query.estimate(rooted, universe_mode="seed") == 0.0
         # 3 of the 4 original ages fall inside the range: 3/4 per record.
         assert query.estimate(rooted, domains=domains) == pytest.approx(3.0)
-        assert query.estimate(
-            rooted, domains=domains, vectorized=False
-        ) == query.estimate(rooted, domains=domains)
+        assert query._estimate_scan(rooted, domains=domains) == query.estimate(
+            rooted, domains=domains
+        )
 
     def test_root_relational_label_resolves_against_domain(self):
         schema = Schema([Attribute.categorical("Edu")])
@@ -221,7 +223,7 @@ class TestColumnarKernel:
             Query(items=["no-such-item"]),
         ]
         for query in queries:
-            assert query.count(dataset) == query.count(dataset, vectorized=False)
+            assert query.count(dataset) == query._count_scan(dataset)
 
     def test_estimate_kernel_bit_for_bit(self, dataset):
         hierarchies = build_hierarchies_for_dataset(dataset, fanout=3)
@@ -237,12 +239,8 @@ class TestColumnarKernel:
             kernel = query.estimate(
                 dataset, hierarchies, domains=domains, universe_mode=mode
             )
-            scalar = query.estimate(
-                dataset,
-                hierarchies,
-                domains=domains,
-                universe_mode=mode,
-                vectorized=False,
+            scalar = query._estimate_scan(
+                dataset, hierarchies, domains=domains, universe_mode=mode
             )
             assert kernel == scalar
 
@@ -266,16 +264,14 @@ class TestColumnarKernel:
         domains = DatasetDomains.capture(original)
         query = Query(conditions={"City": ValueCondition(["x"])}, items=["a", "c"])
         kernel = query.estimate(anonymized, domains=domains)
-        scalar = query.estimate(anonymized, domains=domains, vectorized=False)
+        scalar = query._estimate_scan(anonymized, domains=domains)
         assert kernel == scalar  # bit-for-bit, not approximately
 
     def test_kernel_handles_empty_itemsets(self):
         schema = Schema([Attribute.transaction("Items")])
         anonymized = Dataset(schema, [{"Items": []}, {"Items": ["a"]}])
         query = Query(items=["a"])
-        assert query.estimate(anonymized) == query.estimate(
-            anonymized, vectorized=False
-        )
+        assert query.estimate(anonymized) == query._estimate_scan(anonymized)
         assert query.estimate(anonymized) == pytest.approx(1.0)
 
     def test_kernel_handles_empty_dataset(self):
@@ -284,3 +280,50 @@ class TestColumnarKernel:
         query = Query(conditions={"Edu": ValueCondition(["BS"])})
         assert query.count(empty) == 0
         assert query.estimate(empty) == 0.0
+
+
+class TestScanFallback:
+    """Shapes the kernels do not cover are answered by the per-record scans."""
+
+    def test_condition_on_a_set_valued_attribute_is_counted_by_scan(self, dataset):
+        query = Query(conditions={"Items": ValueCondition(["bread"])})
+        assert query._count_columnar(dataset, "Items") is None
+        assert query.count(dataset) == query._count_scan(dataset)
+
+    def test_condition_on_a_set_valued_attribute_is_estimated_by_scan(self, dataset):
+        query = Query(
+            conditions={
+                "Age": RangeCondition(20, 40),
+                "Items": ValueCondition(["bread"]),
+            }
+        )
+        hierarchies, interpreters, transaction_attribute = query._estimate_inputs(
+            dataset, None, None, None, "original"
+        )
+        assert (
+            query._estimate_columnar(
+                dataset, hierarchies, interpreters, transaction_attribute
+            )
+            is None
+        )
+        assert query.estimate(dataset) == query._estimate_scan(dataset)
+
+
+class TestNoVectorizedSwitch:
+    """The kernel path is the only entry point; ``vectorized=`` is gone."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda query, data: query.count(data, vectorized=False),
+            lambda query, data: query.estimate(data, vectorized=False),
+            lambda query, data: evaluate_query(query, data, data, vectorized=False),
+            lambda query, data: average_relative_error(
+                [query], data, data, vectorized=False
+            ),
+        ],
+        ids=["count", "estimate", "evaluate_query", "average_relative_error"],
+    )
+    def test_vectorized_keyword_is_rejected(self, dataset, call):
+        with pytest.raises(TypeError, match="vectorized"):
+            call(Query(items=["bread"]), dataset)

@@ -105,6 +105,20 @@ class TestWorkload:
         with pytest.raises(QueryError):
             QueryWorkload.load(bad)
 
+    def test_load_skips_a_utf8_byte_order_mark(self, tmp_path, rt):
+        workload = generate_query_workload(rt, n_queries=5, seed=3)
+        path = workload.save(tmp_path / "workload.json")
+        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-8-sig"))
+        assert QueryWorkload.load(path).to_dict() == workload.to_dict()
+
+    def test_load_non_utf8_file_raises_a_query_error_naming_the_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"queries": [{"items": ["Zürich"]}]}'.encode("latin-1"))
+        with pytest.raises(QueryError, match="latin1.json"):
+            QueryWorkload.load(path)
+
 
 class TestAre:
     def test_relative_error_floor(self):
