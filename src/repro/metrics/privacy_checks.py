@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import posting_matrix, rare_combinations
+from repro.columnar.bitset import popcount, posting_matrix, rare_combinations
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -113,24 +113,24 @@ def candidate_support(
     hierarchy: Hierarchy | None = None,
     universe: set[str] | None = None,
 ) -> int:
-    """Number of records whose itemsets could contain all of ``items``."""
+    """Number of records whose itemsets could contain all of ``items``.
+
+    Each distinct label of the column is resolved once: an item's candidate
+    records are the OR of the postings of the labels that may stand for it,
+    and the support is the popcount of the AND over ``items``.
+    """
     attribute = attribute or dataset.single_transaction_attribute()
-    items = [str(item) for item in items]
+    wanted = {item: row for row, item in enumerate(dict.fromkeys(map(str, items)))}
+    if not wanted:
+        return len(dataset)
     interpreter = interpreter_for(hierarchy, universe)
-    covered_cache: dict[frozenset, frozenset[str]] = {}
-    support = 0
-    for record in dataset:
-        labels = record[attribute]
-        covered = covered_cache.get(labels)
-        if covered is None:
-            resolved: set[str] = set()
-            for label in labels:
-                resolved |= interpreter.leaves(label)
-            covered = frozenset(resolved)
-            covered_cache[labels] = covered
-        if all(item in covered for item in items):
-            support += 1
-    return support
+    column = dataset.columnar(attribute)
+    postings = column.bitset_postings()
+    candidates = np.zeros((len(wanted), postings.shape[1]), dtype=np.uint64)
+    for token, label in enumerate(column.vocabulary.items):
+        for item in wanted.keys() & interpreter.leaves(label):
+            candidates[wanted[item]] |= postings[token]
+    return popcount(np.bitwise_and.reduce(candidates))
 
 
 def candidate_matrix(
@@ -210,11 +210,7 @@ def km_violations(
 
     if universe is None:
         unrestricted = interpreter_for(hierarchy)
-        derived: set[str] = set()
-        for record in dataset:
-            for label in record[attribute]:
-                derived |= unrestricted.leaves(label)
-        universe = derived
+        universe = set().union(*map(unrestricted.leaves, dataset.item_universe(attribute)))
     universe_set = {str(item) for item in universe}
     ordered = sorted(universe_set)
 

@@ -11,6 +11,7 @@ concurrent suites (and the developer's own live pools) are invisible to it.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import subprocess
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.columnar import shared
 from repro.columnar.registry import (
     REGISTRY_ENV,
     clear_segment,
@@ -29,6 +31,7 @@ from repro.columnar.registry import (
     register_segment,
     registry_dir,
 )
+from repro.datasets import generate_rt_dataset
 from repro.engine.pool import WorkerPool
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -139,6 +142,35 @@ class TestReaper:
         with WorkerPool(max_workers=1) as pool:
             assert name in pool.reaped_at_startup
         assert not segment_exists(name)
+
+
+class TestExportFailure:
+    def test_a_failed_payload_copy_unlinks_the_segment_and_clears_its_entry(
+        self, registry, monkeypatch
+    ):
+        """The finalizer is attached before the payload copy, so a failing copy leaks nothing."""
+        dataset = generate_rt_dataset(n_records=20, n_items=6, seed=1)
+        names = []
+        fresh_name = shared.new_segment_name
+
+        def recording_name():
+            names.append(fresh_name())
+            return names[-1]
+
+        def failing_copy(*args, **kwargs):
+            sidecar = registry / f"{os.getpid()}.segments"
+            assert sidecar.read_text().splitlines() == names
+            raise RuntimeError("payload copy failed")
+
+        monkeypatch.setattr(shared, "new_segment_name", recording_name)
+        monkeypatch.setattr(shared.np, "copyto", failing_copy)
+        with pytest.raises(RuntimeError, match="payload copy failed"):
+            shared.SharedDatasetExport(dataset)
+        gc.collect()
+
+        assert len(names) == 1
+        assert not segment_exists(names[0])
+        assert list(registry.glob("*.segments")) == []
 
 
 class TestSigkillEndToEnd:

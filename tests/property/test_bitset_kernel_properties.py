@@ -12,7 +12,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles.index import FrozensetIndex
@@ -21,12 +21,13 @@ from oracles.itemcut import (
     scalar_cut_violations,
     scalar_greedy_km_anonymize,
 )
-from repro.algorithms import RTmerger
-from repro.algorithms.transaction import apriori
+from repro.algorithms import AprioriAnonymizer, RTmerger
+from repro.algorithms.rt import bounding
 from repro.algorithms.transaction._itemcut import (
     ItemCut,
     KmAnonymityChecker,
     _Promotions,
+    forced_root_publication,
     greedy_km_anonymize,
 )
 from repro.columnar.bitset import rare_combinations
@@ -40,6 +41,7 @@ from repro.datasets import (
 from repro.hierarchy import HierarchyBuilder, build_item_hierarchy
 from repro.index import InvertedIndex
 from repro.metrics import km_violations, label_leaves
+from repro.metrics.transaction import itemset_utility_loss
 
 ITEMS = [f"i{n}" for n in range(12)]
 
@@ -316,6 +318,34 @@ def assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, m, aprior
     return steps
 
 
+def scalar_publish(itemsets, hierarchy, k, m):
+    """Apriori's published itemsets and their UL, through the scalar search."""
+    cut, statistics = scalar_greedy_km_anonymize(itemsets, hierarchy, k, m)
+    if statistics["unresolvable_violations"]:
+        published = [frozenset()] * len(itemsets)
+    else:
+        published = [cut.generalize_itemset(items) for items in itemsets]
+    return published, itemset_utility_loss(itemsets, published, hierarchy)
+
+
+def inner_node_hierarchy():
+    """``(a,b)`` is an item and the parent of the items ``a`` and ``b``."""
+    builder = HierarchyBuilder(attribute="Items")
+    builder.add("(a,b)", "*").add("c", "*").add("a", "(a,b)").add("b", "(a,b)")
+    return builder.build()
+
+
+INNER_NODE_CASES = [
+    # Promoting ``a`` lands on the live node ``(a,b)``, the item of that name.
+    ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}, {"c"}, {"c"}], 3, 1,
+     {"(a,b)": "(a,b)", "a": "(a,b)", "c": "c"}),
+    # ... and promoting ``c`` then moves ``a`` to the root but leaves
+    # the item ``(a,b)`` behind, splitting its cut node.
+    ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}], 2, 2,
+     {"(a,b)": "(a,b)", "a": "*", "c": "*"}),
+]
+
+
 class TestItemCutEquivalence:
     @given(
         itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=40),
@@ -391,23 +421,10 @@ class TestItemCutEquivalence:
         hierarchy = build_item_hierarchy(ITEMS, fanout=3)
         assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, m, apriori_order)
 
-    @pytest.mark.parametrize(
-        "itemsets, k, steps, mapping",
-        [
-            # Promoting ``a`` lands on the live node ``(a,b)``, the item of that name.
-            ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}, {"c"}, {"c"}], 3, 1,
-             {"(a,b)": "(a,b)", "a": "(a,b)", "c": "c"}),
-            # ... and promoting ``c`` then moves ``a`` to the root but leaves
-            # the item ``(a,b)`` behind, splitting its cut node.
-            ([{"(a,b)"}, {"(a,b)"}, {"a"}, {"c"}], 2, 2,
-             {"(a,b)": "(a,b)", "a": "*", "c": "*"}),
-        ],
-    )
+    @pytest.mark.parametrize("itemsets, k, steps, mapping", INNER_NODE_CASES)
     def test_items_that_are_inner_nodes_match_scalar_reference(self, itemsets, k, steps, mapping):
         """Inner-node items break whole-group moves: the search recounts instead."""
-        builder = HierarchyBuilder(attribute="Items")
-        builder.add("(a,b)", "*").add("c", "*").add("a", "(a,b)").add("b", "(a,b)")
-        hierarchy = builder.build()
+        hierarchy = inner_node_hierarchy()
         itemsets = [frozenset(itemset) for itemset in itemsets]
         assert assert_incremental_state_matches_rescoring(itemsets, hierarchy, k, 1, True) == steps
         cut, statistics = greedy_km_anonymize(itemsets, hierarchy, k, 1)
@@ -416,27 +433,110 @@ class TestItemCutEquivalence:
         assert_search_matches_reference(itemsets, hierarchy, k, 1, True)
 
     def test_every_rtmerger_cluster_search_matches_scalar_reference(self, monkeypatch):
+        """Every cluster's publish, decided in advance or searched, equals the scalar search's."""
         rt = generate_rt_dataset(n_records=600, n_items=30, seed=41)
         item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
-        searches = []
+        publishes, decided = [], []
+        forced_root_publication = bounding.forced_root_publication
+        cluster_publisher = RTmerger._cluster_publisher
 
-        def recording(itemsets, hierarchy, k, m, cut=None, apriori_order=True):
-            itemsets = list(itemsets)
-            result = greedy_km_anonymize(
-                itemsets, hierarchy, k, m, cut=cut, apriori_order=apriori_order
-            )
-            searches.append((itemsets, hierarchy, k, m, apriori_order, result))
-            return result
+        def recording_decision(*args):
+            output = forced_root_publication(*args)
+            decided.append(output is not None)
+            return output
 
-        monkeypatch.setattr(apriori, "greedy_km_anonymize", recording)
+        def recording_publisher(self, dataset, attribute):
+            publish = cluster_publisher(self, dataset, attribute)
+
+            def recording(cluster):
+                published, loss = publish(cluster)
+                original = [dataset[index][attribute] for index in cluster]
+                publishes.append((original, published, loss))
+                return published, loss
+
+            return recording
+
+        monkeypatch.setattr(bounding, "forced_root_publication", recording_decision)
+        monkeypatch.setattr(RTmerger, "_cluster_publisher", recording_publisher)
         result = RTmerger(k=5, m=2, delta=0.3, item_hierarchy=item_hierarchy).anonymize(rt)
         assert result.statistics["merges"] > 0
-        assert len(searches) == (
+        assert len(publishes) == len(decided) == (
             result.statistics["initial_clusters"] + result.statistics["merges"]
         )
-        for itemsets, hierarchy, k, m, apriori_order, (cut, statistics) in searches:
-            reference, expected = scalar_greedy_km_anonymize(
-                itemsets, hierarchy, k, m, apriori_order=apriori_order
-            )
-            assert cut.mapping == reference.mapping
-            assert statistics == expected
+        assert any(decided) and not all(decided)
+        for original, published, loss in publishes:
+            assert (published, loss) == scalar_publish(original, item_hierarchy, 5, 2)
+
+
+class TestForcedRootPublication:
+    """The RT publisher's shortcut: a rare root-children combination decides the search."""
+
+    @given(
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=40),
+        fanout=st.integers(2, 4),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_decided_clusters_publish_what_the_search_does(self, itemsets, fanout, k, m):
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        hierarchy = build_item_hierarchy(ITEMS, fanout=fanout)
+        decided = forced_root_publication(itemsets, hierarchy, k, m)
+        if decided is None:
+            return
+        _, statistics = scalar_greedy_km_anonymize(itemsets, hierarchy, k, m)
+        assert statistics["fully_generalized"]
+        searched, _ = AprioriAnonymizer(k, m, hierarchy=hierarchy).publish(itemsets, hierarchy)
+        assert decided == searched
+        assert (decided, 1.0) == scalar_publish(itemsets, hierarchy, k, m)
+
+    def test_a_rare_pair_of_root_children_decides(self):
+        hierarchy = build_item_hierarchy(ITEMS, fanout=2)
+        left, right = (hierarchy.leaves(child.label)[0] for child in hierarchy.root.children)
+        itemsets = [frozenset({left})] * 3 + [frozenset({right})] * 3 + [frozenset({left, right})]
+        assert forced_root_publication(itemsets, hierarchy, 3, 1) is None
+        decided = forced_root_publication(itemsets, hierarchy, 3, 2)
+        assert decided == [frozenset({"*"})] * len(itemsets)
+        assert (decided, 1.0) == scalar_publish(itemsets, hierarchy, 3, 2)
+
+    @given(
+        itemsets=st.lists(
+            st.sets(st.sampled_from(["(a,b)", "a", "b", "c"]), max_size=3), min_size=1, max_size=12
+        ),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_clusters_with_an_inner_node_item_are_never_decided(self, itemsets, k, m):
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        itemsets[0] |= {"(a,b)"}
+        assert forced_root_publication(itemsets, inner_node_hierarchy(), k, m) is None
+
+    @pytest.mark.parametrize("itemsets, k", [case[:2] for case in INNER_NODE_CASES])
+    def test_the_inner_node_cases_are_never_decided(self, itemsets, k):
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        for m in (1, 2, 3):
+            assert forced_root_publication(itemsets, inner_node_hierarchy(), k, m) is None
+
+    @given(
+        itemsets=st.lists(st.sets(st.sampled_from(ITEMS), max_size=5), min_size=1, max_size=10),
+        fanout=st.integers(2, 4),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fewer_than_k_nonempty_itemsets_are_suppressed(self, itemsets, fanout, k, m):
+        itemsets = [frozenset(itemset) for itemset in itemsets]
+        assume(0 < sum(1 for itemset in itemsets if itemset) < k)
+        hierarchy = build_item_hierarchy(ITEMS, fanout=fanout)
+        decided = forced_root_publication(itemsets, hierarchy, k, m)
+        assert decided == [frozenset()] * len(itemsets)
+        assert itemset_utility_loss(itemsets, decided, hierarchy) == 1.0
+        assert (decided, 1.0) == scalar_publish(itemsets, hierarchy, k, m)
+
+    def test_a_one_item_universe_is_decided_only_through_suppression(self):
+        hierarchy = build_item_hierarchy(ITEMS, fanout=3)
+        few, many = [frozenset({"i0"})] * 3, [frozenset({"i0"})] * 6
+        assert forced_root_publication(few, hierarchy, 5, 2) == [frozenset()] * 3
+        assert forced_root_publication(many, hierarchy, 5, 2) is None
+        assert scalar_publish(many, hierarchy, 5, 2) == (many, 0.0)

@@ -3,14 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.privacy import candidate_support_scan, derived_universe_scan
 from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
 from repro.datasets import Attribute, Dataset, Schema
 from repro.datasets.statistics import frequency_relative_error
 from repro.hierarchy import build_item_hierarchy
 from repro.metrics import (
+    candidate_support,
     categorical_value_ncp,
     is_k_anonymous,
     is_km_anonymous,
+    km_violations,
     numeric_value_ncp,
     utility_loss,
 )
@@ -121,3 +124,48 @@ class TestKAnonymityProperties:
         generalized = dataset.copy()
         generalized.map_column("Age", lambda _age: "[20-25]")
         assert is_k_anonymous(generalized, min(k, len(dataset)))
+
+
+#: Published labels: leaves, inner nodes and the root of ``LABEL_HIERARCHY``,
+#: item groups, and labels the hierarchy does not know.
+LABEL_HIERARCHY = build_item_hierarchy(ITEMS, fanout=3)
+LABELS = LABEL_HIERARCHY.labels + ["(i0,i5)", "(i3,i4,i11)", "unknown"]
+
+
+class TestLabelResolutionMatchesPerRecordScan:
+    """The k^m checks resolve each distinct label once; a per-record walk agrees."""
+
+    @given(
+        baskets=st.lists(st.sets(st.sampled_from(LABELS), max_size=4), max_size=30),
+        items=st.lists(st.sampled_from(ITEMS + ["unknown", "absent"]), max_size=3),
+        with_hierarchy=st.booleans(),
+        restrict=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_candidate_support_matches_the_scan(self, baskets, items, with_hierarchy, restrict):
+        dataset = make_transaction_dataset(baskets)
+        hierarchy = LABEL_HIERARCHY if with_hierarchy else None
+        universe = set(ITEMS[:6]) if restrict else None
+        for probe in [items] + [[item] for item in ITEMS]:
+            assert candidate_support(
+                dataset, probe, hierarchy=hierarchy, universe=universe
+            ) == candidate_support_scan(dataset, probe, "Items", hierarchy, universe)
+
+    @given(
+        baskets=st.lists(st.sets(st.sampled_from(LABELS), max_size=4), max_size=30),
+        k=st.integers(2, 5),
+        m=st.integers(1, 2),
+        with_hierarchy=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_derived_universe_matches_the_scan(self, baskets, k, m, with_hierarchy):
+        dataset = make_transaction_dataset(baskets)
+        hierarchy = LABEL_HIERARCHY if with_hierarchy else None
+        universe = derived_universe_scan(dataset, "Items", hierarchy)
+        assert km_violations(dataset, k, m, hierarchy=hierarchy) == km_violations(
+            dataset, k, m, hierarchy=hierarchy, universe=universe
+        )
+        # Past k = |records| every covered item is rare: the witnesses of
+        # size 1 spell out the derived universe.
+        everything = km_violations(dataset, len(dataset) + 1, 1, hierarchy=hierarchy)
+        assert {violation.items for violation in everything} == {(item,) for item in universe}
