@@ -6,7 +6,6 @@ from repro.algorithms.transaction.apriori import AprioriAnonymizer
 from repro.algorithms.transaction.coat import Coat
 from repro.algorithms.transaction.lra import LraAnonymizer
 from repro.algorithms.transaction.pcta import Pcta
-from repro.algorithms.transaction.rho_uncertainty import RhoUncertainty
 from repro.algorithms.transaction.vpa import VpaAnonymizer
 
 __all__ = [
@@ -14,6 +13,5 @@ __all__ = [
     "Coat",
     "LraAnonymizer",
     "Pcta",
-    "RhoUncertainty",
     "VpaAnonymizer",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.attacks.coverage import (
     AttributeCoverage,
-    best_knowledge,
     coverage_for,
     knowledge_combos,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "AttackResult",
     "AttributeCoverage",
     "MAX_WITNESSES",
-    "best_knowledge",
     "coverage_for",
     "finalize_sizes",
     "item_attack",

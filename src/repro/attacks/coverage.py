@@ -16,7 +16,10 @@ Both attack implementations — the bitset kernels in
 
 Centralising both here is what makes "kernel bit-identical to oracle" a
 meaningful claim: the two paths share the *semantics* and differ only in the
-set algebra (uint64 bitsets vs Python sets).
+set algebra (uint64 bitsets vs Python sets).  The oracle enumerates through
+:func:`knowledge_combos`; the kernel enumerates ascending positions in the
+sorted item universe, which ``tests/attacks/test_simulator.py`` pins to the
+same order.
 
 Coverage is deliberately conservative in the adversary's favour only when
 the published cell carries no information: a suppressed (``†``), root
@@ -30,7 +33,7 @@ labels and explicit item groups all match the utility-loss reading.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import interpreter_for
@@ -134,38 +137,3 @@ def knowledge_combos(
     ordered = sorted({str(item) for item in items})
     for size in range(1, min(m, len(ordered)) + 1):
         yield from itertools.combinations(ordered, size)
-
-
-def best_knowledge(
-    items: Iterable[object],
-    m: int,
-    support_of: Callable[[tuple[str, ...]], int],
-    cap: int | None = None,
-    initial: int = 0,
-) -> tuple[int, tuple[str, ...] | None, bool]:
-    """The adversary's best (smallest nonzero) matching set for one target.
-
-    ``support_of`` maps an item combination to its matching-set size in the
-    anonymized output; combinations with support 0 mean the adversary's
-    knowledge matches *nothing* (e.g. every trace of the items was
-    suppressed) and are skipped — an attack that finds no candidates
-    identifies no one.  ``initial`` seeds the minimum with the size of the
-    knowledge-free matching set (the QI-only matching set in the combined
-    attack); ``cap`` bounds the enumeration per target for huge baskets.
-
-    Returns ``(best_size, witness_combo, truncated)`` with ``best_size == 0``
-    when no knowledge yields a nonempty matching set, and ``witness_combo``
-    ``None`` when the seed minimum was never beaten.
-    """
-    best = initial if initial > 0 else 0
-    witness: tuple[str, ...] | None = None
-    enumerated = 0
-    for combo in knowledge_combos(items, m):
-        if cap is not None and enumerated >= cap:
-            return best, witness, True
-        enumerated += 1
-        support = support_of(combo)
-        if 0 < support and (best == 0 or support < best):
-            best = support
-            witness = combo
-    return best, witness, False

@@ -28,21 +28,28 @@ label is decided once (memoized :class:`~repro.attacks.coverage.AttributeCoverag
 and expanded into per-value cover bitsets by OR-ing label posting rows;
 per-record matching sets are then chunked fancy-gathers AND-ed across
 attributes and popcounted.  Item knowledge reuses the km checker's per-item
-candidate bitsets (:func:`repro.metrics.privacy_checks.candidate_matrix`):
-one AND + popcount per distinct item combination, memoized across the
-(typically heavily repeated) baskets.  The per-record scalar oracle in
-``tests/oracles/attacks.py`` is the REP003 equivalence reference.
+candidate bitsets (:func:`repro.metrics.privacy_checks.candidate_matrix`) in
+one flattened pass shared by the item and RT attacks: each distinct basket's
+knowledge combinations are enumerated once as integer ids, each distinct
+combination's candidate bitset is built once (AND-ed by size group), and
+the per-target best is one ``np.minimum.reduceat`` over the supports — one
+popcount per combination for the item attack, one per (target,
+combination) pair, gathered in chunks against the QI rows, for the RT
+attack.  The per-record scalar oracle in ``tests/oracles/attacks.py`` is
+the REP003 equivalence reference.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.attacks.coverage import AttributeCoverage, best_knowledge, coverage_for
-from repro.columnar.bitset import intersect_rows, popcount, popcount_rows, posting_matrix
+from repro.attacks.coverage import AttributeCoverage, coverage_for
+from repro.columnar.bitset import popcount_rows, posting_matrix
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -53,6 +60,10 @@ from repro.metrics.relational import quasi_identifier_attributes
 #: Records per chunk in the matching-set AND passes: bounds the working-set
 #: matrix to ``chunk × word_count(n)`` words instead of ``n × word_count(n)``.
 CHUNK_RECORDS = 2048
+
+#: (target, combination) pairs per gather in the RT attack: bounds its
+#: working set to ``PAIR_CHUNK × word_count(n)`` words per AND.
+PAIR_CHUNK = 1024
 
 #: Witness lists in an :class:`AttackResult` are capped at this many record
 #: indices so reports stay small and picklable at any dataset size.
@@ -230,6 +241,17 @@ def _qi_cover_tables(
     return tables
 
 
+def _qi_block(
+    tables: Sequence[tuple[np.ndarray, np.ndarray]], start: int, stop: int
+) -> np.ndarray:
+    """QI matching bitsets of records ``start..stop``: gathered covers AND-ed."""
+    first_cover, first_codes = tables[0]
+    accumulator = first_cover[first_codes[start:stop]]
+    for cover, codes in tables[1:]:
+        accumulator &= cover[codes[start:stop]]
+    return accumulator
+
+
 def _qi_sizes_kernel(
     original: Dataset,
     anonymized: Dataset,
@@ -242,11 +264,7 @@ def _qi_sizes_kernel(
     sizes = np.empty(n_records, dtype=np.int64)
     for start in range(0, n_records, CHUNK_RECORDS):
         stop = min(n_records, start + CHUNK_RECORDS)
-        first_cover, first_codes = tables[0]
-        accumulator = first_cover[first_codes[start:stop]]
-        for cover, codes in tables[1:]:
-            accumulator &= cover[codes[start:stop]]
-        sizes[start:stop] = popcount_rows(accumulator)
+        sizes[start:stop] = popcount_rows(_qi_block(tables, start, stop))
     return [int(size) for size in sizes]
 
 
@@ -277,7 +295,137 @@ def item_attack_inputs(
     return attribute, sorted(str(item) for item in universe)
 
 
-def _item_sizes_kernel(
+@dataclass(frozen=True)
+class _KnowledgePlan:
+    """Every distinct basket's knowledge combinations, flattened to ids.
+
+    Basket ``b``'s combinations are ``combo_ids[offsets[b]:offsets[b + 1]]``,
+    in :func:`~repro.attacks.coverage.knowledge_combos` order and cut to the
+    knowledge cap; ``combos[c]`` holds the item tokens (positions in the
+    sorted item list) of combination id ``c``.  ``basket_of[i]`` is the
+    basket of record ``i``, and ``truncated`` flags that some basket had
+    more combinations than the cap.
+    """
+
+    combos: list[tuple[int, ...]]
+    combo_ids: np.ndarray
+    offsets: np.ndarray
+    basket_of: np.ndarray
+    truncated: bool
+
+
+def _knowledge_plan(
+    original: Dataset,
+    attribute: str,
+    ordered_items: Sequence[str],
+    m: int,
+    knowledge_cap: int | None,
+) -> _KnowledgePlan:
+    """Enumerate each distinct basket's combinations once, as integer ids.
+
+    ``ordered_items`` is sorted, so combinations of ascending item tokens,
+    sizes ascending, come in :func:`~repro.attacks.coverage.knowledge_combos`
+    order.
+    """
+    token_of = {item: token for token, item in enumerate(ordered_items)}
+    limit = None if knowledge_cap is None else max(knowledge_cap, 0)
+    # Ids in order of first appearance, assigned without a Python-level loop.
+    combo_index: defaultdict[tuple[int, ...], int] = defaultdict(
+        itertools.count().__next__
+    )
+    basket_index: dict[frozenset, int] = {}
+    basket_of: list[int] = []
+    combo_ids: list[int] = []
+    offsets = [0]
+    truncated = False
+    for itemset in original.column(attribute):
+        basket = basket_index.get(itemset)
+        if basket is None:
+            tokens = sorted(
+                map(token_of.__getitem__, token_of.keys() & set(map(str, itemset)))
+            )
+            combos = itertools.chain.from_iterable(
+                itertools.combinations(tokens, size)
+                for size in range(1, min(m, len(tokens)) + 1)
+            )
+            if limit is not None:
+                kept = list(itertools.islice(combos, limit + 1))
+                truncated = truncated or len(kept) > limit
+                combos = iter(kept[:limit])
+            combo_ids.extend(map(combo_index.__getitem__, combos))
+            offsets.append(len(combo_ids))
+            basket = basket_index[itemset] = len(basket_index)
+        basket_of.append(basket)
+    return _KnowledgePlan(
+        combos=list(combo_index),
+        combo_ids=np.array(combo_ids, dtype=np.int64),
+        offsets=np.array(offsets, dtype=np.int64),
+        basket_of=np.array(basket_of, dtype=np.int64),
+        truncated=truncated,
+    )
+
+
+def _combo_bitsets(
+    candidates: np.ndarray, combos: Sequence[tuple[int, ...]]
+) -> np.ndarray:
+    """Every combination's candidate bitset: the AND of its items' rows.
+
+    Combinations are grouped by size, so each group is one fancy-gather per
+    item position instead of one NumPy call per combination.
+    """
+    bits = np.empty((len(combos), candidates.shape[1]), dtype=np.uint64)
+    by_size: dict[int, list[int]] = {}
+    for combo_id, combo in enumerate(combos):
+        by_size.setdefault(len(combo), []).append(combo_id)
+    for size, ids in by_size.items():
+        tokens = np.array([combos[combo_id] for combo_id in ids], dtype=np.int64)
+        group = candidates[tokens[:, 0]]
+        for position in range(1, size):
+            group &= candidates[tokens[:, position]]
+        bits[ids] = group
+    return bits
+
+
+def _first_minimum(
+    supports: np.ndarray,
+    combo_ids: np.ndarray,
+    counts: np.ndarray,
+    initial: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of ``supports``: the best matching set and its witness.
+
+    ``supports`` holds consecutive segments of ``counts[s]`` supports of the
+    combinations ``combo_ids``, each segment in knowledge order;
+    ``initial[s]`` seeds segment ``s`` with its knowledge-free matching-set
+    size (0 = no seed).  A support counts only when it is nonzero and, under
+    a seed, strictly below it; the first combination reaching the smallest
+    counted support is the witness.  Returns ``(best, witness)`` where
+    ``witness[s]`` is a combination id, or -1 when the seed was never beaten.
+    """
+    best = np.maximum(initial, 0)
+    witness = np.full(len(counts), -1, dtype=np.int64)
+    n_pairs = len(supports)
+    if n_pairs == 0:
+        return best, witness
+    seed = np.repeat(best, counts)
+    counted = (supports > 0) & ((seed == 0) | (supports < seed))
+    # Support first, position second: the segment minimum of the composite
+    # key is the first combination reaching the smallest support.  Supports
+    # are at most the record count, so the key stays far below 2**63.
+    never = np.iinfo(np.int64).max
+    keys = np.where(
+        counted, supports * n_pairs + np.arange(n_pairs, dtype=np.int64), never
+    )
+    segments = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[segments]
+    minima = np.minimum.reduceat(keys, starts)
+    beaten = minima != never
+    best[segments[beaten]] = minima[beaten] // n_pairs
+    witness[segments[beaten]] = combo_ids[minima[beaten] % n_pairs]
+    return best, witness
+
+
+def _knowledge_sizes_kernel(
     original: Dataset,
     anonymized: Dataset,
     m: int,
@@ -285,41 +433,66 @@ def _item_sizes_kernel(
     ordered_items: Sequence[str],
     hierarchy: Hierarchy | None,
     knowledge_cap: int | None,
+    qi_tables: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[list[int], dict[int, tuple[str, ...]], bool]:
-    """Per-record worst item-knowledge matching-set sizes on candidate bitsets."""
+    """Per-record worst item-knowledge matching-set sizes, one flattened pass.
+
+    Without ``qi_tables`` this is the item attack: each combination's
+    support is one popcount and each distinct basket is reduced once.  With
+    them it is the combined RT attack: per :data:`CHUNK_RECORDS` block of QI
+    matching rows, every (target, combination) pair is AND-ed and
+    popcounted, :data:`PAIR_CHUNK` pairs per gather, and each target is
+    reduced with its QI matching-set size as the seed.
+    """
     interpreter = interpreter_for(hierarchy, set(ordered_items))
     candidates = candidate_matrix(anonymized, attribute, interpreter, ordered_items)
-    token_of = {item: token for token, item in enumerate(ordered_items)}
-    support_memo: dict[tuple[str, ...], int] = {}
-
-    def support_of(combo: tuple[str, ...]) -> int:
-        support = support_memo.get(combo)
-        if support is None:
-            rows = np.fromiter(
-                (token_of[item] for item in combo), dtype=np.int64, count=len(combo)
-            )
-            support = popcount(intersect_rows(candidates, rows))
-            support_memo[combo] = support
-        return support
-
-    basket_memo: dict[frozenset, tuple[int, tuple[str, ...] | None, bool]] = {}
-    sizes: list[int] = []
-    knowledge: dict[int, tuple[str, ...]] = {}
-    truncated = False
-    for index, record in enumerate(original):
-        basket = frozenset(
-            str(item) for item in record[attribute] if str(item) in token_of
+    plan = _knowledge_plan(original, attribute, ordered_items, m, knowledge_cap)
+    combo_bits = _combo_bitsets(candidates, plan.combos)
+    if qi_tables is None:
+        counts = np.diff(plan.offsets)
+        best, witness = _first_minimum(
+            popcount_rows(combo_bits)[plan.combo_ids],
+            plan.combo_ids,
+            counts,
+            np.zeros_like(counts),
         )
-        outcome = basket_memo.get(basket)
-        if outcome is None:
-            outcome = best_knowledge(basket, m, support_of, cap=knowledge_cap)
-            basket_memo[basket] = outcome
-        best, witness, hit_cap = outcome
-        sizes.append(best)
-        if witness is not None:
-            knowledge[index] = witness
-        truncated = truncated or hit_cap
-    return sizes, knowledge, truncated
+        sizes, witness_combo = best[plan.basket_of], witness[plan.basket_of]
+    else:
+        n_records = len(original)
+        sizes = np.empty(n_records, dtype=np.int64)
+        witness_combo = np.empty(n_records, dtype=np.int64)
+        for start in range(0, n_records, CHUNK_RECORDS):
+            stop = min(n_records, start + CHUNK_RECORDS)
+            qi_bits = _qi_block(qi_tables, start, stop)
+            baskets = plan.basket_of[start:stop]
+            firsts = plan.offsets[baskets]
+            counts = plan.offsets[baskets + 1] - firsts
+            ends = np.cumsum(counts)
+            n_pairs = int(ends[-1])
+            # Each target's slice of combo_ids, the slices concatenated.
+            pair_target = np.repeat(np.arange(stop - start), counts)
+            pair_combo = plan.combo_ids[
+                np.repeat(firsts - (ends - counts), counts)
+                + np.arange(n_pairs, dtype=np.int64)
+            ]
+            supports = np.empty(n_pairs, dtype=np.int64)
+            for first in range(0, n_pairs, PAIR_CHUNK):
+                last = min(n_pairs, first + PAIR_CHUNK)
+                supports[first:last] = popcount_rows(
+                    qi_bits[pair_target[first:last]]
+                    & combo_bits[pair_combo[first:last]]
+                )
+            best, witness = _first_minimum(
+                supports, pair_combo, counts, popcount_rows(qi_bits)
+            )
+            sizes[start:stop] = best
+            witness_combo[start:stop] = witness
+    names = [tuple(ordered_items[token] for token in combo) for combo in plan.combos]
+    knowledge = {
+        int(index): names[witness_combo[index]]
+        for index in np.flatnonzero(witness_combo >= 0)
+    }
+    return sizes.tolist(), knowledge, plan.truncated
 
 
 def item_attack(
@@ -343,72 +516,13 @@ def item_attack(
     attribute, ordered_items = item_attack_inputs(original, attribute, universe)
     return finalize_sizes(
         "item",
-        *_item_sizes_kernel(
+        *_knowledge_sizes_kernel(
             original, anonymized, m, attribute, ordered_items, hierarchy, knowledge_cap
         ),
     )
 
 
 # -- combined RT attack --------------------------------------------------------
-def _rt_sizes_kernel(
-    original: Dataset,
-    anonymized: Dataset,
-    m: int,
-    attributes: Sequence[str],
-    coverages: dict[str, AttributeCoverage],
-    attribute: str,
-    ordered_items: Sequence[str],
-    hierarchy: Hierarchy | None,
-    knowledge_cap: int | None,
-) -> tuple[list[int], dict[int, tuple[str, ...]], bool]:
-    """QI matching bitsets intersected with per-combination item candidates."""
-    n_records = len(anonymized)
-    tables = _qi_cover_tables(original, anonymized, attributes, coverages)
-    interpreter = interpreter_for(hierarchy, set(ordered_items))
-    candidates = candidate_matrix(anonymized, attribute, interpreter, ordered_items)
-    token_of = {item: token for token, item in enumerate(ordered_items)}
-    combo_bits: dict[tuple[str, ...], np.ndarray] = {}
-
-    def bits_of(combo: tuple[str, ...]) -> np.ndarray:
-        bits = combo_bits.get(combo)
-        if bits is None:
-            rows = np.fromiter(
-                (token_of[item] for item in combo), dtype=np.int64, count=len(combo)
-            )
-            bits = intersect_rows(candidates, rows)
-            combo_bits[combo] = bits
-        return bits
-
-    sizes: list[int] = []
-    knowledge: dict[int, tuple[str, ...]] = {}
-    truncated = False
-    for start in range(0, n_records, CHUNK_RECORDS):
-        stop = min(n_records, start + CHUNK_RECORDS)
-        first_cover, first_codes = tables[0]
-        accumulator = first_cover[first_codes[start:stop]]
-        for cover, codes in tables[1:]:
-            accumulator &= cover[codes[start:stop]]
-        for index in range(start, stop):
-            qi_bits = accumulator[index - start]
-            basket = frozenset(
-                str(item)
-                for item in original[index][attribute]
-                if str(item) in token_of
-            )
-            best, witness, hit_cap = best_knowledge(
-                basket,
-                m,
-                lambda combo: popcount(qi_bits & bits_of(combo)),
-                cap=knowledge_cap,
-                initial=popcount(qi_bits),
-            )
-            sizes.append(best)
-            if witness is not None:
-                knowledge[index] = witness
-            truncated = truncated or hit_cap
-    return sizes, knowledge, truncated
-
-
 def rt_attack(
     original: Dataset,
     anonymized: Dataset,
@@ -436,16 +550,15 @@ def rt_attack(
     )
     return finalize_sizes(
         "rt",
-        *_rt_sizes_kernel(
+        *_knowledge_sizes_kernel(
             original,
             anonymized,
             m,
-            attributes,
-            coverages,
             attribute,
             ordered_items,
             item_hierarchy,
             knowledge_cap,
+            _qi_cover_tables(original, anonymized, attributes, coverages),
         ),
     )
 

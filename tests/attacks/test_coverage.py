@@ -1,8 +1,9 @@
 """Unit tests for the shared adversary semantics (coverage + enumeration)."""
 
 import pytest
+from oracles.attacks import best_knowledge
 
-from repro.attacks import AttributeCoverage, best_knowledge, knowledge_combos
+from repro.attacks import AttributeCoverage, knowledge_combos
 from repro.hierarchy import HierarchyBuilder
 from repro.metrics import SUPPRESSED
 

@@ -14,10 +14,12 @@ from repro.attacks import (
     MAX_WITNESSES,
     finalize_sizes,
     item_attack,
+    knowledge_combos,
     qi_attack,
     rt_attack,
     simulate_attacks,
 )
+from repro.attacks import simulator
 from repro.datasets import Attribute, Dataset, Schema
 from repro.exceptions import DatasetError
 from repro.metrics import SUPPRESSED
@@ -123,6 +125,109 @@ class TestHandComputedMatchingSets:
         assert result.matched == 0
         assert result.max_risk == 0.0
         assert result.worst_records == ()
+
+
+def same_qi(baskets) -> Dataset:
+    """One QI class holding every record, with the given item baskets."""
+    return make_rt(
+        [{"Age": 30, "Edu": "BSc", "Items": items} for items in baskets]
+    )
+
+
+@pytest.mark.parametrize(
+    "attacks", [pytest.param(kernel, id="kernel"), pytest.param(oracle, id="oracle")]
+)
+class TestKnowledgeBoundaries:
+    """Edges of the per-target reduction: seeds, caps, ties, empty sets."""
+
+    def test_every_basket_empty(self, original, anonymized, attacks):
+        empty = original.copy()
+        empty.map_column("Items", lambda items: [])
+        item = attacks.item_attack(empty, anonymized, m=2)
+        assert item.match_sizes == (0, 0, 0, 0)
+        assert item.empirical_k is None
+        assert not item.truncated
+        rt = attacks.rt_attack(empty, anonymized, m=2, knowledge_cap=1)
+        assert rt.match_sizes == (2, 2, 2, 2)
+        assert rt.worst_knowledge is None
+        assert not rt.truncated
+
+    @pytest.mark.parametrize(
+        ("cap", "item_sizes", "rt_sizes", "rt_witness", "truncated"),
+        [
+            (None, (3, 1, 3), (3, 1, 3), ("c",), False),
+            (3, (3, 1, 3), (3, 1, 3), ("c",), False),
+            (2, (3, 3, 3), (3, 3, 3), None, True),
+            (0, (0, 0, 0), (3, 3, 3), None, True),
+        ],
+    )
+    def test_cap_keeps_the_first_combinations(
+        self, attacks, cap, item_sizes, rt_sizes, rt_witness, truncated
+    ):
+        # The largest basket has exactly three m=1 combinations, and only the
+        # last of them, "c", singles its target out.
+        dataset = same_qi([["a", "b"], ["a", "b", "c"], ["a", "b"]])
+        item = attacks.item_attack(dataset, dataset, m=1, knowledge_cap=cap)
+        assert item.match_sizes == item_sizes
+        assert item.truncated is truncated
+        rt = attacks.rt_attack(dataset, dataset, m=1, knowledge_cap=cap)
+        assert rt.match_sizes == rt_sizes
+        assert rt.worst_knowledge == rt_witness
+        assert rt.truncated is truncated
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_tie_goes_to_the_first_combination(self, attacks, m):
+        # "a", "b" and ("a", "b") all match records {0, 1}.
+        dataset = same_qi([["a", "b"], ["a", "b"], ["d"], ["d"], ["d"]])
+        for result in (
+            attacks.item_attack(dataset, dataset, m),
+            attacks.rt_attack(dataset, dataset, m),
+        ):
+            assert result.match_sizes == (2, 2, 3, 3, 3)
+            assert result.worst_records == (0, 1)
+            assert result.worst_knowledge == ("a",)
+
+    def test_empty_qi_matching_set_fails_the_rt_attack(self, attacks):
+        original = make_rt(
+            [
+                {"Age": 25, "Edu": "BSc", "Items": ["a"]},
+                {"Age": 52, "Edu": "PhD", "Items": ["a"]},
+            ]
+        )
+        # Not truthful: nothing published covers record 0's age.
+        published = make_rt(
+            [{"Age": "[52-58]", "Edu": "PhD", "Items": ["a"]} for _ in range(2)]
+        )
+        assert attacks.qi_attack(original, published).match_sizes == (0, 2)
+        assert attacks.item_attack(original, published, m=1).match_sizes == (2, 2)
+        rt = attacks.rt_attack(original, published, m=1)
+        assert rt.match_sizes == (0, 2)
+        # Item "a" matches exactly record 1's QI matching set: equal to the
+        # seed, so it does not count as the adversary's knowledge.
+        assert rt.worst_records == (1,)
+        assert rt.worst_knowledge is None
+
+
+class TestKnowledgePlan:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [None, 0, 2, 5])
+    def test_combination_order_is_knowledge_combos(self, m, cap):
+        widest = ["b", "a10", "a2", "c"]
+        baskets = [widest, ["c", "zz"], [], ["a2", "b"], list(reversed(widest))]
+        # "zz" lies outside the adversary's item universe.
+        items = sorted(widest)
+        plan = simulator._knowledge_plan(same_qi(baskets), "Items", items, m, cap)
+        for index, basket in enumerate(baskets):
+            known = list(knowledge_combos([i for i in basket if i in items], m))
+            start, stop = plan.offsets[plan.basket_of[index] : plan.basket_of[index] + 2]
+            enumerated = [
+                tuple(items[token] for token in plan.combos[combo])
+                for combo in plan.combo_ids[start:stop]
+            ]
+            assert enumerated == (known if cap is None else known[:cap])
+        widest_count = len(list(knowledge_combos(widest, m)))
+        assert plan.truncated is (cap is not None and cap < widest_count)
+        assert len(set(plan.combos)) == len(plan.combos)
 
 
 class TestSimulateAttacks:

@@ -16,9 +16,9 @@ benchmark scale while leaving the per-record logic untouched.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.attacks.coverage import AttributeCoverage, best_knowledge
+from repro.attacks.coverage import AttributeCoverage, knowledge_combos
 from repro.attacks.simulator import (
     AttackResult,
     check_aligned,
@@ -30,6 +30,43 @@ from repro.attacks.simulator import (
 from repro.datasets.dataset import Dataset, Record
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import interpreter_for
+
+
+def best_knowledge(
+    items: Iterable[object],
+    m: int,
+    support_of: Callable[[tuple[str, ...]], int],
+    cap: int | None = None,
+    initial: int = 0,
+) -> tuple[int, tuple[str, ...] | None, bool]:
+    """The adversary's best (smallest nonzero) matching set for one target.
+
+    The one-combination-at-a-time reference for the kernel's flattened
+    per-target reduction (``_first_minimum`` in the simulator).
+    ``support_of`` maps an item combination to its matching-set size in the
+    anonymized output; combinations with support 0 mean the adversary's
+    knowledge matches *nothing* (e.g. every trace of the items was
+    suppressed) and are skipped — an attack that finds no candidates
+    identifies no one.  ``initial`` seeds the minimum with the size of the
+    knowledge-free matching set (the QI-only matching set in the combined
+    attack); ``cap`` bounds the enumeration per target for huge baskets.
+
+    Returns ``(best_size, witness_combo, truncated)`` with ``best_size == 0``
+    when no knowledge yields a nonempty matching set, and ``witness_combo``
+    ``None`` when the seed minimum was never beaten.
+    """
+    best = initial if initial > 0 else 0
+    witness: tuple[str, ...] | None = None
+    enumerated = 0
+    for combo in knowledge_combos(items, m):
+        if cap is not None and enumerated >= cap:
+            return best, witness, True
+        enumerated += 1
+        support = support_of(combo)
+        if 0 < support and (best == 0 or support < best):
+            best = support
+            witness = combo
+    return best, witness, False
 
 
 def _value_match_sets(

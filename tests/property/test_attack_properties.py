@@ -8,11 +8,12 @@ instances, including non-truthful "anonymized" outputs a buggy algorithm
 could emit.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import attacks as oracle
 
-from repro.attacks import item_attack, qi_attack, rt_attack
+from repro.attacks import item_attack, qi_attack, rt_attack, simulator
 from repro.datasets import Attribute, Dataset, Schema
 from repro.metrics import SUPPRESSED, equivalence_classes
 
@@ -90,6 +91,52 @@ def attack_instances(draw):
 
 
 class TestKernelOracleEquivalence:
+    @given(instance=attack_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_qi_attack(self, instance):
+        original, published = instance
+        assert qi_attack(original, published) == oracle.qi_attack(original, published)
+
+    @given(
+        instance=attack_instances(),
+        m=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_item_attack(self, instance, m, cap):
+        original, published = instance
+        assert item_attack(
+            original, published, m, knowledge_cap=cap
+        ) == oracle.item_attack(original, published, m, knowledge_cap=cap)
+
+    @given(
+        instance=attack_instances(),
+        m=st.integers(1, 3),
+        cap=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rt_attack(self, instance, m, cap):
+        original, published = instance
+        assert rt_attack(
+            original, published, m, knowledge_cap=cap
+        ) == oracle.rt_attack(original, published, m, knowledge_cap=cap)
+
+
+class TestKernelOracleEquivalenceAcrossChunks:
+    """:class:`TestKernelOracleEquivalence` with record blocks of 3 and pair
+    gathers of 2.
+
+    The generated instances hold at most 10 records, so at the real block
+    and gather sizes they never cross a chunk boundary.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def tiny_chunks(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "CHUNK_RECORDS", 3)
+            patch.setattr(simulator, "PAIR_CHUNK", 2)
+            yield
+
     @given(instance=attack_instances())
     @settings(max_examples=60, deadline=None)
     def test_qi_attack(self, instance):
