@@ -5,7 +5,7 @@ complete, checksummed frame or detectably absent — a guarantee that lives or
 dies with *how the bytes get written*.  A casual ``open(path, "w")`` or
 ``Path.write_bytes`` in the store's code path can tear on a crash: the file
 exists, holds half a frame, and every future load pays a corruption warning
-(or, without the CRC, would silently serve garbage).  The discipline is
+(or, without the checksum, would silently serve garbage).  The discipline is
 therefore structural: inside the ``[rep008] scope`` prefixes, every write
 must flow through the manifest's ``atomic_helpers`` — the one sanctioned
 implementation of write-to-temp → flush → ``fsync`` → atomic rename →
@@ -92,7 +92,7 @@ class DurabilityDiscipline(Rule):
         "implementation): a bare open(path, 'w')/os.fdopen(fd, 'w') or "
         "Path.write_bytes/write_text truncates in place, so a crash "
         "mid-write leaves a torn record that every future load reports as "
-        "corruption — or, without the CRC frame, would silently misread. "
+        "corruption — or, without the checksummed frame, would silently misread. "
         "The helper's own body is exempt (it is where the raw open "
         "belongs); a mode that is not a string constant is flagged because "
         "it cannot be proven read-only.  A deliberate raw write elsewhere "

@@ -24,19 +24,24 @@ def value_frequencies(dataset: Dataset, attribute: str) -> dict[Any, int]:
     """Frequency of each value of ``attribute``.
 
     For transaction attributes the frequency of an *item* is the number of
-    records whose itemset contains it (its support).
+    records whose itemset contains it (its support).  A relational attribute
+    is counted on its cached columnar codes: keys in first-seen order, equal
+    as dictionary keys (``25`` and ``25.0`` share the first one seen), and
+    missing cells skipped.
     """
     meta = dataset.schema[attribute]
-    counter: Counter = Counter()
     if meta.is_transaction:
+        counter: Counter = Counter()
         for record in dataset:
             counter.update(record[attribute])
-    else:
-        for record in dataset:
-            value = record[attribute]
-            if value is not None:
-                counter[value] += 1
-    return dict(counter)
+        return dict(counter)
+    column = dataset.columnar(attribute)
+    counts = np.bincount(column.codes, minlength=len(column.values))
+    return {
+        value: int(count)
+        for value, count in zip(column.values, counts)
+        if value is not None
+    }
 
 
 def numeric_histogram(

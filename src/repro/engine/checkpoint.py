@@ -20,7 +20,7 @@ three classic durability disciplines:
 * **atomic, checksummed records** — cells are written by
   :func:`atomic_write_bytes` (write to a temp file in the same directory,
   flush, ``fsync``, ``os.replace``, directory ``fsync``) and framed with a
-  magic + version + length + CRC32C header (:func:`encode_frame`).  A torn,
+  magic + version + checksum + length header (:func:`encode_frame`).  A torn,
   truncated or bit-rotted record fails the frame checks on load and is
   treated as *missing*: the task recomputes and the corruption is reported
   as a structured warning on the :class:`~repro.engine.resilience.RunReport`
@@ -73,66 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.engine.resilience import RunReport
     from repro.engine.resources import ExperimentResources
     from repro.engine.runner import Execution
-
-# ---------------------------------------------------------------------------
-# CRC32C (Castagnoli), slicing-by-8.
-#
-# ``zlib.crc32`` is the IEEE polynomial; storage systems standardised on
-# Castagnoli (0x1EDC6F41, reflected 0x82F63B78) for its better burst-error
-# detection, and this store follows them.  No C extension is available here,
-# so the kernel is the classic slicing-by-8 table walk: eight lookup tables,
-# one 8-byte chunk per loop iteration — slow compared to hardware CRC but
-# comfortably faster than pickling the payloads it guards.
-
-_CRC_POLYNOMIAL = 0x82F63B78
-
-
-def _crc32c_tables() -> tuple[tuple[int, ...], ...]:
-    base = []
-    for index in range(256):
-        crc = index
-        for _ in range(8):
-            crc = (crc >> 1) ^ _CRC_POLYNOMIAL if crc & 1 else crc >> 1
-        base.append(crc)
-    tables = [tuple(base)]
-    for _ in range(7):
-        previous = tables[-1]
-        tables.append(
-            tuple((value >> 8) ^ base[value & 0xFF] for value in previous)
-        )
-    return tuple(tables)
-
-
-_CRC_TABLES = _crc32c_tables()
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC32C (Castagnoli) of ``data``, continuing from ``crc``."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc ^= 0xFFFFFFFF
-    view = memoryview(data)
-    length = len(view)
-    bulk = length - (length % 8)
-    position = 0
-    while position < bulk:
-        low = int.from_bytes(view[position : position + 4], "little") ^ crc
-        crc = (
-            t7[low & 0xFF]
-            ^ t6[(low >> 8) & 0xFF]
-            ^ t5[(low >> 16) & 0xFF]
-            ^ t4[(low >> 24) & 0xFF]
-            ^ t3[view[position + 4]]
-            ^ t2[view[position + 5]]
-            ^ t1[view[position + 6]]
-            ^ t0[view[position + 7]]
-        )
-        position += 8
-    table = t0
-    while position < length:
-        crc = (crc >> 8) ^ table[(crc ^ view[position]) & 0xFF]
-        position += 1
-    return crc ^ 0xFFFFFFFF
-
 
 # ---------------------------------------------------------------------------
 # Durable writes.
@@ -191,33 +131,30 @@ def _fsync_directory(directory: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Record framing: magic + version + CRC32C + length, then the payload.
+# Record framing: magic + version + checksum + length, then the payload.
 
 _MAGIC = b"RPCK"
 
 #: Bump when the frame layout or the cell payload encoding changes
 #: incompatibly; stores written under another version are rebuilt.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_HEADER = struct.Struct("<4sIIQ")  # magic, format version, crc32c, length
+_HEADER = struct.Struct("<4sIIQ")  # magic, format version, checksum, length
 
 
 def _payload_check(payload: bytes) -> int:
-    """The frame's integrity check: CRC32C over the payload's BLAKE2b digest.
+    """The frame's integrity check: a 4-byte BLAKE2b digest of the payload.
 
-    Cell payloads are multi-megabyte pickles, and the table-driven Python
-    CRC runs at single-digit MiB/s — checksumming them directly would cost
-    more than computing many of the cells.  Hashing the payload with C-speed
-    BLAKE2b first and CRCing the 32-byte digest keeps the frame's detection
-    strength (any payload change flips the digest, hence the CRC) at >700
-    MiB/s, which is what keeps the cold-run overhead inside the benchmark's
-    5% budget (``benchmarks/bench_resume.py``).
+    BLAKE2b runs at C speed (>700 MiB/s) over the multi-megabyte pickled
+    cells, which keeps the cold-run overhead inside the benchmark's 5%
+    budget (``benchmarks/bench_resume.py``); any payload change flips the
+    digest, so a damaged record passes with probability 2**-32.
     """
-    return crc32c(hashlib.blake2b(payload, digest_size=32).digest())
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=4).digest(), "little")
 
 
 def encode_frame(payload: bytes) -> bytes:
-    """Frame ``payload`` with the magic/version/CRC32C/length header."""
+    """Frame ``payload`` with the magic/version/checksum/length header."""
     return (
         _HEADER.pack(_MAGIC, FORMAT_VERSION, _payload_check(payload), len(payload))
         + payload
@@ -230,7 +167,7 @@ def decode_frame(blob: bytes) -> bytes:
     Every failure mode maps to one message: a record too short to hold the
     header (torn write), a wrong magic (not a checkpoint record), a wrong
     version (stale format), a length mismatch (truncation or trailing
-    garbage) and a CRC mismatch (bit rot).
+    garbage) and a checksum mismatch (bit rot).
     """
     if len(blob) < _HEADER.size:
         raise CheckpointError(

@@ -6,9 +6,10 @@ individual records; they pick, for every quasi-identifier attribute, a single
 therefore the lattice whose nodes are vectors of per-attribute levels
 ``(l_1, ..., l_d)`` with ``0 <= l_i <= height_i``, ordered component-wise.
 
-:class:`GeneralizationLattice` enumerates this lattice, exposes the
-predecessor/successor structure used by Incognito's bottom-up breadth-first
-search, and applies a lattice node to a dataset column-wise.
+:class:`GeneralizationLattice` enumerates this lattice level by level,
+exposes the predecessor/successor structure that Incognito's top-down search
+tags and its minimal nodes are defined by, and applies a lattice node to a
+dataset column-wise.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class GeneralizationLattice:
     def iter_levels(self) -> Iterator[list[LevelVector]]:
         """Nodes grouped by height (sum of levels), bottom-up.
 
-        This is the breadth-first order in which Incognito explores candidate
-        generalizations.
+        Incognito walks these levels in reverse, and lists its minimal nodes
+        in this order.
         """
         by_height: dict[int, list[LevelVector]] = {}
         for node in self.iter_nodes():
@@ -109,19 +110,6 @@ class GeneralizationLattice:
         self.validate(node)
         self.validate(other)
         return all(a >= b for a, b in zip(node, other))
-
-    def ancestors(self, node: LevelVector) -> list[LevelVector]:
-        """All strict generalizations of ``node`` within the lattice."""
-        self.validate(node)
-        ranges = [
-            range(level, maximum + 1)
-            for level, maximum in zip(node, self.max_levels)
-        ]
-        return [
-            candidate
-            for candidate in itertools.product(*ranges)
-            if candidate != node
-        ]
 
     # -- application ------------------------------------------------------------
     def generalize_value(self, attribute: str, value, node: LevelVector) -> str:

@@ -3,8 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.statistics import value_frequencies_by_records
 from repro.datasets import (
+    Attribute,
+    Dataset,
+    Schema,
     attribute_histogram,
     dataset_summary,
     frequency_relative_error,
@@ -38,6 +44,36 @@ class TestValueFrequencies:
         frequencies = value_frequencies(dataset, "Age")
         assert frequencies[25] == 1
         assert len(frequencies) == len(dataset)
+
+    def test_equal_keys_share_the_first_one_seen(self):
+        schema = Schema([Attribute.numeric("N")])
+        cells = [None, 25.0, 25, "[20-30]", 25, None]
+        dataset = Dataset(schema, [{"N": cell} for cell in cells])
+        frequencies = value_frequencies(dataset, "N")
+        assert list(frequencies.items()) == [(25.0, 3), ("[20-30]", 1)]
+        assert type(next(iter(frequencies))) is float
+
+    @given(
+        cells=st.lists(
+            st.one_of(
+                st.none(),
+                st.integers(0, 3),
+                st.sampled_from([0.0, 1.0, 2.5, -0.0, "[0-3]", "*"]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relational_counts_match_the_record_walk(self, cells):
+        schema = Schema([Attribute.numeric("N"), Attribute.categorical("C")])
+        dataset = Dataset(schema, [{"N": cell, "C": cell} for cell in cells])
+        for attribute in ("N", "C"):
+            expected = value_frequencies_by_records(dataset, attribute)
+            actual = value_frequencies(dataset, attribute)
+            # Same keys of the same types, in the same order, with equal counts.
+            assert [(type(key), repr(key), count) for key, count in actual.items()] == [
+                (type(key), repr(key), count) for key, count in expected.items()
+            ]
 
 
 class TestHistograms:

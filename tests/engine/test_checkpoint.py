@@ -1,11 +1,10 @@
 """Unit tests for the durable checkpoint store.
 
-Layered like the module itself: the CRC32C kernel against published test
-vectors, the frame codec against every damage mode it claims to detect, the
-atomic write helper, the store's hit/miss/corrupt protocol and format-version
-rebuild, the stable digest's canonicalisation guarantees, and finally the
-``run_many`` integration (hits served, misses computed-and-stored, corrupt
-cells recomputed with a structured warning).
+Layered like the module itself: the frame codec against every damage mode
+it claims to detect, the atomic write helper, the store's hit/miss/corrupt
+protocol and format-version rebuild, the stable digest's canonicalisation
+guarantees, and finally the ``run_many`` integration (hits served, misses
+computed-and-stored, corrupt cells recomputed with a structured warning).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.engine.checkpoint import (
     CheckpointStore,
     atomic_write_bytes,
     configuration_keys,
-    crc32c,
     decode_frame,
     encode_frame,
     stable_digest,
@@ -57,40 +55,6 @@ def make_dataset(rows=None, name="ckpt-test") -> Dataset:
         for n in range(12)
     ]
     return Dataset(schema, rows, name=name)
-
-
-# ---------------------------------------------------------------------------
-# CRC32C
-
-
-class TestCrc32c:
-    def test_published_check_vector(self):
-        # The canonical CRC32C check value (RFC 3720 appendix / crc catalogs).
-        assert crc32c(b"123456789") == 0xE3069283
-
-    def test_empty_input(self):
-        assert crc32c(b"") == 0
-
-    def test_all_zero_block(self):
-        # iSCSI test vector: 32 zero bytes.
-        assert crc32c(bytes(32)) == 0x8A9136AA
-
-    def test_all_ones_block(self):
-        assert crc32c(bytes([0xFF] * 32)) == 0x62A8AB43
-
-    def test_incremental_matches_one_shot(self):
-        data = bytes(range(256)) * 7
-        running = 0
-        for start in range(0, len(data), 100):
-            running = crc32c(data[start : start + 100], running)
-        assert running == crc32c(data)
-
-    def test_single_bit_flip_changes_crc(self):
-        data = os.urandom(1024)
-        reference = crc32c(data)
-        flipped = bytearray(data)
-        flipped[517] ^= 0x40
-        assert crc32c(bytes(flipped)) != reference
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +91,7 @@ class TestFrame:
     def test_stale_format_version(self):
         header = struct.Struct("<4sIIQ")
         payload = b"payload"
-        blob = header.pack(b"RPCK", FORMAT_VERSION + 1, crc32c(payload), len(payload))
+        blob = header.pack(b"RPCK", FORMAT_VERSION + 1, 0, len(payload))
         with pytest.raises(CheckpointError, match="version"):
             decode_frame(blob + payload)
 

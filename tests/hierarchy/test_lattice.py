@@ -46,11 +46,6 @@ class TestStructure:
         assert not lattice.is_generalization_of(lattice.bottom, lattice.top)
         assert lattice.is_generalization_of(lattice.bottom, lattice.bottom)
 
-    def test_ancestors_exclude_self(self, lattice):
-        ancestors = lattice.ancestors(lattice.bottom)
-        assert lattice.bottom not in ancestors
-        assert lattice.top in ancestors
-
     def test_validate_rejects_out_of_range(self, lattice):
         with pytest.raises(HierarchyError):
             lattice.validate((99, 0))

@@ -19,7 +19,10 @@ outputs:
   dictionary;
 * :func:`apply_by_cells` — full-domain generalization by per-cell writes;
 * :func:`min_class_size_group_by` and :func:`k_violations_group_by` — the
-  k-anonymity checks on ``Dataset.group_by``.
+  k-anonymity checks on ``Dataset.group_by``;
+* :func:`anonymous_nodes_by_definition` and
+  :func:`minimal_nodes_by_definition` — every lattice node applied and
+  checked, and Incognito's minimal k-anonymous nodes from those checks.
 """
 
 from __future__ import annotations
@@ -385,4 +388,35 @@ def k_violations_group_by(
         KViolation(values=values, size=len(indices), records=tuple(indices))
         for values, indices in equivalence_classes(dataset, attributes).items()
         if len(indices) < k
+    ]
+
+
+def anonymous_nodes_by_definition(
+    dataset: Dataset, lattice: GeneralizationLattice, k: int
+) -> dict[LevelVector, bool]:
+    """Whether each lattice node is k-anonymous, each applied by :func:`apply_by_cells`."""
+    return {
+        node: min_class_size_group_by(
+            apply_by_cells(dataset, lattice, node), lattice.attributes
+        )
+        >= k
+        for node in lattice.iter_nodes()
+    }
+
+
+def minimal_nodes_by_definition(
+    dataset: Dataset, lattice: GeneralizationLattice, k: int
+) -> list[LevelVector]:
+    """The minimal k-anonymous nodes of ``lattice``, in ``iter_levels()`` order.
+
+    Every node is applied and checked on its per-record groups; a node is
+    minimal when it is k-anonymous and none of its direct specializations is.
+    """
+    anonymous = anonymous_nodes_by_definition(dataset, lattice, k)
+    return [
+        node
+        for level_nodes in lattice.iter_levels()
+        for node in level_nodes
+        if anonymous[node]
+        and not any(anonymous[child] for child in lattice.predecessors(node))
     ]
