@@ -8,9 +8,9 @@ code/float vectors — are the natural zero-copy payload for
 into **one** named segment and describes the layout in a small picklable
 :class:`SharedDatasetManifest`; :func:`attach` opens the segment in a worker
 and rebuilds a read-only :class:`~repro.datasets.dataset.Dataset` view whose
-array payloads are zero-copy views into the segment (only the per-record
-Python cells — ``Record`` dicts, itemset ``frozenset`` values — are
-materialized locally, since Python objects cannot live in shared memory).
+array payloads are zero-copy views into the segment (the per-record Python
+cells — ``Record`` dicts, itemset ``frozenset`` values — are built locally
+on first read, since Python objects cannot live in shared memory).
 
 The design splits a cheap shared read-mostly representation from per-worker
 private bookkeeping: workers may derive further caches (interpreters,
@@ -341,14 +341,15 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
     Array payloads are zero-copy views into the shared segment (marked
     read-only); the columnar cache of the returned dataset is pre-seeded with
     them, so metric/algorithm kernels in the worker run directly on shared
-    memory.  Only the per-record Python cells are materialized locally.
+    memory.  The records are built locally from those columns the first
+    time something reads them (:meth:`Dataset.from_columns`).
 
     The returned dataset keeps the segment mapping alive for its own
     lifetime.  Treat it as read-only input: algorithms that transform data
     already copy first (``dataset.copy()``), and mutating the view would only
     drop the shared columns from its cache, never write to the segment.
     """
-    from repro.datasets.dataset import Dataset, Record
+    from repro.datasets.dataset import Dataset
 
     # Note on the resource tracker: Python ≤ 3.12 registers a segment on
     # *attach* as well as on create, but pool workers share the exporter's
@@ -377,25 +378,17 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
     for attribute in schema:
         name = attribute.name
         if attribute.is_transaction:
-            indptr = view(f"{name}/indptr")
-            tokens = view(f"{name}/tokens")
             items = _decode_strings(
                 view(f"{name}/vocab_blob"), view(f"{name}/vocab_offsets")
             )
             column = TransactionColumn(
-                ItemVocabulary(items), indptr, tokens, attribute=name
+                ItemVocabulary(items),
+                view(f"{name}/indptr"),
+                view(f"{name}/tokens"),
+                attribute=name,
             )
             column._postings = view(f"{name}/postings")
             columns[name] = column
-            bounds = indptr.tolist()
-            row_tokens = tokens.tolist()
-            cells_by_attribute[name] = [
-                frozenset(
-                    items[token]
-                    for token in row_tokens[bounds[row] : bounds[row + 1]]
-                )
-                for row in range(manifest.n_records)
-            ]
         else:
             codes = view(f"{name}/codes")
             values = relational_values[name]
@@ -421,17 +414,13 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
                 )
             cells_by_attribute[name] = cells
 
-    names = schema.names
-    if names:
-        per_attribute = [cells_by_attribute[name] for name in names]
-        records = [Record(dict(zip(names, row))) for row in zip(*per_attribute)]
-    else:
-        records = [Record({}) for _ in range(manifest.n_records)]
-
-    dataset = Dataset(schema, name=manifest.dataset_name)
-    # repro: allow[REP002] -- attach() pre-seeds a freshly constructed Dataset
-    dataset._records = records
-    dataset._columnar = columns
+    dataset = Dataset.from_columns(
+        schema,
+        manifest.n_records,
+        cells_by_attribute,
+        columns,
+        name=manifest.dataset_name,
+    )
     dataset._shared_segment = segment  # keeps the mapping alive with the view
     return dataset
 

@@ -8,7 +8,10 @@ anonymization algorithms.
 
 The model is deliberately row-oriented: anonymization algorithms group,
 generalize and merge *records*, so records are first-class
-(:class:`Record`), while column views are derived on demand.
+(:class:`Record`), while column views are derived on demand.  Across process
+and checkpoint boundaries the direction reverses: a dataset travels as its
+columns and rebuilds its records only when something reads them
+(:meth:`Dataset.from_columns`).
 """
 
 from __future__ import annotations
@@ -16,12 +19,16 @@ from __future__ import annotations
 import copy as _copy
 import hashlib
 import re
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+import threading
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.datasets.attributes import Attribute, AttributeKind, Schema
 from repro.exceptions import DatasetError, SchemaError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
+    from repro.columnar.column import TransactionColumn
 
 #: The type of a single relational cell (categorical label or number).
 RelationalValue = Any
@@ -132,6 +139,24 @@ def _normalise_cell(attribute: Attribute, value: Any) -> Any:
     return str(value)
 
 
+#: Serialises the first read of a pending dataset's records.
+_MATERIALIZING = threading.Lock()
+
+
+def _narrowest(array: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned dtype that holds them."""
+    top = int(array.max()) if len(array) else 0
+    return array.astype(np.min_scalar_type(top))
+
+
+def _csr_itemsets(column: "TransactionColumn") -> list[frozenset]:
+    """The per-record itemsets of a transaction column's CSR layout."""
+    items = column.vocabulary.items
+    labels = [items[token] for token in column.tokens.tolist()]
+    bounds = column.indptr.tolist()
+    return [frozenset(labels[start:end]) for start, end in zip(bounds, bounds[1:])]
+
+
 class Dataset:
     """An in-memory RT-dataset: a schema plus an ordered list of records."""
 
@@ -197,30 +222,147 @@ class Dataset:
             f"attributes={self._schema.names})"
         )
 
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        n_records: int,
+        cells: Mapping[str, list],
+        columns: Mapping[str, Any],
+        name: str = "dataset",
+        version: int = 0,
+    ) -> "Dataset":
+        """A dataset over prebuilt columns whose records are built on first read.
+
+        ``cells`` holds every relational attribute's cells in record order
+        and ``columns`` seeds the columnar cache; it must hold the
+        :class:`~repro.columnar.column.TransactionColumn` of every
+        transaction attribute, whose CSR layout the itemsets are decoded
+        from.  The shared-memory :func:`~repro.columnar.shared.attach` and
+        unpickling both build datasets this way.
+        """
+        dataset = cls.__new__(cls)
+        dataset._adopt_columns(schema, n_records, cells, columns, name, version)
+        return dataset
+
+    def _adopt_columns(
+        self,
+        schema: Schema,
+        n_records: int,
+        cells: Mapping[str, list],
+        columns: Mapping[str, Any],
+        name: str,
+        version: int,
+    ) -> None:
+        self._schema = schema
+        self.name = name
+        self._version = version
+        self._columnar = dict(columns)
+        self._fingerprint = None
+        #: ``(n_records, {attribute: cells or TransactionColumn})`` until the
+        #: first read of ``_records`` materializes the rows (:meth:`__getattr__`).
+        self._pending = (
+            n_records,
+            {
+                attribute.name: (
+                    columns[attribute.name]
+                    if attribute.is_transaction
+                    else cells[attribute.name]
+                )
+                for attribute in schema
+            },
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails: a dataset built from columns
+        # has no ``_records`` until something reads them, so a materialized
+        # dataset never pays for this hook.
+        if name == "_records":
+            with _MATERIALIZING:
+                return self._materialize()
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _materialize(self) -> list[Record]:
+        """Build the pending records from their columns, once.
+
+        Runs under ``_MATERIALIZING``: several threads may read one dataset,
+        and those that lose the race find the records already built.
+        """
+        state = self.__dict__
+        if "_records" in state:
+            return state["_records"]
+        if "_pending" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute '_records'"
+            )
+        n_records, sources = state["_pending"]
+        names = list(sources)
+        per_attribute = [
+            source if isinstance(source, list) else _csr_itemsets(source)
+            for source in sources.values()
+        ]
+        if names:
+            records = [Record(dict(zip(names, row))) for row in zip(*per_attribute)]
+        else:
+            records = [Record({}) for _ in range(n_records)]
+        self._records = records
+        del state["_pending"]
+        return records
+
     # -- pickling -------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # Positional rows instead of per-Record reduction: a dataset pickles
-        # roughly 6x faster at half the bytes, which keeps checkpoint-cell
-        # writes and process-mode result transfer inside the durability
-        # overhead budget.  Derived caches are dropped and rebuilt on demand.
-        names = self._schema.names
+        # A dataset pickles as its columns, never per row: each transaction
+        # attribute as its (usually already cached) CSR column in the
+        # narrowest unsigned dtypes, each relational attribute as its plain
+        # cell list, so cell types survive exactly (25 vs 25.0, -0.0, None).
+        # Unpickling seeds the columnar cache and leaves the records pending
+        # until read; re-pickling a pending dataset re-emits its columns
+        # without building the rows.
+        pending = self.__dict__.get("_pending")
+        cells: dict[str, list] = {}
+        csr: dict[str, tuple] = {}
+        for attribute in self._schema:
+            name = attribute.name
+            if attribute.is_transaction:
+                column = self.columnar(name)
+                csr[name] = (
+                    column.vocabulary.items,
+                    _narrowest(column.indptr),
+                    _narrowest(column.tokens),
+                )
+            else:
+                cells[name] = pending[1][name] if pending else self.column(name)
         return {
             "schema": self._schema,
             "name": self.name,
             "version": self._version,
-            "rows": [record.values_for(names) for record in self._records],
+            "n_records": pending[0] if pending else len(self._records),
+            "cells": cells,
+            "csr": csr,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._schema = state["schema"]
-        self.name = state["name"]
-        self._version = state["version"]
-        self._columnar = {}
-        self._fingerprint = None
-        names = self._schema.names
-        self._records = [
-            Record(dict(zip(names, row))) for row in state["rows"]
-        ]
+        from repro.columnar import ItemVocabulary, TransactionColumn
+
+        columns = {
+            name: TransactionColumn(
+                ItemVocabulary(items),
+                indptr.astype(np.int64),
+                tokens.astype(np.int32),
+                attribute=name,
+            )
+            for name, (items, indptr, tokens) in state["csr"].items()
+        }
+        self._adopt_columns(
+            state["schema"],
+            state["n_records"],
+            state["cells"],
+            columns,
+            state["name"],
+            state["version"],
+        )
 
     # -- accessors -------------------------------------------------------------
     @property

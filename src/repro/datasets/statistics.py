@@ -11,7 +11,6 @@ dictionaries so that the plotting and export layers can render them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Any, Mapping
 
 import numpy as np
@@ -24,18 +23,20 @@ def value_frequencies(dataset: Dataset, attribute: str) -> dict[Any, int]:
     """Frequency of each value of ``attribute``.
 
     For transaction attributes the frequency of an *item* is the number of
-    records whose itemset contains it (its support).  A relational attribute
-    is counted on its cached columnar codes: keys in first-seen order, equal
-    as dictionary keys (``25`` and ``25.0`` share the first one seen), and
-    missing cells skipped.
+    records whose itemset contains it (its support), counted over the cached
+    CSR tokens: keys in sorted item order, every item of the universe
+    present.  A relational attribute is counted on its cached columnar
+    codes: keys in first-seen order, equal as dictionary keys (``25`` and
+    ``25.0`` share the first one seen), and missing cells skipped.
     """
     meta = dataset.schema[attribute]
-    if meta.is_transaction:
-        counter: Counter = Counter()
-        for record in dataset:
-            counter.update(record[attribute])
-        return dict(counter)
     column = dataset.columnar(attribute)
+    if meta.is_transaction:
+        supports = np.bincount(column.tokens, minlength=len(column.vocabulary))
+        return {
+            item: int(count)
+            for item, count in zip(column.vocabulary.items, supports)
+        }
     counts = np.bincount(column.codes, minlength=len(column.values))
     return {
         value: int(count)

@@ -55,7 +55,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,7 +137,8 @@ _MAGIC = b"RPCK"
 
 #: Bump when the frame layout or the cell payload encoding changes
 #: incompatibly; stores written under another version are rebuilt.
-FORMAT_VERSION = 2
+#: Version 3: datasets inside cells pickle as columns, not rows.
+FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<4sIIQ")  # magic, format version, checksum, length
 
@@ -354,6 +355,35 @@ def task_key(kind: str, *parts: object) -> str:
     return stable_digest((KEY_SCHEMA_VERSION, kind) + parts)
 
 
+def _task_keys(
+    kind: str,
+    head: Sequence[object],
+    varying: Iterable[object],
+    tail: Sequence[object] = (),
+) -> list[str]:
+    """``task_key(kind, *head, value, *tail)`` for each ``value`` in ``varying``.
+
+    The parts every key shares — the whole experiment resources among them —
+    are encoded once, not once per key: the digest of the tuple's opening
+    (``T(`` and the head parts) is copied for each key, which then adds its
+    own value, the encoded tail and the closing ``)``.
+    """
+    opening = hashlib.blake2b(digest_size=20)
+    opening.update(b"T(")
+    for part in (KEY_SCHEMA_VERSION, kind, *head):
+        for chunk in _encode(part):
+            opening.update(chunk)
+    closing = b"".join(_encoded(part) for part in tail) + b")"
+    keys = []
+    for value in varying:
+        digest = opening.copy()
+        for chunk in _encode(value):
+            digest.update(chunk)
+        digest.update(closing)
+        keys.append(digest.hexdigest())
+    return keys
+
+
 def sweep_point_keys(
     dataset: Dataset,
     resources: "ExperimentResources",
@@ -370,9 +400,9 @@ def sweep_point_keys(
     captured — so a resumed run, which captures the identical snapshot,
     derives the identical keys.
     """
-    return [
-        task_key(
-            "sweep-point",
+    return _task_keys(
+        "sweep-point",
+        (
             dataset.fingerprint(),
             resources,
             bool(verify_privacy),
@@ -380,10 +410,9 @@ def sweep_point_keys(
             bool(simulate_attacks),
             config,
             sweep.parameter,
-            value,
-        )
-        for value in sweep.values
-    ]
+        ),
+        sweep.values,
+    )
 
 
 def configuration_keys(
@@ -396,19 +425,18 @@ def configuration_keys(
     simulate_attacks: bool = False,
 ) -> list[str]:
     """One key per configuration of a comparison (whole-sweep granularity)."""
-    return [
-        task_key(
-            "configuration",
+    return _task_keys(
+        "configuration",
+        (
             dataset.fingerprint(),
             resources,
             bool(verify_privacy),
             universe_mode,
             bool(simulate_attacks),
-            config,
-            sweep,
-        )
-        for config in configurations
-    ]
+        ),
+        configurations,
+        (sweep,),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,25 @@ def categorical_value_ncp(
     domain_size: int,
     interpreter: LabelInterpreter | None = None,
 ) -> float:
-    """NCP of one categorical cell: ``(|leaves(label)| - 1) / (|domain| - 1)``."""
+    """NCP of one categorical cell: ``(|leaves(label)| - 1) / (|domain| - 1)``.
+
+    The leaves are the interpreter's *restricted* leaves: with an interpreter
+    keyed by the original domain (as :class:`RelationalLossContext` builds
+    them), hierarchy leaves absent from the data do not count, so the NCP
+    stays within ``[0, 1]`` — the rule utility loss and the ``"original"``
+    ARE mode apply too.  Without an interpreter the hierarchy alone decides.
+    """
     if domain_size <= 1:
         return 0.0
     if str(label) == SUPPRESSED:
         return 1.0
     if interpreter is None:
         interpreter = interpreter_for(hierarchy)
-    leaves = interpreter.leaves(label)
+    leaves = interpreter.restricted_leaves(label)
     if not leaves:
-        # Only the root "*" resolves to nothing without a hierarchy; it stands
-        # for the whole domain and must be charged fully, not 0.
+        # The root "*" resolves to nothing without a hierarchy or domain; it
+        # stands for the whole domain and must be charged fully, not 0.  So
+        # is a label that covers no value of the domain.
         return 1.0
     return max(0, len(leaves) - 1) / (domain_size - 1)
 
@@ -115,21 +123,27 @@ class RelationalLossContext:
         self.numeric_attributes: set[str] = set()
         self.domain_sizes: dict[str, int] = {}
         self.domain_ranges: dict[str, tuple[float, float]] = {}
+        #: One shared label interpreter per scored attribute, plus a per-cell
+        #: NCP memo: anonymized columns contain few distinct labels, so the
+        #: per-record work collapses to a dictionary lookup.  Categorical
+        #: interpreters are keyed by the original domain, so a label counts
+        #: only the leaves the data holds.
+        self._interpreters: dict[str, LabelInterpreter] = {}
         for name in self.attributes:
             attribute = original.schema[name]
             domain = original.domain(name)
             if not domain:
                 raise DatasetError(f"attribute {name!r} has an empty domain")
+            universe = None
             if attribute.is_numeric:
                 self.numeric_attributes.add(name)
                 self.domain_ranges[name] = (float(min(domain)), float(max(domain)))
+            else:
+                universe = [str(value) for value in domain]
             self.domain_sizes[name] = len(domain)
-        #: One shared label interpreter per scored attribute, plus a per-cell
-        #: NCP memo: anonymized columns contain few distinct labels, so the
-        #: per-record work collapses to a dictionary lookup.
-        self._interpreters: dict[str, LabelInterpreter] = {
-            name: interpreter_for(self.hierarchies.get(name)) for name in self.attributes
-        }
+            self._interpreters[name] = interpreter_for(
+                self.hierarchies.get(name), universe
+            )
         self._cell_ncp_cache: dict[tuple[str, object], float] = {}
 
     def cell_ncp(self, attribute: str, label) -> float:

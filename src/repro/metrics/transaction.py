@@ -26,7 +26,7 @@ per-occurrence "cheapest covering label" reduction becomes one vectorized
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -319,7 +319,13 @@ def average_item_frequency_error(
     floor: float = 1.0,
 ) -> float:
     """Mean of :func:`item_frequency_error` over the item universe."""
-    errors = item_frequency_error(
-        original, anonymized, attribute=attribute, hierarchy=hierarchy, floor=floor
+    return mean_item_frequency_error(
+        item_frequency_error(
+            original, anonymized, attribute=attribute, hierarchy=hierarchy, floor=floor
+        )
     )
+
+
+def mean_item_frequency_error(errors: Mapping[str, float]) -> float:
+    """Mean of per-item errors from :func:`item_frequency_error` (0 for none)."""
     return sum(errors.values()) / len(errors) if errors else 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.statistics import value_frequencies_by_records
+from oracles.statistics import item_frequencies_by_records, value_frequencies_by_records
 from repro.datasets import (
     Attribute,
     Dataset,
@@ -74,6 +74,24 @@ class TestValueFrequencies:
             assert [(type(key), repr(key), count) for key, count in actual.items()] == [
                 (type(key), repr(key), count) for key, count in expected.items()
             ]
+
+
+    @given(
+        baskets=st.lists(
+            st.sets(st.sampled_from(["a", "b", "c10", "c2", "é", ""]), max_size=4),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_item_supports_match_the_record_walk(self, baskets):
+        schema = Schema([Attribute.transaction("Items")])
+        dataset = Dataset(schema, [{"Items": basket} for basket in baskets])
+        expected = item_frequencies_by_records(dataset, "Items")
+        actual = value_frequencies(dataset, "Items")
+        # The same items with the same supports; callers ignore key order.
+        assert actual == expected
+        assert all(type(count) is int for count in actual.values())
+        assert list(actual) == sorted(expected)
 
 
 class TestHistograms:

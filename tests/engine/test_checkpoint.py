@@ -189,6 +189,31 @@ class TestCheckpointStore:
         # The header has been rewritten to the current format.
         assert (directory / "FORMAT").read_bytes().startswith(b"RPCK")
 
+    def test_format_2_stores_are_rebuilt_not_unpickled(self, tmp_path):
+        # Format 3: datasets inside cells pickle as columns.  A store written
+        # at format 2, whose cells hold row pickles, is dropped on open.
+        assert FORMAT_VERSION == 3
+        directory = tmp_path / "ckpt"
+        key = task_key("unit", 7)
+        payload = pickle.dumps("a format-2 cell")
+        header = struct.Struct("<4sIIQ").pack(b"RPCK", 2, 0, len(payload))
+        (directory / "cells").mkdir(parents=True)
+        (directory / "FORMAT").write_bytes(b"RPCK" + struct.pack("<I", 2) + b"\n")
+        (directory / "cells" / f"{key}.ckpt").write_bytes(header + payload)
+        store = CheckpointStore(directory)
+        assert store.load(key).status == "miss"
+        assert store.keys() == []
+
+    def test_dataset_cells_load_with_their_rows_pending(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        dataset = make_dataset()
+        key = task_key("unit", 8)
+        store.store(key, {"anonymized": dataset})
+        loaded = store.load(key).value["anonymized"]
+        assert "_records" not in vars(loaded)
+        assert loaded.fingerprint() == dataset.fingerprint()
+        assert loaded == dataset
+
     def test_keys_lists_cells(self, tmp_path):
         store = CheckpointStore(tmp_path)
         keys = sorted(task_key("unit", n) for n in range(3))
@@ -336,6 +361,37 @@ class TestKeys:
             dataset, ExperimentResources(), False, "original", configs, sweep
         )
         assert len(set(keys)) == 2
+
+    def test_batched_keys_equal_task_key_byte_for_byte(self):
+        # The batch derivations encode their shared parts once; every key
+        # must still be the task_key of the full tuple.
+        dataset = make_dataset()
+        configs = [
+            transaction_config("coat", k=2, m=2),
+            transaction_config("apriori", k=3, m=1),
+        ]
+        resources = ExperimentResources.prepare(dataset, configs[1])
+        sweep = ParameterSweep("k", (2, 3, 5))
+        for verify, attacks in ((False, False), (True, True)):
+            for config in configs:
+                assert sweep_point_keys(
+                    dataset, resources, verify, "seed", config, sweep, attacks
+                ) == [
+                    task_key(
+                        "sweep-point", dataset.fingerprint(), resources, verify,
+                        "seed", attacks, config, "k", value,
+                    )
+                    for value in sweep.values
+                ]
+            assert configuration_keys(
+                dataset, resources, verify, "original", configs, sweep, attacks
+            ) == [
+                task_key(
+                    "configuration", dataset.fingerprint(), resources, verify,
+                    "original", attacks, config, sweep,
+                )
+                for config in configs
+            ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.datasets import Attribute, Dataset, Schema
 from repro.exceptions import DatasetError
+from repro.hierarchy.hierarchy import HierarchyBuilder
 from repro.metrics import (
     average_class_size,
     categorical_value_ncp,
@@ -12,6 +13,7 @@ from repro.metrics import (
     ncp_per_attribute,
     numeric_value_ncp,
 )
+from repro.metrics.relational import RelationalLossContext
 
 
 @pytest.fixture
@@ -86,6 +88,53 @@ class TestDatasetMetrics:
         for index in range(len(anonymized)):
             anonymized.set_value(index, "Disease", "(Flu,Cold)")
         assert global_certainty_penalty(original, anonymized) == pytest.approx(0.0)
+
+
+class TestHierarchyLeavesAbsentFromTheData:
+    """Regression: a label's NCP counts only the leaves the data holds.
+
+    The hierarchy has four leaves and the data uses two of them.  Counting
+    every hierarchy leaf over the two-value domain scored the root NCP 3 and
+    GCP 1.5; restricted to the original domain (the rule UL and the
+    ``"original"`` ARE mode use) the root scores 1 and no cell exceeds 1.
+    """
+
+    @pytest.fixture
+    def setup(self):
+        builder = HierarchyBuilder("ANY", "City")
+        builder.add_path(["North", "a"]).add_path(["North", "b"])
+        builder.add_path(["South", "c"]).add_path(["South", "d"])
+        hierarchy = builder.build()
+        schema = Schema(
+            [Attribute.categorical("City"), Attribute.categorical("Job")]
+        )
+        rows = [{"City": city, "Job": "x"} for city in ("a", "c", "a", "c")]
+        return Dataset(schema, rows), {"City": hierarchy}
+
+    def test_root_scores_one_and_gcp_stays_within_one(self, setup):
+        original, hierarchies = setup
+        rooted = original.copy()
+        rooted.map_column("City", lambda _: "ANY")
+        attributes = ["City", "Job"]
+        assert ncp_per_attribute(original, rooted, attributes, hierarchies) == {
+            "City": 1.0,
+            "Job": 0.0,
+        }
+        assert global_certainty_penalty(
+            original, rooted, attributes, hierarchies
+        ) == pytest.approx(0.5)
+
+    def test_every_label_scores_at_most_one(self, setup):
+        original, hierarchies = setup
+        context = RelationalLossContext(original, ["City"], hierarchies)
+        scores = {
+            label: context.cell_ncp("City", label)
+            for label in hierarchies["City"].labels
+        }
+        assert scores["ANY"] == 1.0
+        assert scores["North"] == 0.0  # stands for "a" only, as far as the data goes
+        assert scores["a"] == 0.0
+        assert all(0.0 <= score <= 1.0 for score in scores.values())
 
 
 class TestClassStructureMetrics:
