@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.datasets.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -149,29 +151,31 @@ def validate_k(k: int, dataset_size: int, algorithm: str) -> None:
         )
 
 
-def apply_value_mapping(
-    dataset: Dataset, attribute: str, mapping: Mapping[Any, str]
-) -> None:
-    """Rewrite a relational column in place through ``mapping`` (identity fallback)."""
-    dataset.map_column(attribute, lambda value: mapping.get(value, value))
+def publish_items(
+    dataset: Dataset,
+    attribute: str,
+    algorithm: str,
+    mappings: Sequence[Mapping[str, str | None] | None],
+    groups: np.ndarray | None = None,
+) -> Dataset:
+    """The output of a transaction algorithm: ``attribute`` rewritten item by item.
 
-
-def apply_item_mapping(
-    dataset: Dataset, attribute: str, mapping: Mapping[str, str | None]
-) -> None:
-    """Rewrite a transaction column in place through an item mapping.
-
-    Items mapped to ``None`` are suppressed; unmapped items are kept.  The
-    resulting cell is a set, so duplicates introduced by generalization
-    collapse automatically.
+    A mapping sends an item to the label it publishes as, or to ``None`` to
+    suppress it; an unmapped item is published as itself, and a ``None``
+    mapping suppresses every item.  Record ``r`` is rewritten through
+    ``mappings[groups[r]]`` (one mapping per LRA partition), or through
+    ``mappings[0]`` when ``groups`` is omitted.  The output is built as a
+    column (:meth:`~repro.columnar.column.TransactionColumn.remap`), and its
+    records only when something reads them.
     """
-
-    def rewrite(itemset) -> list[str]:
-        rewritten = []
-        for item in itemset:
-            image = mapping.get(item, item)
-            if image is not None:
-                rewritten.append(image)
-        return rewritten
-
-    dataset.map_column(attribute, rewrite)
+    source = dataset.columnar(attribute)
+    items = source.vocabulary.items
+    images = [
+        [None] * len(items)
+        if mapping is None
+        else [mapping.get(item, item) for item in items]
+        for mapping in mappings
+    ]
+    return dataset.with_column(
+        attribute, source.remap(images, groups), name=f"{dataset.name}[{algorithm}]"
+    )

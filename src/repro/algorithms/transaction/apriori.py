@@ -14,17 +14,22 @@ reported in the result statistics.
 
 :meth:`AprioriAnonymizer.publish` runs the whole algorithm on a list of
 itemsets and returns the published itemsets, with no ``Dataset`` around
-them.  :meth:`~AprioriAnonymizer.anonymize` is a thin wrapper that writes
-them back as one column; the RT bounding methods call ``publish`` directly
-on each cluster's itemsets.
+them; the RT bounding methods call it on each cluster's itemsets.
+:meth:`~AprioriAnonymizer.anonymize` runs the same search on a dataset and
+publishes the final cut as one remapped column.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
-from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
+from repro.algorithms.base import (
+    AnonymizationResult,
+    Anonymizer,
+    PhaseTimer,
+    publish_items,
+)
+from repro.algorithms.transaction._itemcut import greedy_km_anonymize
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.builders import build_item_hierarchy
@@ -92,17 +97,22 @@ class AprioriAnonymizer(Anonymizer):
             hierarchy = self._resolve_hierarchy(dataset, attribute)
 
         with timer.phase("apriori search"):
-            published, search_statistics = self.publish(
-                dataset.column(attribute), hierarchy
+            cut, search_statistics = greedy_km_anonymize(
+                dataset.column(attribute), hierarchy, self.k, self.m, apriori_order=True
             )
 
+        suppressed_everything = bool(search_statistics["unresolvable_violations"])
         with timer.phase("apply"):
-            anonymized = dataset.copy(name=f"{dataset.name}[apriori]")
-            anonymized.set_column(attribute, published)
+            anonymized = publish_items(
+                dataset,
+                attribute,
+                self.name,
+                [None if suppressed_everything else cut.mapping],
+            )
 
         statistics = {
             **search_statistics,
-            "suppressed_everything": bool(search_statistics["unresolvable_violations"]),
+            "suppressed_everything": suppressed_everything,
             "utility_loss": utility_loss(
                 dataset, anonymized, attribute=attribute, hierarchy=hierarchy
             ),

@@ -23,7 +23,7 @@ from repro.algorithms.base import (
     AnonymizationResult,
     Anonymizer,
     PhaseTimer,
-    apply_item_mapping,
+    publish_items,
 )
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
@@ -155,9 +155,8 @@ class Coat(Anonymizer):
                 elif item in groups:
                     visible = groups[item] - suppressed
                     mapping[item] = self.utility_policy.label_for(visible)
-                # Unmapped items are kept intact by apply_item_mapping.
-            anonymized = dataset.copy(name=f"{dataset.name}[coat]")
-            apply_item_mapping(anonymized, attribute, mapping)
+                # Unmapped items are kept intact by publish_items.
+            anonymized = publish_items(dataset, attribute, self.name, [mapping])
 
         with timer.phase("verification"):
             residual = [

@@ -13,7 +13,14 @@ or at least ``k`` candidate records, so the total is 0 or at least ``k``.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
+import numpy as np
+
+from repro.algorithms.base import (
+    AnonymizationResult,
+    Anonymizer,
+    PhaseTimer,
+    publish_items,
+)
 from repro.algorithms.transaction._itemcut import greedy_km_anonymize
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
@@ -59,15 +66,13 @@ class LraAnonymizer(Anonymizer):
             "partition_size": self.partition_size,
         }
 
-    def _partition(self, dataset: Dataset, attribute: str) -> list[list[int]]:
+    def _partition(self, itemsets: list[frozenset[str]]) -> list[list[int]]:
         """Group records into similarity-sorted partitions of bounded size."""
         size = self.partition_size or max(8 * self.k, 100)
         size = max(size, self.k)
         # Sort records by their sorted itemsets so that neighbouring records
         # share items (the "horizontal partitioning" of the paper).
-        order = sorted(
-            range(len(dataset)), key=lambda index: sorted(dataset[index][attribute])
-        )
+        order = sorted(range(len(itemsets)), key=lambda index: sorted(itemsets[index]))
         partitions = [order[i : i + size] for i in range(0, len(order), size)]
         if len(partitions) > 1 and len(partitions[-1]) < self.k:
             tail = partitions.pop()
@@ -85,30 +90,32 @@ class LraAnonymizer(Anonymizer):
                 universe, fanout=self.hierarchy_fanout, attribute=attribute
             )
 
+        itemsets = dataset.column(attribute)
         with timer.phase("partitioning"):
-            partitions = self._partition(dataset, attribute)
+            partitions = self._partition(itemsets)
 
-        anonymized = dataset.copy(name=f"{dataset.name}[lra]")
         generalization_steps = 0
         suppressed_partitions = 0
+        # Each record's partition, and each partition's item images (its own cut).
+        groups = np.empty(len(itemsets), dtype=np.int64)
+        mappings: list[dict[str, str] | None] = []
         with timer.phase("local recoding"):
-            for partition in partitions:
-                itemsets = [dataset[index][attribute] for index in partition]
+            for position, partition in enumerate(partitions):
+                groups[partition] = position
                 cut, statistics = greedy_km_anonymize(
-                    itemsets, hierarchy, self.k, self.m, apriori_order=True
+                    [itemsets[index] for index in partition],
+                    hierarchy,
+                    self.k,
+                    self.m,
+                    apriori_order=True,
                 )
                 generalization_steps += statistics["generalization_steps"]
                 if statistics["unresolvable_violations"]:
                     suppressed_partitions += 1
-                    for index in partition:
-                        anonymized.set_value(index, attribute, [])
-                    continue
-                for index in partition:
-                    anonymized.set_value(
-                        index,
-                        attribute,
-                        sorted(cut.generalize_itemset(dataset[index][attribute])),
-                    )
+                    mappings.append(None)
+                else:
+                    mappings.append(cut.mapping)
+            anonymized = publish_items(dataset, attribute, self.name, mappings, groups)
 
         statistics = {
             "partitions": len(partitions),

@@ -16,7 +16,7 @@ from repro.algorithms.base import (
     AnonymizationResult,
     Anonymizer,
     PhaseTimer,
-    apply_item_mapping,
+    publish_items,
 )
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
@@ -159,8 +159,7 @@ class Pcta(Anonymizer):
                 cluster = clusters[cluster_of[item]] - suppressed
                 if len(cluster) > 1:
                     mapping[item] = generalized_label(cluster)
-            anonymized = dataset.copy(name=f"{dataset.name}[pcta]")
-            apply_item_mapping(anonymized, attribute, mapping)
+            anonymized = publish_items(dataset, attribute, self.name, [mapping])
 
         with timer.phase("verification"):
             residual = [

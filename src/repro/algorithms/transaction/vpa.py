@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
+from repro.algorithms.base import (
+    AnonymizationResult,
+    Anonymizer,
+    PhaseTimer,
+    publish_items,
+)
 from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
@@ -80,7 +85,7 @@ class VpaAnonymizer(Anonymizer):
                 universe, fanout=self.hierarchy_fanout, attribute=attribute
             )
 
-        itemsets = [record[attribute] for record in dataset]
+        itemsets = dataset.column(attribute)
         cut = ItemCut(hierarchy, universe)
 
         with timer.phase("per-part anonymization"):
@@ -101,16 +106,14 @@ class VpaAnonymizer(Anonymizer):
                 itemsets, hierarchy, self.k, self.m, cut=cut, apriori_order=True
             )
 
-        suppressed_everything = False
+        suppressed_everything = bool(repair_statistics["unresolvable_violations"])
         with timer.phase("apply"):
-            anonymized = dataset.copy(name=f"{dataset.name}[vpa]")
-            if repair_statistics["unresolvable_violations"]:
-                anonymized.map_column(attribute, lambda _items: [])
-                suppressed_everything = True
-            else:
-                anonymized.map_column(
-                    attribute, lambda items: sorted(cut.generalize_itemset(items))
-                )
+            anonymized = publish_items(
+                dataset,
+                attribute,
+                self.name,
+                [None if suppressed_everything else cut.mapping],
+            )
 
         statistics = {
             "parts": len(parts),

@@ -12,13 +12,17 @@ cached on the column:
 * :meth:`occurrence_join` — the record-aligned (occurrence, label) pair
   expansion the transaction metrics reduce over with ``minimum.reduceat``.
 
+:meth:`remap` rewrites a column through per-item images (generalize,
+group or suppress an item); the transaction algorithms publish their
+output this way, without building or re-tokenizing any itemset.
+
 A column is a snapshot: :meth:`repro.datasets.dataset.Dataset.columnar`
 caches one per attribute and drops it on any dataset mutation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -84,6 +88,56 @@ class TransactionColumn:
             count=offset,
         )
         return cls(vocabulary, indptr, tokens, attribute=attribute)
+
+    def remap(
+        self,
+        images: Sequence[Sequence[str | None]],
+        groups: np.ndarray | None = None,
+    ) -> "TransactionColumn":
+        """This column with every item replaced by its image.
+
+        ``images`` holds one table per record group, each with one entry per
+        vocabulary token: the label the item publishes as, or ``None`` to
+        suppress it.  Record ``r`` is rewritten through table ``groups[r]``
+        (every record through table 0 when ``groups`` is omitted).  Items of
+        a record that meet at one label count once, and the vocabulary holds
+        only the labels some record publishes, so the result equals
+        :meth:`from_dataset` over the rewritten itemsets.
+        """
+        labels = sorted(
+            {label for table in images for label in table if label is not None}
+        )
+        code_of = {label: code for code, label in enumerate(labels)}
+        table = np.array(
+            [
+                [-1 if label is None else code_of[label] for label in row]
+                for row in images
+            ],
+            dtype=np.int64,
+        ).reshape(len(images), len(self.vocabulary))
+        record_ids = self.record_ids()
+        selector = 0 if groups is None else np.asarray(groups)[record_ids]
+        codes = table[selector, self.tokens]
+        kept = codes >= 0
+        record_ids, codes = record_ids[kept], codes[kept]
+        order = np.lexsort((codes, record_ids))
+        record_ids, codes = record_ids[order], codes[order]
+        fresh = np.ones(len(codes), dtype=bool)
+        fresh[1:] = (record_ids[1:] != record_ids[:-1]) | (codes[1:] != codes[:-1])
+        record_ids, codes = record_ids[fresh], codes[fresh]
+        # Drop the labels no record publishes; renumbering the survivors in
+        # order keeps every row's tokens sorted.
+        used = np.flatnonzero(np.bincount(codes, minlength=len(labels)))
+        compact = np.zeros(len(labels), dtype=np.int32)
+        compact[used] = np.arange(len(used), dtype=np.int32)
+        indptr = np.zeros(self.n_records + 1, dtype=np.int64)
+        np.cumsum(np.bincount(record_ids, minlength=self.n_records), out=indptr[1:])
+        return TransactionColumn(
+            ItemVocabulary(labels[code] for code in used.tolist()),
+            indptr,
+            compact[codes],
+            attribute=self.attribute,
+        )
 
     def __repr__(self) -> str:
         return (

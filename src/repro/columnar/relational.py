@@ -84,7 +84,7 @@ class CategoricalColumn:
         cls, dataset: "Dataset", attribute: str
     ) -> "CategoricalColumn":
         """Tokenize the cells of ``attribute`` in first-seen order."""
-        cells = [record[attribute] for record in dataset]
+        cells = dataset.column(attribute)
         index: dict = {}
         codes = np.empty(len(cells), dtype=np.int32)
         for position, value in enumerate(cells):

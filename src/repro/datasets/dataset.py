@@ -6,12 +6,14 @@ and transaction (set-valued) attributes — what the SECRETA paper calls an
 degenerate cases of the same model, so a single class serves all nine
 anonymization algorithms.
 
-The model is deliberately row-oriented: anonymization algorithms group,
-generalize and merge *records*, so records are first-class
-(:class:`Record`), while column views are derived on demand.  Across process
-and checkpoint boundaries the direction reverses: a dataset travels as its
-columns and rebuilds its records only when something reads them
-(:meth:`Dataset.from_columns`).
+Records are first-class (:class:`Record`): datasets built from rows (a
+CSV load, a generator, an editor) store them, and the relational algorithms
+group, generalize and merge them, while column views are derived on demand.
+Three kinds of dataset are columns first and build their records only when
+something reads them (:meth:`Dataset.from_columns`): a dataset that crossed
+a process or checkpoint boundary, a shared-memory view, and a transaction
+algorithm's output (:meth:`Dataset.with_column`).  Their length and
+fingerprint are answered from the columns.
 """
 
 from __future__ import annotations
@@ -203,7 +205,8 @@ class Dataset:
 
     # -- basic container protocol ---------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        pending = self.__dict__.get("_pending")
+        return pending[0] if pending is not None else len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self._records)
@@ -218,7 +221,7 @@ class Dataset:
 
     def __repr__(self) -> str:
         return (
-            f"Dataset(name={self.name!r}, records={len(self._records)}, "
+            f"Dataset(name={self.name!r}, records={len(self)}, "
             f"attributes={self._schema.names})"
         )
 
@@ -320,7 +323,6 @@ class Dataset:
         # Unpickling seeds the columnar cache and leaves the records pending
         # until read; re-pickling a pending dataset re-emits its columns
         # without building the rows.
-        pending = self.__dict__.get("_pending")
         cells: dict[str, list] = {}
         csr: dict[str, tuple] = {}
         for attribute in self._schema:
@@ -333,12 +335,12 @@ class Dataset:
                     _narrowest(column.tokens),
                 )
             else:
-                cells[name] = pending[1][name] if pending else self.column(name)
+                cells[name] = self.column(name)
         return {
             "schema": self._schema,
             "name": self.name,
             "version": self._version,
-            "n_records": pending[0] if pending else len(self._records),
+            "n_records": len(self),
             "cells": cells,
             "csr": csr,
         }
@@ -376,7 +378,7 @@ class Dataset:
 
     @property
     def is_empty(self) -> bool:
-        return not self._records
+        return len(self) == 0
 
     @property
     def is_rt_dataset(self) -> bool:
@@ -407,14 +409,15 @@ class Dataset:
         cached = self._fingerprint
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        n_records = len(self)
         digest = hashlib.blake2b(digest_size=20)
-        digest.update(f"dataset-fingerprint:v1:{len(self._records)}".encode())
+        digest.update(f"dataset-fingerprint:v1:{n_records}".encode())
         for attribute in self._schema:
             digest.update(
                 f"\x1e{attribute.name}\x1f{attribute.kind.value}"
                 f"\x1f{int(attribute.quasi_identifier)}\x1f".encode()
             )
-            if not self._records:
+            if not n_records:
                 continue
             column = self.columnar(attribute.name)
             if attribute.is_transaction:
@@ -439,8 +442,15 @@ class Dataset:
         return result
 
     def column(self, name: str) -> list[Any]:
-        """All values of attribute ``name``, in record order."""
+        """All values of attribute ``name``, in record order.
+
+        A dataset whose records are pending answers from its columns.
+        """
         self._require_attribute(name)
+        pending = self.__dict__.get("_pending")
+        if pending is not None:
+            source = pending[1][name]
+            return list(source) if isinstance(source, list) else _csr_itemsets(source)
         return [record[name] for record in self._records]
 
     def relational_tuple(self, index: int, names: Sequence[str] | None = None) -> tuple:
@@ -620,6 +630,32 @@ class Dataset:
         clone = Dataset(self._schema, name=name or self.name)
         clone._records = [Record(record.as_dict()) for record in self._records]
         return clone
+
+    def with_column(
+        self, attribute: str, column: "TransactionColumn", name: str | None = None
+    ) -> "Dataset":
+        """A new dataset whose transaction ``attribute`` holds ``column``.
+
+        Every other cell is this dataset's: the relational cells are shared
+        and the other cached columns reused.  The records stay pending until
+        something reads them (:meth:`from_columns`).
+        """
+        if attribute not in self._schema.transaction_names:
+            raise SchemaError(f"no transaction attribute {attribute!r}")
+        n_records = len(self)
+        if column.n_records != n_records:
+            raise DatasetError(f"got {column.n_records} itemsets for {n_records} records")
+        cells = {
+            spec.name: self.column(spec.name)
+            for spec in self._schema
+            if not spec.is_transaction
+        }
+        columns = {key: cached for key, cached in self._columnar.items() if key in cells}
+        for other in self._schema.transaction_names:
+            columns[other] = column if other == attribute else self.columnar(other)
+        return Dataset.from_columns(
+            self._schema, n_records, cells, columns, name=name or self.name
+        )
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Dataset":
         """A new dataset containing only the attributes in ``names``."""

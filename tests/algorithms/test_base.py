@@ -7,8 +7,7 @@ import pytest
 from repro.algorithms.base import (
     AnonymizationResult,
     PhaseTimer,
-    apply_item_mapping,
-    apply_value_mapping,
+    publish_items,
     relational_quasi_identifiers,
     require_hierarchies,
     validate_k,
@@ -64,14 +63,15 @@ class TestHelpers:
         with pytest.raises(ConfigurationError):
             validate_k(11, 10, "algo")
 
-    def test_apply_value_mapping(self, simple_relational):
-        apply_value_mapping(simple_relational, "Zip", {"4370": "43**"})
-        assert simple_relational[0]["Zip"] == "43**"
-        assert simple_relational[2]["Zip"] == "4371"
-
-    def test_apply_item_mapping_suppresses_and_deduplicates(self, simple_transactions):
-        apply_item_mapping(
-            simple_transactions, "Items", {"a": "(a,b)", "b": "(a,b)", "e": None}
+    def test_publish_items_suppresses_and_deduplicates(self, simple_transactions):
+        published = publish_items(
+            simple_transactions,
+            "Items",
+            "demo",
+            [{"a": "(a,b)", "b": "(a,b)", "e": None}],
         )
-        assert simple_transactions[0]["Items"] == frozenset({"(a,b)"})
-        assert "e" not in simple_transactions[5]["Items"]
+        assert "_records" not in vars(published)
+        assert published.name == "simple-transactions[demo]"
+        assert published[0]["Items"] == frozenset({"(a,b)"})
+        assert published[5]["Items"] == frozenset({"d"})
+        assert simple_transactions[0]["Items"] == frozenset({"a", "b"})

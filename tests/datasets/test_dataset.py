@@ -167,6 +167,24 @@ class TestTransformation:
         rebuilt = Dataset.from_rows(schema, dataset.to_rows())
         assert rebuilt == dataset
 
+    def test_with_column_replaces_one_transaction_attribute(self, dataset):
+        column = dataset.columnar("Items").remap([["x", None, "x"]])
+        replaced = dataset.with_column("Items", column, name="out")
+        assert "_records" not in vars(replaced)
+        assert (replaced.name, len(replaced)) == ("out", 3)
+        assert replaced.column("Items") == [frozenset({"x"}), frozenset(), frozenset({"x"})]
+        assert [record["Age"] for record in replaced] == [25, 30, 25]
+        assert dataset[0]["Items"] == frozenset({"a", "b"})
+        replaced.set_value(1, "Items", ["y"])
+        assert replaced.columnar("Items").vocabulary.items == ("x", "y")
+
+    def test_with_column_checks_the_attribute_and_the_length(self, dataset):
+        column = dataset.columnar("Items")
+        with pytest.raises(SchemaError):
+            dataset.with_column("Age", column)
+        with pytest.raises(DatasetError):
+            dataset.subset([0, 1]).with_column("Items", column)
+
 
 class TestSetColumn:
     def test_normalisation_keeps_types(self, dataset):

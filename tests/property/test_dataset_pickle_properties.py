@@ -118,11 +118,25 @@ class TestRoundTrip:
             clone.columnar(name)
         again = round_trip(clone)
         assert not rows_built(clone) and not rows_built(again)
-        assert len(clone) == len(dataset)
+        # Length and emptiness come from the columns; the first read of a
+        # record builds the rows.
+        assert len(clone) == len(dataset) and clone.is_empty == dataset.is_empty
+        assert not rows_built(clone)
+        list(clone)
         assert rows_built(clone)
         assert_faithful(clone, dataset)
         assert_seeded_columns_match_rows(again)
         assert_faithful(again, dataset)
+
+    @given(dataset=datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_length_emptiness_and_fingerprint_build_no_rows(self, dataset):
+        clone = round_trip(dataset)
+        assert len(clone) == len(dataset)
+        assert clone.is_empty == dataset.is_empty
+        assert clone.fingerprint() == dataset.fingerprint()
+        assert repr(clone) == repr(dataset)
+        assert not rows_built(clone)
 
     @given(dataset=datasets(), data=st.data())
     @settings(max_examples=60, deadline=None)

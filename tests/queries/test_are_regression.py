@@ -16,8 +16,8 @@ charging rule.  This module is the committed baseline for that change:
 
 import pytest
 
+from oracles.publish import apply_item_mapping
 from oracles.queries import average_relative_error_scan
-from repro.algorithms.base import apply_item_mapping
 from repro.datasets import generate_rt_dataset
 from repro.engine import AnonymizationModule, ExperimentResources, transaction_config
 from repro.queries import average_relative_error, generate_query_workload
