@@ -114,12 +114,11 @@ def _key_derivation_seconds(dataset, configurations, sweep) -> float:
     """Time deriving every checkpoint key of a comparison, from cold caches.
 
     A fresh dataset copy (no cached fingerprint) and freshly captured
-    domains reproduce what the first key derivation of a real run pays:
-    whole-configuration keys in the orchestrator plus per-sweep-point keys
-    in every worker.
+    domains reproduce what the first key derivation of a real run pays: one
+    ``configuration_keys`` call in the orchestrator, one key per cell.
     """
-    from repro.engine.checkpoint import configuration_keys, sweep_point_keys
-    from repro.engine.experiment import DatasetDomains
+    from repro.datasets.domains import DatasetDomains
+    from repro.engine.checkpoint import configuration_keys
 
     comparator = MethodComparator(dataset.copy())
     start = time.perf_counter()
@@ -132,15 +131,6 @@ def _key_derivation_seconds(dataset, configurations, sweep) -> float:
         configurations,
         sweep,
     )
-    for config in configurations:
-        sweep_point_keys(
-            comparator.dataset,
-            comparator.resources,
-            comparator.verify_privacy,
-            comparator.universe_mode,
-            config,
-            sweep,
-        )
     return time.perf_counter() - start
 
 

@@ -9,7 +9,7 @@ from repro.engine.checkpoint import (
     atomic_write_bytes,
     stable_digest,
 )
-from repro.engine.comparator import MethodComparator
+from repro.engine.comparator import MethodComparator, VaryingParameterExperiment
 from repro.engine.config import (
     SWEEPABLE_PARAMETERS,
     AnonymizationConfig,
@@ -18,12 +18,7 @@ from repro.engine.config import (
     transaction_config,
 )
 from repro.engine.evaluator import MethodEvaluator
-from repro.engine.experiment import (
-    SWEEP_INDICATORS,
-    ParameterSweep,
-    VaryingParameterExperiment,
-    indicator_series,
-)
+from repro.engine.experiment import SWEEP_INDICATORS, ParameterSweep, indicator_series
 from repro.engine.faults import CheckpointFaults, Fault, FaultPlan
 from repro.engine.pool import WorkerPool
 from repro.engine.resilience import (

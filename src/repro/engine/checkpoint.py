@@ -1,12 +1,14 @@
 """Durable checkpointing of experiment task DAGs: content-addressed resume.
 
-PR 7 made a single run fault tolerant; this module makes a *sweep* durable.
-An interrupted :class:`~repro.engine.experiment.VaryingParameterExperiment`
-or :class:`~repro.engine.comparator.MethodComparator` used to lose every
-completed cell to a SIGKILL, OOM or power loss — now each completed task is
-persisted in a :class:`CheckpointStore` and a re-run recomputes only what is
-missing.  The hard part is doing this *robustly*, and the design leans on
-three classic durability disciplines:
+The resilience engine makes a single run fault tolerant; this module makes a
+*sweep* durable.  An interrupted
+:class:`~repro.engine.comparator.VaryingParameterExperiment` or
+:class:`~repro.engine.comparator.MethodComparator` would lose every completed
+cell to a SIGKILL, OOM or power loss; instead each completed (configuration,
+value) cell is persisted in a :class:`CheckpointStore` — the one granularity
+both checkpoint at — and a re-run recomputes only what is missing.  The hard
+part is doing this *robustly*, and the design leans on three classic
+durability disciplines:
 
 * **content-addressed keys** — a cell's key is a :func:`stable_digest` of
   everything that determines its value: the dataset's content fingerprint
@@ -358,61 +360,29 @@ def task_key(kind: str, *parts: object) -> str:
 def _task_keys(
     kind: str,
     head: Sequence[object],
-    varying: Iterable[object],
-    tail: Sequence[object] = (),
+    cells: Iterable[Sequence[object]],
 ) -> list[str]:
-    """``task_key(kind, *head, value, *tail)`` for each ``value`` in ``varying``.
+    """``task_key(kind, *head, *cell)`` for each ``cell`` in ``cells``.
 
     The parts every key shares — the whole experiment resources among them —
     are encoded once, not once per key: the digest of the tuple's opening
     (``T(`` and the head parts) is copied for each key, which then adds its
-    own value, the encoded tail and the closing ``)``.
+    own parts and the closing ``)``.
     """
     opening = hashlib.blake2b(digest_size=20)
     opening.update(b"T(")
     for part in (KEY_SCHEMA_VERSION, kind, *head):
         for chunk in _encode(part):
             opening.update(chunk)
-    closing = b"".join(_encoded(part) for part in tail) + b")"
     keys = []
-    for value in varying:
+    for cell in cells:
         digest = opening.copy()
-        for chunk in _encode(value):
-            digest.update(chunk)
-        digest.update(closing)
+        for part in cell:
+            for chunk in _encode(part):
+                digest.update(chunk)
+        digest.update(b")")
         keys.append(digest.hexdigest())
     return keys
-
-
-def sweep_point_keys(
-    dataset: Dataset,
-    resources: "ExperimentResources",
-    verify_privacy: bool,
-    universe_mode: str,
-    config: "AnonymizationConfig",
-    sweep: "ParameterSweep",
-    simulate_attacks: bool = False,
-) -> list[str]:
-    """One key per sweep point of a varying-parameter experiment.
-
-    Computed in the orchestrating process from the *real* dataset (never a
-    shared-memory manifest), after the original-domain snapshot has been
-    captured — so a resumed run, which captures the identical snapshot,
-    derives the identical keys.
-    """
-    return _task_keys(
-        "sweep-point",
-        (
-            dataset.fingerprint(),
-            resources,
-            bool(verify_privacy),
-            universe_mode,
-            bool(simulate_attacks),
-            config,
-            sweep.parameter,
-        ),
-        sweep.values,
-    )
 
 
 def configuration_keys(
@@ -424,9 +394,16 @@ def configuration_keys(
     sweep: "ParameterSweep",
     simulate_attacks: bool = False,
 ) -> list[str]:
-    """One key per configuration of a comparison (whole-sweep granularity)."""
+    """One key per (configuration, value) cell, in configuration-major order.
+
+    Each key is ``task_key("sweep-point", fingerprint, resources, flags,
+    config, parameter, value)``.  Computed in the orchestrating process from
+    the *real* dataset (never a shared-memory manifest) and the completed
+    resources — so a resumed run, which completes the identical resources,
+    derives the identical keys in any execution mode.
+    """
     return _task_keys(
-        "configuration",
+        "sweep-point",
         (
             dataset.fingerprint(),
             resources,
@@ -434,8 +411,11 @@ def configuration_keys(
             universe_mode,
             bool(simulate_attacks),
         ),
-        configurations,
-        (sweep,),
+        [
+            (config, sweep.parameter, value)
+            for config in configurations
+            for value in sweep.values
+        ],
     )
 
 
@@ -460,9 +440,9 @@ class CheckpointStore:
     A ``FORMAT`` mismatch — stale layout or damaged header — rebuilds the
     store: all cells are dropped and recomputed rather than misread.
 
-    The store is picklable (it travels inside comparator task tuples so
-    worker processes persist their own inner sweep points); only the
-    directory path and the fault plan ship, never open file handles.
+    The store is picklable (it travels into worker processes inside the
+    storing worker, which persists each cell where it was computed); only
+    the directory path and the fault plan ship, never open file handles.
 
     ``faults`` is the chaos-suite hook
     (:class:`~repro.engine.faults.CheckpointFaults`): deterministic
@@ -701,7 +681,7 @@ def run_checkpointed(
     if keys is None:
         raise CheckpointError(
             "checkpointed execution needs one checkpoint key per task; "
-            "compute them with sweep_point_keys/configuration_keys/task_key"
+            "compute them with configuration_keys/task_key"
         )
     key_list = [str(key) for key in keys]
     if len(key_list) != len(task_list):

@@ -1,4 +1,4 @@
-"""The Method Comparator: SECRETA's Comparison mode.
+"""The Method Comparator (SECRETA's Comparison mode) and the sweep runner.
 
 The Comparison mode lets the data publisher design a benchmark: a set of
 configurations (each pairing algorithms, a bounding method and fixed
@@ -6,40 +6,53 @@ parameters) plus a varying parameter with its start/end/step.  Every
 configuration is executed across the sweep and the results are collected into
 per-indicator series so they can be plotted side by side — "an interactive
 and progressive comparison of sets of algorithms, with respect to their
-utility and efficiency".
+utility and efficiency".  A varying-parameter experiment
+(:class:`VaryingParameterExperiment`) is the comparison of one
+configuration.
 
-Comparisons can fan out across CPU cores: give the comparator an
+The unit of work is one (configuration, value) cell.  Both classes build the
+flat list of cells in configuration-major order, derive one checkpoint key
+per cell (:func:`~repro.engine.checkpoint.configuration_keys`) and hand the
+cells to one :func:`~repro.engine.runner.fan_out_shared` dispatch; the
+reports are grouped back into one :class:`SweepResult` per configuration.
+Before that the resources are completed once, in this process, for every
+configuration; each cell evaluates on its own shallow copy, so the per-``k``
+privacy policy a cell regenerates never leaks into the shared resources or
+into the next call's keys.
+
+Cells can fan out across CPU cores: give the comparator an
 ``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
-every configuration's sweep runs in its own worker process; the dataset is
-exported once to shared memory and each task carries only the picklable
-manifest (an ``Execution`` with a persistent ``pool`` reuses workers and the
-export across comparisons).
+the cells run in worker processes; the dataset is exported once to shared
+memory and each task carries only the picklable manifest (an ``Execution``
+with a persistent ``pool`` reuses workers and the export across runs).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Sequence
 
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
-from repro.datasets.domains import DatasetDomains
 from repro.engine.checkpoint import configuration_keys
 from repro.engine.config import AnonymizationConfig
-from repro.engine.experiment import ParameterSweep, VaryingParameterExperiment
+from repro.engine.evaluator import MethodEvaluator
+from repro.engine.experiment import ParameterSweep, indicator_series
+from repro.engine.resilience import RunReport
 from repro.engine.resources import ExperimentResources
-from repro.engine.results import ComparisonReport, SweepResult
+from repro.engine.results import ComparisonReport, EvaluationReport, SweepResult
 from repro.engine.runner import Execution, fan_out_shared
 from repro.exceptions import ConfigurationError
 
 
-def _run_configuration(task: tuple) -> SweepResult:
-    """Run one configuration across the sweep (module-level: picklable).
+def _evaluate_cell(task: tuple) -> EvaluationReport:
+    """Evaluate one (configuration, parameter, value) cell.
 
-    The dataset slot holds either the dataset itself or a shared-memory
-    manifest (process mode) that the worker attaches without copying arrays.
-    The checkpoint slot carries the (picklable) store into the worker, so a
-    comparison checkpoints at both granularities: whole-configuration cells
-    out here, per-sweep-point cells inside the worker's own experiment.
+    Module-level so process-mode execution can pickle it.  The dataset slot
+    holds either the dataset itself (sequential/thread) or a shared-memory
+    manifest that the worker attaches — once per process — without copying
+    array payloads.  The cell evaluates on a shallow copy of the (complete)
+    resources: what it regenerates for its own ``k`` stays its own.
     """
     (
         dataset,
@@ -48,22 +61,27 @@ def _run_configuration(task: tuple) -> SweepResult:
         universe_mode,
         simulate_attacks,
         config,
-        sweep,
-        checkpoint,
+        parameter,
+        value,
     ) = task
-    experiment = VaryingParameterExperiment(
+    evaluator = MethodEvaluator(
         resolve_shared_dataset(dataset),
-        resources,
+        dataclasses.replace(resources),
         verify_privacy=verify_privacy,
-        execution=Execution(checkpoint=checkpoint),
         universe_mode=universe_mode,
         simulate_attacks=simulate_attacks,
     )
-    return experiment.run(config, sweep)
+    return evaluator.evaluate(config.with_parameter(parameter, value))
 
 
 class MethodComparator:
-    """Execute and compare multiple configurations over a parameter sweep."""
+    """Execute and compare multiple configurations over a parameter sweep.
+
+    ``execution`` (an :class:`~repro.engine.runner.Execution`) says how the
+    cells run: sequentially by default, or fanned out to threads or
+    processes, under an optional fault-tolerance policy and checkpoint
+    store.
+    """
 
     def __init__(
         self,
@@ -81,43 +99,27 @@ class MethodComparator:
         self.universe_mode = universe_mode
         self.simulate_attacks = simulate_attacks
 
-    def _tasks(
+    def _run_cells(
         self,
-        payload: object,
         configurations: Sequence[AnonymizationConfig],
         sweep: ParameterSweep,
-    ) -> list[tuple]:
-        return [
-            (
-                payload,
-                self.resources,
-                self.verify_privacy,
-                self.universe_mode,
-                self.simulate_attacks,
-                config,
-                sweep,
-                self.execution.checkpoint,
-            )
-            for config in configurations
-        ]
+    ) -> tuple[list[SweepResult], RunReport | None]:
+        """Evaluate every (configuration, value) cell in one dispatch.
 
-    def compare(
-        self,
-        configurations: Sequence[AnonymizationConfig] | Iterable[AnonymizationConfig],
-        sweep: ParameterSweep,
-    ) -> ComparisonReport:
-        """Run every configuration across the sweep and collect the series."""
-        configurations = list(configurations)
-        if not configurations:
-            raise ConfigurationError("the Comparison mode needs at least one configuration")
-
-        if self.resources.domains is None and len(self.dataset):
-            # One snapshot shared by every configuration's sweep (and every
-            # worker process the comparison fans out to).
-            self.resources.domains = DatasetDomains.capture(self.dataset)
-        # Whole-configuration checkpoint keys, derived in the orchestrating
-        # process from the real dataset (workers additionally checkpoint
-        # their per-sweep-point cells — see ``_run_configuration``).
+        Returns one :class:`SweepResult` per configuration and the run's
+        :class:`~repro.engine.resilience.RunReport` (one task per cell), if
+        it keeps one.
+        """
+        # The privacy policy is generated per k, that is per cell, so it stays
+        # as the caller gave it: completed here, it would follow the last
+        # configuration's k into every key.
+        privacy_policy = self.resources.privacy_policy
+        for config in configurations:
+            self.resources.ensure_for(self.dataset, config)
+        self.resources.privacy_policy = privacy_policy
+        cells = [(config, value) for config in configurations for value in sweep.values]
+        # Keys are derived here from the real dataset and the completed
+        # resources, so a resumed run derives the identical keys in any mode.
         keys = (
             configuration_keys(
                 self.dataset,
@@ -131,19 +133,58 @@ class MethodComparator:
             if self.execution.checkpoint is not None
             else None
         )
-        report = self.execution.run_report(len(configurations))
-        sweeps = fan_out_shared(
+        report = self.execution.run_report(len(cells))
+        reports = fan_out_shared(
             self.dataset,
-            lambda payload: self._tasks(payload, configurations, sweep),
-            _run_configuration,
+            lambda payload: [
+                (
+                    payload,
+                    self.resources,
+                    self.verify_privacy,
+                    self.universe_mode,
+                    self.simulate_attacks,
+                    config,
+                    sweep.parameter,
+                    value,
+                )
+                for config, value in cells
+            ],
+            _evaluate_cell,
             self.execution,
             report,
             keys,
         )
+        width = len(sweep)
+        sweeps = []
+        for position, config in enumerate(configurations):
+            own = reports[position * width : (position + 1) * width]
+            sweeps.append(
+                SweepResult(
+                    configuration=config.describe(),
+                    parameter=sweep.parameter,
+                    values=list(sweep.values),
+                    series=indicator_series(
+                        own, sweep.values, sweep.parameter, config.display_label
+                    ),
+                    reports=own,
+                )
+            )
+        return sweeps, report
+
+    def compare(
+        self,
+        configurations: Sequence[AnonymizationConfig] | Iterable[AnonymizationConfig],
+        sweep: ParameterSweep,
+    ) -> ComparisonReport:
+        """Run every configuration across the sweep and collect the series."""
+        configurations = list(configurations)
+        if not configurations:
+            raise ConfigurationError("the Comparison mode needs at least one configuration")
+        sweeps, report = self._run_cells(configurations, sweep)
         return ComparisonReport(
             parameter=sweep.parameter,
             values=list(sweep.values),
-            sweeps=list(sweeps),
+            sweeps=sweeps,
             run_report=report,
         )
 
@@ -155,3 +196,17 @@ class MethodComparator:
     ) -> ComparisonReport:
         """Single-parameter-value comparison (a degenerate sweep of length one)."""
         return self.compare(configurations, ParameterSweep(parameter, (value,)))
+
+
+class VaryingParameterExperiment(MethodComparator):
+    """Run one configuration across a parameter sweep and collect series.
+
+    The comparison of one configuration: the run's
+    :class:`~repro.engine.resilience.RunReport`, when it keeps one, is
+    attached to the :class:`SweepResult` as ``run_report``.
+    """
+
+    def run(self, config: AnonymizationConfig, sweep: ParameterSweep) -> SweepResult:
+        (result,), report = self._run_cells([config], sweep)
+        result.run_report = report
+        return result

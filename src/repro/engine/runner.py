@@ -76,8 +76,8 @@ class Execution:
     serves stored cells instead of recomputing.
 
     The value holds live resources (the pool), so it stays in the
-    orchestrating process: task payloads carry the picklable store, never
-    an ``Execution``.
+    orchestrating process: workers receive the picklable store inside the
+    checkpoint's storing worker, never an ``Execution``.
     """
 
     mode: ExecutionMode = "sequential"

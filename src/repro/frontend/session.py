@@ -25,10 +25,10 @@ from repro.datasets.editor import DatasetEditor
 from repro.datasets.generators import generate_adult_like, generate_market_basket, generate_rt_dataset
 from repro.datasets.statistics import attribute_histogram, dataset_summary
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.comparator import MethodComparator
+from repro.engine.comparator import MethodComparator, VaryingParameterExperiment
 from repro.engine.config import AnonymizationConfig
 from repro.engine.evaluator import MethodEvaluator
-from repro.engine.experiment import ParameterSweep, VaryingParameterExperiment
+from repro.engine.experiment import ParameterSweep
 from repro.engine.pool import WorkerPool
 from repro.engine.resilience import ExecutionPolicy
 from repro.engine.resources import ExperimentResources
@@ -269,9 +269,9 @@ class Session:
     ) -> ComparisonReport:
         """Run several configurations across a sweep and collect their series.
 
-        ``mode="process"`` fans the configurations out across CPU cores
-        (capped by ``max_workers``), shipping the dataset through shared
-        memory; a persistent ``pool`` (see :meth:`worker_pool`) reuses the
+        ``mode="process"`` fans the (configuration, value) cells out across
+        CPU cores (capped by ``max_workers``), shipping the dataset through
+        shared memory; a persistent ``pool`` (see :meth:`worker_pool`) reuses the
         workers and the export across calls.  ``policy`` tunes fault tolerance;
         the fan-out's :class:`~repro.engine.resilience.RunReport` lands on
         the report's ``run_report``.

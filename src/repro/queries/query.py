@@ -451,12 +451,12 @@ class Query:
                 return None  # item predicates against a single-valued attribute
             interpreter = interpreters[transaction_attribute]
             vocabulary = column.vocabulary
-            # The per-record path computes the whole itemset product first and
-            # multiplies it into the record probability once; float
-            # multiplication is not associative, so the kernel must do the
-            # same to stay bit-for-bit equal.
+            # The per-record path computes the whole itemset product first, in
+            # sorted item order, and multiplies it into the record probability
+            # once; float multiplication is not associative, so the kernel
+            # must do the same to stay bit-for-bit equal.
             itemset_probability = np.ones(len(dataset), dtype=np.float64)
-            for item in self.items:
+            for item in sorted(self.items):
                 weights = np.zeros(len(vocabulary), dtype=np.float64)
                 for token, label in enumerate(vocabulary.items):
                     leaves = interpreter.restricted_leaves(label)
@@ -477,7 +477,9 @@ class Query:
         self, itemset: frozenset, interpreter: LabelInterpreter
     ) -> float:
         probability = 1.0
-        for item in self.items:
+        # Sorted, not set order: a product of three or more factors depends
+        # on its order, and set order follows the interpreter's hash seed.
+        for item in sorted(self.items):
             if item in itemset:
                 continue
             best = 0.0

@@ -29,7 +29,6 @@ from repro.engine.checkpoint import (
     decode_frame,
     encode_frame,
     stable_digest,
-    sweep_point_keys,
     task_key,
 )
 from repro.engine.config import transaction_config
@@ -319,40 +318,9 @@ class TestStableDigest:
 
 
 class TestKeys:
-    def test_sweep_point_keys_one_per_value(self):
+    def test_configuration_keys_one_per_cell(self):
         dataset = make_dataset()
         sweep = ParameterSweep("k", (2, 3, 4))
-        keys = sweep_point_keys(
-            dataset, ExperimentResources(), False, "original",
-            transaction_config("coat", k=2, m=2), sweep,
-        )
-        assert len(keys) == 3
-        assert len(set(keys)) == 3
-
-    def test_keys_change_with_inputs(self):
-        dataset = make_dataset()
-        sweep = ParameterSweep("k", (2,))
-        config = transaction_config("coat", k=2, m=2)
-        base = sweep_point_keys(
-            dataset, ExperimentResources(), False, "original", config, sweep
-        )
-        # A different dataset, config, or flag changes the key.
-        mutated = make_dataset()
-        mutated.set_value(0, "Age", 99)
-        assert sweep_point_keys(
-            mutated, ExperimentResources(), False, "original", config, sweep
-        ) != base
-        assert sweep_point_keys(
-            dataset, ExperimentResources(), True, "original", config, sweep
-        ) != base
-        assert sweep_point_keys(
-            dataset, ExperimentResources(), False, "original",
-            transaction_config("coat", k=2, m=3), sweep,
-        ) != base
-
-    def test_configuration_keys_cover_each_config(self):
-        dataset = make_dataset()
-        sweep = ParameterSweep("k", (2, 3))
         configs = [
             transaction_config("coat", k=2, m=2),
             transaction_config("pcta", k=2, m=2),
@@ -360,11 +328,33 @@ class TestKeys:
         keys = configuration_keys(
             dataset, ExperimentResources(), False, "original", configs, sweep
         )
-        assert len(set(keys)) == 2
+        assert len(keys) == 6
+        assert len(set(keys)) == 6
+
+    def test_keys_change_with_inputs(self):
+        dataset = make_dataset()
+        sweep = ParameterSweep("k", (2,))
+        config = transaction_config("coat", k=2, m=2)
+        base = configuration_keys(
+            dataset, ExperimentResources(), False, "original", [config], sweep
+        )
+        # A different dataset, config, or flag changes the key.
+        mutated = make_dataset()
+        mutated.set_value(0, "Age", 99)
+        assert configuration_keys(
+            mutated, ExperimentResources(), False, "original", [config], sweep
+        ) != base
+        assert configuration_keys(
+            dataset, ExperimentResources(), True, "original", [config], sweep
+        ) != base
+        assert configuration_keys(
+            dataset, ExperimentResources(), False, "original",
+            [transaction_config("coat", k=2, m=3)], sweep,
+        ) != base
 
     def test_batched_keys_equal_task_key_byte_for_byte(self):
-        # The batch derivations encode their shared parts once; every key
-        # must still be the task_key of the full tuple.
+        # The batch derivation encodes its shared parts once; every key must
+        # still be the "sweep-point" task_key of the cell's full tuple.
         dataset = make_dataset()
         configs = [
             transaction_config("coat", k=2, m=2),
@@ -372,25 +362,16 @@ class TestKeys:
         ]
         resources = ExperimentResources.prepare(dataset, configs[1])
         sweep = ParameterSweep("k", (2, 3, 5))
-        for verify, attacks in ((False, False), (True, True)):
-            for config in configs:
-                assert sweep_point_keys(
-                    dataset, resources, verify, "seed", config, sweep, attacks
-                ) == [
-                    task_key(
-                        "sweep-point", dataset.fingerprint(), resources, verify,
-                        "seed", attacks, config, "k", value,
-                    )
-                    for value in sweep.values
-                ]
+        for verify, universe, attacks in ((False, "seed", False), (True, "original", True)):
             assert configuration_keys(
-                dataset, resources, verify, "original", configs, sweep, attacks
+                dataset, resources, verify, universe, configs, sweep, attacks
             ) == [
                 task_key(
-                    "configuration", dataset.fingerprint(), resources, verify,
-                    "original", attacks, config, sweep,
+                    "sweep-point", dataset.fingerprint(), resources, verify,
+                    universe, attacks, config, "k", value,
                 )
                 for config in configs
+                for value in sweep.values
             ]
 
 

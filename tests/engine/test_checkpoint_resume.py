@@ -31,6 +31,8 @@ from repro.engine import (
     CheckpointFaults,
     CheckpointStore,
     Execution,
+    ExperimentResources,
+    MethodComparator,
     ParameterSweep,
     VaryingParameterExperiment,
     WorkerPool,
@@ -288,7 +290,8 @@ def test_torn_write_degrades_to_recompute_with_warning(tmp_path, dataset):
 
 def test_session_comparison_resumes_across_sessions(tmp_path, dataset):
     """The frontend path: a comparison checkpointed through one Session is
-    served entirely from disk by a second Session over the same directory."""
+    served entirely from disk by a second Session over the same directory,
+    one cell per (configuration, value)."""
     configs = [
         transaction_config("coat", k=3, m=2),
         transaction_config("pcta", k=3, m=2),
@@ -298,16 +301,66 @@ def test_session_comparison_resumes_across_sessions(tmp_path, dataset):
     cold = first.compare(configs, "k", 3, 5, 1)
     assert cold.run_report is not None
     counts = cold.run_report.checkpoint_counts()
-    assert counts["hit"] == 0 and counts["miss"] >= len(configs)
+    cells = len(configs) * 3
+    assert counts == {"hit": 0, "miss": cells, "corrupt": 0}
 
     second = Session(dataset).with_checkpoints(tmp_path / "ckpt")
     warm = second.compare(configs, "k", 3, 5, 1)
     warm_counts = warm.run_report.checkpoint_counts()
     assert warm_counts["miss"] == 0 and warm_counts["corrupt"] == 0
-    assert warm_counts["hit"] == len(configs)
+    assert warm_counts["hit"] == cells
 
     assert [fingerprint(sweep) for sweep in warm.sweeps] == [
         fingerprint(sweep) for sweep in cold.sweeps
+    ]
+
+
+def test_repeated_sequential_comparison_is_served_from_the_store(tmp_path, dataset):
+    """Each cell generates the per-k privacy policy on its own copy of the
+    resources, so a k-sweep leaves the caller's privacy policy — and with it
+    the next call's keys — as it was."""
+    session = Session(dataset)
+    resources = session.resources()
+    config = transaction_config("coat", k=3, m=2)
+    directory = tmp_path / "ckpt"
+
+    def run():
+        return session.compare(
+            [config], "k", 3, 5, 1, resources=resources,
+            checkpoint=CheckpointStore(directory),
+        )
+
+    cold = run()
+    warm = run()
+    assert warm.run_report.checkpoint_counts() == {"hit": 3, "miss": 0, "corrupt": 0}
+    assert cold.run_report.checkpoint_counts() == {"hit": 0, "miss": 3, "corrupt": 0}
+    assert resources.privacy_policy is None
+    assert fingerprint(warm.sweeps[0]) == fingerprint(cold.sweeps[0])
+
+
+def test_sweep_cells_serve_the_equivalent_comparison(tmp_path, dataset):
+    """Sweeps and comparisons checkpoint the same (configuration, value)
+    cells under the same keys: per-configuration sweeps fill the store, and
+    the comparison of those configurations is pure hits."""
+    configs = [
+        transaction_config("coat", k=3, m=2),
+        transaction_config("pcta", k=3, m=2),
+    ]
+    sweep = ParameterSweep("k", (3, 4))
+    resources = ExperimentResources()
+    execution = Execution(checkpoint=CheckpointStore(tmp_path / "ckpt"))
+    sweeps = [
+        VaryingParameterExperiment(dataset, resources, execution=execution).run(config, sweep)
+        for config in configs
+    ]
+    comparison = MethodComparator(dataset, resources, execution=execution).compare(
+        configs, sweep
+    )
+    assert comparison.run_report.checkpoint_counts() == {
+        "hit": len(configs) * len(sweep), "miss": 0, "corrupt": 0,
+    }
+    assert [fingerprint(result) for result in comparison.sweeps] == [
+        fingerprint(result) for result in sweeps
     ]
 
 

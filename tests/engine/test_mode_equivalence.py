@@ -24,6 +24,7 @@ from repro.engine import (
     Execution,
     ExecutionPolicy,
     FaultPlan,
+    MethodComparator,
     ParameterSweep,
     VaryingParameterExperiment,
     WorkerPool,
@@ -131,6 +132,42 @@ def test_persistent_pool_matches_sequential_across_sweeps(dataset):
         # Both sweeps reuse one export of the (unmutated) dataset.
         assert len(segments) == 1
     assert pooled == sequential
+
+
+def test_one_configuration_comparison_fans_out_per_cell(dataset):
+    """The unit of work is one (configuration, value) cell: a process-mode
+    comparison of a single configuration still runs its four values in the
+    workers, and matches the sequential run."""
+    config = transaction_config("coat", k=3, m=2)
+    sweep = ParameterSweep("k", (3, 4, 5, 6))
+    sequential = MethodComparator(dataset).compare([config], sweep)
+    with WorkerPool(max_workers=2) as pool:
+        parallel = MethodComparator(
+            dataset, execution=Execution(mode="process", pool=pool)
+        ).compare([config], sweep)
+    report = parallel.run_report
+    assert report is not None
+    assert report.backend == "process"
+    assert len(report.tasks) == len(sweep)
+    assert all(task.final_backend == "process" for task in report.tasks)
+    assert fingerprint(parallel.sweeps[0]) == fingerprint(sequential.sweeps[0])
+
+
+def test_comparison_resources_are_the_same_in_every_mode(dataset):
+    """The resources are completed once, before any cell runs: a process
+    worker sees the same hierarchies a sequential cell does, even when the
+    configurations ask for different hierarchy fan-outs."""
+    configs = [
+        relational_config("top-down", k=3).replace(hierarchy_fanout=4),
+        relational_config("top-down", k=3).replace(hierarchy_fanout=2),
+    ]
+    sequential = MethodComparator(dataset).compare(configs, SWEEP)
+    parallel = MethodComparator(
+        dataset, execution=Execution(mode="process", max_workers=2)
+    ).compare(configs, SWEEP)
+    assert [fingerprint(sweep) for sweep in parallel.sweeps] == [
+        fingerprint(sweep) for sweep in sequential.sweeps
+    ]
 
 
 def test_mixed_int_float_cells_do_not_diverge():

@@ -8,6 +8,9 @@ This test runs every registered configuration — the four relational
 algorithms, the five transaction algorithms and the three RT bounding
 methods — in one subprocess per hash seed, with the attacks on, and
 requires the same output fingerprint and the same indicators from each.
+A second script estimates a workload of 4-item queries on the five
+transaction algorithms' outputs: a product of three or more item factors
+depends on the order the items are multiplied in.
 """
 
 from __future__ import annotations
@@ -53,11 +56,37 @@ for dataset, config in runs:
 """
 
 
-def run_with_hash_seed(seed: int) -> list[str]:
+ESTIMATES_SCRIPT = """
+import hashlib
+
+from repro import Session
+from repro.algorithms.registry import transaction_algorithms
+from repro.datasets import generate_market_basket
+from repro.engine import transaction_config
+from repro.queries import average_relative_error, generate_query_workload
+
+dataset = generate_market_basket(n_records=800, n_items=60, seed=3)
+workload = generate_query_workload(dataset, n_queries=200, n_items=4, seed=3)
+session = Session(dataset)
+for name in transaction_algorithms():
+    for k in (5, 20):
+        resources = session.resources(workload=workload)
+        report = session.evaluate(transaction_config(name, k=k, m=2), resources=resources)
+        result = average_relative_error(
+            workload, dataset, report.anonymized,
+            hierarchies=resources.hierarchies_with_items("Items"),
+            domains=resources.domains,
+        )
+        estimates = repr([entry.estimate for entry in result.per_query])
+        print(name, k, repr(report.are), hashlib.sha256(estimates.encode()).hexdigest())
+"""
+
+
+def run_with_hash_seed(seed: int, script: str = SCRIPT) -> list[str]:
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     completed = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -76,3 +105,10 @@ def test_every_configuration_is_identical_across_hash_seeds():
         lines = run_with_hash_seed(seed)
         for expected, observed in zip(reference, lines, strict=True):
             assert observed == expected
+
+
+def test_four_item_query_estimates_are_identical_across_hash_seeds():
+    reference = run_with_hash_seed(0, ESTIMATES_SCRIPT)
+    assert len(reference) == 10
+    for seed in (1, 2):
+        assert run_with_hash_seed(seed, ESTIMATES_SCRIPT) == reference
