@@ -4,7 +4,9 @@ Figure 1 shows the component wiring: the frontend editors feed the Policy
 Specification Module and the Method Evaluator/Comparator, which spawn
 Anonymization Module instances and forward results to the Experimentation,
 Plotting and Data Export modules.  This benchmark drives that entire pipeline
-once (two configurations, sequential and thread mode) and times it end to end.
+once (two configurations, sequential and process mode) and times it end to
+end; the process-mode run fans the cells out to worker processes, the
+dataset travelling through shared memory.
 """
 
 from __future__ import annotations
@@ -56,5 +58,5 @@ def test_end_to_end_pipeline_sequential(benchmark, session, record, tmp_path_fac
 
 def test_end_to_end_pipeline_parallel(benchmark, session):
     """The same pipeline with N parallel Anonymization Module instances."""
-    report = benchmark.pedantic(_run_pipeline, args=(session, "thread"), rounds=1, iterations=1)
+    report = benchmark.pedantic(_run_pipeline, args=(session, "process"), rounds=1, iterations=1)
     assert len(report.sweeps) == 2

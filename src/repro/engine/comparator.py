@@ -16,9 +16,12 @@ per cell (:func:`~repro.engine.checkpoint.configuration_keys`) and hand the
 cells to one :func:`~repro.engine.runner.fan_out_shared` dispatch; the
 reports are grouped back into one :class:`SweepResult` per configuration.
 Before that the resources are completed once, in this process, for every
-configuration; each cell evaluates on its own shallow copy, so the per-``k``
-privacy policy a cell regenerates never leaks into the shared resources or
-into the next call's keys.
+configuration: configurations that share a ``hierarchy_fanout`` share one
+completed resources object, and each other fanout gets its own, so a
+configuration's generated hierarchies never depend on what it is compared
+with.  Each cell evaluates on its own shallow copy, so the per-``k`` privacy
+policy a cell regenerates never leaks into the shared resources or into the
+next call's keys.
 
 Cells can fan out across CPU cores: give the comparator an
 ``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
@@ -49,7 +52,7 @@ def _evaluate_cell(task: tuple) -> EvaluationReport:
     """Evaluate one (configuration, parameter, value) cell.
 
     Module-level so process-mode execution can pickle it.  The dataset slot
-    holds either the dataset itself (sequential/thread) or a shared-memory
+    holds either the dataset itself (sequential mode) or a shared-memory
     manifest that the worker attaches — once per process — without copying
     array payloads.  The cell evaluates on a shallow copy of the (complete)
     resources: what it regenerates for its own ``k`` stays its own.
@@ -78,7 +81,7 @@ class MethodComparator:
     """Execute and compare multiple configurations over a parameter sweep.
 
     ``execution`` (an :class:`~repro.engine.runner.Execution`) says how the
-    cells run: sequentially by default, or fanned out to threads or
+    cells run: sequentially by default, or fanned out to worker
     processes, under an optional fault-tolerance policy and checkpoint
     store.
     """
@@ -99,6 +102,39 @@ class MethodComparator:
         self.universe_mode = universe_mode
         self.simulate_attacks = simulate_attacks
 
+    def _completed_resources(
+        self, configurations: Sequence[AnonymizationConfig]
+    ) -> dict[int, ExperimentResources]:
+        """The completed resources of each ``hierarchy_fanout``, in first-seen order.
+
+        The first fanout completes ``self.resources`` for all of its
+        configurations.  Each other fanout completes a copy that keeps the
+        domains and workload but starts again from the caller's hierarchies,
+        item hierarchy and utility policy, so what is generated is generated
+        at that fanout and what the caller supplied is never replaced.  The
+        privacy policy is generated per k, that is per cell, so it stays as
+        the caller gave it: completed here, it would follow the last
+        configuration's k into every key.
+        """
+        given = dataclasses.replace(self.resources)
+        by_fanout: dict[int, ExperimentResources] = {}
+        for config in configurations:
+            if config.hierarchy_fanout not in by_fanout:
+                by_fanout[config.hierarchy_fanout] = (
+                    dataclasses.replace(
+                        self.resources,
+                        hierarchies=given.hierarchies,
+                        item_hierarchy=given.item_hierarchy,
+                        utility_policy=given.utility_policy,
+                    )
+                    if by_fanout
+                    else self.resources
+                )
+            by_fanout[config.hierarchy_fanout].ensure_for(self.dataset, config)
+        for resources in by_fanout.values():
+            resources.privacy_policy = given.privacy_policy
+        return by_fanout
+
     def _run_cells(
         self,
         configurations: Sequence[AnonymizationConfig],
@@ -110,36 +146,39 @@ class MethodComparator:
         :class:`~repro.engine.resilience.RunReport` (one task per cell), if
         it keeps one.
         """
-        # The privacy policy is generated per k, that is per cell, so it stays
-        # as the caller gave it: completed here, it would follow the last
-        # configuration's k into every key.
-        privacy_policy = self.resources.privacy_policy
-        for config in configurations:
-            self.resources.ensure_for(self.dataset, config)
-        self.resources.privacy_policy = privacy_policy
-        cells = [(config, value) for config in configurations for value in sweep.values]
+        by_fanout = self._completed_resources(configurations)
+        cells = [
+            (config, by_fanout[config.hierarchy_fanout], value)
+            for config in configurations
+            for value in sweep.values
+        ]
         # Keys are derived here from the real dataset and the completed
         # resources, so a resumed run derives the identical keys in any mode.
-        keys = (
-            configuration_keys(
-                self.dataset,
-                self.resources,
-                self.verify_privacy,
-                self.universe_mode,
-                configurations,
-                sweep,
-                self.simulate_attacks,
-            )
-            if self.execution.checkpoint is not None
-            else None
-        )
+        # One call per resources object encodes each object once.
+        keys = None
+        if self.execution.checkpoint is not None:
+            by_group = {
+                fanout: iter(
+                    configuration_keys(
+                        self.dataset,
+                        resources,
+                        self.verify_privacy,
+                        self.universe_mode,
+                        [other for other in configurations if other.hierarchy_fanout == fanout],
+                        sweep,
+                        self.simulate_attacks,
+                    )
+                )
+                for fanout, resources in by_fanout.items()
+            }
+            keys = [next(by_group[config.hierarchy_fanout]) for config, _, _ in cells]
         report = self.execution.run_report(len(cells))
         reports = fan_out_shared(
             self.dataset,
             lambda payload: [
                 (
                     payload,
-                    self.resources,
+                    resources,
                     self.verify_privacy,
                     self.universe_mode,
                     self.simulate_attacks,
@@ -147,7 +186,7 @@ class MethodComparator:
                     sweep.parameter,
                     value,
                 )
-                for config, value in cells
+                for config, resources, value in cells
             ],
             _evaluate_cell,
             self.execution,

@@ -14,9 +14,9 @@ A plan is a pure function of its coordinates — no global state, no
 randomness — so a faulted run is exactly reproducible.  Hard faults
 (``crash``, ``exit137``, ``hang``) only fire inside a genuine worker
 process (the plan remembers the orchestrating process's pid): when a task
-has been degraded to the thread or sequential rung of the ladder, the same
-plan lets it through, modelling a task that kills *worker processes* but is
-otherwise computable.  Soft faults (``error``, ``corrupt``) fire on every
+has been degraded to the sequential rung of the ladder, the same plan lets
+it through, modelling a task that kills *worker processes* but is otherwise
+computable.  Soft faults (``error``, ``corrupt``) fire on every
 backend.
 """
 
@@ -182,7 +182,7 @@ def faulted_call(
         return worker(task)
     in_worker_process = os.getpid() != plan.parent_pid
     if kind in HARD_KINDS and not in_worker_process:
-        # Degraded to an in-parent backend: a worker-killing fault has no
+        # Degraded to the sequential rung: a worker-killing fault has no
         # process to kill, which is exactly why the ladder exists.
         return worker(task)
     if kind == "crash":

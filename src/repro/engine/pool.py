@@ -18,7 +18,7 @@ per call in two ways:
 Since PR 7 the pool is also the engine's :class:`~repro.engine.resilience`
 process backend: :meth:`map` submits per-task futures under an
 :class:`~repro.engine.resilience.ExecutionPolicy` (bounded retries, task
-timeouts, a ``process → thread → sequential`` degradation ladder), and
+timeouts, a ``process → sequential`` degradation ladder), and
 :meth:`respawn` is the crash-recovery hook — it replaces a broken executor,
 terminates hung workers, re-exports any shared segment a crashed worker
 generation's resource tracker destroyed, and hands back a task remapper so
@@ -281,9 +281,10 @@ class WorkerPool:
         Each task is submitted as its own future and executed under
         ``policy`` (the pool's default when omitted): bounded retries with
         deterministic backoff, optional per-task timeouts, executor respawn
-        on crashes, and degradation to thread/sequential execution for tasks
-        that repeatedly kill their workers.  ``report``, when given, is
-        filled in place with the full per-task attempt history.
+        on crashes, and demotion to sequential execution in this process for
+        tasks that repeatedly kill their workers or time out.  ``report``,
+        when given, is filled in place with the full per-task attempt
+        history.
         """
         self._require_open()
         require_picklable_worker(worker)
@@ -291,13 +292,7 @@ class WorkerPool:
         if not tasks:
             return []
         return execute_tasks(
-            tasks,
-            worker,
-            policy or self._policy,
-            backend="process",
-            process_control=self,
-            max_workers=self._max_workers,
-            report=report,
+            tasks, worker, policy or self._policy, process_control=self, report=report
         )
 
     # -- lifecycle -----------------------------------------------------------

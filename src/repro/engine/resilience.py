@@ -9,8 +9,8 @@ COAT/PCTA/clustering sweeps run under instead:
   failure is one task's problem and every other result survives;
 * :class:`ExecutionPolicy` — bounded retries with exponential backoff and
   deterministic jitter, a per-task timeout, and a degradation ladder
-  (``process → thread → sequential``) for tasks that repeatedly kill their
-  workers;
+  (``process → sequential``): a task that repeatedly kills its worker, or
+  keeps timing out, finishes in this process;
 * **crash recovery** — a ``BrokenProcessPool`` (worker crash, SIGKILL, OOM)
   or a task timeout respawns the executor through the
   :class:`ProcessControl` hook, re-exports any shared-memory segment that
@@ -20,17 +20,16 @@ COAT/PCTA/clustering sweeps run under instead:
   ladder degradations and the backend each task finally completed on.
 
 Failures are classified into four outcomes.  ``crash`` and ``timeout`` are
-*hard*: they indict the worker process, count toward the degradation ladder
-and are always retried.  ``corrupt`` (a result the policy's validator
+*hard*: they indict the worker process, count toward degradation and are
+always retried.  ``corrupt`` (a result the policy's validator
 rejects, or a :class:`~repro.engine.faults.Corrupted` marker) is retried
 within the attempt budget.  ``error`` (an ordinary worker exception) is
 deterministic in this codebase's pure workers, so it fails fast by default —
 wrapped in :class:`~repro.exceptions.TaskError` with the task index, attempt
 count and original exception chained — unless ``retry_errors`` is set.
 
-Every retry loop here is bounded by the policy (``max_attempts`` per ladder
-rung, at most ``len(ladder)`` rungs); the REP007 linter rule keeps it that
-way.
+Every retry loop here is bounded by the policy (``max_attempts`` per rung,
+two rungs); the REP007 linter rule keeps it that way.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import hashlib
 import json
 import pickle
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -47,9 +46,6 @@ from typing import Any, Callable, Protocol, Sequence
 
 from repro.engine.faults import Corrupted, FaultPlan, faulted_call
 from repro.exceptions import ConfigurationError, TaskError
-
-#: The degradation ladder's rungs, strongest isolation first.
-BACKENDS = ("process", "thread", "sequential")
 
 #: Outcomes that indict the worker process rather than the task's own code.
 HARD_OUTCOMES = frozenset({"crash", "timeout"})
@@ -65,8 +61,8 @@ class ExecutionPolicy:
         Seconds of dedicated wait per attempt before the task is declared
         hung and its worker reclaimed (``None`` disables the timeout).
     max_attempts:
-        Attempt budget *per ladder rung*; across the whole ladder a task is
-        tried at most ``max_attempts * len(ladder)`` times.
+        Attempt budget *per rung*; across the process and sequential rungs
+        a task is tried at most ``2 * max_attempts`` times.
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff before retry *n* sleeps
         ``min(backoff_max, backoff_base * backoff_factor**n)`` seconds,
@@ -81,11 +77,8 @@ class ExecutionPolicy:
         Retry ordinary worker exceptions too.  Off by default: the engine's
         workers are deterministic, so an exception would simply recur.
     degrade_after:
-        Hard failures (crash/timeout) on a rung before the task is demoted
-        to the next rung of ``ladder``.
-    ladder:
-        The backends a task may fall through, in order.  Execution starts at
-        the caller's backend and only moves toward ``sequential``.
+        Hard failures (crash/timeout) in worker processes before the task
+        is demoted to the sequential rung, in this process.
     validate_result:
         Optional predicate; a result it rejects counts as a ``corrupt``
         attempt and is retried.  Runs in the orchestrating process.
@@ -103,7 +96,6 @@ class ExecutionPolicy:
     seed: int = 0
     retry_errors: bool = False
     degrade_after: int = 2
-    ladder: tuple[str, ...] = BACKENDS
     validate_result: Callable[[Any], bool] | None = None
     fault_plan: FaultPlan | None = None
 
@@ -128,11 +120,6 @@ class ExecutionPolicy:
             raise ConfigurationError(
                 f"backoff_jitter must be within [0, 1], got {self.backoff_jitter!r}"
             )
-        unknown = [rung for rung in self.ladder if rung not in BACKENDS]
-        if unknown or not self.ladder:
-            raise ConfigurationError(
-                f"ladder must be a non-empty subset of {BACKENDS}, got {self.ladder!r}"
-            )
 
     def backoff_delay(self, task_index: int, attempt: int) -> float:
         """Deterministic backoff before retry ``attempt`` of ``task_index``."""
@@ -144,17 +131,6 @@ class ExecutionPolicy:
         ).digest()
         fraction = int.from_bytes(digest, "big") / 2**64
         return raw * (1.0 - self.backoff_jitter * fraction)
-
-    def rungs_from(self, backend: str) -> tuple[str, ...]:
-        """The effective ladder when execution starts on ``backend``."""
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        position = BACKENDS.index(backend)
-        return (backend,) + tuple(
-            rung for rung in BACKENDS[position + 1 :] if rung in self.ladder
-        )
 
 
 #: The policy the pool applies when the caller does not hand one over.
@@ -351,42 +327,13 @@ class ProcessControl(Protocol):
         when nothing went stale)."""
 
 
-class _ThreadControl:
-    """Thread-rung control: an abandonable single-use thread pool.
-
-    A hung thread cannot be killed, so ``respawn`` abandons the executor
-    (non-blocking shutdown) and lazily builds a fresh one; the leaked thread
-    finishes or idles harmlessly.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        self._max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self._max_workers)
-        return self._executor.submit(fn, *args)
-
-    def respawn(self, reason: str) -> Callable[[Any], Any] | None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return None
-
-    def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
 # -- task state --------------------------------------------------------------
 @dataclass
 class _TaskState:
     index: int
     task: Any
     report: TaskReport
-    rung: int = 0  # index into the effective ladder
+    demoted: bool = False  # moved from the process rung to the sequential one
     rung_attempts: int = 0
     hard_failures: int = 0  # crash/timeout count on the current rung
     total_attempts: int = 0
@@ -511,14 +458,17 @@ def _settle(
     state: _TaskState,
     policy: ExecutionPolicy,
     backend: str,
-    has_next_rung: bool,
     report: RunReport,
 ) -> None:
-    """Decide a failed task's fate after an attempt: retry, demote or raise."""
+    """Decide a failed task's fate after an attempt: retry, demote or raise.
+
+    Hard outcomes happen only on the process rung, so only it demotes; the
+    sequential rung is the floor.
+    """
     hard = state.last_outcome in HARD_OUTCOMES
     exhausted = state.rung_attempts >= policy.max_attempts
-    if hard and has_next_rung and (state.hard_failures >= policy.degrade_after or exhausted):
-        state.rung += 1
+    if hard and (state.hard_failures >= policy.degrade_after or exhausted):
+        state.demoted = True
         state.rung_attempts = 0
         state.hard_failures = 0
         report.degradations += 1
@@ -535,92 +485,52 @@ def execute_tasks(
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
     *,
-    backend: str = "sequential",
     process_control: ProcessControl | None = None,
-    max_workers: int | None = None,
     report: RunReport | None = None,
 ) -> list[Any]:
     """Run ``worker`` over ``tasks`` under ``policy``, preserving order.
 
-    ``backend`` is the rung execution starts on; tasks that repeatedly kill
-    their workers fall down the policy's ladder toward ``sequential``.
-    Process execution needs a ``process_control`` (the pool's respawn hook).
-    When ``report`` is given it is filled in place — the caller keeps it.
+    With a ``process_control`` (the pool's respawn hook) execution starts
+    on the process rung, and a task that repeatedly kills its worker, or
+    keeps timing out, is demoted to the sequential rung and finishes in
+    this process.  Without one, every task runs sequentially.  When
+    ``report`` is given it is filled in place — the caller keeps it.
     """
-    if backend == "process" and process_control is None:
-        raise ConfigurationError(
-            "process execution needs a process_control (a WorkerPool)"
-        )
     run_report = report if report is not None else RunReport()
     if not run_report.backend:
-        run_report.backend = backend
+        run_report.backend = "sequential" if process_control is None else "process"
     started_run = time.perf_counter()
     states = [
         _TaskState(index=index, task=task, report=TaskReport(index=index))
         for index, task in enumerate(tasks)
     ]
     run_report.tasks.extend(state.report for state in states)
-    rungs = policy.rungs_from(backend)
     try:
-        for rung_index, rung in enumerate(rungs):
-            rung_states = [
-                state
-                for state in states
-                if not state.done and state.rung == rung_index
-            ]
-            if not rung_states:
-                continue
-            has_next = rung_index + 1 < len(rungs)
-            if rung == "sequential":
-                _run_sequential_rung(
-                    rung_states, worker, policy, run_report, has_next
-                )
-            elif rung == "thread":
-                control = _ThreadControl(
-                    max_workers=max_workers or len(rung_states)
-                )
-                try:
-                    _run_pooled_rung(
-                        rung_states, worker, policy, control, run_report,
-                        "thread", rung_index, has_next,
-                    )
-                finally:
-                    control.close()
-            else:
-                if process_control is None:  # pragma: no cover - guarded above
-                    raise ConfigurationError("process rung without a pool")
-                _run_pooled_rung(
-                    rung_states, worker, policy, process_control, run_report,
-                    "process", rung_index, has_next,
-                )
+        if process_control is not None:
+            _run_process_rung(states, worker, policy, process_control, run_report)
+        _run_sequential_rung(
+            [state for state in states if not state.done], worker, policy, run_report
+        )
     finally:
         run_report.wall_seconds += time.perf_counter() - started_run
     return [state.result for state in states]
 
 
-def _run_pooled_rung(
-    rung_states: list[_TaskState],
+def _run_process_rung(
+    states: list[_TaskState],
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
     control: ProcessControl,
     report: RunReport,
-    backend: str,
-    rung_index: int,
-    has_next_rung: bool,
 ) -> None:
-    """Drive one executor-backed rung to completion (or demotion).
+    """Drive the process rung until every task is done or demoted.
 
     A state demoted by :func:`_settle` leaves ``pending`` on the next
-    refresh (its ``rung`` no longer matches ``rung_index``) and is picked up
-    by the caller's next ladder iteration.
+    refresh and runs on the sequential rung afterwards.
     """
 
     def remaining() -> list[_TaskState]:
-        return [
-            state
-            for state in rung_states
-            if not state.done and state.rung == rung_index
-        ]
+        return [state for state in states if not state.done and not state.demoted]
 
     pending = remaining()
     while pending:
@@ -633,14 +543,14 @@ def _run_pooled_rung(
             try:
                 value = future.result(timeout=policy.task_timeout)
             except BrokenProcessPool as error:
-                _record(state, backend, "crash", started, error)
+                _record(state, "process", "crash", started, error)
                 _interrupt_round(
                     "worker process died", futures[position + 1 :], control, report
                 )
                 interrupted = True
             except FutureTimeoutError as error:
                 future.cancel()
-                _record(state, backend, "timeout", started, error)
+                _record(state, "process", "timeout", started, error)
                 _interrupt_round(
                     "task timed out; reclaiming its worker",
                     futures[position + 1 :],
@@ -653,14 +563,14 @@ def _run_pooled_rung(
                 raise
             except Exception as error:  # noqa: BLE001 - classified below
                 _translate_pickling_error(error)
-                _record(state, backend, "error", started, error)
+                _record(state, "process", "error", started, error)
                 if not policy.retry_errors:
                     _cancel_all(futures)
-                    raise _task_error(state, backend, "worker raised") from error
+                    raise _task_error(state, "process", "worker raised") from error
             else:
-                _accept(state, value, policy, backend, started)
+                _accept(state, value, policy, "process", started)
             if not state.done:
-                _settle(state, policy, backend, has_next_rung, report)
+                _settle(state, policy, "process", report)
             if interrupted:
                 break
         pending = remaining()
@@ -737,7 +647,6 @@ def _run_sequential_rung(
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
     report: RunReport,
-    has_next_rung: bool,
 ) -> None:
     """The ladder's floor: in-process execution with bounded retries.
 
@@ -763,4 +672,4 @@ def _run_sequential_rung(
             else:
                 _accept(state, value, policy, "sequential", started)
             if not state.done:
-                _settle(state, policy, "sequential", has_next_rung, report)
+                _settle(state, policy, "sequential", report)

@@ -131,11 +131,13 @@ class ExperimentResources:
             if name not in self.hierarchies
         ]
         if needed:
-            self.hierarchies.update(
-                build_hierarchies_for_dataset(
+            # A new dict: shallow copies of these resources share the old one.
+            self.hierarchies = {
+                **self.hierarchies,
+                **build_hierarchies_for_dataset(
                     dataset, fanout=config.hierarchy_fanout, attributes=needed
-                )
-            )
+                ),
+            }
 
     def _ensure_item_hierarchy(
         self, dataset: Dataset, config: AnonymizationConfig, attribute: str

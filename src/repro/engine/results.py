@@ -126,7 +126,7 @@ class SweepResult:
     series: dict[str, Series]
     reports: list[EvaluationReport] = field(default_factory=list)
     #: How the sweep's fan-out actually went (attempts, retries, respawns,
-    #: degradations); ``None`` for plain sequential/thread runs without an
+    #: degradations); ``None`` for plain sequential runs without an
     #: execution policy.  Excluded from :meth:`as_dict` exports — recovery
     #: timing is not part of the scientific result.
     run_report: RunReport | None = None

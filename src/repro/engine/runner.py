@@ -1,4 +1,4 @@
-"""Execution of multiple anonymization requests: sequential, threads or processes.
+"""Execution of multiple anonymization requests: sequential or processes.
 
 SECRETA's backend "invokes one or more instances (threads) of the
 Anonymization Module" and collects their results.  How those instances run
@@ -7,18 +7,15 @@ through the experiment and comparator down to :func:`run_many`.  Its
 ``mode`` is one of:
 
 * ``"sequential"`` — the default: one task after another in this process,
-* ``"thread"`` — a thread pool.  The support/union/metric kernels now run as
-  NumPy bitset and gather operations (:mod:`repro.columnar`), which release
-  the GIL for the duration of each array pass — so constraint-heavy
-  COAT/PCTA tasks and metric evaluations genuinely overlap in thread mode
-  (the default worker count follows ``os.cpu_count()``, like process mode),
-  while the remaining pure-Python bookkeeping still serialises,
 * ``"process"`` — a process pool that actually fans CPU-bound anonymization
   out across cores.  The worker callable and every task/result must be
   picklable (module-level functions, not closures or lambdas).  Large
   datasets should not travel inside the tasks: :func:`fan_out_shared`
   exports them once to shared memory and ships the manifest instead (see
   ``docs/parallelism.md``).
+
+There is no thread mode: the anonymizers hold the GIL, so a thread pool
+ran slower than sequential mode (``docs/parallelism.md``).
 
 The rest of the value says where and how: ``max_workers`` caps the pool,
 ``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool`,
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Sequence, TypeVar
 
@@ -45,30 +41,30 @@ if TYPE_CHECKING:
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
-ExecutionMode = Literal["sequential", "thread", "process"]
+ExecutionMode = Literal["sequential", "process"]
 
-EXECUTION_MODES: tuple[ExecutionMode, ...] = ("sequential", "thread", "process")
+EXECUTION_MODES: tuple[ExecutionMode, ...] = ("sequential", "process")
 
 
 @dataclass(frozen=True)
 class Execution:
     """How a batch of tasks runs: one value for every layer of the engine.
 
-    ``mode`` selects the backend (see the module docstring).  Both pool
-    modes default to one worker per task capped at the CPU count;
+    ``mode`` selects the backend (see the module docstring).  Process mode
+    defaults to one worker per task capped at the CPU count;
     ``max_workers`` must be positive (or ``None`` for that default).
 
     ``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool`
     for process mode; without one, an ephemeral pool is created per run.
-    The sequential and thread backends ignore it, and its own worker count
-    takes precedence over ``max_workers``.
+    Sequential mode ignores it, and its own worker count takes precedence
+    over ``max_workers``.
 
     ``policy`` selects the :class:`~repro.engine.resilience.ExecutionPolicy`
     the run executes under.  Process mode is *always* resilient (per-task
     futures, bounded retries, crash recovery; the pool's default policy
-    applies without one).  Sequential and thread mode run the plain fast
-    path unless a ``policy`` or a per-call report is given, in which case
-    they route through the same engine.
+    applies without one).  Sequential mode runs the plain fast path unless
+    a ``policy`` or a per-call report is given, in which case it routes
+    through the same engine.
 
     ``checkpoint`` threads a durable
     :class:`~repro.engine.checkpoint.CheckpointStore` through the run:
@@ -118,7 +114,7 @@ def run_many(
     """Apply ``worker`` to every task under ``execution``, preserving order.
 
     ``report``, when given, is filled in place with the per-task attempt
-    history (and makes sequential and thread runs resilient too).  With a
+    history (and makes a sequential run resilient too).  With a
     checkpoint store every task needs a content-addressed key in
     ``checkpoint_keys`` (see :func:`~repro.engine.checkpoint.run_checkpointed`).
     """
@@ -127,25 +123,15 @@ def run_many(
         return []
     if execution.checkpoint is not None:
         return run_checkpointed(tasks, worker, execution, checkpoint_keys, report=report)
-    mode, policy = execution.mode, execution.policy
+    policy = execution.policy
     resilient = policy is not None or report is not None
-    if not resilient and (mode == "sequential" or len(tasks) == 1):
+    if not resilient and (execution.mode == "sequential" or len(tasks) == 1):
         return [worker(task) for task in tasks]
-    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
-    if mode == "thread" and not resilient:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(worker, tasks))
-    if mode != "process":
-        return execute_tasks(
-            tasks,
-            worker,
-            policy or DEFAULT_POLICY,
-            backend=mode,
-            max_workers=workers,
-            report=report,
-        )
+    if execution.mode == "sequential":
+        return execute_tasks(tasks, worker, policy or DEFAULT_POLICY, report=report)
     if execution.pool is not None:
         return execution.pool.map(worker, tasks, policy=policy, report=report)
+    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
     with WorkerPool(max_workers=workers, policy=policy) as ephemeral:
         return ephemeral.map(worker, tasks, report=report)
 

@@ -201,7 +201,8 @@ class Session:
 
         ``policy`` sets the pool's default
         :class:`~repro.engine.resilience.ExecutionPolicy` — task timeouts,
-        retry budget, degradation ladder (see ``docs/robustness.md``).
+        retry budget, demotion of a worker-killing task to sequential
+        execution (see ``docs/robustness.md``).
         """
         return WorkerPool(max_workers=max_workers, policy=policy)
 

@@ -88,9 +88,9 @@ LAMBDA_TO_RUN_MANY_PROCESS = """
         return run_many(tasks, lambda task: task, Execution(mode="process"))
 """
 
-LAMBDA_TO_RUN_MANY_THREAD = """
+LAMBDA_TO_RUN_MANY_SEQUENTIAL = """
     def launch(tasks):
-        return run_many(tasks, lambda task: task, execution=Execution("thread"))
+        return run_many(tasks, lambda task: task, execution=Execution("sequential"))
 """
 
 LAMBDA_TO_RUN_MANY_DYNAMIC = """
@@ -242,11 +242,11 @@ class TestRep006Workers:
         )
         assert new_codes(findings) == ["REP006"]
 
-    def test_run_many_literal_thread_execution_is_clean(self, harness):
+    def test_run_many_literal_sequential_execution_is_clean(self, harness):
         assert (
             harness.findings(
                 "src/pkg/mod.py",
-                LAMBDA_TO_RUN_MANY_THREAD,
+                LAMBDA_TO_RUN_MANY_SEQUENTIAL,
                 manifest=MANIFEST,
                 select=["REP006"],
             )

@@ -114,13 +114,13 @@ class TestComparator:
         ]
         sweep = ParameterSweep("k", (3,))
         sequential = MethodComparator(rt).compare(configurations, sweep)
-        threaded = MethodComparator(rt, execution=Execution(mode="thread")).compare(
-            configurations, sweep
-        )
+        parallel = MethodComparator(
+            rt, execution=Execution(mode="process", max_workers=2)
+        ).compare(configurations, sweep)
         assert [s.configuration["label"] for s in sequential.sweeps] == [
-            s.configuration["label"] for s in threaded.sweeps
+            s.configuration["label"] for s in parallel.sweeps
         ]
-        for left, right in zip(sequential.sweeps, threaded.sweeps):
+        for left, right in zip(sequential.sweeps, parallel.sweeps):
             assert left.series["transaction_ul"].y == pytest.approx(
                 right.series["transaction_ul"].y
             )
@@ -132,9 +132,7 @@ class TestRunner:
         assert results == [30, 10, 20]
 
     def test_run_many_parallel(self):
-        results = run_many(
-            list(range(20)), lambda value: value + 1, Execution(mode="thread", max_workers=4)
-        )
+        results = run_many(list(range(20)), _add_one, Execution(mode="process", max_workers=2))
         assert results == list(range(1, 21))
 
     def test_run_many_empty(self):

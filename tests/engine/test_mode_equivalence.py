@@ -1,9 +1,9 @@
-"""Cross-mode equivalence: sequential, thread and process runs are identical.
+"""Cross-mode equivalence: sequential and process runs are identical.
 
 The execution mode is an operational choice, never a semantic one: for a
 seeded experiment, the anonymized outputs and every reported metric must be
-byte-identical whether the sweep points run in this process, in a thread
-pool, or in worker processes attached to the shared-memory dataset export.
+byte-identical whether the sweep points run in this process or in worker
+processes attached to the shared-memory dataset export.
 This is the black-box isolation check for the fan-out subsystem: if the
 shared-memory reconstruction dropped a cell, reordered records, or leaked
 worker state between tasks, the fingerprints below would diverge.
@@ -33,7 +33,7 @@ from repro.engine import (
     rt_config,
 )
 
-MODES = ("sequential", "thread", "process")
+MODES = ("sequential", "process")
 
 CONFIGS = [
     pytest.param(transaction_config("coat", k=3, m=2), id="coat"),

@@ -2,7 +2,7 @@
 
 Covers policy validation, deterministic backoff, the outcome classification
 (ok / error / timeout / crash / corrupt), recovery from worker crashes,
-hangs and SIGKILL (exit 137), the ``process → thread → sequential``
+hangs and SIGKILL (exit 137), the ``process → sequential``
 degradation ladder, task-identity preservation in :class:`TaskError`, and
 the :class:`RunReport` account the engine keeps of every attempt.
 """
@@ -41,7 +41,6 @@ def _pid_of(value: int) -> int:
 class TestExecutionPolicyValidation:
     def test_defaults_are_valid(self):
         assert DEFAULT_POLICY.max_attempts == 3
-        assert DEFAULT_POLICY.ladder == ("process", "thread", "sequential")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -52,27 +51,11 @@ class TestExecutionPolicyValidation:
             {"degrade_after": 0},
             {"backoff_factor": 0.5},
             {"backoff_jitter": 1.5},
-            {"ladder": ()},
-            {"ladder": ("process", "gpu")},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(**kwargs)
-
-    def test_rungs_from_starts_at_backend_and_descends(self):
-        policy = ExecutionPolicy()
-        assert policy.rungs_from("process") == ("process", "thread", "sequential")
-        assert policy.rungs_from("thread") == ("thread", "sequential")
-        assert policy.rungs_from("sequential") == ("sequential",)
-
-    def test_rungs_from_respects_a_shortened_ladder(self):
-        policy = ExecutionPolicy(ladder=("process", "sequential"))
-        assert policy.rungs_from("process") == ("process", "sequential")
-
-    def test_rungs_from_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            ExecutionPolicy().rungs_from("gpu")
 
 
 class TestBackoff:
@@ -161,51 +144,6 @@ class TestSequentialBackend:
             execute_tasks([1], _triple, policy)
 
 
-class TestThreadBackend:
-    def test_thread_backend_runs_and_reports(self):
-        report = RunReport()
-        results = execute_tasks(
-            [1, 2, 3, 4],
-            _triple,
-            ExecutionPolicy(**FAST),
-            backend="thread",
-            max_workers=2,
-            report=report,
-        )
-        assert results == [3, 6, 9, 12]
-        assert report.backend == "thread"
-        assert {t.final_backend for t in report.tasks} == {"thread"}
-
-    def test_thread_timeout_degrades_to_sequential(self):
-        # The injected hang fires in *worker threads* too?  No — hang is a
-        # hard fault, gated by pid, and threads share the parent pid, so a
-        # plan cannot hang a thread.  Use a genuinely slow worker instead.
-        report = RunReport()
-        policy = ExecutionPolicy(task_timeout=0.2, degrade_after=1, **FAST)
-        results = execute_tasks(
-            [0.6, 0.0],
-            _sleep_then_echo,
-            policy,
-            backend="thread",
-            max_workers=2,
-            report=report,
-        )
-        assert results == [0.6, 0.0]
-        slow = report.task(0)
-        assert "timeout" in slow.outcomes
-        assert slow.final_backend == "sequential"
-        assert report.degradations >= 1
-
-    def test_process_backend_without_control_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="process_control"):
-            execute_tasks([1], _triple, ExecutionPolicy(**FAST), backend="process")
-
-
-def _sleep_then_echo(value: float) -> float:
-    time.sleep(value)
-    return value
-
-
 class TestProcessRecovery:
     def test_crash_once_recovers_and_replays_only_unfinished(self):
         plan = FaultPlan.build((2, 0, "crash"))
@@ -260,9 +198,24 @@ class TestProcessRecovery:
         with WorkerPool(max_workers=2) as pool:
             results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
         assert results == [0, 3, 6]
-        assert report.degradations >= 1
-        assert report.task(0).final_backend in ("thread", "sequential")
+        assert report.degradations == 1
+        assert report.task(0).final_backend == "sequential"
         assert "crash" in report.task(0).outcomes
+
+    def test_persistent_hang_finishes_in_the_parent(self):
+        # Task 1 hangs its worker on *every* attempt; after one timeout it is
+        # demoted to the sequential rung, where a hard fault cannot fire.
+        plan = FaultPlan.build((1, -1, "hang"), hang_seconds=30.0)
+        report = RunReport()
+        policy = ExecutionPolicy(
+            task_timeout=1.0, degrade_after=1, fault_plan=plan, **FAST
+        )
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
+        assert results == [0, 3, 6]
+        assert report.degradations == 1
+        assert report.task(1).outcomes == ["timeout", "ok"]
+        assert report.task(1).final_backend == "sequential"
 
     def test_worker_error_carries_task_identity_from_process_mode(self):
         plan = FaultPlan.build((1, 0, "error"))
@@ -296,20 +249,20 @@ class TestRunManyIntegration:
         assert run_many([1, 2], _triple, report=report) == [3, 6]
         assert report.total_attempts == 2
 
-    def test_thread_mode_with_policy_routes_through_engine(self):
+    def test_sequential_mode_with_policy_routes_through_engine(self):
         plan = FaultPlan.build((0, 0, "error"))
         report = RunReport()
         results = run_many(
             [1, 2, 3],
             _triple,
             Execution(
-                mode="thread",
+                mode="sequential",
                 policy=ExecutionPolicy(retry_errors=True, fault_plan=plan, **FAST),
             ),
             report=report,
         )
         assert results == [3, 6, 9]
-        assert report.backend == "thread"
+        assert report.backend == "sequential"
         assert report.task(0).retries == 1
 
     def test_run_report_summary_shape(self):

@@ -1,7 +1,7 @@
 """Unit tests for the execution runner (`repro.engine.runner`).
 
 Covers the ``Execution`` value (its defaults and the unknown-mode and
-``max_workers`` errors), order preservation across all three backends, the
+``max_workers`` errors), order preservation across both backends, the
 empty/single-task shortcuts, and the clear error process mode raises for
 unpicklable workers.
 """
@@ -43,7 +43,7 @@ class TestExecution:
     def test_explicit_modes_pass_through(self, mode):
         assert Execution(mode=mode).mode == mode
 
-    @pytest.mark.parametrize("mode", ["bogus", "threads", "parallel", "", "PROCESS"])
+    @pytest.mark.parametrize("mode", ["bogus", "thread", "threads", "parallel", "", "PROCESS"])
     def test_unknown_mode_raises_configuration_error(self, mode):
         with pytest.raises(ConfigurationError, match="unknown execution mode"):
             Execution(mode=mode)
@@ -58,7 +58,6 @@ class TestExecution:
         # A run keeps a report when it fans out to processes, or has a
         # policy or a checkpoint store; a one-task process run does not fan out.
         assert Execution().run_report(4) is None
-        assert Execution(mode="thread").run_report(4) is None
         assert Execution(mode="process").run_report(1) is None
         assert Execution(mode="process").run_report(2) is not None
         assert Execution(policy=ExecutionPolicy()).run_report(1) is not None
@@ -83,22 +82,11 @@ class TestRunMany:
         values = [3.0, 0.0, 2.0, 1.0, 4.0]
         assert run_many(values, _slow_identity, Execution(mode=mode, max_workers=2)) == values
 
-    def test_thread_mode_actually_uses_threads(self):
-        seen: set[str] = set()
-
-        def worker(value):
-            seen.add(threading.current_thread().name)
-            time.sleep(0.02)
-            return value
-
-        run_many(list(range(4)), worker, Execution(mode="thread", max_workers=2))
-        assert len(seen) > 1
-
     def test_process_mode_computes_results(self):
         assert run_many([1, 2, 3], _square, Execution(mode="process", max_workers=2)) == [1, 4, 9]
 
     def test_max_workers_one_is_allowed(self):
-        assert run_many([1, 2], _square, Execution(mode="thread", max_workers=1)) == [1, 4]
+        assert run_many([1, 2], _square, Execution(mode="process", max_workers=1)) == [1, 4]
         assert validate_max_workers(1) is None
         assert validate_max_workers(None) is None
 

@@ -70,12 +70,11 @@ class TestEvaluationWorkflow:
         "settings, keeps_report",
         [
             ({}, False),
-            ({"mode": "thread"}, False),
             ({"mode": "process", "max_workers": 2}, True),
             ({"policy": ExecutionPolicy()}, True),
             ({"checkpoint": "store"}, True),
         ],
-        ids=["sequential", "thread", "process", "policy", "checkpoint"],
+        ids=["sequential", "process", "policy", "checkpoint"],
     )
     def test_run_report_rule(self, session, tmp_path, call, settings, keeps_report):
         """A run keeps a RunReport when it fans out to processes, or has a
