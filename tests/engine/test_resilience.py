@@ -49,8 +49,11 @@ class TestExecutionPolicyValidation:
             {"task_timeout": 0},
             {"task_timeout": -1.0},
             {"degrade_after": 0},
+            {"backoff_base": -0.1},
+            {"backoff_max": -1.0},
             {"backoff_factor": 0.5},
             {"backoff_jitter": 1.5},
+            {"backoff_jitter": -0.1},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -135,6 +138,19 @@ class TestSequentialBackend:
         )
         assert results == [21]  # never a Corrupted wrapper
         assert report.task(0).outcomes == ["corrupt", "ok"]
+
+    def test_without_process_control_every_task_runs_in_this_process(self):
+        # No process rung: a planned hard fault is gated to worker
+        # processes, so it cannot fire here, and nothing is demoted.
+        plan = FaultPlan.build((0, -1, "crash"), (1, -1, "hang"))
+        report = RunReport()
+        results = execute_tasks(
+            [1, 2], _pid_of, ExecutionPolicy(fault_plan=plan, **FAST), report=report
+        )
+        assert results == [os.getpid(), os.getpid()]
+        assert [task.outcomes for task in report.tasks] == [["ok"], ["ok"]]
+        assert {task.final_backend for task in report.tasks} == {"sequential"}
+        assert report.degradations == 0
 
     def test_validate_result_rejection_counts_as_corrupt(self):
         policy = ExecutionPolicy(
@@ -237,6 +253,95 @@ class TestProcessRecovery:
             assert pool.policy is policy
             assert pool.map(_triple, [1, 2], report=report) == [3, 6]
         assert report.respawns >= 1
+
+
+class TestDegradationLadder:
+    """``process → sequential``: when a task leaves the process rung, and
+    what the sequential rung it lands on may still do with it."""
+
+    def test_hard_failures_below_degrade_after_stay_on_the_process_rung(self):
+        plan = FaultPlan.build((0, 0, "crash"))
+        report = RunReport()
+        policy = ExecutionPolicy(degrade_after=2, fault_plan=plan, **FAST)
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.map(_triple, [0, 1], policy=policy, report=report)
+        assert results == [0, 3]
+        assert report.degradations == 0
+        assert report.task(0).outcomes == ["crash", "ok"]
+        assert report.task(0).final_backend == "process"
+
+    def test_degrade_after_counts_hard_failures_before_demotion(self):
+        plan = FaultPlan.build((0, -1, "crash"))
+        report = RunReport()
+        policy = ExecutionPolicy(degrade_after=2, fault_plan=plan, **FAST)
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.map(_triple, [0, 1], policy=policy, report=report)
+        assert results == [0, 3]
+        assert report.degradations == 1
+        assert report.task(0).outcomes == ["crash", "crash", "ok"]
+        assert [a.backend for a in report.task(0).attempts] == [
+            "process",
+            "process",
+            "sequential",
+        ]
+        assert report.task(1).final_backend == "process"
+
+    def test_exhausted_process_budget_demotes_a_hard_failing_task(self):
+        # degrade_after is never reached; the spent attempt budget demotes.
+        plan = FaultPlan.build((0, -1, "crash"))
+        report = RunReport()
+        policy = ExecutionPolicy(
+            max_attempts=2, degrade_after=5, fault_plan=plan, **FAST
+        )
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.map(_triple, [0, 1], policy=policy, report=report)
+        assert results == [0, 3]
+        assert report.degradations == 1
+        assert report.task(0).outcomes == ["crash", "crash", "ok"]
+        assert report.task(0).final_backend == "sequential"
+
+    def test_worker_errors_never_demote(self):
+        # An ordinary exception indicts the task, not the worker process:
+        # it spends the process rung's budget and fails there.
+        plan = FaultPlan.build((0, -1, "error"))
+        report = RunReport()
+        policy = ExecutionPolicy(
+            retry_errors=True, max_attempts=2, fault_plan=plan, **FAST
+        )
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(TaskError, match="attempt budget exhausted") as excinfo:
+                pool.map(_triple, [0, 1], policy=policy, report=report)
+        assert excinfo.value.backend == "process"
+        assert excinfo.value.attempts == 2
+        assert report.degradations == 0
+
+    def test_demoted_task_gets_a_fresh_attempt_budget(self):
+        # One crash demotes task 0; on the sequential rung it errors once
+        # and, with max_attempts=2, still has a retry left.
+        plan = FaultPlan.build((0, 0, "crash"), (0, 1, "error"))
+        report = RunReport()
+        policy = ExecutionPolicy(
+            retry_errors=True,
+            max_attempts=2,
+            degrade_after=1,
+            fault_plan=plan,
+            **FAST,
+        )
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.map(_triple, [0, 1], policy=policy, report=report)
+        assert results == [0, 3]
+        assert report.task(0).outcomes == ["crash", "error", "ok"]
+        assert report.task(0).final_backend == "sequential"
+
+    def test_failure_after_demotion_names_the_sequential_backend(self):
+        plan = FaultPlan.build((0, 0, "crash"), (0, 1, "error"))
+        policy = ExecutionPolicy(degrade_after=1, fault_plan=plan, **FAST)
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(TaskError) as excinfo:
+                pool.map(_triple, [0, 1], policy=policy)
+        assert excinfo.value.task_index == 0
+        assert excinfo.value.backend == "sequential"
+        assert excinfo.value.attempts == 2
 
 
 class TestRunManyIntegration:

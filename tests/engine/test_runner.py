@@ -48,6 +48,13 @@ class TestExecution:
         with pytest.raises(ConfigurationError, match="unknown execution mode"):
             Execution(mode=mode)
 
+    def test_thread_mode_error_names_the_valid_modes(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Execution(mode="thread")
+        message = str(excinfo.value)
+        assert "'thread'" in message
+        assert all(repr(mode) in message for mode in ("sequential", "process"))
+
     @pytest.mark.parametrize("bad_workers", [0, -1, -8])
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_nonpositive_max_workers_rejected(self, mode, bad_workers):
