@@ -32,15 +32,16 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets import generate_rt_dataset
-from repro.engine.faults import FaultPlan
 from repro.engine.pool import WorkerPool
 from repro.engine.resilience import ExecutionPolicy, RunReport
 from repro.metrics import average_class_size, discernibility_metric, utility_loss
@@ -68,6 +69,28 @@ def _metric_task(task) -> tuple[float, int, float]:
     )
 
 
+@dataclass(frozen=True)
+class _CrashOnce:
+    """``_metric_task`` whose first execution on ``k`` kills its worker.
+
+    The execution that creates ``marker`` crashes; every later one (the
+    replay) computes the task.
+    """
+
+    k: int
+    marker: str
+
+    def __call__(self, task) -> tuple[float, int, float]:
+        if task[1] == self.k:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return _metric_task(task)
+
+
 def _prepare(n_records: int, n_tasks: int):
     dataset = generate_rt_dataset(n_records=n_records, n_items=40, seed=2014)
     for attribute in dataset.schema.names:
@@ -86,13 +109,13 @@ def run_plain(tasks) -> tuple[list, float]:
 
 
 def run_resilient(
-    tasks, policy: ExecutionPolicy | None = None
+    tasks, policy: ExecutionPolicy | None = None, worker=_metric_task
 ) -> tuple[list, float, RunReport]:
     """The PR 7 path: per-task futures under an ExecutionPolicy."""
     report = RunReport()
     start = time.perf_counter()
     with WorkerPool(max_workers=MAX_WORKERS) as pool:
-        results = pool.map(_metric_task, tasks, policy=policy, report=report)
+        results = pool.map(worker, tasks, policy=policy, report=report)
     return results, time.perf_counter() - start, report
 
 
@@ -119,12 +142,12 @@ def run_benchmark(
             assert resilient_results == plain_results
 
         # Recovery: the same sweep with one worker crash on task 3.
-        crash_policy = ExecutionPolicy(
-            backoff_base=0.0, fault_plan=FaultPlan.build((3, 0, "crash"))
-        )
-        crashed_results, crashed_seconds, crash_report = run_resilient(
-            tasks, policy=crash_policy
-        )
+        with tempfile.TemporaryDirectory() as scratch:
+            crashed_results, crashed_seconds, crash_report = run_resilient(
+                tasks,
+                policy=ExecutionPolicy(backoff_base=0.0),
+                worker=_CrashOnce(ks[3], os.path.join(scratch, "crashed")),
+            )
         assert crashed_results == plain_results
 
     best_plain = min(plain_seconds)

@@ -22,8 +22,8 @@ Inside the ``[rep007] scope`` prefixes this rule flags:
   bounded, deterministically jittered schedule).  Ad-hoc sleeps hide races
   instead of fixing them and add nondeterministic wall time to every run.
 
-Deliberate exceptions (e.g. a fault-injection *hang*, whose sleep is the
-failure being tested) carry a reasoned ``# repro: allow[REP007]``.
+Deliberate exceptions (a sleep that is itself the behaviour under test)
+carry a reasoned ``# repro: allow[REP007]``.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class RetryDiscipline(Rule):
         "sleep_helpers (resilience._sleep_backoff), which derives a "
         "bounded, deterministically jittered delay from the policy; a "
         "bare time.sleep hides races and adds nondeterministic wall time. "
-        "A sleep that is itself the behaviour under test (fault-injection "
-        "hangs) carries a reasoned `# repro: allow[REP007]`."
+        "A sleep that is itself the behaviour under test carries a "
+        "reasoned `# repro: allow[REP007]`."
     )
 
     def check_module(

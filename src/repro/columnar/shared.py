@@ -27,7 +27,6 @@ format and the pool lifecycle rules.
 
 from __future__ import annotations
 
-import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -277,11 +276,6 @@ class SharedDatasetExport:
     def payload_bytes(self) -> int:
         """Bytes of array payload placed in shared memory."""
         return self.manifest.total_bytes
-
-    @property
-    def manifest_bytes(self) -> int:
-        """Pickled size of the manifest — what actually ships per task."""
-        return len(pickle.dumps(self.manifest))
 
     def matches(self, dataset: "Dataset") -> bool:
         """Whether the export still describes ``dataset``.

@@ -453,11 +453,6 @@ class Dataset:
             return list(source) if isinstance(source, list) else _csr_itemsets(source)
         return [record[name] for record in self._records]
 
-    def relational_tuple(self, index: int, names: Sequence[str] | None = None) -> tuple:
-        """The relational quasi-identifier values of record ``index``."""
-        names = list(names) if names is not None else self._schema.relational_names
-        return self._records[index].values_for(names)
-
     def itemset(self, index: int, attribute: str | None = None) -> frozenset:
         """The transaction itemset of record ``index``.
 

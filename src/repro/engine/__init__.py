@@ -19,7 +19,6 @@ from repro.engine.config import (
 )
 from repro.engine.evaluator import MethodEvaluator
 from repro.engine.experiment import SWEEP_INDICATORS, ParameterSweep, indicator_series
-from repro.engine.faults import CheckpointFaults, Fault, FaultPlan
 from repro.engine.pool import WorkerPool
 from repro.engine.resilience import (
     DEFAULT_POLICY,
@@ -69,9 +68,6 @@ __all__ = [
     "TaskAttempt",
     "TaskReport",
     "execute_tasks",
-    "Fault",
-    "FaultPlan",
-    "CheckpointFaults",
     "CheckpointOutcome",
     "CheckpointStore",
     "atomic_write_bytes",

@@ -40,8 +40,7 @@ engine wrapped in a :class:`_StoringWorker` that persists every result the
 moment it exists — so a crash one task later costs one task, not the sweep.
 
 See ``docs/robustness.md`` ("Checkpoint & resume") for the store layout and
-the corruption semantics, and :class:`~repro.engine.faults.CheckpointFaults`
-for the chaos-suite fault points (kill-after-store, torn-write truncation).
+the corruption semantics.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.engine.faults import CheckpointFaults, Corrupted
 from repro.exceptions import CheckpointError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.policies.privacy import PrivacyPolicy
@@ -442,25 +440,15 @@ class CheckpointStore:
 
     The store is picklable (it travels into worker processes inside the
     storing worker, which persists each cell where it was computed); only
-    the directory path and the fault plan ship, never open file handles.
-
-    ``faults`` is the chaos-suite hook
-    (:class:`~repro.engine.faults.CheckpointFaults`): deterministic
-    kill-after-store and truncate-after-store fault points.  ``None`` in
-    production.
+    the directory path ships, never open file handles.
     """
 
     FORMAT_FILE = "FORMAT"
     CELLS_DIR = "cells"
     CELL_SUFFIX = ".ckpt"
 
-    def __init__(
-        self,
-        directory: str | Path,
-        faults: CheckpointFaults | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self._directory = Path(directory)
-        self._faults = faults
         self._lock = threading.Lock()
         self._stores = 0
         self._seconds_storing = 0.0
@@ -468,12 +456,11 @@ class CheckpointStore:
         self._prepared = False
 
     # -- pickling (the store travels into worker processes) ------------------
-    def __getstate__(self) -> tuple[str, CheckpointFaults | None]:
-        return (str(self._directory), self._faults)
+    def __getstate__(self) -> str:
+        return str(self._directory)
 
-    def __setstate__(self, state: tuple[str, CheckpointFaults | None]) -> None:
-        directory, faults = state
-        self.__init__(directory, faults=faults)  # type: ignore[misc]
+    def __setstate__(self, directory: str) -> None:
+        self.__init__(directory)  # type: ignore[misc]
 
     # -- introspection -------------------------------------------------------
     @property
@@ -618,9 +605,6 @@ class CheckpointStore:
         with self._lock:
             self._stores += 1
             self._seconds_storing += time.perf_counter() - started
-            count = self._stores
-        if self._faults is not None:
-            self._faults.after_store(count, path)
         return path
 
 
@@ -635,9 +619,6 @@ class _StoringWorker:
     Wraps the caller's worker over ``(key, task)`` pairs: the result is
     stored the moment it exists — in the worker process itself under process
     mode — so every completed task survives a crash of any *later* task.
-    Injected :class:`~repro.engine.faults.Corrupted` markers are never
-    stored: the resilience engine retries them, and only the laundered
-    result reaches the store.
     """
 
     worker: Callable[[Any], Any]
@@ -646,8 +627,7 @@ class _StoringWorker:
     def __call__(self, wrapped: tuple[str, Any]) -> Any:
         key, task = wrapped
         value = self.worker(task)
-        if not isinstance(value, Corrupted):
-            self.store.store(key, value)
+        self.store.store(key, value)
         return value
 
 

@@ -16,12 +16,13 @@ per cell (:func:`~repro.engine.checkpoint.configuration_keys`) and hand the
 cells to one :func:`~repro.engine.runner.fan_out_shared` dispatch; the
 reports are grouped back into one :class:`SweepResult` per configuration.
 Before that the resources are completed once, in this process, for every
-configuration: configurations that share a ``hierarchy_fanout`` share one
-completed resources object, and each other fanout gets its own, so a
-configuration's generated hierarchies never depend on what it is compared
-with.  Each cell evaluates on its own shallow copy, so the per-``k`` privacy
-policy a cell regenerates never leaks into the shared resources or into the
-next call's keys.
+configuration: configurations that share a ``hierarchy_fanout`` (and, when
+their algorithm uses policies, the utility policy knobs) share one completed
+resources object, and each other group gets its own, so a configuration's
+generated hierarchies and utility policy never depend on what it is
+compared with.  Each cell evaluates on its own shallow copy, so the
+per-``k`` privacy policy a cell regenerates never leaks into the shared
+resources or into the next call's keys.
 
 Cells can fan out across CPU cores: give the comparator an
 ``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
@@ -35,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
+from repro.algorithms.registry import get_spec
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
 from repro.engine.checkpoint import configuration_keys
@@ -104,36 +106,57 @@ class MethodComparator:
 
     def _completed_resources(
         self, configurations: Sequence[AnonymizationConfig]
-    ) -> dict[int, ExperimentResources]:
-        """The completed resources of each ``hierarchy_fanout``, in first-seen order.
+    ) -> list[ExperimentResources]:
+        """The completed resources of each configuration, one object per group.
 
-        The first fanout completes ``self.resources`` for all of its
-        configurations.  Each other fanout completes a copy that keeps the
-        domains and workload but starts again from the caller's hierarchies,
-        item hierarchy and utility policy, so what is generated is generated
-        at that fanout and what the caller supplied is never replaced.  The
+        A group is a ``hierarchy_fanout`` plus, for configurations whose
+        algorithm uses policies, the ``utility_strategy`` and
+        ``utility_group_size`` the utility policy is generated from.  A
+        configuration without policies joins the first policy group of its
+        fanout, so a comparison whose configurations share these knobs keeps
+        one group per fanout.  The first group completes ``self.resources``.
+        Each other group completes a copy that keeps the domains and
+        workload but starts again from the caller's hierarchies, item
+        hierarchy and utility policy, so what is generated is generated for
+        that group and what the caller supplied is never replaced.  The
         privacy policy is generated per k, that is per cell, so it stays as
         the caller gave it: completed here, it would follow the last
         configuration's k into every key.
         """
-        given = dataclasses.replace(self.resources)
-        by_fanout: dict[int, ExperimentResources] = {}
+
+        def knobs(config: AnonymizationConfig) -> tuple[str, int] | None:
+            algorithm = config.transaction_algorithm
+            if algorithm is None or not get_spec(algorithm).uses_policies:
+                return None
+            return (config.utility_strategy, config.utility_group_size)
+
+        first_knobs: dict[int, tuple[str, int]] = {}
         for config in configurations:
-            if config.hierarchy_fanout not in by_fanout:
-                by_fanout[config.hierarchy_fanout] = (
+            own = knobs(config)
+            if own is not None:
+                first_knobs.setdefault(config.hierarchy_fanout, own)
+        given = dataclasses.replace(self.resources)
+        groups: dict[tuple, ExperimentResources] = {}
+        completed = []
+        for config in configurations:
+            fanout = config.hierarchy_fanout
+            group = (fanout, knobs(config) or first_knobs.get(fanout))
+            if group not in groups:
+                groups[group] = (
                     dataclasses.replace(
                         self.resources,
                         hierarchies=given.hierarchies,
                         item_hierarchy=given.item_hierarchy,
                         utility_policy=given.utility_policy,
                     )
-                    if by_fanout
+                    if groups
                     else self.resources
                 )
-            by_fanout[config.hierarchy_fanout].ensure_for(self.dataset, config)
-        for resources in by_fanout.values():
+            groups[group].ensure_for(self.dataset, config)
+            completed.append(groups[group])
+        for resources in groups.values():
             resources.privacy_policy = given.privacy_policy
-        return by_fanout
+        return completed
 
     def _run_cells(
         self,
@@ -146,10 +169,10 @@ class MethodComparator:
         :class:`~repro.engine.resilience.RunReport` (one task per cell), if
         it keeps one.
         """
-        by_fanout = self._completed_resources(configurations)
+        completed = self._completed_resources(configurations)
         cells = [
-            (config, by_fanout[config.hierarchy_fanout], value)
-            for config in configurations
+            (config, resources, value)
+            for config, resources in zip(configurations, completed)
             for value in sweep.values
         ]
         # Keys are derived here from the real dataset and the completed
@@ -158,20 +181,24 @@ class MethodComparator:
         keys = None
         if self.execution.checkpoint is not None:
             by_group = {
-                fanout: iter(
+                id(resources): iter(
                     configuration_keys(
                         self.dataset,
                         resources,
                         self.verify_privacy,
                         self.universe_mode,
-                        [other for other in configurations if other.hierarchy_fanout == fanout],
+                        [
+                            config
+                            for config, own in zip(configurations, completed)
+                            if own is resources
+                        ],
                         sweep,
                         self.simulate_attacks,
                     )
                 )
-                for fanout, resources in by_fanout.items()
+                for resources in {id(own): own for own in completed}.values()
             }
-            keys = [next(by_group[config.hierarchy_fanout]) for config, _, _ in cells]
+            keys = [next(by_group[id(resources)]) for _, resources, _ in cells]
         report = self.execution.run_report(len(cells))
         reports = fan_out_shared(
             self.dataset,

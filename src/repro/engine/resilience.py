@@ -21,9 +21,8 @@ COAT/PCTA/clustering sweeps run under instead:
 
 Failures are classified into four outcomes.  ``crash`` and ``timeout`` are
 *hard*: they indict the worker process, count toward degradation and are
-always retried.  ``corrupt`` (a result the policy's validator
-rejects, or a :class:`~repro.engine.faults.Corrupted` marker) is retried
-within the attempt budget.  ``error`` (an ordinary worker exception) is
+always retried.  ``corrupt`` (a result the policy's validator rejects) is
+retried within the attempt budget.  ``error`` (an ordinary worker exception) is
 deterministic in this codebase's pure workers, so it fails fast by default —
 wrapped in :class:`~repro.exceptions.TaskError` with the task index, attempt
 count and original exception chained — unless ``retry_errors`` is set.
@@ -44,7 +43,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence
 
-from repro.engine.faults import Corrupted, FaultPlan, faulted_call
 from repro.exceptions import ConfigurationError, TaskError
 
 #: Outcomes that indict the worker process rather than the task's own code.
@@ -82,9 +80,6 @@ class ExecutionPolicy:
     validate_result:
         Optional predicate; a result it rejects counts as a ``corrupt``
         attempt and is retried.  Runs in the orchestrating process.
-    fault_plan:
-        Deterministic fault injection for chaos tests
-        (:mod:`repro.engine.faults`); ``None`` in production.
     """
 
     task_timeout: float | None = None
@@ -97,7 +92,6 @@ class ExecutionPolicy:
     retry_errors: bool = False
     degrade_after: int = 2
     validate_result: Callable[[Any], bool] | None = None
-    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -420,22 +414,6 @@ def _task_error(state: _TaskState, backend: str, detail: str) -> TaskError:
     )
 
 
-def _call_arguments(
-    worker: Callable[[Any], Any], state: _TaskState, policy: ExecutionPolicy
-) -> tuple[Callable[..., Any], tuple[Any, ...]]:
-    """The (callable, args) actually submitted for this attempt: the bare
-    worker on the no-fault path, the fault wrapper under a plan."""
-    if policy.fault_plan is None:
-        return worker, (state.task,)
-    return faulted_call, (
-        worker,
-        state.task,
-        state.index,
-        state.total_attempts,
-        policy.fault_plan,
-    )
-
-
 def _accept(
     state: _TaskState,
     value: Any,
@@ -444,10 +422,7 @@ def _accept(
     started: float,
 ) -> None:
     """Classify a returned value: store it, or charge a ``corrupt`` attempt."""
-    corrupt = isinstance(value, Corrupted) or (
-        policy.validate_result is not None and not policy.validate_result(value)
-    )
-    if corrupt:
+    if policy.validate_result is not None and not policy.validate_result(value):
         _record(state, backend, "corrupt", started, None)
         return
     state.result = value
@@ -597,8 +572,7 @@ def _submit_round(
     for round_attempt in (0, 1):
         try:
             for state in pending[len(futures) :]:
-                fn, args = _call_arguments(worker, state, policy)
-                futures.append((state, control.submit(fn, *args)))
+                futures.append((state, control.submit(worker, state.task)))
             return futures
         except BrokenProcessPool:
             if round_attempt:
@@ -658,9 +632,8 @@ def _run_sequential_rung(
             if state.total_attempts:
                 _sleep_backoff(policy, state.index, state.total_attempts - 1)
             started = time.perf_counter()
-            fn, args = _call_arguments(worker, state, policy)
             try:
-                value = fn(*args)
+                value = worker(state.task)
             except ConfigurationError:
                 raise
             except Exception as error:  # noqa: BLE001 - classified below

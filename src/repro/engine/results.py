@@ -131,9 +131,6 @@ class SweepResult:
     #: timing is not part of the scientific result.
     run_report: RunReport | None = None
 
-    def series_names(self) -> list[str]:
-        return sorted(self.series)
-
     def as_dict(self) -> dict:
         return {
             "configuration": self.configuration,

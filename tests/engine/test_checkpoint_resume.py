@@ -5,13 +5,13 @@ with SIGKILL after any completed task — the way a cgroup OOM-killer or a
 pulled plug ends a run — must, on re-run over the same store, recompute only
 the missing cells and produce results byte-identical to an uninterrupted
 sequential run.  Torn cells (the kill landing mid-write, simulated by
-truncation faults) must degrade to a recompute with a structured warning,
+truncating a stored cell) must degrade to a recompute with a structured warning,
 never to served garbage.  And resuming in process mode must leak no
 shared-memory segments, exactly like any other fan-out.
 
-The SIGKILL really is unconditional (``CheckpointFaults.kill_after_store``
-fires in whichever process performs the store), so the interrupted leg runs
-in a sacrificial subprocess; the resume leg runs in-process where its report
+The SIGKILL really is unconditional (``chaos.KillingStore`` kills whichever
+process performs its N-th store), so the interrupted leg runs in a
+sacrificial subprocess; the resume leg runs in-process where its report
 can be inspected.
 """
 
@@ -28,7 +28,6 @@ import pytest
 
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
-    CheckpointFaults,
     CheckpointStore,
     Execution,
     ExperimentResources,
@@ -75,18 +74,16 @@ def fingerprint(sweep_result) -> list[tuple]:
 KILL_SCRIPT = textwrap.dedent(
     """
     import sys
+    from chaos import KillingStore
     from repro.datasets import generate_rt_dataset
     from repro.engine import (
-        CheckpointFaults, CheckpointStore, Execution, ParameterSweep,
-        VaryingParameterExperiment, transaction_config,
+        Execution, ParameterSweep, VaryingParameterExperiment, transaction_config,
     )
 
     directory, kill_after = sys.argv[1], int(sys.argv[2])
     simulate_attacks = bool(int(sys.argv[3]))
     dataset = generate_rt_dataset(n_records=80, n_items=16, seed=41)
-    store = CheckpointStore(
-        directory, faults=CheckpointFaults(kill_after_store=kill_after)
-    )
+    store = KillingStore(directory, kill_after)
     experiment = VaryingParameterExperiment(
         dataset,
         execution=Execution(checkpoint=store),
@@ -107,7 +104,7 @@ def run_killed_sweep(
     repo_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(repo_root / "src")]
+        [str(repo_root / "src"), str(repo_root / "tests")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
@@ -125,9 +122,8 @@ def run_killed_sweep(
         env=env,
         timeout=300,
     )
-    # SIGKILL shows as -9 from the child's perspective; a platform without
-    # SIGKILL falls back to a hard _exit(137).
-    assert result.returncode in (-9, 137), (
+    # SIGKILL shows as -9 from the child's perspective.
+    assert result.returncode == -9, (
         f"expected the injected kill, got rc={result.returncode}; "
         f"stdout={result.stdout!r} stderr={result.stderr!r}"
     )
@@ -250,24 +246,22 @@ def test_resume_in_process_mode_serves_hits_and_leaks_nothing(tmp_path, dataset)
 
 
 def test_torn_write_degrades_to_recompute_with_warning(tmp_path, dataset):
-    """A truncation fault models the kill landing mid-write on a filesystem
-    that reordered the rename: the torn cell is detected, warned about,
-    recomputed, and repaired — and never changes the results."""
+    """A cell truncated after the run models the kill landing mid-write on a
+    filesystem that reordered the rename: the torn cell is detected, warned
+    about, recomputed, and repaired — and never changes the results."""
     config = transaction_config("coat", k=3, m=2)
     reference = fingerprint(
         VaryingParameterExperiment(dataset).run(config, CHAOS_SWEEP)
     )
 
     directory = tmp_path / "ckpt"
-    faulted = CheckpointStore(
-        directory, faults=CheckpointFaults(truncate_after_store=3, truncate_to=7)
-    )
-    first = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=faulted)).run(
+    clean = CheckpointStore(directory)
+    first = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=clean)).run(
         config, CHAOS_SWEEP
     )
-    assert fingerprint(first) == reference  # the tear is on disk, not in RAM
+    assert fingerprint(first) == reference
+    os.truncate(clean.cell_path(clean.keys()[2]), 7)  # the tear is on disk only
 
-    clean = CheckpointStore(directory)
     resumed = VaryingParameterExperiment(dataset, execution=Execution(checkpoint=clean)).run(
         config, CHAOS_SWEEP
     )

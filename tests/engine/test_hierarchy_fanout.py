@@ -6,6 +6,11 @@ configuration gets hierarchies generated at its own fanout, so its result
 does not depend on which configurations it is compared with, in which
 order, or in which execution mode.  A hierarchy the caller supplied is used
 as given, whatever the fanout.
+
+The utility policy knobs (``utility_strategy``, ``utility_group_size``) are
+generation knobs of the same kind for the algorithms that use policies:
+each such configuration is compared under the utility policy it would get
+alone.
 """
 
 from __future__ import annotations
@@ -27,6 +32,15 @@ from repro.hierarchy.builders import build_hierarchies_for_dataset
 
 SWEEP = ParameterSweep("k", (5,))
 
+#: Two COAT configurations that differ only in their utility policy knobs.
+UTILITY_CONFIGS = [
+    transaction_config("coat", k=20, m=2, utility_strategy="singletons", label="singletons"),
+    transaction_config(
+        "coat", k=20, m=2, utility_strategy="frequency", utility_group_size=20,
+        label="frequency-20",
+    ),
+]
+
 CASES = [
     pytest.param(
         generate_adult_like(300, seed=3),
@@ -45,10 +59,10 @@ CASES = [
 ]
 
 
-def _indicator(dataset, configurations, indicator, mode="sequential"):
+def _indicator(dataset, configurations, indicator, mode="sequential", sweep=SWEEP):
     report = MethodComparator(
         dataset, execution=Execution(mode=mode, max_workers=2)
-    ).compare(configurations, SWEEP)
+    ).compare(configurations, sweep)
     return {sweep.configuration["label"]: sweep.series[indicator].y for sweep in report.sweeps}
 
 
@@ -92,4 +106,34 @@ def test_per_configuration_sweeps_serve_a_mixed_fanout_comparison(tmp_path):
         VaryingParameterExperiment(dataset, execution=execution).run(config, SWEEP)
     report = MethodComparator(dataset, execution=execution).compare([wide, narrow], SWEEP)
     assert report.run_report is not None
+    assert report.run_report.checkpoint_counts() == {"hit": 2, "miss": 0, "corrupt": 0}
+
+
+@pytest.mark.parametrize("mode", ["sequential", "process"])
+def test_each_utility_policy_matches_its_standalone_run(mode):
+    """Behaviour change: the comparator once generated the utility policy for
+    the first configuration of a fanout and gave it to the others too."""
+    dataset = generate_market_basket(400, 40, seed=3)
+    sweep = ParameterSweep("k", (20,))
+    singletons, frequency = UTILITY_CONFIGS
+    alone = {
+        **_indicator(dataset, [singletons], "transaction_ul", sweep=sweep),
+        **_indicator(dataset, [frequency], "transaction_ul", sweep=sweep),
+    }
+    assert alone["singletons"] != alone["frequency-20"]
+    for order in ([singletons, frequency], [frequency, singletons]):
+        assert _indicator(dataset, order, "transaction_ul", mode, sweep) == alone
+
+
+def test_per_configuration_sweeps_serve_a_mixed_utility_comparison(tmp_path):
+    """Each utility policy group is keyed on the resources completed for it
+    alone, so sweeps of the single configurations fill every cell."""
+    dataset = generate_market_basket(400, 40, seed=3)
+    sweep = ParameterSweep("k", (20,))
+    execution = Execution(checkpoint=CheckpointStore(tmp_path / "cells"))
+    for config in UTILITY_CONFIGS:
+        VaryingParameterExperiment(dataset, execution=execution).run(config, sweep)
+    report = MethodComparator(dataset, execution=execution).compare(
+        UTILITY_CONFIGS[::-1], sweep
+    )
     assert report.run_report.checkpoint_counts() == {"hit": 2, "miss": 0, "corrupt": 0}

@@ -19,11 +19,11 @@ from multiprocessing import shared_memory
 
 import pytest
 
+from chaos import ChaosPool
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
     Execution,
     ExecutionPolicy,
-    FaultPlan,
     MethodComparator,
     ParameterSweep,
     VaryingParameterExperiment,
@@ -206,45 +206,42 @@ def test_process_mode_unlinks_segments(dataset):
 # whose workers crash, hang, or break the whole executor mid-run must still
 # produce results byte-identical to an undisturbed sequential run — fault
 # tolerance may cost wall-clock time, never correctness — and must not leak a
-# single shared-memory segment.
+# single shared-memory segment.  The faults come from chaos.ChaosPool: each
+# fires once, at the chosen sweep point's first execution in a worker.
 
 #: Eight sweep points so faults can land mid-run, not just at the edges.
 CHAOS_SWEEP = ParameterSweep("k", (3, 4, 5, 6, 7, 8, 9, 10))
 
 CHAOS_PLANS = [
-    pytest.param(
-        FaultPlan.build((1, 0, "crash")), None, id="worker-crash-first-attempt"
-    ),
-    pytest.param(
-        FaultPlan.build((3, 0, "hang"), hang_seconds=30.0),
-        15.0,
-        id="hang-reclaimed-by-task-timeout",
-    ),
-    pytest.param(
-        FaultPlan.build((5, 0, "exit137")), None, id="sigkill-breaks-pool-mid-sweep"
-    ),
+    pytest.param({1: "crash"}, None, id="worker-crash-first-attempt"),
+    pytest.param({3: "hang"}, 15.0, id="hang-reclaimed-by-task-timeout"),
+    pytest.param({5: "exit137"}, None, id="sigkill-breaks-pool-mid-sweep"),
 ]
 
 
-def chaos_policy(plan: FaultPlan, task_timeout: float | None) -> ExecutionPolicy:
-    return ExecutionPolicy(
-        backoff_base=0.0, fault_plan=plan, task_timeout=task_timeout
-    )
+def chaos_pool(faults: dict[int, str]) -> ChaosPool:
+    """Two workers that break the given sweep points once; hangs outlast
+    every task timeout below."""
+    return ChaosPool(once=faults, hang_seconds=30.0, max_workers=2)
 
 
-@pytest.mark.parametrize("plan, task_timeout", CHAOS_PLANS)
-def test_faulted_sweep_is_byte_identical_to_sequential(dataset, plan, task_timeout):
+def chaos_policy(task_timeout: float | None) -> ExecutionPolicy:
+    return ExecutionPolicy(backoff_base=0.0, task_timeout=task_timeout)
+
+
+@pytest.mark.parametrize("faults, task_timeout", CHAOS_PLANS)
+def test_faulted_sweep_is_byte_identical_to_sequential(dataset, faults, task_timeout):
     config = transaction_config("coat", k=3, m=2)
     reference = fingerprint(
         VaryingParameterExperiment(dataset).run(
             config, CHAOS_SWEEP
         )
     )
-    with WorkerPool(max_workers=2) as pool:
+    with chaos_pool(faults) as pool:
         experiment = VaryingParameterExperiment(
             dataset,
             execution=Execution(
-                mode="process", pool=pool, policy=chaos_policy(plan, task_timeout)
+                mode="process", pool=pool, policy=chaos_policy(task_timeout)
             ),
         )
         faulted = experiment.run(config, CHAOS_SWEEP)
@@ -269,7 +266,6 @@ def test_faulted_sweep_is_byte_identical_to_sequential(dataset, plan, task_timeo
 def test_faulted_attack_sweep_is_byte_identical_to_sequential(dataset):
     """Fault recovery may replay sweep points; replayed attack simulations
     must reproduce the exact same AttackResult values."""
-    plan = FaultPlan.build((2, 0, "crash"), (5, 0, "exit137"))
     config = transaction_config("coat", k=3, m=2)
     reference = fingerprint(
         VaryingParameterExperiment(
@@ -277,11 +273,11 @@ def test_faulted_attack_sweep_is_byte_identical_to_sequential(dataset):
         ).run(config, CHAOS_SWEEP)
     )
     assert all(entry[-1] for entry in reference)  # attacks actually ran
-    with WorkerPool(max_workers=2) as pool:
+    with chaos_pool({2: "crash", 5: "exit137"}) as pool:
         experiment = VaryingParameterExperiment(
             dataset,
             execution=Execution(
-                mode="process", pool=pool, policy=chaos_policy(plan, None)
+                mode="process", pool=pool, policy=chaos_policy(None)
             ),
             simulate_attacks=True,
         )
@@ -294,23 +290,17 @@ def test_faulted_attack_sweep_is_byte_identical_to_sequential(dataset):
 def test_chaos_storm_pcta_sweep_survives_multiple_faults(dataset):
     """Several distinct faults in one eight-task PCTA sweep: a crash, a
     hang, and a SIGKILL, all recovered within one run."""
-    plan = FaultPlan.build(
-        (0, 0, "crash"),
-        (2, 0, "hang"),
-        (6, 0, "exit137"),
-        hang_seconds=30.0,
-    )
     config = transaction_config("pcta", k=3, m=2)
     reference = fingerprint(
         VaryingParameterExperiment(dataset).run(
             config, CHAOS_SWEEP
         )
     )
-    with WorkerPool(max_workers=2) as pool:
+    with chaos_pool({0: "crash", 2: "hang", 6: "exit137"}) as pool:
         experiment = VaryingParameterExperiment(
             dataset,
             execution=Execution(
-                mode="process", pool=pool, policy=chaos_policy(plan, 15.0)
+                mode="process", pool=pool, policy=chaos_policy(15.0)
             ),
         )
         faulted = experiment.run(config, CHAOS_SWEEP)

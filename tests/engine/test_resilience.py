@@ -5,17 +5,21 @@ Covers policy validation, deterministic backoff, the outcome classification
 hangs and SIGKILL (exit 137), the ``process → sequential``
 degradation ladder, task-identity preservation in :class:`TaskError`, and
 the :class:`RunReport` account the engine keeps of every attempt.
+
+Process-rung faults come from :class:`chaos.ChaosPool`; errors and corrupt
+results on the sequential rung come from :class:`Flaky`, the tests' own
+worker.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 import pytest
 
-from repro.engine.faults import FaultPlan
-from repro.engine.pool import WorkerPool
+from chaos import ChaosPool
 from repro.engine.resilience import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -36,6 +40,30 @@ def _triple(value: int) -> int:
 
 def _pid_of(value: int) -> int:
     return os.getpid()
+
+
+@dataclass
+class Flaky:
+    """``_triple``, except that its first ``times`` calls on ``value``
+    raise (or, with ``corrupt``, return -1).  The calls are counted per
+    instance: a copy pickled into a worker process counts its own."""
+
+    value: int
+    times: int = 1
+    corrupt: bool = False
+    calls: int = 0
+
+    def __call__(self, value: int) -> int:
+        if value == self.value and self.calls < self.times:
+            self.calls += 1
+            if self.corrupt:
+                return -1
+            raise ValueError(f"flaky task on {value}")
+        return value * 3
+
+
+#: Enough failures to outlast any attempt budget used below.
+ALWAYS = 99
 
 
 class TestExecutionPolicyValidation:
@@ -101,12 +129,11 @@ class TestSequentialBackend:
         assert report.faulted_tasks == []
 
     def test_error_fault_is_retried_when_policy_allows(self):
-        plan = FaultPlan.build((1, 0, "error"))
         report = RunReport()
         results = execute_tasks(
             [1, 2, 3],
-            _triple,
-            ExecutionPolicy(retry_errors=True, fault_plan=plan, **FAST),
+            Flaky(value=2),
+            ExecutionPolicy(retry_errors=True, **FAST),
             report=report,
         )
         assert results == [3, 6, 9]
@@ -114,38 +141,37 @@ class TestSequentialBackend:
         assert report.task(1).retries == 1
 
     def test_error_fails_fast_by_default_with_task_identity(self):
-        plan = FaultPlan.build((2, -1, "error"))
         with pytest.raises(TaskError) as excinfo:
-            execute_tasks([1, 2, 3], _triple, ExecutionPolicy(fault_plan=plan, **FAST))
+            execute_tasks(
+                [1, 2, 3], Flaky(value=3, times=ALWAYS), ExecutionPolicy(**FAST)
+            )
         assert excinfo.value.task_index == 2
         assert excinfo.value.attempts == 1
         assert excinfo.value.backend == "sequential"
 
     def test_persistent_error_exhausts_the_attempt_budget(self):
-        plan = FaultPlan.build((0, -1, "error"))
-        policy = ExecutionPolicy(
-            retry_errors=True, max_attempts=3, fault_plan=plan, **FAST
-        )
+        policy = ExecutionPolicy(retry_errors=True, max_attempts=3, **FAST)
         with pytest.raises(TaskError, match="attempt budget exhausted") as excinfo:
-            execute_tasks([5], _triple, policy)
+            execute_tasks([5], Flaky(value=5, times=ALWAYS), policy)
         assert excinfo.value.attempts == 3
 
     def test_corrupt_results_are_retried_and_laundered(self):
-        plan = FaultPlan.build((0, 0, "corrupt"))
         report = RunReport()
         results = execute_tasks(
-            [7], _triple, ExecutionPolicy(fault_plan=plan, **FAST), report=report
+            [7],
+            Flaky(value=7, corrupt=True),
+            ExecutionPolicy(validate_result=lambda value: value >= 0, **FAST),
+            report=report,
         )
-        assert results == [21]  # never a Corrupted wrapper
+        assert results == [21]  # never the rejected value
         assert report.task(0).outcomes == ["corrupt", "ok"]
 
     def test_without_process_control_every_task_runs_in_this_process(self):
-        # No process rung: a planned hard fault is gated to worker
-        # processes, so it cannot fire here, and nothing is demoted.
-        plan = FaultPlan.build((0, -1, "crash"), (1, -1, "hang"))
+        # No process rung: nothing is submitted to a pool, so no worker
+        # process exists to fail, and nothing is demoted.
         report = RunReport()
         results = execute_tasks(
-            [1, 2], _pid_of, ExecutionPolicy(fault_plan=plan, **FAST), report=report
+            [1, 2], _pid_of, ExecutionPolicy(**FAST), report=report
         )
         assert results == [os.getpid(), os.getpid()]
         assert [task.outcomes for task in report.tasks] == [["ok"], ["ok"]]
@@ -162,13 +188,12 @@ class TestSequentialBackend:
 
 class TestProcessRecovery:
     def test_crash_once_recovers_and_replays_only_unfinished(self):
-        plan = FaultPlan.build((2, 0, "crash"))
         report = RunReport()
-        with WorkerPool(max_workers=2) as pool:
+        with ChaosPool(once={2: "crash"}, max_workers=2) as pool:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3, 4],
-                policy=ExecutionPolicy(fault_plan=plan, **FAST),
+                policy=ExecutionPolicy(**FAST),
                 report=report,
             )
         assert results == [0, 3, 6, 9, 12]
@@ -177,27 +202,25 @@ class TestProcessRecovery:
         assert all(task.completed for task in report.tasks)
 
     def test_sigkill_exit137_recovers(self):
-        plan = FaultPlan.build((1, 0, "exit137"))
         report = RunReport()
-        with WorkerPool(max_workers=2) as pool:
+        with ChaosPool(once={1: "exit137"}, max_workers=2) as pool:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3],
-                policy=ExecutionPolicy(fault_plan=plan, **FAST),
+                policy=ExecutionPolicy(**FAST),
                 report=report,
             )
         assert results == [0, 3, 6, 9]
         assert report.respawns >= 1
 
     def test_hang_is_reclaimed_by_task_timeout(self):
-        plan = FaultPlan.build((1, 0, "hang"), hang_seconds=30.0)
         report = RunReport()
         started = time.perf_counter()
-        with WorkerPool(max_workers=2) as pool:
+        with ChaosPool(once={1: "hang"}, hang_seconds=30.0, max_workers=2) as pool:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3],
-                policy=ExecutionPolicy(task_timeout=2.0, fault_plan=plan, **FAST),
+                policy=ExecutionPolicy(task_timeout=2.0, **FAST),
                 report=report,
             )
         elapsed = time.perf_counter() - started
@@ -207,11 +230,10 @@ class TestProcessRecovery:
 
     def test_persistent_worker_killer_degrades_down_the_ladder(self):
         # Task 0 kills its worker process on *every* attempt; the ladder
-        # must carry it to an in-parent backend where the fault cannot fire.
-        plan = FaultPlan.build((0, -1, "exit137"))
+        # must carry it to the sequential rung, which never submits to a pool.
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=1, fault_plan=plan, **FAST)
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(degrade_after=1, **FAST)
+        with ChaosPool(every={0: "exit137"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
         assert results == [0, 3, 6]
         assert report.degradations == 1
@@ -220,13 +242,10 @@ class TestProcessRecovery:
 
     def test_persistent_hang_finishes_in_the_parent(self):
         # Task 1 hangs its worker on *every* attempt; after one timeout it is
-        # demoted to the sequential rung, where a hard fault cannot fire.
-        plan = FaultPlan.build((1, -1, "hang"), hang_seconds=30.0)
+        # demoted to the sequential rung, which never submits to a pool.
         report = RunReport()
-        policy = ExecutionPolicy(
-            task_timeout=1.0, degrade_after=1, fault_plan=plan, **FAST
-        )
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(task_timeout=1.0, degrade_after=1, **FAST)
+        with ChaosPool(every={1: "hang"}, hang_seconds=30.0, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
         assert results == [0, 3, 6]
         assert report.degradations == 1
@@ -234,22 +253,16 @@ class TestProcessRecovery:
         assert report.task(1).final_backend == "sequential"
 
     def test_worker_error_carries_task_identity_from_process_mode(self):
-        plan = FaultPlan.build((1, 0, "error"))
-        with WorkerPool(max_workers=2) as pool:
+        with ChaosPool(once={1: "error"}, max_workers=2) as pool:
             with pytest.raises(TaskError) as excinfo:
-                pool.map(
-                    _triple,
-                    [0, 1, 2],
-                    policy=ExecutionPolicy(fault_plan=plan, **FAST),
-                )
+                pool.map(_triple, [0, 1, 2], policy=ExecutionPolicy(**FAST))
         assert excinfo.value.task_index == 1
         assert excinfo.value.backend == "process"
 
     def test_pool_default_policy_applies_when_map_gets_none(self):
-        plan = FaultPlan.build((0, 0, "crash"))
-        policy = ExecutionPolicy(fault_plan=plan, **FAST)
+        policy = ExecutionPolicy(**FAST)
         report = RunReport()
-        with WorkerPool(max_workers=2, policy=policy) as pool:
+        with ChaosPool(once={0: "crash"}, max_workers=2, policy=policy) as pool:
             assert pool.policy is policy
             assert pool.map(_triple, [1, 2], report=report) == [3, 6]
         assert report.respawns >= 1
@@ -260,10 +273,9 @@ class TestDegradationLadder:
     what the sequential rung it lands on may still do with it."""
 
     def test_hard_failures_below_degrade_after_stay_on_the_process_rung(self):
-        plan = FaultPlan.build((0, 0, "crash"))
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=2, fault_plan=plan, **FAST)
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(degrade_after=2, **FAST)
+        with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
         assert report.degradations == 0
@@ -271,10 +283,9 @@ class TestDegradationLadder:
         assert report.task(0).final_backend == "process"
 
     def test_degrade_after_counts_hard_failures_before_demotion(self):
-        plan = FaultPlan.build((0, -1, "crash"))
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=2, fault_plan=plan, **FAST)
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(degrade_after=2, **FAST)
+        with ChaosPool(every={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
         assert report.degradations == 1
@@ -288,12 +299,9 @@ class TestDegradationLadder:
 
     def test_exhausted_process_budget_demotes_a_hard_failing_task(self):
         # degrade_after is never reached; the spent attempt budget demotes.
-        plan = FaultPlan.build((0, -1, "crash"))
         report = RunReport()
-        policy = ExecutionPolicy(
-            max_attempts=2, degrade_after=5, fault_plan=plan, **FAST
-        )
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(max_attempts=2, degrade_after=5, **FAST)
+        with ChaosPool(every={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
         assert report.degradations == 1
@@ -303,12 +311,9 @@ class TestDegradationLadder:
     def test_worker_errors_never_demote(self):
         # An ordinary exception indicts the task, not the worker process:
         # it spends the process rung's budget and fails there.
-        plan = FaultPlan.build((0, -1, "error"))
         report = RunReport()
-        policy = ExecutionPolicy(
-            retry_errors=True, max_attempts=2, fault_plan=plan, **FAST
-        )
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(retry_errors=True, max_attempts=2, **FAST)
+        with ChaosPool(every={0: "error"}, max_workers=2) as pool:
             with pytest.raises(TaskError, match="attempt budget exhausted") as excinfo:
                 pool.map(_triple, [0, 1], policy=policy, report=report)
         assert excinfo.value.backend == "process"
@@ -317,28 +322,23 @@ class TestDegradationLadder:
 
     def test_demoted_task_gets_a_fresh_attempt_budget(self):
         # One crash demotes task 0; on the sequential rung it errors once
-        # and, with max_attempts=2, still has a retry left.
-        plan = FaultPlan.build((0, 0, "crash"), (0, 1, "error"))
+        # and, with max_attempts=2, still has a retry left.  The crash fires
+        # before the worker runs, so only the sequential rung calls Flaky on 0.
         report = RunReport()
         policy = ExecutionPolicy(
-            retry_errors=True,
-            max_attempts=2,
-            degrade_after=1,
-            fault_plan=plan,
-            **FAST,
+            retry_errors=True, max_attempts=2, degrade_after=1, **FAST
         )
-        with WorkerPool(max_workers=2) as pool:
-            results = pool.map(_triple, [0, 1], policy=policy, report=report)
+        with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
+            results = pool.map(Flaky(value=0), [0, 1], policy=policy, report=report)
         assert results == [0, 3]
         assert report.task(0).outcomes == ["crash", "error", "ok"]
         assert report.task(0).final_backend == "sequential"
 
     def test_failure_after_demotion_names_the_sequential_backend(self):
-        plan = FaultPlan.build((0, 0, "crash"), (0, 1, "error"))
-        policy = ExecutionPolicy(degrade_after=1, fault_plan=plan, **FAST)
-        with WorkerPool(max_workers=2) as pool:
+        policy = ExecutionPolicy(degrade_after=1, **FAST)
+        with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
             with pytest.raises(TaskError) as excinfo:
-                pool.map(_triple, [0, 1], policy=policy)
+                pool.map(Flaky(value=0), [0, 1], policy=policy)
         assert excinfo.value.task_index == 0
         assert excinfo.value.backend == "sequential"
         assert excinfo.value.attempts == 2
@@ -355,14 +355,13 @@ class TestRunManyIntegration:
         assert report.total_attempts == 2
 
     def test_sequential_mode_with_policy_routes_through_engine(self):
-        plan = FaultPlan.build((0, 0, "error"))
         report = RunReport()
         results = run_many(
             [1, 2, 3],
-            _triple,
+            Flaky(value=1),
             Execution(
                 mode="sequential",
-                policy=ExecutionPolicy(retry_errors=True, fault_plan=plan, **FAST),
+                policy=ExecutionPolicy(retry_errors=True, **FAST),
             ),
             report=report,
         )
