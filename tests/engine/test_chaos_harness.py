@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from chaos import ChaosPool, KillingStore
+from chaos import KINDS, ChaosPool, InjectedFault, KillingStore, _faulted, _Indexed
 from repro.engine.resilience import ExecutionPolicy, RunReport
 
 FAST = ExecutionPolicy(backoff_base=0.0)
@@ -80,12 +80,46 @@ class TestChaosPool:
         assert os.getpid() not in results
         assert report.faulted_tasks == []
 
+    @pytest.mark.parametrize(
+        "kind, outcome",
+        [("crash", "crash"), ("exit137", "crash"), ("hang", "timeout"), ("error", "error")],
+    )
+    def test_each_kind_is_classified_once_and_the_task_recovers(self, kind, outcome):
+        report = RunReport()
+        policy = ExecutionPolicy(backoff_base=0.0, retry_errors=True, task_timeout=1.0)
+        with ChaosPool(once={0: kind}, hang_seconds=30.0, max_workers=1) as pool:
+            assert pool.map(_triple, [1], policy=policy, report=report) == [3]
+        assert report.task(0).outcomes == [outcome, "ok"]
+
     def test_markers_are_removed_on_close(self):
         pool = ChaosPool(once={0: "error"}, max_workers=1)
         markers = Path(pool._markers)
         assert markers.is_dir()
         pool.close()
         assert not markers.exists()
+
+
+class TestFaulted:
+    """``_faulted`` in this process, for the kinds that do not end it."""
+
+    def test_kinds_cover_every_fault_the_pool_accepts(self):
+        assert set(KINDS) == {"crash", "exit137", "hang", "error"}
+
+    def test_error_raises_injected_fault_naming_the_task(self):
+        with pytest.raises(InjectedFault, match="task 4 raised"):
+            _faulted(_Indexed(_triple), (4, 7), "error", None, 0.0)
+
+    def test_every_fault_fires_on_each_call(self):
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                _faulted(_Indexed(_triple), (0, 7), "error", None, 0.0)
+
+    def test_once_fault_fires_only_for_the_call_that_creates_the_marker(self, tmp_path):
+        marker = str(tmp_path / "0")
+        with pytest.raises(InjectedFault):
+            _faulted(_Indexed(_triple), (0, 7), "error", marker, 0.0)
+        assert os.path.exists(marker)
+        assert _faulted(_Indexed(_triple), (0, 7), "error", marker, 0.0) == 21
 
 
 #: Stores five cells through a KillingStore and says so after each write.
