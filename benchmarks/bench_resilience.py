@@ -43,7 +43,7 @@ import pytest
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets import generate_rt_dataset
 from repro.engine.pool import WorkerPool
-from repro.engine.resilience import ExecutionPolicy, RunReport
+from repro.engine.resilience import RunReport
 from repro.metrics import average_class_size, discernibility_metric, utility_loss
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -108,14 +108,12 @@ def run_plain(tasks) -> tuple[list, float]:
     return results, time.perf_counter() - start
 
 
-def run_resilient(
-    tasks, policy: ExecutionPolicy | None = None, worker=_metric_task
-) -> tuple[list, float, RunReport]:
-    """The PR 7 path: per-task futures under an ExecutionPolicy."""
+def run_resilient(tasks, worker=_metric_task) -> tuple[list, float, RunReport]:
+    """The resilient path: per-task futures under the default ExecutionPolicy."""
     report = RunReport()
     start = time.perf_counter()
     with WorkerPool(max_workers=MAX_WORKERS) as pool:
-        results = pool.map(worker, tasks, policy=policy, report=report)
+        results = pool.map(worker, tasks, report=report)
     return results, time.perf_counter() - start, report
 
 
@@ -145,7 +143,6 @@ def run_benchmark(
         with tempfile.TemporaryDirectory() as scratch:
             crashed_results, crashed_seconds, crash_report = run_resilient(
                 tasks,
-                policy=ExecutionPolicy(backoff_base=0.0),
                 worker=_CrashOnce(ks[3], os.path.join(scratch, "crashed")),
             )
         assert crashed_results == plain_results

@@ -5,8 +5,8 @@ of code that rots into hazards: a quick ``while True: submit(...)`` around a
 flaky call, a ``time.sleep(1)`` "just to let things settle".  Both defeat the
 design — the engine's one retry authority is the bounded
 :class:`~repro.engine.resilience.ExecutionPolicy` (``max_attempts`` per
-ladder rung, deterministic jittered backoff), so every retry terminates and
-every faulted run is reproducible.
+ladder rung), so every retry terminates and every faulted run is
+reproducible.
 
 Inside the ``[rep007] scope`` prefixes this rule flags:
 
@@ -17,10 +17,11 @@ Inside the ``[rep007] scope`` prefixes this rule flags:
   ``while not state.done`` with a charged attempt per iteration), never by
   hope.
 * **bare sleep backoff** — any ``time.sleep`` call outside the manifest's
-  ``sleep_helpers`` (the one sanctioned site,
-  ``resilience._sleep_backoff``, which derives its delay from the policy's
-  bounded, deterministically jittered schedule).  Ad-hoc sleeps hide races
-  instead of fixing them and add nondeterministic wall time to every run.
+  ``sleep_helpers``.  The engine's list is empty: a charged retry is
+  resubmitted at once, because the crashed or hung worker generation has
+  already been torn down, so no engine code has a reason to sleep.  Ad-hoc
+  sleeps hide races instead of fixing them and add nondeterministic wall
+  time to every run.
 
 Deliberate exceptions (a sleep that is itself the behaviour under test)
 carry a reasoned ``# repro: allow[REP007]``.
@@ -80,10 +81,10 @@ class RetryDiscipline(Rule):
         "submission call (the manifest's resubmit_calls) can spin forever "
         "on a persistent fault — bound it on pending/attempt state and "
         "charge an attempt per iteration so policy.max_attempts "
-        "terminates it.  Likewise, backoff must go through the manifest's "
-        "sleep_helpers (resilience._sleep_backoff), which derives a "
-        "bounded, deterministically jittered delay from the policy; a "
-        "bare time.sleep hides races and adds nondeterministic wall time. "
+        "terminates it.  Likewise, no engine code sleeps outside the "
+        "manifest's sleep_helpers (empty for the engine: a retry is "
+        "resubmitted at once); a bare time.sleep hides races and adds "
+        "nondeterministic wall time. "
         "A sleep that is itself the behaviour under test carries a "
         "reasoned `# repro: allow[REP007]`."
     )
@@ -121,7 +122,7 @@ class RetryDiscipline(Rule):
                 yield module.finding(
                     self,
                     node,
-                    "bare sleep in engine code; route backoff through the "
-                    "policy-bounded helper (resilience._sleep_backoff) or "
-                    "allow-list this site in the manifest's sleep_helpers",
+                    "bare sleep in engine code; a retry is resubmitted at "
+                    "once, so remove the sleep or allow-list this site in "
+                    "the manifest's sleep_helpers",
                 )

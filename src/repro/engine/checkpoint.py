@@ -702,10 +702,8 @@ def run_checkpointed(
                 warnings.append(outcome.detail)
             misses.append((position, key, task))
 
-    sub_report: "RunReport | None" = None
+    sub_report = RunReport()
     if misses:
-        if report is not None or policy is not None:
-            sub_report = RunReport()
         sub_results = run_many(
             [(key, task) for _, key, task in misses],
             _StoringWorker(worker, store),
@@ -721,7 +719,7 @@ def run_checkpointed(
 
 def _merge_reports(
     report: "RunReport",
-    sub_report: "RunReport | None",
+    sub_report: "RunReport",
     statuses: Sequence[str],
     misses: Sequence[tuple[int, str, Any]],
     warnings: Sequence[str],
@@ -736,29 +734,16 @@ def _merge_reports(
     from repro.engine.resilience import TaskReport
 
     report.warnings.extend(warnings)
-    by_position: dict[int, TaskReport] = {}
-    if sub_report is not None:
-        report.respawns += sub_report.respawns
-        report.degradations += sub_report.degradations
-        report.wall_seconds += sub_report.wall_seconds
-        if not report.backend:
-            report.backend = sub_report.backend
-        for task_report, (position, _key, _task) in zip(sub_report.tasks, misses):
-            task_report.index = position
-            task_report.checkpoint = statuses[position]
-            by_position[position] = task_report
-    for position, status in enumerate(statuses):
-        if position in by_position:
-            continue
-        if status == "hit":
-            by_position[position] = TaskReport(
-                index=position,
-                completed=True,
-                final_backend="checkpoint",
-                checkpoint="hit",
-            )
-        else:  # pragma: no cover - a miss without a sub-report task entry
-            by_position[position] = TaskReport(index=position, checkpoint=status)
+    report.respawns += sub_report.respawns
+    report.degradations += sub_report.degradations
+    report.wall_seconds += sub_report.wall_seconds
     if not report.backend:
-        report.backend = "checkpoint"
-    report.tasks.extend(task for _, task in sorted(by_position.items()))
+        report.backend = sub_report.backend or "checkpoint"
+    computed = {position: task for task, (position, _, _) in zip(sub_report.tasks, misses)}
+    for position, status in enumerate(statuses):
+        task = computed.get(position)
+        if task is None:
+            task = TaskReport(index=position, completed=True, final_backend="checkpoint")
+        task.index = position
+        task.checkpoint = status
+        report.tasks.append(task)

@@ -162,12 +162,11 @@ class MethodComparator:
         self,
         configurations: Sequence[AnonymizationConfig],
         sweep: ParameterSweep,
-    ) -> tuple[list[SweepResult], RunReport | None]:
+    ) -> tuple[list[SweepResult], RunReport]:
         """Evaluate every (configuration, value) cell in one dispatch.
 
         Returns one :class:`SweepResult` per configuration and the run's
-        :class:`~repro.engine.resilience.RunReport` (one task per cell), if
-        it keeps one.
+        :class:`~repro.engine.resilience.RunReport` (one task per cell).
         """
         completed = self._completed_resources(configurations)
         cells = [
@@ -199,7 +198,7 @@ class MethodComparator:
                 for resources in {id(own): own for own in completed}.values()
             }
             keys = [next(by_group[id(resources)]) for _, resources, _ in cells]
-        report = self.execution.run_report(len(cells))
+        report = RunReport()
         reports = fan_out_shared(
             self.dataset,
             lambda payload: [
@@ -268,8 +267,8 @@ class VaryingParameterExperiment(MethodComparator):
     """Run one configuration across a parameter sweep and collect series.
 
     The comparison of one configuration: the run's
-    :class:`~repro.engine.resilience.RunReport`, when it keeps one, is
-    attached to the :class:`SweepResult` as ``run_report``.
+    :class:`~repro.engine.resilience.RunReport` is attached to the
+    :class:`SweepResult` as ``run_report``.
     """
 
     def run(self, config: AnonymizationConfig, sweep: ParameterSweep) -> SweepResult:

@@ -15,14 +15,15 @@ per call in two ways:
   picklable manifest; tasks ship the manifest instead of the dataset, and
   workers attach zero-copy views (memoized per process).
 
-Since PR 7 the pool is also the engine's :class:`~repro.engine.resilience`
-process backend: :meth:`map` submits per-task futures under an
-:class:`~repro.engine.resilience.ExecutionPolicy` (bounded retries, task
-timeouts, a ``process → sequential`` degradation ladder), and
-:meth:`respawn` is the crash-recovery hook — it replaces a broken executor,
-terminates hung workers, re-exports any shared segment a crashed worker
-generation's resource tracker destroyed, and hands back a task remapper so
-only unfinished tasks are replayed.
+The pool is also the engine's :class:`~repro.engine.resilience` process
+backend: :meth:`map` submits per-task futures under the
+:class:`~repro.engine.resilience.ExecutionPolicy` its caller passes
+(bounded retries, task timeouts, a ``process → sequential`` degradation
+ladder); the pool keeps no policy of its own.  :meth:`respawn` is the
+crash-recovery hook — it replaces a broken executor, terminates hung
+workers, re-exports any shared segment a crashed worker generation's
+resource tracker destroyed, and hands back a task remapper so only
+unfinished tasks are replayed.
 
 Segment hygiene is crash-safe end to end: every export registers its segment
 name in a sidecar file *before* creation (:mod:`repro.columnar.registry`),
@@ -120,21 +121,16 @@ class WorkerPool:
     mp_context:
         Optional ``multiprocessing`` context (e.g. ``get_context("spawn")``);
         defaults to the platform's default start method.
-    policy:
-        The :class:`~repro.engine.resilience.ExecutionPolicy` :meth:`map`
-        applies when the caller does not pass one.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         mp_context: Any | None = None,
-        policy: ExecutionPolicy | None = None,
     ) -> None:
         validate_max_workers(max_workers)
         self._max_workers = max_workers or (os.cpu_count() or 1)
         self._mp_context = mp_context
-        self._policy = policy or DEFAULT_POLICY
         self._executor: ProcessPoolExecutor | None = None
         #: id(dataset) -> (dataset weakref, export, eviction finalizer).  The
         #: weak reference lets a dropped dataset free its segment immediately
@@ -157,10 +153,6 @@ class WorkerPool:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        return self._policy
 
     def segment_names(self) -> list[str]:
         """Names of the live shared-memory segments this pool owns."""
@@ -273,27 +265,24 @@ class WorkerPool:
         self,
         worker: Callable[[TaskT], ResultT],
         tasks: Sequence[TaskT] | Iterable[TaskT],
-        policy: ExecutionPolicy | None = None,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
         report: RunReport | None = None,
     ) -> list[ResultT]:
         """Apply ``worker`` to every task, preserving order, fault-tolerantly.
 
         Each task is submitted as its own future and executed under
-        ``policy`` (the pool's default when omitted): bounded retries with
-        deterministic backoff, optional per-task timeouts, executor respawn
-        on crashes, and demotion to sequential execution in this process for
-        tasks that repeatedly kill their workers or time out.  ``report``,
-        when given, is filled in place with the full per-task attempt
-        history.
+        ``policy``: bounded retries, optional per-task timeouts, executor
+        respawn on crashes, and demotion to sequential execution in this
+        process for tasks that repeatedly kill their workers or time out.
+        ``report``, when given, is filled in place with the full per-task
+        attempt history.
         """
         self._require_open()
         require_picklable_worker(worker)
         tasks = list(tasks)
         if not tasks:
             return []
-        return execute_tasks(
-            tasks, worker, policy or self._policy, process_control=self, report=report
-        )
+        return execute_tasks(tasks, worker, policy, process_control=self, report=report)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

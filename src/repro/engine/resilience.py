@@ -7,10 +7,11 @@ COAT/PCTA/clustering sweeps run under instead:
 
 * **per-task futures** — every task is submitted individually, so one
   failure is one task's problem and every other result survives;
-* :class:`ExecutionPolicy` — bounded retries with exponential backoff and
-  deterministic jitter, a per-task timeout, and a degradation ladder
-  (``process → sequential``): a task that repeatedly kills its worker, or
-  keeps timing out, finishes in this process;
+* :class:`ExecutionPolicy` — bounded retries, a per-task timeout, and a
+  degradation ladder (``process → sequential``): a task that repeatedly
+  kills its worker, or keeps timing out, finishes in this process.  A
+  charged retry is resubmitted at once: by then the crashed or hung worker
+  generation has already been torn down, so there is nothing to wait for;
 * **crash recovery** — a ``BrokenProcessPool`` (worker crash, SIGKILL, OOM)
   or a task timeout respawns the executor through the
   :class:`ProcessControl` hook, re-exports any shared-memory segment that
@@ -33,7 +34,6 @@ two rungs); the REP007 linter rule keeps it that way.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 import time
@@ -61,16 +61,6 @@ class ExecutionPolicy:
     max_attempts:
         Attempt budget *per rung*; across the process and sequential rungs
         a task is tried at most ``2 * max_attempts`` times.
-    backoff_base, backoff_factor, backoff_max:
-        Exponential backoff before retry *n* sleeps
-        ``min(backoff_max, backoff_base * backoff_factor**n)`` seconds,
-        scaled by deterministic jitter.
-    backoff_jitter:
-        Fraction (0..1) of the delay that jitter may remove.  The jitter is
-        a hash of ``(seed, task index, attempt)`` — reproducible, yet
-        de-synchronised across tasks.
-    seed:
-        Jitter seed; same seed, same delays.
     retry_errors:
         Retry ordinary worker exceptions too.  Off by default: the engine's
         workers are deterministic, so an exception would simply recur.
@@ -84,11 +74,6 @@ class ExecutionPolicy:
 
     task_timeout: float | None = None
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    backoff_jitter: float = 0.25
-    seed: int = 0
     retry_errors: bool = False
     degrade_after: int = 2
     validate_result: Callable[[Any], bool] | None = None
@@ -106,28 +91,9 @@ class ExecutionPolicy:
             raise ConfigurationError(
                 f"degrade_after must be >= 1, got {self.degrade_after!r}"
             )
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_max < 0:
-            raise ConfigurationError(
-                "backoff_base/backoff_max must be >= 0 and backoff_factor >= 1"
-            )
-        if not 0 <= self.backoff_jitter <= 1:
-            raise ConfigurationError(
-                f"backoff_jitter must be within [0, 1], got {self.backoff_jitter!r}"
-            )
-
-    def backoff_delay(self, task_index: int, attempt: int) -> float:
-        """Deterministic backoff before retry ``attempt`` of ``task_index``."""
-        raw = min(self.backoff_max, self.backoff_base * self.backoff_factor**attempt)
-        if raw <= 0:
-            return 0.0
-        digest = hashlib.blake2s(
-            f"{self.seed}:{task_index}:{attempt}".encode(), digest_size=8
-        ).digest()
-        fraction = int.from_bytes(digest, "big") / 2**64
-        return raw * (1.0 - self.backoff_jitter * fraction)
 
 
-#: The policy the pool applies when the caller does not hand one over.
+#: The policy a run executes under when its ``Execution`` names none.
 DEFAULT_POLICY = ExecutionPolicy()
 
 
@@ -349,14 +315,6 @@ def _error_chain(error: BaseException) -> tuple[str, ...]:
     return tuple(chain)
 
 
-def _sleep_backoff(policy: ExecutionPolicy, task_index: int, attempt: int) -> None:
-    """The one sanctioned backoff sleep (see REP007): policy-bounded and
-    deterministically jittered."""
-    delay = policy.backoff_delay(task_index, attempt)
-    if delay > 0:
-        time.sleep(delay)
-
-
 def _translate_pickling_error(error: BaseException) -> None:
     """Raise the engine's typed error for task/result pickling failures.
 
@@ -509,7 +467,7 @@ def _run_process_rung(
 
     pending = remaining()
     while pending:
-        futures = _submit_round(pending, worker, policy, control, report)
+        futures = _submit_round(pending, worker, control, report)
         interrupted = False
         for position, (state, future) in enumerate(futures):
             if state.done:
@@ -554,20 +512,16 @@ def _run_process_rung(
 def _submit_round(
     pending: list[_TaskState],
     worker: Callable[[Any], Any],
-    policy: ExecutionPolicy,
     control: ProcessControl,
     report: RunReport,
 ) -> list[tuple[_TaskState, "Future[Any]"]]:
-    """Submit every pending task once, backing off retries deterministically.
+    """Submit every pending task once.
 
     A pool that is already broken at submission time is respawned and the
     round retried; the loop is bounded because a second breakage without any
     intervening submission means the respawn itself cannot produce a working
     pool, which surfaces as the final ``BrokenProcessPool``.
     """
-    for state in pending:
-        if state.total_attempts:
-            _sleep_backoff(policy, state.index, state.total_attempts - 1)
     futures: list[tuple[_TaskState, "Future[Any]"]] = []
     for round_attempt in (0, 1):
         try:
@@ -629,8 +583,6 @@ def _run_sequential_rung(
     """
     for state in rung_states:
         while not state.done:
-            if state.total_attempts:
-                _sleep_backoff(policy, state.index, state.total_attempts - 1)
             started = time.perf_counter()
             try:
                 value = worker(state.task)

@@ -125,10 +125,10 @@ class SweepResult:
     values: list[Any]
     series: dict[str, Series]
     reports: list[EvaluationReport] = field(default_factory=list)
-    #: How the sweep's fan-out actually went (attempts, retries, respawns,
-    #: degradations); ``None`` for plain sequential runs without an
-    #: execution policy.  Excluded from :meth:`as_dict` exports — recovery
-    #: timing is not part of the scientific result.
+    #: How the sweep's run actually went (attempts, retries, respawns,
+    #: degradations); ``None`` on the sweeps of a comparison, whose report
+    #: holds it.  Excluded from :meth:`as_dict` exports — recovery timing is
+    #: not part of the scientific result.
     run_report: RunReport | None = None
 
     def as_dict(self) -> dict:
@@ -147,8 +147,7 @@ class ComparisonReport:
     parameter: str
     values: list[Any]
     sweeps: list[SweepResult]
-    #: Fan-out account of the comparison itself (one entry per
-    #: configuration-task); ``None`` without a policy or process fan-out.
+    #: Run account of the comparison itself (one task per cell).
     run_report: RunReport | None = None
 
     def series_for(self, indicator: str) -> list[Series]:

@@ -21,14 +21,18 @@ The rest of the value says where and how: ``max_workers`` caps the pool,
 ``pool`` supplies a persistent :class:`~repro.engine.pool.WorkerPool`,
 ``policy`` the :class:`~repro.engine.resilience.ExecutionPolicy` and
 ``checkpoint`` a durable :class:`~repro.engine.checkpoint.CheckpointStore`.
+Both modes run one path, :func:`~repro.engine.resilience.execute_tasks`,
+so every run keeps a :class:`~repro.engine.resilience.RunReport` and a
+failing worker raises the same :class:`~repro.exceptions.TaskError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from repro.engine.checkpoint import CheckpointStore, run_checkpointed
 from repro.engine.pool import WorkerPool, validate_max_workers
@@ -60,11 +64,9 @@ class Execution:
     over ``max_workers``.
 
     ``policy`` selects the :class:`~repro.engine.resilience.ExecutionPolicy`
-    the run executes under.  Process mode is *always* resilient (per-task
-    futures, bounded retries, crash recovery; the pool's default policy
-    applies without one).  Sequential mode runs the plain fast path unless
-    a ``policy`` or a per-call report is given, in which case it routes
-    through the same engine.
+    every run executes under (:data:`~repro.engine.resilience.DEFAULT_POLICY`
+    without one), in either mode: per-task attempts, bounded retries, and on
+    the process backend crash recovery and demotion to this process.
 
     ``checkpoint`` threads a durable
     :class:`~repro.engine.checkpoint.CheckpointStore` through the run:
@@ -93,15 +95,21 @@ class Execution:
         """Whether ``task_count`` tasks fan out to worker processes."""
         return self.mode == "process" and task_count > 1
 
-    def run_report(self, task_count: int) -> RunReport | None:
-        """A fresh report when a run of ``task_count`` tasks keeps one.
 
-        A run keeps a :class:`~repro.engine.resilience.RunReport` when it
-        fans out to processes, or has a policy or a checkpoint store.
-        """
-        if self.fans_out(task_count) or self.policy is not None or self.checkpoint is not None:
-            return RunReport()
-        return None
+@contextmanager
+def _process_pool(execution: Execution, task_count: int) -> Iterator[WorkerPool]:
+    """The execution's persistent pool, or an ephemeral one for one run.
+
+    The ephemeral pool is sized to the task count (capped at the CPU count,
+    or at ``max_workers``), spawns its executor lazily and is closed, with
+    every segment it exported, on exit.
+    """
+    if execution.pool is not None:
+        yield execution.pool
+        return
+    workers = execution.max_workers or min(task_count, os.cpu_count() or 1)
+    with WorkerPool(max_workers=workers) as ephemeral:
+        yield ephemeral
 
 
 def run_many(
@@ -113,27 +121,25 @@ def run_many(
 ) -> list[ResultT]:
     """Apply ``worker`` to every task under ``execution``, preserving order.
 
+    Every batch runs through :func:`~repro.engine.resilience.execute_tasks`
+    under the execution's policy: on the process backend when the batch
+    fans out, in this process otherwise.  A failing worker therefore raises
+    the same :class:`~repro.exceptions.TaskError` in either mode.
     ``report``, when given, is filled in place with the per-task attempt
-    history (and makes a sequential run resilient too).  With a
-    checkpoint store every task needs a content-addressed key in
-    ``checkpoint_keys`` (see :func:`~repro.engine.checkpoint.run_checkpointed`).
+    history.  With a checkpoint store every task needs a content-addressed
+    key in ``checkpoint_keys`` (see
+    :func:`~repro.engine.checkpoint.run_checkpointed`).
     """
     tasks = list(tasks)
     if not tasks:
         return []
     if execution.checkpoint is not None:
         return run_checkpointed(tasks, worker, execution, checkpoint_keys, report=report)
-    policy = execution.policy
-    resilient = policy is not None or report is not None
-    if not resilient and (execution.mode == "sequential" or len(tasks) == 1):
-        return [worker(task) for task in tasks]
-    if execution.mode == "sequential":
-        return execute_tasks(tasks, worker, policy or DEFAULT_POLICY, report=report)
-    if execution.pool is not None:
-        return execution.pool.map(worker, tasks, policy=policy, report=report)
-    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
-    with WorkerPool(max_workers=workers, policy=policy) as ephemeral:
-        return ephemeral.map(worker, tasks, report=report)
+    policy = execution.policy or DEFAULT_POLICY
+    if not execution.fans_out(len(tasks)):
+        return execute_tasks(tasks, worker, policy, report=report)
+    with _process_pool(execution, len(tasks)) as pool:
+        return pool.map(worker, tasks, policy, report)
 
 
 def fan_out_shared(
@@ -149,27 +155,21 @@ def fan_out_shared(
     The experiment and the comparator both go through here.
     ``make_tasks`` builds the tasks around ``payload``.  When ``execution``
     fans the tasks out to processes, ``payload`` is the manifest of a
-    one-time shared-memory export of ``dataset``.  The export is cached on
-    the execution's persistent pool when it has one; otherwise an ephemeral
-    pool sized to the task count owns it and unlinks it before returning.
-    Every other run gets ``dataset`` itself and goes through
-    :func:`run_many` in this process.
+    one-time shared-memory export of ``dataset``, owned by the pool the run
+    uses: the export is cached on a persistent pool, and an ephemeral pool
+    unlinks it before returning.  Every other run gets ``dataset`` itself
+    and goes through :func:`run_many` in this process.
     """
     tasks = make_tasks(dataset)
     if not execution.fans_out(len(tasks)):
         return run_many(tasks, worker, execution, report, checkpoint_keys)
-    if execution.pool is not None:
+    # The pool (rather than a bare export) owns the segment so the
+    # crash-recovery path can re-export it.
+    with _process_pool(execution, len(tasks)) as pool:
         return run_many(
-            make_tasks(execution.pool.share(dataset)), worker, execution, report, checkpoint_keys
-        )
-    # The ephemeral pool (rather than a bare export) owns the segment so the
-    # crash-recovery path can re-export it; its executor is spawned lazily.
-    workers = execution.max_workers or min(len(tasks), os.cpu_count() or 1)
-    with WorkerPool(max_workers=workers, policy=execution.policy) as ephemeral:
-        return run_many(
-            make_tasks(ephemeral.share(dataset)),
+            make_tasks(pool.share(dataset)),
             worker,
-            dataclasses.replace(execution, pool=ephemeral),
+            dataclasses.replace(execution, pool=pool),
             report,
             checkpoint_keys,
         )

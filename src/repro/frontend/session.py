@@ -180,11 +180,7 @@ class Session:
         )
         return evaluator.evaluate(config)
 
-    def worker_pool(
-        self,
-        max_workers: int | None = None,
-        policy: ExecutionPolicy | None = None,
-    ) -> WorkerPool:
+    def worker_pool(self, max_workers: int | None = None) -> WorkerPool:
         """A persistent process pool for repeated sweeps and comparisons.
 
         The pool spawns its workers once, and the first process-mode
@@ -199,12 +195,10 @@ class Session:
                 session.sweep(config_a, "k", 2, 10, 2, mode="process", pool=pool)
                 session.sweep(config_b, "k", 2, 10, 2, mode="process", pool=pool)
 
-        ``policy`` sets the pool's default
-        :class:`~repro.engine.resilience.ExecutionPolicy` — task timeouts,
-        retry budget, demotion of a worker-killing task to sequential
-        execution (see ``docs/robustness.md``).
+        The pool holds no execution policy: each ``sweep``/``compare`` call
+        passes its own ``policy`` (see ``docs/robustness.md``).
         """
-        return WorkerPool(max_workers=max_workers, policy=policy)
+        return WorkerPool(max_workers=max_workers)
 
     def sweep(
         self,
@@ -231,8 +225,8 @@ class Session:
         persistent ``pool`` (see :meth:`worker_pool`) reuses the workers and
         the export across calls.  ``universe_mode`` selects the ARE label
         resolution semantics (see :meth:`evaluate`).  ``policy`` tunes fault
-        tolerance (retries, timeouts, degradation); the run's
-        :class:`~repro.engine.resilience.RunReport` lands on the result's
+        tolerance (retries, timeouts, degradation).  Every run keeps a
+        :class:`~repro.engine.resilience.RunReport`, on the result's
         ``run_report``.
         """
         experiment = VaryingParameterExperiment(
@@ -273,9 +267,9 @@ class Session:
         ``mode="process"`` fans the (configuration, value) cells out across
         CPU cores (capped by ``max_workers``), shipping the dataset through
         shared memory; a persistent ``pool`` (see :meth:`worker_pool`) reuses the
-        workers and the export across calls.  ``policy`` tunes fault tolerance;
-        the fan-out's :class:`~repro.engine.resilience.RunReport` lands on
-        the report's ``run_report``.
+        workers and the export across calls.  ``policy`` tunes fault tolerance.
+        Every run keeps a :class:`~repro.engine.resilience.RunReport`, one
+        task per cell, on the report's ``run_report``.
         """
         if not configurations:
             raise ConfigurationError("the Comparison mode needs at least one configuration")

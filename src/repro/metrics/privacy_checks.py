@@ -18,11 +18,12 @@ suite and (optionally) by the engine after each run.
 
 The *k*:sup:`m` check runs on the interpretation index and the bitset layer:
 labels resolve to leaf sets through the memoized
-:func:`repro.index.interpreter_for` (once per *distinct* itemset instead of
-per record per label), per-item candidate bitsets are packed once and turned
-into Python ``int`` rows, and the combinations are enumerated by
-:func:`repro.columnar.bitset.rare_combinations` — one ``int`` AND + popcount
-per step, zero-support prefixes pruned since their supersets cannot violate.
+:func:`repro.index.interpreter_for` (once per *distinct* label of the
+column), per-item candidate bitsets are OR-ed together from the column's
+CSR postings and turned into Python ``int`` rows, and the combinations are
+enumerated by :func:`repro.columnar.bitset.rare_combinations` — one ``int``
+AND + popcount per step, zero-support prefixes pruned since their supersets
+cannot violate.
 The item-cut search of Apriori, LRA and VPA runs on the same enumerator.
 """
 
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import popcount, posting_matrix, rare_combinations
+from repro.columnar.bitset import popcount, rare_combinations
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -115,21 +116,15 @@ def candidate_support(
 ) -> int:
     """Number of records whose itemsets could contain all of ``items``.
 
-    Each distinct label of the column is resolved once: an item's candidate
-    records are the OR of the postings of the labels that may stand for it,
-    and the support is the popcount of the AND over ``items``.
+    The popcount of the AND of the items' rows of :func:`candidate_matrix`.
     """
     attribute = attribute or dataset.single_transaction_attribute()
-    wanted = {item: row for row, item in enumerate(dict.fromkeys(map(str, items)))}
+    wanted = list(dict.fromkeys(map(str, items)))
     if not wanted:
         return len(dataset)
-    interpreter = interpreter_for(hierarchy, universe)
-    column = dataset.columnar(attribute)
-    postings = column.bitset_postings()
-    candidates = np.zeros((len(wanted), postings.shape[1]), dtype=np.uint64)
-    for token, label in enumerate(column.vocabulary.items):
-        for item in wanted.keys() & interpreter.leaves(label):
-            candidates[wanted[item]] |= postings[token]
+    candidates = candidate_matrix(
+        dataset, attribute, interpreter_for(hierarchy, universe), wanted
+    )
     return popcount(np.bitwise_and.reduce(candidates))
 
 
@@ -139,41 +134,23 @@ def candidate_matrix(
     interpreter,
     ordered_items: Sequence[str],
 ) -> np.ndarray:
-    """Per-item candidate-record bitsets of an anonymized transaction column.
+    """Per-item candidate-record bitsets of a (generalized) transaction column.
 
     Row ``t`` is the bitset of records whose (possibly generalized) itemset
     *covers* item ``ordered_items[t]`` — the attacker's view of who could
-    hold the item.  Itemset resolution is memoized per distinct itemset by
-    the shared ``interpreter``; items outside ``ordered_items`` are ignored.
+    hold the item.  It is read off the column's CSR postings: each distinct
+    label is resolved once by the shared ``interpreter``, and its posting
+    bitset is OR-ed into the row of every item it may stand for.  Items
+    outside ``ordered_items`` are ignored, and the rows are never built.
     """
-    token_of = {item: token for token, item in enumerate(ordered_items)}
-    itemset_tokens: dict[frozenset, np.ndarray] = {}
-    token_chunks: list[np.ndarray] = []
-    record_chunks: list[np.ndarray] = []
-    for position, record in enumerate(dataset):
-        labels = record[attribute]
-        tokens = itemset_tokens.get(labels)
-        if tokens is None:
-            covered = [
-                item
-                for item in interpreter.covered_items(labels)
-                if item in token_of
-            ]
-            tokens = np.fromiter(
-                (token_of[item] for item in covered),
-                dtype=np.int64,
-                count=len(covered),
-            )
-            itemset_tokens[labels] = tokens
-        if tokens.size:
-            token_chunks.append(tokens)
-            record_chunks.append(np.full(tokens.size, position, dtype=np.int64))
-    return posting_matrix(
-        np.concatenate(token_chunks) if token_chunks else np.empty(0, np.int64),
-        np.concatenate(record_chunks) if record_chunks else np.empty(0, np.int64),
-        len(ordered_items),
-        len(dataset),
-    )
+    row_of = {item: row for row, item in enumerate(ordered_items)}
+    column = dataset.columnar(attribute)
+    postings = column.bitset_postings()
+    candidates = np.zeros((len(row_of), postings.shape[1]), dtype=np.uint64)
+    for token, label in enumerate(column.vocabulary.items):
+        for item in row_of.keys() & interpreter.leaves(label):
+            candidates[row_of[item]] |= postings[token]
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -215,8 +192,7 @@ def km_violations(
     ordered = sorted(universe_set)
 
     # Pack each item's candidate records (records whose covered leaf set
-    # contains the item) into one bitset row; itemset resolution is memoized
-    # per distinct itemset by the shared interpreter.
+    # contains the item) into one bitset row, label by label.
     interpreter = interpreter_for(hierarchy, universe_set)
     candidates = candidate_matrix(dataset, attribute, interpreter, ordered)
     little_endian = candidates.astype("<u8", copy=False)

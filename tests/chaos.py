@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.pool import WorkerPool
-from repro.engine.resilience import ExecutionPolicy, RunReport
+from repro.engine.resilience import DEFAULT_POLICY, ExecutionPolicy, RunReport
 
 #: What a fault does to the worker process that runs the task.
 KINDS = ("crash", "exit137", "hang", "error")
@@ -121,7 +121,7 @@ class ChaosPool(WorkerPool):
         self,
         worker: Callable[[Any], Any],
         tasks: Iterable[Any],
-        policy: ExecutionPolicy | None = None,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
         report: RunReport | None = None,
     ) -> list[Any]:
         return super().map(_Indexed(worker), list(enumerate(tasks)), policy, report)

@@ -19,8 +19,6 @@ import pytest
 from chaos import KINDS, ChaosPool, InjectedFault, KillingStore, _faulted, _Indexed
 from repro.engine.resilience import ExecutionPolicy, RunReport
 
-FAST = ExecutionPolicy(backoff_base=0.0)
-
 
 def _triple(value: int) -> int:
     return value * 3
@@ -40,7 +38,7 @@ class TestChaosPool:
     def test_once_fault_fires_at_the_first_execution_only(self):
         report = RunReport()
         with ChaosPool(once={0: "error"}, max_workers=1) as pool:
-            policy = ExecutionPolicy(backoff_base=0.0, retry_errors=True)
+            policy = ExecutionPolicy(retry_errors=True)
             assert pool.map(_triple, [1, 2], policy=policy, report=report) == [3, 6]
         assert report.task(0).outcomes == ["error", "ok"]
         assert report.task(1).outcomes == ["ok"]
@@ -50,7 +48,7 @@ class TestChaosPool:
         # task 1's first submission is replayed without ever running.  Its
         # once fault fires at the replayed submission's execution instead.
         report = RunReport()
-        policy = ExecutionPolicy(backoff_base=0.0, retry_errors=True)
+        policy = ExecutionPolicy(retry_errors=True)
         with ChaosPool(once={0: "crash", 1: "error"}, max_workers=1) as pool:
             assert pool.map(_triple, [1, 2], policy=policy, report=report) == [3, 6]
         assert report.task(0).outcomes == ["crash", "ok"]
@@ -59,14 +57,14 @@ class TestChaosPool:
 
     def test_every_fault_fires_on_each_process_attempt(self):
         report = RunReport()
-        policy = ExecutionPolicy(backoff_base=0.0, degrade_after=3, max_attempts=3)
+        policy = ExecutionPolicy(degrade_after=3, max_attempts=3)
         with ChaosPool(every={0: "crash"}, max_workers=1) as pool:
             assert pool.map(_triple, [1], policy=policy, report=report) == [3]
         assert report.task(0).outcomes == ["crash", "crash", "crash", "ok"]
 
     def test_every_fault_never_fires_on_the_sequential_rung(self):
         report = RunReport()
-        policy = ExecutionPolicy(backoff_base=0.0, degrade_after=1)
+        policy = ExecutionPolicy(degrade_after=1)
         with ChaosPool(every={0: "exit137"}, max_workers=1) as pool:
             results = pool.map(_pid_of, [1], policy=policy, report=report)
         assert results == [os.getpid()]
@@ -76,7 +74,7 @@ class TestChaosPool:
     def test_tasks_without_a_fault_run_untouched(self):
         report = RunReport()
         with ChaosPool(max_workers=2) as pool:
-            results = pool.map(_pid_of, [1, 2], policy=FAST, report=report)
+            results = pool.map(_pid_of, [1, 2], report=report)
         assert os.getpid() not in results
         assert report.faulted_tasks == []
 
@@ -86,7 +84,7 @@ class TestChaosPool:
     )
     def test_each_kind_is_classified_once_and_the_task_recovers(self, kind, outcome):
         report = RunReport()
-        policy = ExecutionPolicy(backoff_base=0.0, retry_errors=True, task_timeout=1.0)
+        policy = ExecutionPolicy(retry_errors=True, task_timeout=1.0)
         with ChaosPool(once={0: kind}, hang_seconds=30.0, max_workers=1) as pool:
             assert pool.map(_triple, [1], policy=policy, report=report) == [3]
         assert report.task(0).outcomes == [outcome, "ok"]

@@ -10,7 +10,8 @@ worker state between tasks, the fingerprints below would diverge.
 
 Four algorithm families are covered: COAT and PCTA (constraint-based
 transaction), greedy clustering (relational), and the RT bounding
-combination.
+combination.  Failures are mode-independent too: a raising worker gives the
+same chained ``TaskError`` in every mode.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.engine import (
     transaction_config,
     rt_config,
 )
+from repro.engine.runner import run_many
+from repro.exceptions import ConfigurationError, TaskError
 
 MODES = ("sequential", "process")
 
@@ -187,6 +190,41 @@ def test_mixed_int_float_cells_do_not_diverge():
     assert fingerprint(run_in_mode(mixed, config, "process")) == reference
 
 
+def _raise_on_two(value: int) -> int:
+    if value == 2:
+        raise ValueError(f"worker raised on {value}")
+    return value
+
+
+def _misconfigured(value: int) -> int:
+    raise ConfigurationError(f"bad setting for {value}")
+
+
+#: (mode, tasks): sequential, a one-task process run (which stays in this
+#: process) and a process run that fans out.  Task 0 raises in each.
+RAISING_RUNS = [
+    pytest.param("sequential", [2, 1, 3], id="sequential"),
+    pytest.param("process", [2], id="process-one-task"),
+    pytest.param("process", [2, 1, 3], id="process-fan-out"),
+]
+
+
+@pytest.mark.parametrize("mode, tasks", RAISING_RUNS)
+def test_raising_worker_gives_the_same_task_error_in_every_mode(mode, tasks):
+    with pytest.raises(TaskError) as excinfo:
+        run_many(tasks, _raise_on_two, Execution(mode=mode, max_workers=2))
+    assert excinfo.value.task_index == 0
+    assert excinfo.value.attempts == 1
+    assert type(excinfo.value.__cause__) is ValueError
+
+
+@pytest.mark.parametrize("mode, tasks", RAISING_RUNS)
+def test_configuration_error_stays_raw_in_every_mode(mode, tasks):
+    with pytest.raises(ConfigurationError, match="bad setting") as excinfo:
+        run_many(tasks, _misconfigured, Execution(mode=mode, max_workers=2))
+    assert not isinstance(excinfo.value, TaskError)
+
+
 def test_process_mode_unlinks_segments(dataset):
     """After pool shutdown no named shared-memory segment survives."""
     with WorkerPool(max_workers=1) as pool:
@@ -226,7 +264,7 @@ def chaos_pool(faults: dict[int, str]) -> ChaosPool:
 
 
 def chaos_policy(task_timeout: float | None) -> ExecutionPolicy:
-    return ExecutionPolicy(backoff_base=0.0, task_timeout=task_timeout)
+    return ExecutionPolicy(task_timeout=task_timeout)
 
 
 @pytest.mark.parametrize("faults, task_timeout", CHAOS_PLANS)

@@ -1,13 +1,15 @@
-"""The transaction algorithms' outputs never build their rows in a comparison.
+"""The transaction algorithms' outputs never build their rows in a run.
 
 A transaction algorithm publishes its output as a remapped CSR column, and
 every indicator the Comparison mode computes on it (UL, ARE, item-frequency
 error, the privacy status) reads columns only; a process-mode result and a
-checkpointed cell cross back to the parent as columns as well.  Building
-the output's ``Record`` rows anywhere in that pipeline is pure waste, so
-this guard counts ``Dataset._materialize`` calls during a sequential and a
-process-mode comparison of the five transaction algorithms and asserts that
-none of them was for an output.
+checkpointed cell cross back to the parent as columns as well.  So does the
+k^m verification of the Evaluation mode, which reads the candidate records
+off the output's postings.  Building the output's ``Record`` rows anywhere
+in that pipeline is pure waste, so this guard counts ``Dataset._materialize``
+calls during a verified evaluation and a sequential and a process-mode
+comparison of the five transaction algorithms and asserts that none of them
+was for an output.
 
 With the ``fork`` start method the workers inherit the counting hook, and it
 records their row builds in a file; with another start method only the
@@ -60,6 +62,16 @@ def assert_no_output_built(report, names: list[str]) -> None:
     assert all("_records" not in vars(dataset) for dataset in published)
     suffixes = tuple(f"[{algorithm}]" for algorithm in ALGORITHMS)
     assert [name for name in names if name.endswith(suffixes)] == []
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_verified_evaluation_builds_no_output_rows(built, algorithm):
+    facade = session()
+    facade.verify_privacy = True
+    report = facade.evaluate(transaction_config(algorithm, k=5, m=2))
+    assert report.privacy["km_anonymous"] is not None
+    assert "_records" not in vars(report.anonymized)
+    assert [name for name in built() if name.endswith(f"[{algorithm}]")] == []
 
 
 def test_sequential_comparison_builds_no_output_rows(built):

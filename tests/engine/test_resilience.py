@@ -1,6 +1,6 @@
 """Unit tests for the fault-tolerant execution engine (`repro.engine.resilience`).
 
-Covers policy validation, deterministic backoff, the outcome classification
+Covers policy validation, the outcome classification
 (ok / error / timeout / crash / corrupt), recovery from worker crashes,
 hangs and SIGKILL (exit 137), the ``process → sequential``
 degradation ladder, task-identity preservation in :class:`TaskError`, and
@@ -28,10 +28,6 @@ from repro.engine.resilience import (
 )
 from repro.engine.runner import Execution, run_many
 from repro.exceptions import ConfigurationError, TaskError
-
-#: A fast policy for tests: no real sleeping between retries.
-FAST = dict(backoff_base=0.0)
-
 
 # Module-level workers: process mode must be able to pickle them.
 def _triple(value: int) -> int:
@@ -77,11 +73,6 @@ class TestExecutionPolicyValidation:
             {"task_timeout": 0},
             {"task_timeout": -1.0},
             {"degrade_after": 0},
-            {"backoff_base": -0.1},
-            {"backoff_max": -1.0},
-            {"backoff_factor": 0.5},
-            {"backoff_jitter": 1.5},
-            {"backoff_jitter": -0.1},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -89,37 +80,11 @@ class TestExecutionPolicyValidation:
             ExecutionPolicy(**kwargs)
 
 
-class TestBackoff:
-    def test_backoff_is_deterministic_per_seed(self):
-        policy = ExecutionPolicy(seed=7)
-        delays = [policy.backoff_delay(3, attempt) for attempt in range(4)]
-        assert delays == [policy.backoff_delay(3, attempt) for attempt in range(4)]
-
-    def test_backoff_grows_and_respects_cap(self):
-        policy = ExecutionPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3, backoff_jitter=0.0
-        )
-        assert policy.backoff_delay(0, 0) == pytest.approx(0.1)
-        assert policy.backoff_delay(0, 1) == pytest.approx(0.2)
-        assert policy.backoff_delay(0, 5) == pytest.approx(0.3)  # capped
-
-    def test_jitter_desynchronises_tasks_without_randomness(self):
-        policy = ExecutionPolicy(backoff_base=1.0, backoff_jitter=0.5)
-        delays = {policy.backoff_delay(task, 0) for task in range(8)}
-        assert len(delays) > 1  # different tasks, different delays
-        assert all(0.5 <= delay <= 1.0 for delay in delays)
-
-    def test_seed_changes_the_schedule(self):
-        base = ExecutionPolicy(backoff_base=1.0, seed=0).backoff_delay(1, 1)
-        other = ExecutionPolicy(backoff_base=1.0, seed=1).backoff_delay(1, 1)
-        assert base != other
-
-
 class TestSequentialBackend:
     def test_plain_run_reports_every_task_ok(self):
         report = RunReport()
         results = execute_tasks(
-            [1, 2, 3], _triple, ExecutionPolicy(**FAST), report=report
+            [1, 2, 3], _triple, DEFAULT_POLICY, report=report
         )
         assert results == [3, 6, 9]
         assert report.backend == "sequential"
@@ -133,7 +98,7 @@ class TestSequentialBackend:
         results = execute_tasks(
             [1, 2, 3],
             Flaky(value=2),
-            ExecutionPolicy(retry_errors=True, **FAST),
+            ExecutionPolicy(retry_errors=True),
             report=report,
         )
         assert results == [3, 6, 9]
@@ -143,14 +108,14 @@ class TestSequentialBackend:
     def test_error_fails_fast_by_default_with_task_identity(self):
         with pytest.raises(TaskError) as excinfo:
             execute_tasks(
-                [1, 2, 3], Flaky(value=3, times=ALWAYS), ExecutionPolicy(**FAST)
+                [1, 2, 3], Flaky(value=3, times=ALWAYS), DEFAULT_POLICY
             )
         assert excinfo.value.task_index == 2
         assert excinfo.value.attempts == 1
         assert excinfo.value.backend == "sequential"
 
     def test_persistent_error_exhausts_the_attempt_budget(self):
-        policy = ExecutionPolicy(retry_errors=True, max_attempts=3, **FAST)
+        policy = ExecutionPolicy(retry_errors=True, max_attempts=3)
         with pytest.raises(TaskError, match="attempt budget exhausted") as excinfo:
             execute_tasks([5], Flaky(value=5, times=ALWAYS), policy)
         assert excinfo.value.attempts == 3
@@ -160,7 +125,7 @@ class TestSequentialBackend:
         results = execute_tasks(
             [7],
             Flaky(value=7, corrupt=True),
-            ExecutionPolicy(validate_result=lambda value: value >= 0, **FAST),
+            ExecutionPolicy(validate_result=lambda value: value >= 0),
             report=report,
         )
         assert results == [21]  # never the rejected value
@@ -171,7 +136,7 @@ class TestSequentialBackend:
         # process exists to fail, and nothing is demoted.
         report = RunReport()
         results = execute_tasks(
-            [1, 2], _pid_of, ExecutionPolicy(**FAST), report=report
+            [1, 2], _pid_of, DEFAULT_POLICY, report=report
         )
         assert results == [os.getpid(), os.getpid()]
         assert [task.outcomes for task in report.tasks] == [["ok"], ["ok"]]
@@ -180,7 +145,7 @@ class TestSequentialBackend:
 
     def test_validate_result_rejection_counts_as_corrupt(self):
         policy = ExecutionPolicy(
-            max_attempts=2, validate_result=lambda value: value > 100, **FAST
+            max_attempts=2, validate_result=lambda value: value > 100
         )
         with pytest.raises(TaskError, match="corrupt"):
             execute_tasks([1], _triple, policy)
@@ -193,7 +158,6 @@ class TestProcessRecovery:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3, 4],
-                policy=ExecutionPolicy(**FAST),
                 report=report,
             )
         assert results == [0, 3, 6, 9, 12]
@@ -207,7 +171,6 @@ class TestProcessRecovery:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3],
-                policy=ExecutionPolicy(**FAST),
                 report=report,
             )
         assert results == [0, 3, 6, 9]
@@ -220,7 +183,7 @@ class TestProcessRecovery:
             results = pool.map(
                 _triple,
                 [0, 1, 2, 3],
-                policy=ExecutionPolicy(task_timeout=2.0, **FAST),
+                policy=ExecutionPolicy(task_timeout=2.0),
                 report=report,
             )
         elapsed = time.perf_counter() - started
@@ -232,7 +195,7 @@ class TestProcessRecovery:
         # Task 0 kills its worker process on *every* attempt; the ladder
         # must carry it to the sequential rung, which never submits to a pool.
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=1, **FAST)
+        policy = ExecutionPolicy(degrade_after=1)
         with ChaosPool(every={0: "exit137"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
         assert results == [0, 3, 6]
@@ -244,7 +207,7 @@ class TestProcessRecovery:
         # Task 1 hangs its worker on *every* attempt; after one timeout it is
         # demoted to the sequential rung, which never submits to a pool.
         report = RunReport()
-        policy = ExecutionPolicy(task_timeout=1.0, degrade_after=1, **FAST)
+        policy = ExecutionPolicy(task_timeout=1.0, degrade_after=1)
         with ChaosPool(every={1: "hang"}, hang_seconds=30.0, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1, 2], policy=policy, report=report)
         assert results == [0, 3, 6]
@@ -255,17 +218,9 @@ class TestProcessRecovery:
     def test_worker_error_carries_task_identity_from_process_mode(self):
         with ChaosPool(once={1: "error"}, max_workers=2) as pool:
             with pytest.raises(TaskError) as excinfo:
-                pool.map(_triple, [0, 1, 2], policy=ExecutionPolicy(**FAST))
+                pool.map(_triple, [0, 1, 2])
         assert excinfo.value.task_index == 1
         assert excinfo.value.backend == "process"
-
-    def test_pool_default_policy_applies_when_map_gets_none(self):
-        policy = ExecutionPolicy(**FAST)
-        report = RunReport()
-        with ChaosPool(once={0: "crash"}, max_workers=2, policy=policy) as pool:
-            assert pool.policy is policy
-            assert pool.map(_triple, [1, 2], report=report) == [3, 6]
-        assert report.respawns >= 1
 
 
 class TestDegradationLadder:
@@ -274,7 +229,7 @@ class TestDegradationLadder:
 
     def test_hard_failures_below_degrade_after_stay_on_the_process_rung(self):
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=2, **FAST)
+        policy = ExecutionPolicy(degrade_after=2)
         with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
@@ -284,7 +239,7 @@ class TestDegradationLadder:
 
     def test_degrade_after_counts_hard_failures_before_demotion(self):
         report = RunReport()
-        policy = ExecutionPolicy(degrade_after=2, **FAST)
+        policy = ExecutionPolicy(degrade_after=2)
         with ChaosPool(every={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
@@ -300,7 +255,7 @@ class TestDegradationLadder:
     def test_exhausted_process_budget_demotes_a_hard_failing_task(self):
         # degrade_after is never reached; the spent attempt budget demotes.
         report = RunReport()
-        policy = ExecutionPolicy(max_attempts=2, degrade_after=5, **FAST)
+        policy = ExecutionPolicy(max_attempts=2, degrade_after=5)
         with ChaosPool(every={0: "crash"}, max_workers=2) as pool:
             results = pool.map(_triple, [0, 1], policy=policy, report=report)
         assert results == [0, 3]
@@ -312,7 +267,7 @@ class TestDegradationLadder:
         # An ordinary exception indicts the task, not the worker process:
         # it spends the process rung's budget and fails there.
         report = RunReport()
-        policy = ExecutionPolicy(retry_errors=True, max_attempts=2, **FAST)
+        policy = ExecutionPolicy(retry_errors=True, max_attempts=2)
         with ChaosPool(every={0: "error"}, max_workers=2) as pool:
             with pytest.raises(TaskError, match="attempt budget exhausted") as excinfo:
                 pool.map(_triple, [0, 1], policy=policy, report=report)
@@ -326,7 +281,7 @@ class TestDegradationLadder:
         # before the worker runs, so only the sequential rung calls Flaky on 0.
         report = RunReport()
         policy = ExecutionPolicy(
-            retry_errors=True, max_attempts=2, degrade_after=1, **FAST
+            retry_errors=True, max_attempts=2, degrade_after=1
         )
         with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
             results = pool.map(Flaky(value=0), [0, 1], policy=policy, report=report)
@@ -335,7 +290,7 @@ class TestDegradationLadder:
         assert report.task(0).final_backend == "sequential"
 
     def test_failure_after_demotion_names_the_sequential_backend(self):
-        policy = ExecutionPolicy(degrade_after=1, **FAST)
+        policy = ExecutionPolicy(degrade_after=1)
         with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
             with pytest.raises(TaskError) as excinfo:
                 pool.map(Flaky(value=0), [0, 1], policy=policy)
@@ -345,11 +300,9 @@ class TestDegradationLadder:
 
 
 class TestRunManyIntegration:
-    def test_sequential_fast_path_still_bypasses_the_engine(self):
-        # No policy, no report: the legacy in-process shortcut.
+    def test_plain_sequential_run_goes_through_the_engine(self):
+        # No policy: the default one, and one attempt per task on the report.
         assert run_many([1, 2], _triple) == [3, 6]
-
-    def test_report_alone_opts_into_the_resilient_path(self):
         report = RunReport()
         assert run_many([1, 2], _triple, report=report) == [3, 6]
         assert report.total_attempts == 2
@@ -361,7 +314,7 @@ class TestRunManyIntegration:
             Flaky(value=1),
             Execution(
                 mode="sequential",
-                policy=ExecutionPolicy(retry_errors=True, **FAST),
+                policy=ExecutionPolicy(retry_errors=True),
             ),
             report=report,
         )

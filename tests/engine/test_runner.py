@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.engine.pool import WorkerPool, validate_max_workers
-from repro.engine.resilience import ExecutionPolicy
 from repro.engine.runner import EXECUTION_MODES, Execution, run_many
 from repro.exceptions import ConfigurationError, TaskError
 
@@ -60,14 +59,6 @@ class TestExecution:
     def test_nonpositive_max_workers_rejected(self, mode, bad_workers):
         with pytest.raises(ConfigurationError, match="max_workers"):
             Execution(mode=mode, max_workers=bad_workers)
-
-    def test_run_report_rule(self):
-        # A run keeps a report when it fans out to processes, or has a
-        # policy or a checkpoint store; a one-task process run does not fan out.
-        assert Execution().run_report(4) is None
-        assert Execution(mode="process").run_report(1) is None
-        assert Execution(mode="process").run_report(2) is not None
-        assert Execution(policy=ExecutionPolicy()).run_report(1) is not None
 
 
 class TestRunMany:

@@ -67,18 +67,18 @@ class TestEvaluationWorkflow:
 
     @pytest.mark.parametrize("call", ["sweep", "compare"])
     @pytest.mark.parametrize(
-        "settings, keeps_report",
+        "settings",
         [
-            ({}, False),
-            ({"mode": "process", "max_workers": 2}, True),
-            ({"policy": ExecutionPolicy()}, True),
-            ({"checkpoint": "store"}, True),
+            {},
+            {"mode": "process", "max_workers": 2},
+            {"policy": ExecutionPolicy()},
+            {"checkpoint": "store"},
         ],
         ids=["sequential", "process", "policy", "checkpoint"],
     )
-    def test_run_report_rule(self, session, tmp_path, call, settings, keeps_report):
-        """A run keeps a RunReport when it fans out to processes, or has a
-        policy or a checkpoint store — the same rule for sweep and compare."""
+    def test_run_report_rule(self, session, tmp_path, call, settings):
+        """Every run keeps a RunReport, one task per cell, whatever its
+        settings — the same rule for sweep and compare."""
         if "checkpoint" in settings:
             settings = {"checkpoint": CheckpointStore(tmp_path / "ckpt")}
         config = transaction_config("apriori", m=1, label="AA")
@@ -87,10 +87,8 @@ class TestEvaluationWorkflow:
         else:
             other = transaction_config("vpa", m=1, label="VPA")
             result = session.compare([config, other], "k", 2, 2, 1, **settings)
-        if keeps_report:
-            assert isinstance(result.run_report, RunReport)
-        else:
-            assert result.run_report is None
+        assert isinstance(result.run_report, RunReport)
+        assert len(result.run_report.tasks) == 2
 
     def test_verify_privacy_toggle(self, session):
         session.verify_privacy = False
