@@ -79,6 +79,16 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "knob",
+        ["backoff_base", "backoff_factor", "backoff_max", "backoff_jitter", "seed"],
+    )
+    def test_retry_backoff_knobs_are_gone(self, knob):
+        # A charged retry is resubmitted at once: there is no delay to set.
+        with pytest.raises(TypeError, match=knob):
+            ExecutionPolicy(**{knob: 0})
+        assert not hasattr(ExecutionPolicy, "backoff_delay")
+
 
 class TestSequentialBackend:
     def test_plain_run_reports_every_task_ok(self):
@@ -214,6 +224,18 @@ class TestProcessRecovery:
         assert report.degradations == 1
         assert report.task(1).outcomes == ["timeout", "ok"]
         assert report.task(1).final_backend == "sequential"
+
+    def test_charged_retry_is_resubmitted_without_sleeping(self, monkeypatch):
+        # The crashed worker generation is joined before the resubmission,
+        # so the orchestrator has nothing to wait out.
+        slept: list[float] = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        report = RunReport()
+        with ChaosPool(once={0: "crash"}, max_workers=2) as pool:
+            assert pool.map(_triple, [1, 2], report=report) == [3, 6]
+        assert report.respawns >= 1
+        assert report.task(0).outcomes == ["crash", "ok"]
+        assert slept == []
 
     def test_worker_error_carries_task_identity_from_process_mode(self):
         with ChaosPool(once={1: "error"}, max_workers=2) as pool:

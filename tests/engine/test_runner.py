@@ -60,6 +60,12 @@ class TestExecution:
         with pytest.raises(ConfigurationError, match="max_workers"):
             Execution(mode=mode, max_workers=bad_workers)
 
+    def test_worker_pool_holds_no_policy(self):
+        # The policy of a run lives on its Execution only.
+        with pytest.raises(TypeError, match="policy"):
+            WorkerPool(max_workers=1, policy=None)
+        assert not hasattr(WorkerPool, "policy")
+
 
 class TestRunMany:
     @pytest.mark.parametrize("mode", EXECUTION_MODES)

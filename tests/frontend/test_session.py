@@ -90,6 +90,11 @@ class TestEvaluationWorkflow:
         assert isinstance(result.run_report, RunReport)
         assert len(result.run_report.tasks) == 2
 
+    def test_worker_pool_takes_no_policy(self, session):
+        # A policy is given per sweep/compare call, never to the pool.
+        with pytest.raises(TypeError, match="policy"):
+            session.worker_pool(max_workers=1, policy=ExecutionPolicy())
+
     def test_verify_privacy_toggle(self, session):
         session.verify_privacy = False
         report = session.evaluate(transaction_config("apriori", k=3, m=1))
