@@ -4,15 +4,16 @@ Measures the ARE hot path on a 50-query workload over a 50k-record
 RT-dataset, anonymized in the style of a cluster + item-grouping run
 (interval labels, group labels, a root ``*`` tail on both sides):
 
-* **estimate** — :meth:`Query.estimate` over the anonymized data under
-  ``universe_mode="original"``.  Baseline: the per-record scan
-  (``Query._estimate_scan``, the exact semantic reference).  Kernel: the
+* **estimate** — :meth:`Query.estimate` over the anonymized data with the
+  original dataset's domains snapshot.  Baseline: the per-record scan
+  (``estimate_scan`` in ``tests/oracles/queries.py``, the exact semantic
+  reference).  Kernel: the
   per-distinct-label probability tables gathered through the columnar code
   arrays plus the CSR ``maximum.reduceat`` item reduction.  Both sides share
   one set of prebuilt universe-keyed interpreters (the workload-evaluation
   regime) and the kernel is asserted bit-for-bit equal per query.
 * **count** — :meth:`Query.count` over the original data.  Baseline: the
-  per-record match scan (``Query._count_scan``).  Kernel: per-distinct-value
+  per-record match scan (``count_scan``, same oracle).  Kernel: per-distinct-value
   match tables plus AND+popcount over the required items' posting bitsets.
 * **are** — :func:`average_relative_error` end to end (count + estimate per
   query), against its per-record twin ``average_relative_error_scan``
@@ -48,7 +49,11 @@ from repro.queries.are import workload_interpreters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
-from oracles.queries import average_relative_error_scan  # noqa: E402  (the oracle lives with the tests)
+from oracles.queries import (  # noqa: E402  (the oracle lives with the tests)
+    average_relative_error_scan,
+    count_scan,
+    estimate_scan,
+)
 TRAJECTORY_FILE = REPO_ROOT / "BENCH_are.json"
 
 N_RECORDS = 50_000
@@ -80,7 +85,7 @@ def generalized_copy(dataset, attributes, transaction_attribute):
                     mapping[value] = label
             anonymized.map_column(name, lambda value: mapping.get(value, value))
     # Item side: group every third item triple, root-generalize the tail —
-    # the hierarchy-free labels the universe mode exists for.
+    # the hierarchy-free labels the domains snapshot resolves.
     universe = sorted(dataset.item_universe(transaction_attribute))
     item_mapping: dict[str, str] = {}
     for position in range(0, len(universe) - 6, 3):
@@ -109,21 +114,21 @@ def timed_best(function, *args, repeats: int = 3, **kwargs):
 
 
 def workload_estimates(workload, anonymized, interpreters, domains, scan):
+    if scan:
+        return [
+            estimate_scan(query, anonymized, interpreters=interpreters, domains=domains)
+            for query in workload
+        ]
     return [
-        (query._estimate_scan if scan else query.estimate)(
-            anonymized,
-            interpreters=interpreters,
-            domains=domains,
-            universe_mode="original",
-        )
+        query.estimate(anonymized, interpreters=interpreters, domains=domains)
         for query in workload
     ]
 
 
 def workload_counts(workload, original, scan):
-    return [
-        (query._count_scan if scan else query.count)(original) for query in workload
-    ]
+    if scan:
+        return [count_scan(query, original) for query in workload]
+    return [query.count(original) for query in workload]
 
 
 # -- main -------------------------------------------------------------------------

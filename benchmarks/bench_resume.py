@@ -127,7 +127,6 @@ def _key_derivation_seconds(dataset, configurations, sweep) -> float:
         comparator.dataset,
         comparator.resources,
         comparator.verify_privacy,
-        comparator.universe_mode,
         configurations,
         sweep,
     )

@@ -115,8 +115,9 @@ class Anonymizer(abc.ABC):
         """Posting-list index the constraint-based transaction algorithms
         (COAT, PCTA) run their support computations on.
 
-        A test hook: overriding it (e.g. with ``cached=False``) verifies that
-        union memoization never changes algorithm output.
+        A test hook: overriding it with an index that recomputes every union
+        (``tests/oracles/index.py``) verifies that union memoization never
+        changes algorithm output.
         """
         from repro.index import InvertedIndex
 

@@ -387,7 +387,6 @@ def configuration_keys(
     dataset: Dataset,
     resources: "ExperimentResources",
     verify_privacy: bool,
-    universe_mode: str,
     configurations: Sequence["AnonymizationConfig"],
     sweep: "ParameterSweep",
     simulate_attacks: bool = False,
@@ -406,7 +405,9 @@ def configuration_keys(
             dataset.fingerprint(),
             resources,
             bool(verify_privacy),
-            universe_mode,
+            # The ARE label semantics once had a second value; the literal
+            # keeps the keys of existing stores valid.
+            "original",
             bool(simulate_attacks),
         ),
         [

@@ -63,7 +63,6 @@ def _evaluate_cell(task: tuple) -> EvaluationReport:
         dataset,
         resources,
         verify_privacy,
-        universe_mode,
         simulate_attacks,
         config,
         parameter,
@@ -73,7 +72,6 @@ def _evaluate_cell(task: tuple) -> EvaluationReport:
         resolve_shared_dataset(dataset),
         dataclasses.replace(resources),
         verify_privacy=verify_privacy,
-        universe_mode=universe_mode,
         simulate_attacks=simulate_attacks,
     )
     return evaluator.evaluate(config.with_parameter(parameter, value))
@@ -94,14 +92,12 @@ class MethodComparator:
         resources: ExperimentResources | None = None,
         verify_privacy: bool = False,
         execution: Execution = Execution(),
-        universe_mode: str = "original",
         simulate_attacks: bool = False,
     ) -> None:
         self.dataset = dataset
         self.resources = resources or ExperimentResources()
         self.verify_privacy = verify_privacy
         self.execution = execution
-        self.universe_mode = universe_mode
         self.simulate_attacks = simulate_attacks
 
     def _completed_resources(
@@ -185,7 +181,6 @@ class MethodComparator:
                         self.dataset,
                         resources,
                         self.verify_privacy,
-                        self.universe_mode,
                         [
                             config
                             for config, own in zip(configurations, completed)
@@ -206,7 +201,6 @@ class MethodComparator:
                     payload,
                     resources,
                     self.verify_privacy,
-                    self.universe_mode,
                     self.simulate_attacks,
                     config,
                     sweep.parameter,

@@ -46,18 +46,30 @@ from repro.metrics.transaction import (  # noqa: F401
 from repro.queries.are import average_relative_error
 
 
+#: k^m / (k,k^m) verification enumerates item combinations, so it is skipped
+#: (reported as ``None``) when the item universe exceeds this limit, exactly
+#: like a GUI would avoid freezing on huge data.  The bitset-backed checker
+#: (pairwise AND + popcount blocks, with zero-support pruning) verifies far
+#: larger universes than the per-record scans it replaced, so the limit is
+#: generous.
+KM_CHECK_LIMIT = 128
+
+
 class MethodEvaluator:
-    """Evaluate a single anonymization configuration (Evaluation mode)."""
+    """Evaluate a single anonymization configuration (Evaluation mode).
+
+    ARE resolves generalized labels against the original dataset's attribute
+    domains (captured in the resources at prepare time), which makes it
+    consistent with the utility-loss charging rule on root-generalized
+    outputs (``docs/queries.md``).
+    """
 
     def __init__(
         self,
         dataset: Dataset,
         resources: ExperimentResources | None = None,
         verify_privacy: bool = True,
-        km_check_limit: int = 128,
-        universe_mode: str = "original",
         simulate_attacks: bool = False,
-        attack_knowledge_cap: int | None = None,
     ) -> None:
         self.dataset = dataset
         self.resources = resources or ExperimentResources()
@@ -66,24 +78,6 @@ class MethodEvaluator:
         #: every anonymized output (:mod:`repro.attacks`) and report the
         #: empirical guarantees alongside the analytic privacy status.
         self.simulate_attacks = simulate_attacks
-        #: Cap on the number of item combinations probed per distinct basket
-        #: during attack simulation (``None`` = exhaustive); results note
-        #: truncation so a capped attack is never mistaken for a proof.
-        self.attack_knowledge_cap = attack_knowledge_cap
-        #: How ARE resolves generalized labels: ``"original"`` keys the query
-        #: interpreters by the original dataset's attribute domains (captured
-        #: in the resources at prepare time), making ARE consistent with the
-        #: utility-loss charging rule on root-generalized outputs;
-        #: ``"seed"`` keeps the hierarchy-only resolution (the regression
-        #: reference).
-        self.universe_mode = universe_mode
-        #: k^m / (k,k^m) verification enumerates item combinations, so it is
-        #: skipped (reported as ``None``) when the item universe exceeds this
-        #: limit, exactly like a GUI would avoid freezing on huge data.  The
-        #: bitset-backed checker (pairwise AND + popcount blocks, with
-        #: zero-support pruning) verifies far larger universes than the
-        #: per-record scans it replaced, so the default is generous.
-        self.km_check_limit = km_check_limit
 
     # -- indicator computation ----------------------------------------------------
     def _relational_attributes(self, config: AnonymizationConfig) -> list[str]:
@@ -139,7 +133,7 @@ class MethodEvaluator:
             if transaction_attribute
             else set()
         )
-        km_feasible = len(universe) <= self.km_check_limit
+        km_feasible = len(universe) <= KM_CHECK_LIMIT
         if config.relational_algorithm is not None:
             status["min_class_size"] = min_class_size(anonymized, attributes)
             k_witnesses = (
@@ -210,7 +204,6 @@ class MethodEvaluator:
                 config.m,
                 attribute=transaction_attribute,
                 hierarchy=self.resources.item_hierarchy,
-                knowledge_cap=self.attack_knowledge_cap,
             )
         if config.mode == "rt" and attributes and transaction_attribute:
             attacks["rt"] = rt_attack(
@@ -221,7 +214,6 @@ class MethodEvaluator:
                 transaction_attribute=transaction_attribute,
                 hierarchies=self.resources.hierarchies,
                 item_hierarchy=self.resources.item_hierarchy,
-                knowledge_cap=self.attack_knowledge_cap,
             )
         return attacks
 
@@ -245,7 +237,6 @@ class MethodEvaluator:
                 anonymized,
                 hierarchies=hierarchies,
                 domains=self.resources.domains,
-                universe_mode=self.universe_mode,
             ).are
 
         generalized_frequencies = {}

@@ -34,7 +34,7 @@ class ExperimentResources:
     workload: QueryWorkload | None = None
     #: Attribute-domain snapshot of the *original* dataset, captured at
     #: prepare time; query estimation resolves hierarchy-free generalized
-    #: labels against it (the ``"original"`` universe mode).
+    #: labels against it.
     domains: DatasetDomains | None = None
 
     @classmethod

@@ -157,16 +157,13 @@ class Session:
         self,
         config: AnonymizationConfig,
         resources: ExperimentResources | None = None,
-        universe_mode: str = "original",
         simulate_attacks: bool = False,
     ) -> EvaluationReport:
         """Run one configuration and compute all Evaluation-mode indicators.
 
-        ``universe_mode`` selects how ARE resolves generalized labels:
-        ``"original"`` (default) against the original dataset's attribute
-        domains — consistent with the utility-loss charging rule — and
-        ``"seed"`` against the hierarchies alone (the pre-universe regression
-        reference); see ``docs/queries.md``.  ``simulate_attacks=True``
+        ARE resolves generalized labels against the original dataset's
+        attribute domains, consistent with the utility-loss charging rule
+        (see ``docs/queries.md``).  ``simulate_attacks=True``
         additionally plays the prior-knowledge re-identification adversary
         against the anonymized output and attaches the empirical guarantees
         to the report (see ``docs/validation.md``).
@@ -175,7 +172,6 @@ class Session:
             self.dataset,
             resources or self.resources(),
             verify_privacy=self._verify_privacy,
-            universe_mode=universe_mode,
             simulate_attacks=simulate_attacks,
         )
         return evaluator.evaluate(config)
@@ -211,7 +207,6 @@ class Session:
         mode: ExecutionMode = "sequential",
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
-        universe_mode: str = "original",
         policy: ExecutionPolicy | None = None,
         checkpoint: CheckpointStore | None = None,
         simulate_attacks: bool = False,
@@ -223,8 +218,7 @@ class Session:
         actually uses multiple cores); ``max_workers`` caps the pool.  The
         dataset travels to the workers through shared memory, and a
         persistent ``pool`` (see :meth:`worker_pool`) reuses the workers and
-        the export across calls.  ``universe_mode`` selects the ARE label
-        resolution semantics (see :meth:`evaluate`).  ``policy`` tunes fault
+        the export across calls.  ``policy`` tunes fault
         tolerance (retries, timeouts, degradation).  Every run keeps a
         :class:`~repro.engine.resilience.RunReport`, on the result's
         ``run_report``.
@@ -240,7 +234,6 @@ class Session:
                 policy=policy,
                 checkpoint=checkpoint or self._checkpoint,
             ),
-            universe_mode=universe_mode,
             simulate_attacks=simulate_attacks,
         )
         return experiment.run(config, ParameterSweep.from_range(parameter, start, end, step))
@@ -257,7 +250,6 @@ class Session:
         mode: ExecutionMode = "sequential",
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
-        universe_mode: str = "original",
         policy: ExecutionPolicy | None = None,
         checkpoint: CheckpointStore | None = None,
         simulate_attacks: bool = False,
@@ -284,7 +276,6 @@ class Session:
                 policy=policy,
                 checkpoint=checkpoint or self._checkpoint,
             ),
-            universe_mode=universe_mode,
             simulate_attacks=simulate_attacks,
         )
         return comparator.compare(

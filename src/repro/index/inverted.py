@@ -26,24 +26,19 @@ from repro.index.interpreter import evict_when_full
 
 
 class InvertedIndex:
-    """Per-item posting bitsets over one tokenized transaction column.
+    """Per-item posting bitsets over one tokenized transaction column."""
 
-    ``cached=False`` disables union memoization (every union is recomputed);
-    it exists so tests can verify the memoization changes nothing.
-    """
-
-    def __init__(self, column: TransactionColumn, cached: bool = True) -> None:
+    def __init__(self, column: TransactionColumn) -> None:
         self._items = list(column.vocabulary.items)
         self._token: dict[str, int] = {item: t for t, item in enumerate(self._items)}
         self._bits = column.bitset_postings()
         self._frequencies = popcount_rows(self._bits)
         self.n_records = column.n_records
-        self._cached = cached
         self._union_bits_memo: dict[frozenset, np.ndarray] = {}
 
     @classmethod
     def from_dataset(
-        cls, dataset: Dataset, attribute: str | None = None, cached: bool = True
+        cls, dataset: Dataset, attribute: str | None = None
     ) -> "InvertedIndex":
         """Build the index of ``attribute`` (default: the only transaction one).
 
@@ -51,7 +46,7 @@ class InvertedIndex:
         (:meth:`~repro.datasets.dataset.Dataset.columnar`): the CSR token
         column is scattered into posting bitsets in one vectorized pass.
         """
-        return cls(dataset.columnar(attribute), cached=cached)
+        return cls(dataset.columnar(attribute))
 
     def __repr__(self) -> str:
         return (
@@ -76,17 +71,15 @@ class InvertedIndex:
         return int(self._frequencies[token]) if token is not None else 0
 
     def _group_bits(self, key: frozenset) -> np.ndarray:
-        """The union bitset of an item group (memoized when caching is on)."""
-        if self._cached:
-            cached = self._union_bits_memo.get(key)
-            if cached is not None:
-                return cached
+        """The union bitset of an item group (memoized per group)."""
+        cached = self._union_bits_memo.get(key)
+        if cached is not None:
+            return cached
         lookup = self._token
         tokens = [lookup[item] for item in key if item in lookup]
         bits = union_rows(self._bits, np.asarray(tokens, dtype=np.int64))
-        if self._cached:
-            evict_when_full(self._union_bits_memo)
-            self._union_bits_memo[key] = bits
+        evict_when_full(self._union_bits_memo)
+        self._union_bits_memo[key] = bits
         return bits
 
     @staticmethod

@@ -26,13 +26,6 @@ from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import LabelInterpreter, evict_when_full, interpreter_for
 from repro.metrics.interpretation import SUPPRESSED
 
-#: Guard for the vectorized scoring path: a per-attribute NCP lookup table
-#: holds one entry per *distinct* anonymized label, which is tiny for every
-#: real anonymization output; past this bound (an adversarial column where
-#: nearly every cell is a distinct unhashed label) the metrics fall back to
-#: the exact per-record loop, mirroring the PR 2 charge-matrix guards.
-_MAX_NCP_TABLE_ENTRIES = 1_000_000
-
 
 def quasi_identifier_attributes(dataset: Dataset) -> list[str]:
     """Names of the relational quasi-identifier attributes of ``dataset``.
@@ -172,26 +165,15 @@ class RelationalLossContext:
             self._cell_ncp_cache[key] = cached
         return cached
 
-    def record_ncp(self, record) -> float:
-        """Average NCP of one anonymized record over the scored attributes."""
-        if not self.attributes:
-            return 0.0
-        return sum(
-            self.cell_ncp(attribute, record[attribute]) for attribute in self.attributes
-        ) / len(self.attributes)
-
     # -- vectorized dataset scoring ------------------------------------------------
-    def attribute_ncp_values(self, anonymized: Dataset, attribute: str) -> np.ndarray | None:
+    def attribute_ncp_values(self, anonymized: Dataset, attribute: str) -> np.ndarray:
         """Per-record NCP of one attribute as a ``float64`` array.
 
         Scores every *distinct* label once through :meth:`cell_ncp` into a
         lookup table over the anonymized column's value codes, then gathers
-        the table per record.  Returns ``None`` when the distinct-label guard
-        trips (the caller takes the exact per-record path).
+        the table per record.
         """
         column = anonymized.columnar(attribute)
-        if len(column.values) > _MAX_NCP_TABLE_ENTRIES:
-            return None
         table = np.fromiter(
             (self.cell_ncp(attribute, value) for value in column.values),
             dtype=np.float64,
@@ -205,14 +187,7 @@ class RelationalLossContext:
             return np.zeros(len(anonymized))
         totals = np.zeros(len(anonymized))
         for attribute in self.attributes:
-            values = self.attribute_ncp_values(anonymized, attribute)
-            if values is None:
-                return np.fromiter(
-                    (self.record_ncp(record) for record in anonymized),
-                    dtype=np.float64,
-                    count=len(anonymized),
-                )
-            totals += values
+            totals += self.attribute_ncp_values(anonymized, attribute)
         return totals / len(self.attributes)
 
 
@@ -245,17 +220,11 @@ def ncp_per_attribute(
     context = RelationalLossContext(original, attributes, hierarchies)
     if len(anonymized) == 0:
         return {attribute: 0.0 for attribute in context.attributes}
-    result = {}
-    for attribute in context.attributes:
-        values = context.attribute_ncp_values(anonymized, attribute)
-        if values is None:
-            total = sum(
-                context.cell_ncp(attribute, record[attribute]) for record in anonymized
-            )
-        else:
-            total = float(values.sum())
-        result[attribute] = total / len(anonymized)
-    return result
+    return {
+        attribute: float(context.attribute_ncp_values(anonymized, attribute).sum())
+        / len(anonymized)
+        for attribute in context.attributes
+    }
 
 
 def equivalence_class_sizes(

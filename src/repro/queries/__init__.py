@@ -11,7 +11,6 @@ from repro.queries.are import (
     workload_interpreters,
 )
 from repro.queries.query import (
-    UNIVERSE_MODES,
     Condition,
     Query,
     RangeCondition,
@@ -27,7 +26,6 @@ __all__ = [
     "evaluate_query",
     "relative_error",
     "workload_interpreters",
-    "UNIVERSE_MODES",
     "Condition",
     "Query",
     "RangeCondition",

@@ -11,14 +11,13 @@ averaged::
 The ``floor`` (called a *sanity bound* in the literature) avoids dividing by
 zero for queries with no matching records.
 
-Estimates resolve generalized labels in one of two *universe modes*
-(``docs/queries.md``): ``"original"`` (the default) keys every label
-interpreter by the original dataset's attribute domains — captured here when
-the caller does not thread a prepared
-:class:`~repro.datasets.domains.DatasetDomains` snapshot — so root-generalized
-records contribute leaf-uniform probabilities consistent with the
-utility-loss charging rule; ``"seed"`` reproduces the hierarchy-only
-resolution (the regression reference).
+Estimates resolve generalized labels against the original dataset's
+attribute domains (``docs/queries.md``): :func:`average_relative_error`
+captures a :class:`~repro.datasets.domains.DatasetDomains` snapshot when the
+caller does not thread a prepared one, so root-generalized records contribute
+leaf-uniform probabilities consistent with the utility-loss charging rule.
+:func:`evaluate_query` without a snapshot resolves labels against their
+hierarchies alone.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.datasets.domains import DatasetDomains
 from repro.exceptions import QueryError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import LabelInterpreter, interpreter_for
-from repro.queries.query import Query, _require_universe_mode
+from repro.queries.query import Query
 from repro.queries.workload import QueryWorkload
 
 
@@ -84,9 +83,12 @@ def evaluate_query(
     interpreters: Mapping[str, LabelInterpreter] | None = None,
     *,
     domains: DatasetDomains | None = None,
-    universe_mode: str = "original",
 ) -> QueryEvaluation:
-    """Evaluate one query on the original and the anonymized dataset."""
+    """Evaluate one query on the original and the anonymized dataset.
+
+    ``domains`` is passed on to :meth:`Query.estimate`: without a snapshot
+    the estimate resolves labels against the hierarchies alone.
+    """
     actual = float(query.count(original))
     estimate = float(
         query.estimate(
@@ -94,7 +96,6 @@ def evaluate_query(
             hierarchies=hierarchies,
             interpreters=interpreters,
             domains=domains,
-            universe_mode=universe_mode,
         )
     )
     return QueryEvaluation(
@@ -114,9 +115,8 @@ def workload_interpreters(
     Built once per workload evaluation so every query of the workload resolves
     generalized labels through the same memoized index instead of re-walking
     hierarchies per record per query.  With a ``domains`` snapshot each
-    interpreter is keyed by its attribute's original domain (the
-    ``"original"`` universe mode); without one the interpreters resolve
-    against the hierarchies alone (the ``"seed"`` mode).
+    interpreter is keyed by its attribute's original domain; without one the
+    interpreters resolve against the hierarchies alone.
     """
     hierarchies = dict(hierarchies or {})
     attributes = set(hierarchies)
@@ -139,24 +139,19 @@ def average_relative_error(
     floor: float = 1.0,
     *,
     domains: DatasetDomains | None = None,
-    universe_mode: str = "original",
 ) -> AreResult:
     """Evaluate a whole workload and return the ARE with per-query detail.
 
     ``domains`` threads a prepared snapshot of the original dataset's
     attribute domains (the engine captures one in its experiment resources);
-    when omitted under ``universe_mode="original"`` it is captured from
-    ``original`` directly, so the universe-aware semantics never depend on
-    the caller remembering to pass it.
+    when omitted it is captured from ``original`` directly, so the
+    universe-aware semantics never depend on the caller remembering to pass
+    it.
     """
-    _require_universe_mode(universe_mode)
     if workload is None:
         raise QueryError("average_relative_error needs a query workload, got None")
-    if universe_mode == "original":
-        if domains is None:
-            domains = DatasetDomains.capture(original)
-    else:
-        domains = None  # the seed semantics ignore any supplied snapshot
+    if domains is None:
+        domains = DatasetDomains.capture(original)
     interpreters = workload_interpreters(hierarchies, domains)
     per_query = tuple(
         evaluate_query(
@@ -167,7 +162,6 @@ def average_relative_error(
             floor=floor,
             interpreters=interpreters,
             domains=domains,
-            universe_mode=universe_mode,
         )
         for query in workload
     )

@@ -12,26 +12,21 @@ A query can be answered exactly on the original dataset
 matching original value, so each record contributes the probability that it
 matches, under the standard uniformity assumption.
 
-Label resolution supports two *universe modes* (see ``docs/queries.md``):
-
-* ``"seed"`` — labels resolve against their hierarchy alone.  The
-  hierarchy-free root ``*`` then stands for nothing and a root-generalized
-  record contributes probability 0, even though ``utility_loss`` charges the
-  same record as fully generalized.
-* ``"original"`` (the default) — labels resolve through interpreters keyed by
-  the *original* dataset's attribute domains
-  (:class:`~repro.datasets.domains.DatasetDomains`), so ``*`` and
-  hierarchy-free group labels get leaf-uniform match probabilities consistent
-  with the utility-loss charging rule.  Without a ``domains`` snapshot the
-  mode degrades to the seed semantics (there is no universe to resolve
-  against).
+Generalized labels resolve by one rule (see ``docs/queries.md``).  With a
+:class:`~repro.datasets.domains.DatasetDomains` snapshot of the *original*
+dataset, each attribute's interpreter is keyed by its original domain, so
+``*`` and hierarchy-free group labels get leaf-uniform match probabilities
+consistent with the utility-loss charging rule.  Without a snapshot a label
+resolves against its hierarchy alone: the hierarchy-free root ``*`` then
+stands for nothing and a root-generalized record contributes probability 0.
 
 Both :meth:`Query.count` and :meth:`Query.estimate` run on the columnar
 kernel layer (per-distinct-label probability tables gathered through
 :meth:`Dataset.columnar` code arrays, AND+popcount over posting bitsets).
-The per-record scans (``Query._count_scan`` / ``Query._estimate_scan``) are
-the fallback for shapes the kernels do not cover and the exact reference the
-tests pin the kernels against.
+A predicate on a set-valued attribute, or items asked of a single-valued
+one, is malformed and raises :class:`~repro.exceptions.QueryError`.  The
+per-record scans the kernels are pinned against are test references
+(``tests/oracles/queries.py``).
 """
 
 from __future__ import annotations
@@ -42,30 +37,17 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.columnar import (
-    TransactionColumn,
     intersect_rows,
     mask_to_bitset,
     popcount,
     row_max,
     sequential_sum,
 )
-from repro.columnar.relational import CategoricalColumn
-from repro.datasets.dataset import Dataset, Record
+from repro.datasets.dataset import Dataset
 from repro.datasets.domains import DatasetDomains
 from repro.exceptions import QueryError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import LabelInterpreter, interpreter_for
-
-#: Valid values of the ``universe_mode`` switch.
-UNIVERSE_MODES = ("original", "seed")
-
-
-def _require_universe_mode(universe_mode: str) -> None:
-    if universe_mode not in UNIVERSE_MODES:
-        raise QueryError(
-            f"unknown universe mode {universe_mode!r}; expected one of {UNIVERSE_MODES}"
-        )
-
 
 @dataclass(frozen=True)
 class RangeCondition:
@@ -88,11 +70,11 @@ class RangeCondition:
 
         Interval labels contribute their overlap fraction.  A label with no
         numeric span resolves through the interpreter's restricted leaf sets
-        when the interpreter carries a universe (the ``"original"`` mode):
-        the hierarchy-free root ``*`` then matches with the fraction of the
-        attribute's original values inside the range instead of 0.  A
-        universe-less interpreter (the ``"seed"`` mode, and exact counting)
-        keeps the span-only semantics.
+        when the interpreter carries a universe (a domains snapshot was
+        given): the hierarchy-free root ``*`` then matches with the fraction
+        of the attribute's original values inside the range instead of 0.  A
+        universe-less interpreter (no snapshot, and exact counting) keeps the
+        span-only semantics.
         """
         if value is None:
             return 0.0
@@ -153,11 +135,10 @@ class ValueCondition:
         """Probability that a (possibly generalized) value is an accepted one.
 
         Labels resolve through the interpreter's *restricted* leaf sets: an
-        interpreter keyed by the original dataset's attribute domain (the
-        ``"original"`` universe mode) counts only values the data actually
-        contains, so the generic root ``*`` matches with leaf-uniform
-        probability instead of 0.  A universe-less interpreter (the ``"seed"``
-        mode) restricts to nothing and reproduces the hierarchy-only
+        interpreter keyed by the original dataset's attribute domain counts
+        only values the data actually contains, so the generic root ``*``
+        matches with leaf-uniform probability instead of 0.  A universe-less
+        interpreter restricts to nothing and keeps the hierarchy-only
         semantics.
         """
         if value is None:
@@ -213,55 +194,17 @@ class Query:
             raise QueryError("a query needs at least one predicate")
 
     # -- exact evaluation -------------------------------------------------------
-    def _matches_exactly(self, record: Record, transaction_attribute: str | None) -> bool:
-        for attribute, condition in self.conditions.items():
-            if condition.match_probability(record[attribute]) < 1.0:
-                return False
-        if self.items:
-            if transaction_attribute is None:
-                raise QueryError(
-                    "query has item predicates but the dataset has no "
-                    "transaction attribute"
-                )
-            if not self.items <= record[transaction_attribute]:
-                return False
-        return True
-
     def count(self, dataset: Dataset) -> int:
         """Exact number of matching records (for original, truthful data).
 
-        Answered through the columnar layer — per-distinct-value match tables
-        gathered over the relational code arrays, and an AND+popcount over
-        the required items' posting bitsets — falling back to the per-record
-        scan for shapes the kernel does not cover.
+        Per-distinct-value match tables are gathered over the relational code
+        arrays, and the required items' posting bitsets are ANDed and
+        popcounted.
         """
-        transaction_attribute = self._transaction_attribute(dataset)
-        if self.items and transaction_attribute is None and len(dataset):
-            raise QueryError(
-                "query has item predicates but the dataset has no "
-                "transaction attribute"
-            )
-        counted = self._count_columnar(dataset, transaction_attribute)
-        return counted if counted is not None else self._count_scan(dataset)
-
-    def _count_scan(self, dataset: Dataset) -> int:
-        """Per-record reference of :meth:`count`, and its fallback."""
-        transaction_attribute = self._transaction_attribute(dataset)
-        return sum(
-            1
-            for record in dataset
-            if self._matches_exactly(record, transaction_attribute)
-        )
-
-    def _count_columnar(
-        self, dataset: Dataset, transaction_attribute: str | None
-    ) -> int | None:
-        """Kernel path of :meth:`count` (``None`` → caller takes the scan)."""
+        transaction_attribute = self._item_attribute(dataset)
         mask: np.ndarray | None = None
         for attribute, condition in self.conditions.items():
             column = dataset.columnar(attribute)
-            if not isinstance(column, CategoricalColumn):
-                return None  # condition on a set-valued attribute
             if isinstance(condition, ValueCondition):
                 codes, labels = column.string_codes()
                 table = np.empty(len(labels) + 1, dtype=bool)
@@ -282,11 +225,7 @@ class Query:
             mask = matches if mask is None else mask & matches
         if not self.items:
             return len(dataset) if mask is None else int(np.count_nonzero(mask))
-        if transaction_attribute is None:
-            return 0  # only reachable on an empty dataset (see count)
         column = dataset.columnar(transaction_attribute)
-        if not isinstance(column, TransactionColumn):
-            return None  # item predicates against a single-valued attribute
         tokens = [column.vocabulary.token(item) for item in self.items]
         if any(token is None for token in tokens):
             return 0  # an item absent from the data matches no record
@@ -303,7 +242,6 @@ class Query:
         interpreters: Mapping[str, LabelInterpreter] | None = None,
         *,
         domains: DatasetDomains | None = None,
-        universe_mode: str = "original",
     ) -> float:
         """Expected number of matching records in an anonymized dataset.
 
@@ -315,111 +253,33 @@ class Query:
         label resolution is memoized either way.
 
         ``domains`` is a :class:`~repro.datasets.domains.DatasetDomains`
-        snapshot of the *original* dataset; under
-        ``universe_mode="original"`` each attribute's interpreter is keyed by
-        its domain, so hierarchy-free generalized labels (the root ``*``,
-        COAT/PCTA item groups) resolve to leaf-uniform probabilities
-        consistent with the utility-loss charging rule.
-        ``universe_mode="seed"`` (or a missing snapshot) keeps the
-        hierarchy-only resolution.  The query is scored by the columnar
-        estimation kernel, which matches the per-record scan bit for bit; the
-        scan is the fallback for shapes the kernel does not cover.
-        """
-        hierarchies, interpreters, transaction_attribute = self._estimate_inputs(
-            dataset, hierarchies, interpreters, domains, universe_mode
-        )
-        estimated = self._estimate_columnar(
-            dataset, hierarchies, interpreters, transaction_attribute
-        )
-        if estimated is not None:
-            return estimated
-        return self._estimate_scan(dataset, hierarchies, interpreters)
-
-    def _estimate_scan(
-        self,
-        dataset: Dataset,
-        hierarchies: Mapping[str, Hierarchy] | None = None,
-        interpreters: Mapping[str, LabelInterpreter] | None = None,
-        *,
-        domains: DatasetDomains | None = None,
-        universe_mode: str = "original",
-    ) -> float:
-        """Per-record reference of :meth:`estimate`, and its fallback."""
-        hierarchies, interpreters, transaction_attribute = self._estimate_inputs(
-            dataset, hierarchies, interpreters, domains, universe_mode
-        )
-        total = 0.0
-        for record in dataset:
-            probability = 1.0
-            for attribute, condition in self.conditions.items():
-                probability *= condition.match_probability(
-                    record[attribute],
-                    hierarchies.get(attribute),
-                    interpreters[attribute],
-                )
-                if probability == 0.0:
-                    break
-            if probability and self.items:
-                probability *= self._itemset_probability(
-                    record[transaction_attribute], interpreters[transaction_attribute]
-                )
-            total += probability
-        return total
-
-    def _estimate_inputs(
-        self,
-        dataset: Dataset,
-        hierarchies: Mapping[str, Hierarchy] | None,
-        interpreters: Mapping[str, LabelInterpreter] | None,
-        domains: DatasetDomains | None,
-        universe_mode: str,
-    ) -> tuple[Mapping[str, Hierarchy], dict[str, LabelInterpreter], str | None]:
-        """Hierarchies, an interpreter per queried attribute, the item attribute.
-
-        Interpreters missing from ``interpreters`` are resolved against
-        ``domains`` in the ``"original"`` mode.
-        """
-        _require_universe_mode(universe_mode)
-        hierarchies = hierarchies or {}
-        interpreters = dict(interpreters or {})
-        transaction_attribute = self._transaction_attribute(dataset)
-        if self.items and transaction_attribute is None:
-            raise QueryError(
-                "query has item predicates but the dataset has no "
-                "transaction attribute"
-            )
-        for attribute in (*self.conditions, transaction_attribute):
-            if attribute is not None and attribute not in interpreters:
-                universe = None
-                if universe_mode == "original" and domains is not None:
-                    universe = domains.universe_for(attribute)
-                interpreters[attribute] = interpreter_for(
-                    hierarchies.get(attribute), universe
-                )
-        return hierarchies, interpreters, transaction_attribute
-
-    def _estimate_columnar(
-        self,
-        dataset: Dataset,
-        hierarchies: Mapping[str, Hierarchy],
-        interpreters: Mapping[str, LabelInterpreter],
-        transaction_attribute: str | None,
-    ) -> float | None:
-        """Kernel path of :meth:`estimate` (``None`` → caller takes the scan).
+        snapshot of the *original* dataset.  With it each missing interpreter
+        is keyed by its attribute's domain, so hierarchy-free generalized
+        labels (the root ``*``, COAT/PCTA item groups) resolve to
+        leaf-uniform probabilities consistent with the utility-loss charging
+        rule; without it labels resolve against their hierarchies alone.
 
         Each predicate is resolved once per *distinct* label into a
         probability table and gathered per record through the columnar code
         arrays; required items reduce per CSR row with ``maximum.reduceat``.
         The multiplication and accumulation orders replicate the per-record
-        path exactly, so both paths agree to the last ulp.
+        reference (``tests/oracles/queries.py``) exactly, so both agree to
+        the last ulp.
         """
+        transaction_attribute = self._item_attribute(dataset)
+        hierarchies = hierarchies or {}
+        interpreters = dict(interpreters or {})
+        for attribute in (*self.conditions, transaction_attribute):
+            if attribute is not None and attribute not in interpreters:
+                interpreters[attribute] = interpreter_for(
+                    hierarchies.get(attribute),
+                    domains.universe_for(attribute) if domains is not None else None,
+                )
         if len(dataset) == 0:
             return 0.0
         probability = np.ones(len(dataset), dtype=np.float64)
         for attribute, condition in self.conditions.items():
             column = dataset.columnar(attribute)
-            if not isinstance(column, CategoricalColumn):
-                return None  # condition on a set-valued attribute
             hierarchy = hierarchies.get(attribute)
             interpreter = interpreters[attribute]
             if isinstance(condition, ValueCondition):
@@ -447,14 +307,12 @@ class Query:
                 probability *= np.take(table, column.codes)
         if self.items:
             column = dataset.columnar(transaction_attribute)
-            if not isinstance(column, TransactionColumn):
-                return None  # item predicates against a single-valued attribute
             interpreter = interpreters[transaction_attribute]
             vocabulary = column.vocabulary
-            # The per-record path computes the whole itemset product first, in
-            # sorted item order, and multiplies it into the record probability
-            # once; float multiplication is not associative, so the kernel
-            # must do the same to stay bit-for-bit equal.
+            # The per-record reference computes the whole itemset product
+            # first, in sorted item order, and multiplies it into the record
+            # probability once; float multiplication is not associative, so
+            # the kernel must do the same to stay bit-for-bit equal.
             itemset_probability = np.ones(len(dataset), dtype=np.float64)
             for item in sorted(self.items):
                 weights = np.zeros(len(vocabulary), dtype=np.float64)
@@ -473,32 +331,36 @@ class Query:
             probability *= itemset_probability
         return sequential_sum(probability)
 
-    def _itemset_probability(
-        self, itemset: frozenset, interpreter: LabelInterpreter
-    ) -> float:
-        probability = 1.0
-        # Sorted, not set order: a product of three or more factors depends
-        # on its order, and set order follows the interpreter's hash seed.
-        for item in sorted(self.items):
-            if item in itemset:
-                continue
-            best = 0.0
-            for generalized in itemset:
-                leaves = interpreter.restricted_leaves(generalized)
-                if item in leaves:
-                    best = max(best, 1.0 / len(leaves))
-            probability *= best
-            if probability == 0.0:
-                return 0.0
-        return probability
+    def _item_attribute(self, dataset: Dataset) -> str | None:
+        """The attribute the required items are asked of (``None``: no items).
 
-    def _transaction_attribute(self, dataset: Dataset) -> str | None:
-        if self.transaction_attribute is not None:
-            return self.transaction_attribute
-        names = dataset.schema.transaction_names
-        if not names:
+        Checks the query's shape against the schema first: a predicate on a
+        set-valued attribute, or items asked of a single-valued one, raises
+        :class:`~repro.exceptions.QueryError`.
+        """
+        schema = dataset.schema
+        for attribute in self.conditions:
+            if schema[attribute].is_transaction:
+                raise QueryError(
+                    f"a predicate on the set-valued attribute {attribute!r}; "
+                    "ask for its items instead"
+                )
+        if not self.items:
             return None
-        return names[0]
+        attribute = self.transaction_attribute
+        if attribute is None:
+            names = schema.transaction_names
+            if not names:
+                raise QueryError(
+                    "query has item predicates but the dataset has no "
+                    "transaction attribute"
+                )
+            return names[0]
+        if not schema[attribute].is_transaction:
+            raise QueryError(
+                f"items asked of {attribute!r}, which is not a transaction attribute"
+            )
+        return attribute
 
     # -- serialisation --------------------------------------------------------------
     def to_dict(self) -> dict:

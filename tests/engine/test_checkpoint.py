@@ -326,7 +326,7 @@ class TestKeys:
             transaction_config("pcta", k=2, m=2),
         ]
         keys = configuration_keys(
-            dataset, ExperimentResources(), False, "original", configs, sweep
+            dataset, ExperimentResources(), False, configs, sweep
         )
         assert len(keys) == 6
         assert len(set(keys)) == 6
@@ -336,19 +336,19 @@ class TestKeys:
         sweep = ParameterSweep("k", (2,))
         config = transaction_config("coat", k=2, m=2)
         base = configuration_keys(
-            dataset, ExperimentResources(), False, "original", [config], sweep
+            dataset, ExperimentResources(), False, [config], sweep
         )
         # A different dataset, config, or flag changes the key.
         mutated = make_dataset()
         mutated.set_value(0, "Age", 99)
         assert configuration_keys(
-            mutated, ExperimentResources(), False, "original", [config], sweep
+            mutated, ExperimentResources(), False, [config], sweep
         ) != base
         assert configuration_keys(
-            dataset, ExperimentResources(), True, "original", [config], sweep
+            dataset, ExperimentResources(), True, [config], sweep
         ) != base
         assert configuration_keys(
-            dataset, ExperimentResources(), False, "original",
+            dataset, ExperimentResources(), False,
             [transaction_config("coat", k=2, m=3)], sweep,
         ) != base
 
@@ -362,17 +362,33 @@ class TestKeys:
         ]
         resources = ExperimentResources.prepare(dataset, configs[1])
         sweep = ParameterSweep("k", (2, 3, 5))
-        for verify, universe, attacks in ((False, "seed", False), (True, "original", True)):
+        for verify, attacks in ((False, False), (True, True)):
             assert configuration_keys(
-                dataset, resources, verify, universe, configs, sweep, attacks
+                dataset, resources, verify, configs, sweep, attacks
             ) == [
                 task_key(
                     "sweep-point", dataset.fingerprint(), resources, verify,
-                    universe, attacks, config, "k", value,
+                    "original", attacks, config, "k", value,
                 )
                 for config in configs
                 for value in sweep.values
             ]
+
+    def test_keys_of_existing_stores_stay_valid(self):
+        # Digests derived before the ARE label semantics lost its switch:
+        # the key head still folds in the literal "original", so cells
+        # stored by earlier runs are still found.
+        keys = configuration_keys(
+            make_dataset(),
+            ExperimentResources(),
+            False,
+            [transaction_config("coat", k=2, m=2)],
+            ParameterSweep("k", (2, 3)),
+        )
+        assert keys == [
+            "1fd6721fe1d21ebca8af44c036b9c3d064053103",
+            "de2db9fad1526fb77b17df1712f4222635b3ce4b",
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracles.queries import are_without_domains
+from repro.engine import evaluator as evaluator_module
 from repro.engine import (
     ExperimentResources,
     MethodEvaluator,
@@ -54,8 +56,9 @@ class TestEvaluationReport:
         report = evaluator.evaluate(transaction_config("apriori", k=4, m=1))
         assert report.privacy["km_anonymous"] is None
 
-    def test_km_check_skipped_for_large_universes(self, rt):
-        evaluator = MethodEvaluator(rt, km_check_limit=1)
+    def test_km_check_skipped_for_large_universes(self, rt, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "KM_CHECK_LIMIT", 1)
+        evaluator = MethodEvaluator(rt)
         report = evaluator.evaluate(transaction_config("apriori", k=4, m=1))
         assert report.privacy["km_anonymous"] is None
 
@@ -85,17 +88,20 @@ class TestUniverseAwareness:
         )
         assert "domains" in resources.summary()
 
-    def test_evaluator_supports_seed_mode(self, rt):
+    def test_evaluator_are_with_domains_against_without(self, rt):
         resources = ExperimentResources.prepare(rt, transaction_config("coat", k=4))
-        original = MethodEvaluator(rt, resources).evaluate(
+        report = MethodEvaluator(rt, resources).evaluate(
             transaction_config("coat", k=20)
         )
-        seed = MethodEvaluator(rt, resources, universe_mode="seed").evaluate(
-            transaction_config("coat", k=20)
+        without = are_without_domains(
+            resources.workload,
+            rt,
+            report.result.dataset,
+            resources.hierarchies_with_items("Items"),
         )
-        assert original.are is not None and seed.are is not None
+        assert report.are is not None
         # Same workload, same output; only the label resolution differs.
-        assert original.are <= seed.are + 1e-9
+        assert report.are <= without.are + 1e-9
 
     def test_unqueryable_dataset_reports_are_none(self):
         from repro.datasets import Attribute, Dataset, Schema

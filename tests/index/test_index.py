@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles.index import FrozensetIndex
+from oracles.index import FrozensetIndex, UncachedIndex
 from repro.datasets import Attribute, Dataset, Schema
 from repro.hierarchy import build_item_hierarchy
 from repro.index import InvertedIndex, LabelInterpreter, interpreter_for
@@ -142,7 +142,7 @@ class TestInvertedIndex:
 
     def test_uncached_union_matches_cached(self, simple_transactions):
         cached = InvertedIndex.from_dataset(simple_transactions)
-        uncached = InvertedIndex.from_dataset(simple_transactions, cached=False)
+        uncached = UncachedIndex.from_dataset(simple_transactions)
         for group in ({"a"}, {"a", "b"}, {"c", "d", "e"}, set()):
             assert cached.union_size(group) == uncached.union_size(group)
             assert cached.joint_support([group, {"a"}]) == uncached.joint_support(

@@ -1,13 +1,27 @@
-"""Scalar reference of :class:`repro.index.InvertedIndex`.
+"""Scalar references of :class:`repro.index.InvertedIndex`.
 
 :class:`FrozensetIndex` keeps one ``frozenset`` of record ids per item and
 answers group unions and constraint supports with set algebra, as the index
-did before its postings became bitsets.
+did before its postings became bitsets.  :class:`UncachedIndex` is the
+bitset index without its per-group union memo, so tests can show the memo
+changes nothing.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.columnar.bitset import union_rows
 from repro.datasets.dataset import Dataset
+from repro.index import InvertedIndex
+
+
+class UncachedIndex(InvertedIndex):
+    """An :class:`InvertedIndex` that recomputes every group union."""
+
+    def _group_bits(self, key: frozenset) -> np.ndarray:
+        tokens = [self._token[item] for item in key if item in self._token]
+        return union_rows(self._bits, np.asarray(tokens, dtype=np.int64))
 
 
 class FrozensetIndex:

@@ -22,7 +22,9 @@ outputs:
   k-anonymity checks on ``Dataset.group_by``;
 * :func:`anonymous_nodes_by_definition` and
   :func:`minimal_nodes_by_definition` — every lattice node applied and
-  checked, and Incognito's minimal k-anonymous nodes from those checks.
+  checked, and Incognito's minimal k-anonymous nodes from those checks;
+* :func:`average_cell_ncp` — one record's NCP from its cells, the
+  reference of ``RelationalLossContext.dataset_ncp_values``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.algorithms.base import relational_quasi_identifiers
 from repro.datasets import Dataset
 from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
 from repro.metrics.privacy_checks import KViolation, equivalence_classes
-from repro.metrics.relational import global_certainty_penalty
+from repro.metrics.relational import RelationalLossContext, global_certainty_penalty
 
 
 class ClusterBounds:
@@ -420,3 +422,13 @@ def minimal_nodes_by_definition(
         if anonymous[node]
         and not any(anonymous[child] for child in lattice.predecessors(node))
     ]
+
+
+def average_cell_ncp(context: RelationalLossContext, record) -> float:
+    """Average NCP of one anonymized record over the context's attributes."""
+    if not context.attributes:
+        return 0.0
+    return sum(
+        context.cell_ncp(attribute, record[attribute])
+        for attribute in context.attributes
+    ) / len(context.attributes)

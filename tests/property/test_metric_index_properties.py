@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.index import UncachedIndex
 from repro.algorithms import Coat, Pcta
 from repro.datasets import Attribute, Dataset, Schema
 from repro.exceptions import AlgorithmError
-from repro.index import InvertedIndex
 from repro.metrics import (
     estimated_item_frequencies,
     itemset_utility_loss,
@@ -178,13 +178,13 @@ class TestMetricEquivalence:
 class UncachedCoat(Coat):
     @staticmethod
     def _build_index(dataset, attribute):
-        return InvertedIndex.from_dataset(dataset, attribute, cached=False)
+        return UncachedIndex.from_dataset(dataset, attribute)
 
 
 class UncachedPcta(Pcta):
     @staticmethod
     def _build_index(dataset, attribute):
-        return InvertedIndex.from_dataset(dataset, attribute, cached=False)
+        return UncachedIndex.from_dataset(dataset, attribute)
 
 
 constraint_sets = st.lists(

@@ -3,7 +3,7 @@
 Three invariants anchor the estimation semantics:
 
 * on *original* (truthful) data the probabilistic estimate collapses to the
-  exact count, in both universe modes,
+  exact count, with or without a domains snapshot,
 * an estimate is a sum of per-record probabilities in ``[0, 1]``, so it can
   never exceed the dataset size,
 * the columnar estimation kernel is a pure reshaping of the per-record path,
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.queries import count_scan, estimate_scan
 from repro.datasets import Attribute, Dataset, DatasetDomains, Schema
 from repro.queries import Query, RangeCondition, ValueCondition
 
@@ -95,7 +96,7 @@ def generalize(dataset: Dataset, item_mapping, city_mapping) -> Dataset:
             anonymized.set_value(index, "Age", "[50-80]")
         elif age is not None and age <= 25:
             # The hierarchy-free numeric root: resolved leaf-uniformly
-            # against the domain snapshot in the "original" mode only.
+            # against the domain snapshot only when one is given.
             anonymized.set_value(index, "Age", "*")
     return anonymized
 
@@ -106,9 +107,9 @@ def test_estimate_equals_count_on_original_data(rows, query):
     dataset = make_dataset(rows)
     domains = DatasetDomains.capture(dataset)
     count = query.count(dataset)
-    assert query._count_scan(dataset) == count
-    for mode in ("seed", "original"):
-        estimate = query.estimate(dataset, domains=domains, universe_mode=mode)
+    assert count_scan(query, dataset) == count
+    for snapshot in (None, domains):
+        estimate = query.estimate(dataset, domains=snapshot)
         assert estimate == pytest.approx(count)
 
 
@@ -123,8 +124,8 @@ def test_estimate_bounded_by_dataset_size(rows, query, item_mapping, city_mappin
     dataset = make_dataset(rows)
     anonymized = generalize(dataset, item_mapping, city_mapping)
     domains = DatasetDomains.capture(dataset)
-    for mode in ("seed", "original"):
-        estimate = query.estimate(anonymized, domains=domains, universe_mode=mode)
+    for snapshot in (None, domains):
+        estimate = query.estimate(anonymized, domains=snapshot)
         assert 0.0 <= estimate <= len(dataset) + 1e-9
 
 
@@ -141,8 +142,8 @@ def test_columnar_kernel_matches_per_record_path_exactly(
     dataset = make_dataset(rows)
     anonymized = generalize(dataset, item_mapping, city_mapping)
     domains = DatasetDomains.capture(dataset)
-    assert query.count(anonymized) == query._count_scan(anonymized)
-    for mode in ("seed", "original"):
-        kernel = query.estimate(anonymized, domains=domains, universe_mode=mode)
-        scalar = query._estimate_scan(anonymized, domains=domains, universe_mode=mode)
+    assert query.count(anonymized) == count_scan(query, anonymized)
+    for snapshot in (None, domains):
+        kernel = query.estimate(anonymized, domains=snapshot)
+        scalar = estimate_scan(query, anonymized, domains=snapshot)
         assert kernel == scalar  # bit-for-bit, not approximately

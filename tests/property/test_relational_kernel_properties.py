@@ -6,7 +6,8 @@ the RT merge loop score candidates through array summaries instead of
 per-record dictionary walks.  Every kernel must therefore match its scalar
 reference element-for-element:
 
-* ``RelationalLossContext.dataset_ncp_values`` vs the ``record_ncp`` loop,
+* ``RelationalLossContext.dataset_ncp_values`` vs the per-record
+  ``average_cell_ncp`` loop (``tests/oracles/relational.py``),
 * ``equivalence_class_sizes`` vs ``Dataset.group_by``,
 * ``_ClusterKernel.costs`` vs ``ClusterBounds.cost_with`` and, bit for bit,
   the whole-frontier ``FrontierClusterKernel.costs`` (``tests/oracles``),
@@ -36,6 +37,7 @@ from oracles.relational import (
     ClusterBounds,
     FrontierClusterKernel,
     ScalarClusterAnonymizer,
+    average_cell_ncp,
 )
 from oracles.rt import ScalarMergeState, merge_score
 from repro.algorithms.relational.cluster import _ClusterKernel
@@ -134,7 +136,7 @@ class TestGcpKernels:
         if context is None:
             return
         vectorized = context.dataset_ncp_values(anonymized)
-        scalar = [context.record_ncp(record) for record in anonymized]
+        scalar = [average_cell_ncp(context, record) for record in anonymized]
         assert vectorized.tolist() == pytest.approx(scalar)
         assert global_certainty_penalty(
             original, anonymized, ["Age", "Education"]
@@ -155,7 +157,7 @@ class TestGcpKernels:
         if context is None:
             return
         vectorized = context.dataset_ncp_values(anonymized)
-        scalar = [context.record_ncp(record) for record in anonymized]
+        scalar = [average_cell_ncp(context, record) for record in anonymized]
         assert vectorized.tolist() == pytest.approx(scalar)
 
     @given(rows=records)

@@ -4,12 +4,13 @@
 ``oracles.queries.average_relative_error_scan`` answers it with the
 per-record scans.  The two must agree exactly — ARE value and every
 per-query actual/estimate — on what each of the nine anonymizers and the
-three RT bounding methods actually produce, in both universe modes.
+three RT bounding methods actually produce, with and without a domains
+snapshot.
 """
 
 import pytest
 
-from oracles.queries import average_relative_error_scan
+from oracles.queries import are_without_domains, average_relative_error_scan
 from repro.algorithms.registry import algorithm_names, bounding_methods
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
@@ -49,23 +50,17 @@ def test_kernel_are_equals_the_per_record_scan(scenario, name):
     anonymized = AnonymizationModule(rt, resources).run(config).dataset
     transaction_attribute = "Items" if config.transaction_algorithm else None
     hierarchies = resources.hierarchies_with_items(transaction_attribute)
-    for mode in ("seed", "original"):
-        kernel = average_relative_error(
-            workload,
-            rt,
-            anonymized,
-            hierarchies,
-            domains=resources.domains,
-            universe_mode=mode,
-        )
-        scan = average_relative_error_scan(
-            workload,
-            rt,
-            anonymized,
-            hierarchies,
-            domains=resources.domains,
-            universe_mode=mode,
-        )
+    kernel = average_relative_error(
+        workload, rt, anonymized, hierarchies, domains=resources.domains
+    )
+    scan = average_relative_error_scan(
+        workload, rt, anonymized, hierarchies, domains=resources.domains
+    )
+    without_kernel = are_without_domains(workload, rt, anonymized, hierarchies)
+    without_scan = are_without_domains(
+        workload, rt, anonymized, hierarchies, scan=True
+    )
+    for kernel, scan in ((kernel, scan), (without_kernel, without_scan)):
         assert kernel.are == scan.are
         assert [(e.actual, e.estimate) for e in kernel.per_query] == [
             (e.actual, e.estimate) for e in scan.per_query

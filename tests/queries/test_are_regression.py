@@ -1,30 +1,33 @@
-"""ARE semantic regression baseline for the universe modes.
+"""ARE semantic regression baseline for universe-aware estimation.
 
-The ``"original"`` universe mode is a deliberate semantic change (ROADMAP:
-"Universe-aware query estimation"): root-generalized records stop
-contributing probability 0 and ARE becomes consistent with the utility-loss
-charging rule.  This module is the committed baseline for that change:
+Resolving labels against the original dataset's domains is a deliberate
+semantic change (ROADMAP: "Universe-aware query estimation"):
+root-generalized records stop contributing probability 0 and ARE becomes
+consistent with the utility-loss charging rule.  This module is the
+committed baseline for that change:
 
 * seeded COAT/PCTA outputs (with the hierarchy-free root ``*`` applied to
   surviving items, the form external SECRETA outputs carry) are pinned to
-  the pre-change ARE values under ``universe_mode="seed"``,
-* the direction and consistency of the change under ``"original"`` is
-  asserted: every record resolves its labels to *something*, so no query
-  estimate collapses to 0 merely because the root resolved against an empty
-  universe.
+  the pre-change ARE values, which the queries reproduce without a domains
+  snapshot (``oracles.queries.are_without_domains``),
+* the direction and consistency of the change under
+  :func:`average_relative_error` is asserted: every record resolves its
+  labels to *something*, so no query estimate collapses to 0 merely because
+  the root resolved against an empty universe.
 """
 
 import pytest
 
 from oracles.publish import apply_item_mapping
-from oracles.queries import average_relative_error_scan
+from oracles.queries import are_without_domains
 from repro.datasets import generate_rt_dataset
 from repro.engine import AnonymizationModule, ExperimentResources, transaction_config
 from repro.queries import average_relative_error, generate_query_workload
 
 #: Pinned pre-change ARE values (seed semantics) of the scenarios below.
 #: These were computed with the per-record estimator as of this commit and
-#: must never drift: ``universe_mode="seed"`` is the equivalence reference.
+#: must never drift: estimation without a domains snapshot is the
+#: equivalence reference.
 SEED_BASELINE = {
     "coat": 0.7548611111111111,
     "pcta": 0.7275926302778154,
@@ -66,19 +69,17 @@ class TestAreRegressionBaseline:
     def test_seed_mode_reproduces_pre_change_values(self, scenario, algorithm):
         rt, workload = scenario
         rooted = rooted_output(rt, workload, algorithm)
-        result = average_relative_error(workload, rt, rooted, universe_mode="seed")
+        result = are_without_domains(workload, rt, rooted)
         assert result.are == pytest.approx(SEED_BASELINE[algorithm], rel=1e-12)
         # The kernel and per-record paths are the same semantics bit for bit.
-        scalar = average_relative_error_scan(workload, rt, rooted, universe_mode="seed")
+        scalar = are_without_domains(workload, rt, rooted, scan=True)
         assert result.are == scalar.are
 
     def test_original_mode_direction_of_change(self, scenario, algorithm):
         rt, workload = scenario
         rooted = rooted_output(rt, workload, algorithm)
-        seed = average_relative_error(workload, rt, rooted, universe_mode="seed")
-        original = average_relative_error(
-            workload, rt, rooted, universe_mode="original"
-        )
+        seed = are_without_domains(workload, rt, rooted)
+        original = average_relative_error(workload, rt, rooted)
         assert original.are == pytest.approx(ORIGINAL_BASELINE[algorithm], rel=1e-12)
         # Root-generalized records now contribute leaf-uniform probabilities,
         # recovering signal for queries the seed semantics zeroed out.
@@ -97,8 +98,6 @@ class TestAreRegressionBaseline:
     def test_original_mode_estimates_stay_bounded(self, scenario, algorithm):
         rt, workload = scenario
         rooted = rooted_output(rt, workload, algorithm)
-        original = average_relative_error(
-            workload, rt, rooted, universe_mode="original"
-        )
+        original = average_relative_error(workload, rt, rooted)
         for entry in original.per_query:
             assert 0.0 <= entry.estimate <= len(rt)

@@ -2,11 +2,21 @@
 
 import pytest
 
+from oracles.queries import count_scan, estimate_scan
 from repro.datasets import Attribute, Dataset, DatasetDomains, Schema, toy_rt_dataset
+from repro.engine import (
+    ExperimentResources,
+    MethodComparator,
+    MethodEvaluator,
+    transaction_config,
+)
+from repro.engine.checkpoint import configuration_keys
+from repro.engine.experiment import ParameterSweep
 from repro.exceptions import QueryError
+from repro.frontend.session import Session
 from repro.hierarchy import build_hierarchies_for_dataset
+from repro.index import InvertedIndex
 from repro.queries import (
-    UNIVERSE_MODES,
     Query,
     RangeCondition,
     ValueCondition,
@@ -142,12 +152,9 @@ class TestQueryEstimate:
         assert rebuilt.items == query.items
 
 
-class TestUniverseModes:
-    """The ``"original"`` mode resolves hierarchy-free labels to the domain."""
-
-    def test_unknown_mode_rejected(self, dataset):
-        with pytest.raises(QueryError):
-            Query(items=["bread"]).estimate(dataset, universe_mode="bogus")
+class TestDomainsSnapshot:
+    """With a domains snapshot hierarchy-free labels resolve to the domain;
+    without one they resolve against their hierarchy alone."""
 
     def test_root_items_resolve_against_item_universe(self):
         schema = Schema([Attribute.transaction("Items")])
@@ -157,11 +164,9 @@ class TestUniverseModes:
         rooted = Dataset(schema, [{"Items": ["*"]}] * 3)
         domains = DatasetDomains.capture(original)
         query = Query(items=["b"])
-        # Seed semantics: the hierarchy-free root stands for nothing.
-        assert query.estimate(rooted, universe_mode="seed") == 0.0
-        # Universe semantics: leaf-uniform over the 3-item universe.
+        # With the snapshot: leaf-uniform over the 3-item universe.
         assert query.estimate(rooted, domains=domains) == pytest.approx(1.0)
-        # Without a snapshot the original mode has nothing to resolve against.
+        # Without it the hierarchy-free root stands for nothing.
         assert query.estimate(rooted) == 0.0
 
     def test_root_numeric_label_resolves_against_domain(self):
@@ -170,10 +175,10 @@ class TestUniverseModes:
         rooted = Dataset(schema, [{"Age": "*"}] * 4)
         domains = DatasetDomains.capture(original)
         query = Query(conditions={"Age": RangeCondition(10, 50)})
-        assert query.estimate(rooted, universe_mode="seed") == 0.0
+        assert query.estimate(rooted) == 0.0
         # 3 of the 4 original ages fall inside the range: 3/4 per record.
         assert query.estimate(rooted, domains=domains) == pytest.approx(3.0)
-        assert query._estimate_scan(rooted, domains=domains) == query.estimate(
+        assert estimate_scan(query, rooted, domains=domains) == query.estimate(
             rooted, domains=domains
         )
 
@@ -183,7 +188,7 @@ class TestUniverseModes:
         rooted = Dataset(schema, [{"Edu": "*"}] * 3)
         domains = DatasetDomains.capture(original)
         query = Query(conditions={"Edu": ValueCondition(["BS"])})
-        assert query.estimate(rooted, universe_mode="seed") == 0.0
+        assert query.estimate(rooted) == 0.0
         assert query.estimate(rooted, domains=domains) == pytest.approx(1.0)
 
     def test_group_labels_restricted_to_domain(self):
@@ -193,21 +198,19 @@ class TestUniverseModes:
         grouped = Dataset(schema, [{"Items": ["(a,b,z)"]}] * 2)
         domains = DatasetDomains.capture(original)
         query = Query(items=["a"])
-        assert query.estimate(grouped, universe_mode="seed") == pytest.approx(2 / 3)
+        assert query.estimate(grouped) == pytest.approx(2 / 3)
         assert query.estimate(grouped, domains=domains) == pytest.approx(1.0)
 
-    def test_seed_mode_ignores_supplied_domains(self):
+    def test_evaluate_query_without_snapshot_resolves_against_hierarchy(self):
         schema = Schema([Attribute.transaction("Items")])
-        original = Dataset(schema, [{"Items": ["a", "b"]}])
-        rooted = Dataset(schema, [{"Items": ["*"]}])
+        original = Dataset(schema, [{"Items": ["a", "b"]}, {"Items": ["a"]}])
+        rooted = Dataset(schema, [{"Items": ["*"]}] * 2)
         domains = DatasetDomains.capture(original)
         query = Query(items=["a"])
-        assert (
-            query.estimate(rooted, domains=domains, universe_mode="seed") == 0.0
-        )
-
-    def test_modes_are_documented_pair(self):
-        assert UNIVERSE_MODES == ("original", "seed")
+        assert evaluate_query(query, original, rooted).estimate == 0.0
+        assert evaluate_query(
+            query, original, rooted, domains=domains
+        ).estimate == pytest.approx(1.0)
 
 
 class TestColumnarKernel:
@@ -223,7 +226,7 @@ class TestColumnarKernel:
             Query(items=["no-such-item"]),
         ]
         for query in queries:
-            assert query.count(dataset) == query._count_scan(dataset)
+            assert query.count(dataset) == count_scan(query, dataset)
 
     def test_estimate_kernel_bit_for_bit(self, dataset):
         hierarchies = build_hierarchies_for_dataset(dataset, fanout=3)
@@ -235,13 +238,9 @@ class TestColumnarKernel:
             },
             items=["wine"],
         )
-        for mode in ("seed", "original"):
-            kernel = query.estimate(
-                dataset, hierarchies, domains=domains, universe_mode=mode
-            )
-            scalar = query._estimate_scan(
-                dataset, hierarchies, domains=domains, universe_mode=mode
-            )
+        for snapshot in (None, domains):
+            kernel = query.estimate(dataset, hierarchies, domains=snapshot)
+            scalar = estimate_scan(query, dataset, hierarchies, domains=snapshot)
             assert kernel == scalar
 
     def test_kernel_multiplication_order_with_several_items(self):
@@ -264,14 +263,14 @@ class TestColumnarKernel:
         domains = DatasetDomains.capture(original)
         query = Query(conditions={"City": ValueCondition(["x"])}, items=["a", "c"])
         kernel = query.estimate(anonymized, domains=domains)
-        scalar = query._estimate_scan(anonymized, domains=domains)
+        scalar = estimate_scan(query, anonymized, domains=domains)
         assert kernel == scalar  # bit-for-bit, not approximately
 
     def test_kernel_handles_empty_itemsets(self):
         schema = Schema([Attribute.transaction("Items")])
         anonymized = Dataset(schema, [{"Items": []}, {"Items": ["a"]}])
         query = Query(items=["a"])
-        assert query.estimate(anonymized) == query._estimate_scan(anonymized)
+        assert query.estimate(anonymized) == estimate_scan(query, anonymized)
         assert query.estimate(anonymized) == pytest.approx(1.0)
 
     def test_kernel_handles_empty_dataset(self):
@@ -282,48 +281,112 @@ class TestColumnarKernel:
         assert query.estimate(empty) == 0.0
 
 
-class TestScanFallback:
-    """Shapes the kernels do not cover are answered by the per-record scans."""
+MALFORMED = {
+    "value-condition-on-items": Query(conditions={"Items": ValueCondition(["bread"])}),
+    "range-condition-on-items": Query(conditions={"Items": RangeCondition(1, 2)}),
+    "items-of-a-relational-attribute": Query(
+        items=["Bachelors"], transaction_attribute="Education"
+    ),
+}
 
-    def test_condition_on_a_set_valued_attribute_is_counted_by_scan(self, dataset):
-        query = Query(conditions={"Items": ValueCondition(["bread"])})
-        assert query._count_columnar(dataset, "Items") is None
-        assert query.count(dataset) == query._count_scan(dataset)
 
-    def test_condition_on_a_set_valued_attribute_is_estimated_by_scan(self, dataset):
-        query = Query(
-            conditions={
-                "Age": RangeCondition(20, 40),
-                "Items": ValueCondition(["bread"]),
-            }
-        )
-        hierarchies, interpreters, transaction_attribute = query._estimate_inputs(
-            dataset, None, None, None, "original"
-        )
-        assert (
-            query._estimate_columnar(
-                dataset, hierarchies, interpreters, transaction_attribute
-            )
-            is None
-        )
-        assert query.estimate(dataset) == query._estimate_scan(dataset)
+class TestMalformedQueries:
+    """A predicate on a set-valued attribute, or items asked of a
+    single-valued one, is rejected rather than answered."""
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_count_rejects(self, dataset, shape):
+        with pytest.raises(QueryError):
+            MALFORMED[shape].count(dataset)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_estimate_rejects(self, dataset, shape):
+        with pytest.raises(QueryError):
+            MALFORMED[shape].estimate(dataset)
+
+
+CONFIG = transaction_config("apriori", k=2, m=1)
+SWEEP = ParameterSweep("k", (2,))
+
+#: (call, keyword) for each switch the query and indicator layer no longer
+#: has: ``vectorized=`` (the kernels are the only path), ``universe_mode=``
+#: (one label rule, set by whether a domains snapshot is given),
+#: ``km_check_limit=`` (a module constant), ``attack_knowledge_cap=`` and
+#: ``cached=`` (the union memo is always on).
+REMOVED_KEYWORDS = {
+    "count": (lambda q, d: q.count(d, vectorized=False), "vectorized"),
+    "estimate": (lambda q, d: q.estimate(d, vectorized=False), "vectorized"),
+    "evaluate_query": (
+        lambda q, d: evaluate_query(q, d, d, vectorized=False),
+        "vectorized",
+    ),
+    "average_relative_error": (
+        lambda q, d: average_relative_error([q], d, d, vectorized=False),
+        "vectorized",
+    ),
+    "estimate-universe_mode": (
+        lambda q, d: q.estimate(d, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "evaluate_query-universe_mode": (
+        lambda q, d: evaluate_query(q, d, d, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "average_relative_error-universe_mode": (
+        lambda q, d: average_relative_error([q], d, d, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "evaluator-universe_mode": (
+        lambda q, d: MethodEvaluator(d, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "comparator-universe_mode": (
+        lambda q, d: MethodComparator(d, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "configuration_keys-universe_mode": (
+        lambda q, d: configuration_keys(
+            d, ExperimentResources(), False, [CONFIG], SWEEP, universe_mode="seed"
+        ),
+        "universe_mode",
+    ),
+    "session.evaluate-universe_mode": (
+        lambda q, d: Session(d).evaluate(CONFIG, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "session.sweep-universe_mode": (
+        lambda q, d: Session(d).sweep(CONFIG, "k", 2, 2, 1, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "session.compare-universe_mode": (
+        lambda q, d: Session(d).compare([CONFIG], "k", 2, 2, 1, universe_mode="seed"),
+        "universe_mode",
+    ),
+    "evaluator-km_check_limit": (
+        lambda q, d: MethodEvaluator(d, km_check_limit=1),
+        "km_check_limit",
+    ),
+    "evaluator-attack_knowledge_cap": (
+        lambda q, d: MethodEvaluator(d, attack_knowledge_cap=1),
+        "attack_knowledge_cap",
+    ),
+    "index-cached": (
+        lambda q, d: InvertedIndex(d.columnar("Items"), cached=False),
+        "cached",
+    ),
+    "index.from_dataset-cached": (
+        lambda q, d: InvertedIndex.from_dataset(d, "Items", cached=False),
+        "cached",
+    ),
+}
 
 
 class TestNoVectorizedSwitch:
-    """The kernel path is the only entry point; ``vectorized=`` is gone."""
+    """The kernel path is the only entry point, and the query and indicator
+    layer has no other switch left: each removed keyword is rejected."""
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda query, data: query.count(data, vectorized=False),
-            lambda query, data: query.estimate(data, vectorized=False),
-            lambda query, data: evaluate_query(query, data, data, vectorized=False),
-            lambda query, data: average_relative_error(
-                [query], data, data, vectorized=False
-            ),
-        ],
-        ids=["count", "estimate", "evaluate_query", "average_relative_error"],
-    )
-    def test_vectorized_keyword_is_rejected(self, dataset, call):
-        with pytest.raises(TypeError, match="vectorized"):
+    @pytest.mark.parametrize("case", list(REMOVED_KEYWORDS))
+    def test_vectorized_keyword_is_rejected(self, dataset, case):
+        call, keyword = REMOVED_KEYWORDS[case]
+        with pytest.raises(TypeError, match=keyword):
             call(Query(items=["bread"]), dataset)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.queries import are_without_domains
 from repro.datasets import (
     Attribute,
     Dataset,
@@ -168,19 +169,12 @@ class TestAre:
         with pytest.raises(QueryError, match="empty"):
             average_relative_error([], dataset, dataset)
 
-    def test_unknown_universe_mode_rejected(self):
-        dataset = toy_rt_dataset()
-        with pytest.raises(QueryError):
-            average_relative_error(
-                [Query(items=["bread"])], dataset, dataset, universe_mode="bogus"
-            )
-
-    def test_universe_modes_agree_on_identical_datasets(self):
+    def test_label_rules_agree_on_identical_datasets(self):
         dataset = toy_rt_dataset()
         workload = QueryWorkload(
             [Query(conditions={"Age": RangeCondition(20, 50)}), Query(items=["bread"])]
         )
-        seed = average_relative_error(workload, dataset, dataset, universe_mode="seed")
+        seed = are_without_domains(workload, dataset, dataset)
         original = average_relative_error(workload, dataset, dataset)
         assert seed.are == pytest.approx(0.0)
         assert original.are == pytest.approx(0.0)
