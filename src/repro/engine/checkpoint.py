@@ -395,8 +395,8 @@ def configuration_keys(
 
     Each key is ``task_key("sweep-point", fingerprint, resources, flags,
     config, parameter, value)``.  Computed in the orchestrating process from
-    the *real* dataset (never a shared-memory manifest) and the completed
-    resources — so a resumed run, which completes the identical resources,
+    the *real* dataset (never a shared-memory manifest) and the resolved
+    resources — so a resumed run, which resolves the identical resources,
     derives the identical keys in any execution mode.
     """
     return _task_keys(

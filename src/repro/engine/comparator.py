@@ -11,18 +11,16 @@ utility and efficiency".  A varying-parameter experiment
 configuration.
 
 The unit of work is one (configuration, value) cell.  Both classes build the
-flat list of cells in configuration-major order, derive one checkpoint key
-per cell (:func:`~repro.engine.checkpoint.configuration_keys`) and hand the
-cells to one :func:`~repro.engine.runner.fan_out_shared` dispatch; the
-reports are grouped back into one :class:`SweepResult` per configuration.
-Before that the resources are completed once, in this process, for every
-configuration: configurations that share a ``hierarchy_fanout`` (and, when
-their algorithm uses policies, the utility policy knobs) share one completed
-resources object, and each other group gets its own, so a configuration's
-generated hierarchies and utility policy never depend on what it is
-compared with.  Each cell evaluates on its own shallow copy, so the
-per-``k`` privacy policy a cell regenerates never leaks into the shared
-resources or into the next call's keys.
+flat list of cells in configuration-major order, resolve each cell's
+resources in this process
+(:meth:`~repro.engine.resources.ExperimentResources.for_config`), derive
+one checkpoint key per cell
+(:func:`~repro.engine.checkpoint.configuration_keys`) and hand the cells to
+one :func:`~repro.engine.runner.fan_out_shared` dispatch; the reports are
+grouped back into one :class:`SweepResult` per configuration.  A cell reads
+the resources its configuration resolves to alone and is keyed on them, so
+its result and its key never depend on what it is compared with, and the
+workers generate nothing.
 
 Cells can fan out across CPU cores: give the comparator an
 ``Execution(mode="process")`` (:class:`~repro.engine.runner.Execution`) and
@@ -36,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from repro.algorithms.registry import get_spec
 from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
 from repro.engine.checkpoint import configuration_keys
@@ -51,30 +48,22 @@ from repro.exceptions import ConfigurationError
 
 
 def _evaluate_cell(task: tuple) -> EvaluationReport:
-    """Evaluate one (configuration, parameter, value) cell.
+    """Evaluate one (configuration, value) cell on its resolved resources.
 
     Module-level so process-mode execution can pickle it.  The dataset slot
     holds either the dataset itself (sequential mode) or a shared-memory
     manifest that the worker attaches — once per process — without copying
-    array payloads.  The cell evaluates on a shallow copy of the (complete)
-    resources: what it regenerates for its own ``k`` stays its own.
+    array payloads.  The resources arrive resolved for the cell, so the
+    evaluator generates nothing.
     """
-    (
-        dataset,
-        resources,
-        verify_privacy,
-        simulate_attacks,
-        config,
-        parameter,
-        value,
-    ) = task
+    dataset, resources, verify_privacy, simulate_attacks, config = task
     evaluator = MethodEvaluator(
         resolve_shared_dataset(dataset),
-        dataclasses.replace(resources),
+        resources,
         verify_privacy=verify_privacy,
         simulate_attacks=simulate_attacks,
     )
-    return evaluator.evaluate(config.with_parameter(parameter, value))
+    return evaluator.evaluate(config)
 
 
 class MethodComparator:
@@ -100,59 +89,48 @@ class MethodComparator:
         self.execution = execution
         self.simulate_attacks = simulate_attacks
 
-    def _completed_resources(
-        self, configurations: Sequence[AnonymizationConfig]
-    ) -> list[ExperimentResources]:
-        """The completed resources of each configuration, one object per group.
+    def _keys(
+        self,
+        configurations: Sequence[AnonymizationConfig],
+        sweep: ParameterSweep,
+        resolved: Sequence[ExperimentResources],
+    ) -> list[str]:
+        """One checkpoint key per cell, in configuration-major order.
 
-        A group is a ``hierarchy_fanout`` plus, for configurations whose
-        algorithm uses policies, the ``utility_strategy`` and
-        ``utility_group_size`` the utility policy is generated from.  A
-        configuration without policies joins the first policy group of its
-        fanout, so a comparison whose configurations share these knobs keeps
-        one group per fanout.  The first group completes ``self.resources``.
-        Each other group completes a copy that keeps the domains and
-        workload but starts again from the caller's hierarchies, item
-        hierarchy and utility policy, so what is generated is generated for
-        that group and what the caller supplied is never replaced.  The
-        privacy policy is generated per k, that is per cell, so it stays as
-        the caller gave it: completed here, it would follow the last
-        configuration's k into every key.
+        ``resolved`` holds one cell's resources per configuration.  Each
+        configuration is keyed on them with the privacy slot as the caller
+        gave it (the policy generated for each swept ``k`` follows from the
+        key's other parts), which is its key when swept alone.  One
+        ``configuration_keys`` call, which encodes the resources once, serves
+        every configuration whose artefacts are the same objects.
         """
-
-        def knobs(config: AnonymizationConfig) -> tuple[str, int] | None:
-            algorithm = config.transaction_algorithm
-            if algorithm is None or not get_spec(algorithm).uses_policies:
-                return None
-            return (config.utility_strategy, config.utility_group_size)
-
-        first_knobs: dict[int, tuple[str, int]] = {}
-        for config in configurations:
-            own = knobs(config)
-            if own is not None:
-                first_knobs.setdefault(config.hierarchy_fanout, own)
-        given = dataclasses.replace(self.resources)
-        groups: dict[tuple, ExperimentResources] = {}
-        completed = []
-        for config in configurations:
-            fanout = config.hierarchy_fanout
-            group = (fanout, knobs(config) or first_knobs.get(fanout))
-            if group not in groups:
-                groups[group] = (
+        groups: dict[tuple, list[int]] = {}
+        for position, resources in enumerate(resolved):
+            artefacts = (
+                *resources.hierarchies.values(),
+                resources.item_hierarchy,
+                resources.utility_policy,
+                resources.workload,
+                resources.domains,
+            )
+            groups.setdefault(tuple(map(id, artefacts)), []).append(position)
+        keys: dict[int, list[str]] = {}
+        for positions in groups.values():
+            batch = iter(
+                configuration_keys(
+                    self.dataset,
                     dataclasses.replace(
-                        self.resources,
-                        hierarchies=given.hierarchies,
-                        item_hierarchy=given.item_hierarchy,
-                        utility_policy=given.utility_policy,
-                    )
-                    if groups
-                    else self.resources
+                        resolved[positions[0]], privacy_policy=self.resources.privacy_policy
+                    ),
+                    self.verify_privacy,
+                    [configurations[position] for position in positions],
+                    sweep,
+                    self.simulate_attacks,
                 )
-            groups[group].ensure_for(self.dataset, config)
-            completed.append(groups[group])
-        for resources in groups.values():
-            resources.privacy_policy = given.privacy_policy
-        return completed
+            )
+            for position in positions:
+                keys[position] = [next(batch) for _ in sweep.values]
+        return [key for position in sorted(keys) for key in keys[position]]
 
     def _run_cells(
         self,
@@ -161,52 +139,29 @@ class MethodComparator:
     ) -> tuple[list[SweepResult], RunReport]:
         """Evaluate every (configuration, value) cell in one dispatch.
 
-        Returns one :class:`SweepResult` per configuration and the run's
+        Each cell's resources are resolved here, before keys are derived and
+        before the cells fan out, so a resumed run derives the identical keys
+        in any mode and no worker generates anything.  Returns one
+        :class:`SweepResult` per configuration and the run's
         :class:`~repro.engine.resilience.RunReport` (one task per cell).
         """
-        completed = self._completed_resources(configurations)
         cells = [
-            (config, resources, value)
-            for config, resources in zip(configurations, completed)
-            for value in sweep.values
+            (cell, self.resources.for_config(self.dataset, cell))
+            for config in configurations
+            for cell in (
+                config.with_parameter(sweep.parameter, value) for value in sweep.values
+            )
         ]
-        # Keys are derived here from the real dataset and the completed
-        # resources, so a resumed run derives the identical keys in any mode.
-        # One call per resources object encodes each object once.
         keys = None
         if self.execution.checkpoint is not None:
-            by_group = {
-                id(resources): iter(
-                    configuration_keys(
-                        self.dataset,
-                        resources,
-                        self.verify_privacy,
-                        [
-                            config
-                            for config, own in zip(configurations, completed)
-                            if own is resources
-                        ],
-                        sweep,
-                        self.simulate_attacks,
-                    )
-                )
-                for resources in {id(own): own for own in completed}.values()
-            }
-            keys = [next(by_group[id(resources)]) for _, resources, _ in cells]
+            resolved = [resources for _, resources in cells[:: len(sweep)]]
+            keys = self._keys(configurations, sweep, resolved)
         report = RunReport()
         reports = fan_out_shared(
             self.dataset,
             lambda payload: [
-                (
-                    payload,
-                    resources,
-                    self.verify_privacy,
-                    self.simulate_attacks,
-                    config,
-                    sweep.parameter,
-                    value,
-                )
-                for config, resources, value in cells
+                (payload, resources, self.verify_privacy, self.simulate_attacks, cell)
+                for cell, resources in cells
             ],
             _evaluate_cell,
             self.execution,

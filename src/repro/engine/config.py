@@ -11,11 +11,16 @@ multi-configuration comparisons.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.algorithms.registry import get_spec
 from repro.exceptions import ConfigurationError
+from repro.metrics.relational import quasi_identifier_attributes
+
+if TYPE_CHECKING:
+    from repro.datasets.dataset import Dataset
 
 #: The parameters a varying-parameter experiment may sweep.
 SWEEPABLE_PARAMETERS = ("k", "m", "delta")
@@ -89,6 +94,24 @@ class AnonymizationConfig:
             object.__setattr__(
                 self, "relational_attributes", tuple(self.relational_attributes)
             )
+        # ``extra`` maps the kind of a selected algorithm to keywords of its class.
+        selected = {
+            "relational": self.relational_algorithm,
+            "transaction": self.transaction_algorithm,
+            "rt": self.bounding_method if self.mode == "rt" else None,
+        }
+        for kind, keywords in self.extra.items():
+            if selected.get(kind) is None or not isinstance(keywords, dict):
+                choices = sorted(key for key, name in selected.items() if name)
+                raise ConfigurationError(
+                    f"extra[{kind!r}] must be a dict of keywords under one of {choices}"
+                )
+            accepted = inspect.signature(get_spec(selected[kind]).cls).parameters
+            unknown = sorted(set(keywords) - set(accepted))
+            if unknown:
+                raise ConfigurationError(
+                    f"{selected[kind]!r} takes no keyword {unknown}; it takes {sorted(accepted)}"
+                )
 
     # -- derived views ----------------------------------------------------------
     @property
@@ -99,6 +122,19 @@ class AnonymizationConfig:
         if self.relational_algorithm:
             return "relational"
         return "transaction"
+
+    def relational_attributes_in(self, dataset: "Dataset") -> list[str]:
+        """The selected relational attributes; all quasi-identifiers by default."""
+        if self.relational_attributes is not None:
+            return list(self.relational_attributes)
+        return quasi_identifier_attributes(dataset)
+
+    def transaction_attribute_in(self, dataset: "Dataset") -> str | None:
+        """The selected transaction attribute; the dataset's first by default."""
+        if self.transaction_attribute:
+            return self.transaction_attribute
+        names = dataset.schema.transaction_names
+        return names[0] if names else None
 
     @property
     def display_label(self) -> str:

@@ -32,7 +32,6 @@ from repro.metrics.relational import (
     average_class_size,
     discernibility_metric,
     global_certainty_penalty,
-    quasi_identifier_attributes,
 )
 # ``evaluate`` averages the per-item errors it already has; the averaging
 # function stays importable here because perfbench's layer tracer wraps it
@@ -59,7 +58,7 @@ class MethodEvaluator:
     """Evaluate a single anonymization configuration (Evaluation mode).
 
     ARE resolves generalized labels against the original dataset's attribute
-    domains (captured in the resources at prepare time), which makes it
+    domains (captured when the resources are resolved), which makes it
     consistent with the utility-loss charging rule on root-generalized
     outputs (``docs/queries.md``).
     """
@@ -80,28 +79,18 @@ class MethodEvaluator:
         self.simulate_attacks = simulate_attacks
 
     # -- indicator computation ----------------------------------------------------
-    def _relational_attributes(self, config: AnonymizationConfig) -> list[str]:
-        if config.relational_attributes is not None:
-            return list(config.relational_attributes)
-        return quasi_identifier_attributes(self.dataset)
-
-    def _transaction_attribute(self, config: AnonymizationConfig) -> str | None:
-        if config.transaction_attribute:
-            return config.transaction_attribute
-        names = self.dataset.schema.transaction_names
-        return names[0] if names else None
-
     def _utility_indicators(
         self,
         config: AnonymizationConfig,
+        resources: ExperimentResources,
         anonymized: Dataset,
         item_errors: dict[str, float],
     ) -> dict[str, float]:
         indicators: dict[str, float] = {}
         if config.relational_algorithm is not None:
-            attributes = self._relational_attributes(config)
+            attributes = config.relational_attributes_in(self.dataset)
             indicators["relational_gcp"] = global_certainty_penalty(
-                self.dataset, anonymized, attributes, self.resources.hierarchies
+                self.dataset, anonymized, attributes, resources.hierarchies
             )
             indicators["discernibility"] = float(
                 discernibility_metric(anonymized, attributes)
@@ -109,13 +98,13 @@ class MethodEvaluator:
             indicators["average_class_size"] = average_class_size(
                 anonymized, config.k, attributes
             )
-        transaction_attribute = self._transaction_attribute(config)
+        transaction_attribute = config.transaction_attribute_in(self.dataset)
         if config.transaction_algorithm is not None and transaction_attribute:
             indicators["transaction_ul"] = utility_loss(
                 self.dataset,
                 anonymized,
                 attribute=transaction_attribute,
-                hierarchy=self.resources.item_hierarchy,
+                hierarchy=resources.item_hierarchy,
             )
             indicators["item_frequency_error"] = mean_item_frequency_error(
                 item_errors
@@ -123,11 +112,14 @@ class MethodEvaluator:
         return indicators
 
     def _privacy_status(
-        self, config: AnonymizationConfig, anonymized: Dataset
+        self,
+        config: AnonymizationConfig,
+        resources: ExperimentResources,
+        anonymized: Dataset,
     ) -> dict:
         status: dict = {"k": config.k}
-        attributes = self._relational_attributes(config)
-        transaction_attribute = self._transaction_attribute(config)
+        attributes = config.relational_attributes_in(self.dataset)
+        transaction_attribute = config.transaction_attribute_in(self.dataset)
         universe = (
             self.dataset.item_universe(transaction_attribute)
             if transaction_attribute
@@ -155,7 +147,7 @@ class MethodEvaluator:
                     config.m,
                     relational_attributes=attributes,
                     transaction_attribute=transaction_attribute,
-                    hierarchy=self.resources.item_hierarchy,
+                    hierarchy=resources.item_hierarchy,
                     universe=universe,
                     max_violations=1,
                 )
@@ -168,7 +160,7 @@ class MethodEvaluator:
                     config.k,
                     config.m,
                     attribute=transaction_attribute,
-                    hierarchy=self.resources.item_hierarchy,
+                    hierarchy=resources.item_hierarchy,
                     universe=universe,
                     max_violations=1,
                 )
@@ -178,7 +170,10 @@ class MethodEvaluator:
         return status
 
     def _attack_status(
-        self, config: AnonymizationConfig, anonymized: Dataset
+        self,
+        config: AnonymizationConfig,
+        resources: ExperimentResources,
+        anonymized: Dataset,
     ) -> dict[str, AttackResult]:
         """Simulated re-identification attacks matching the configuration.
 
@@ -188,14 +183,14 @@ class MethodEvaluator:
         algorithm ran, and the combined adversary for RT mode.
         """
         attacks: dict[str, AttackResult] = {}
-        attributes = self._relational_attributes(config)
-        transaction_attribute = self._transaction_attribute(config)
+        attributes = config.relational_attributes_in(self.dataset)
+        transaction_attribute = config.transaction_attribute_in(self.dataset)
         if config.relational_algorithm is not None and attributes:
             attacks["qi"] = qi_attack(
                 self.dataset,
                 anonymized,
                 attributes=attributes,
-                hierarchies=self.resources.hierarchies,
+                hierarchies=resources.hierarchies,
             )
         if config.transaction_algorithm is not None and transaction_attribute:
             attacks["item"] = item_attack(
@@ -203,7 +198,7 @@ class MethodEvaluator:
                 anonymized,
                 config.m,
                 attribute=transaction_attribute,
-                hierarchy=self.resources.item_hierarchy,
+                hierarchy=resources.item_hierarchy,
             )
         if config.mode == "rt" and attributes and transaction_attribute:
             attacks["rt"] = rt_attack(
@@ -212,36 +207,41 @@ class MethodEvaluator:
                 config.m,
                 relational_attributes=attributes,
                 transaction_attribute=transaction_attribute,
-                hierarchies=self.resources.hierarchies,
-                item_hierarchy=self.resources.item_hierarchy,
+                hierarchies=resources.hierarchies,
+                item_hierarchy=resources.item_hierarchy,
             )
         return attacks
 
     # -- main -------------------------------------------------------------------------
     def evaluate(self, config: AnonymizationConfig) -> EvaluationReport:
-        """Run the configuration and compute every Evaluation-mode indicator."""
-        module = AnonymizationModule(self.dataset, self.resources)
-        result = module.run(config)
+        """Run the configuration and compute every Evaluation-mode indicator.
+
+        The evaluator's resources are resolved for ``config``
+        (:meth:`~repro.engine.resources.ExperimentResources.for_config`);
+        their fields stay as they are.
+        """
+        resources = self.resources.for_config(self.dataset, config)
+        result = AnonymizationModule(self.dataset, resources).run(config)
         anonymized = result.dataset
 
-        transaction_attribute = self._transaction_attribute(config)
-        hierarchies = self.resources.hierarchies_with_items(transaction_attribute)
-        if self.resources.workload is None:
+        transaction_attribute = config.transaction_attribute_in(self.dataset)
+        hierarchies = resources.hierarchies_with_items(transaction_attribute)
+        if resources.workload is None:
             # A dataset with nothing to query gets no generated workload;
             # ARE is simply not computable then, rather than a crash.
             are = None
         else:
             are = average_relative_error(
-                self.resources.workload,
+                resources.workload,
                 self.dataset,
                 anonymized,
                 hierarchies=hierarchies,
-                domains=self.resources.domains,
+                domains=resources.domains,
             ).are
 
         generalized_frequencies = {}
         if config.relational_algorithm is not None:
-            for attribute in self._relational_attributes(config):
+            for attribute in config.relational_attributes_in(self.dataset):
                 generalized_frequencies[attribute] = generalized_value_frequencies(
                     anonymized, attribute
                 )
@@ -251,21 +251,21 @@ class MethodEvaluator:
                 self.dataset,
                 anonymized,
                 attribute=transaction_attribute,
-                hierarchy=self.resources.item_hierarchy,
+                hierarchy=resources.item_hierarchy,
             )
 
         return EvaluationReport(
             configuration=config.describe(),
             result=result,
-            utility=self._utility_indicators(config, anonymized, item_errors),
-            privacy=self._privacy_status(config, anonymized),
+            utility=self._utility_indicators(config, resources, anonymized, item_errors),
+            privacy=self._privacy_status(config, resources, anonymized),
             are=are,
             runtime_seconds=result.runtime_seconds,
             phase_seconds=dict(result.phase_seconds),
             generalized_value_frequencies=generalized_frequencies,
             item_frequency_errors=item_errors,
             attacks=(
-                self._attack_status(config, anonymized)
+                self._attack_status(config, resources, anonymized)
                 if self.simulate_attacks
                 else {}
             ),

@@ -6,12 +6,20 @@ besides the dataset itself, and can generate any missing ones automatically
 (hierarchies with the builders of :mod:`repro.hierarchy`, privacy/utility
 policies with the strategies of :mod:`repro.policies`, query workloads with
 :func:`repro.queries.generate_query_workload`).
+
+:meth:`ExperimentResources.for_config` resolves what one configuration reads:
+what the caller supplied, as given, and everything else from a memo keyed by
+the arguments each generator takes.  So a configuration reads the same
+artefacts whatever was resolved before it, and configurations whose
+generation knobs agree share one generated object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
+from repro.algorithms.registry import get_spec
 from repro.datasets.dataset import Dataset
 from repro.datasets.domains import DatasetDomains
 from repro.engine.config import AnonymizationConfig
@@ -23,6 +31,22 @@ from repro.policies.utility import UtilityPolicy
 from repro.queries.workload import QueryWorkload, generate_query_workload
 
 
+class _Memo(dict):
+    """Generated artefacts keyed by the arguments of their generator."""
+
+    def generate(self, key: tuple, generator: Callable, *args: Any, **kwargs: Any) -> Any:
+        """The artefact at ``key``; ``generator(*args, **kwargs)`` makes a missing one."""
+        if key not in self:
+            self[key] = generator(*args, **kwargs)
+        return self[key]
+
+    def given(self, artefact: Any) -> Any:
+        """``artefact`` if the caller supplied it; ``None`` if it was generated."""
+        if any(artefact is generated for generated in self.values()):
+            return None
+        return artefact
+
+
 @dataclass
 class ExperimentResources:
     """The non-dataset inputs of an anonymization experiment."""
@@ -32,10 +56,17 @@ class ExperimentResources:
     privacy_policy: PrivacyPolicy | None = None
     utility_policy: UtilityPolicy | None = None
     workload: QueryWorkload | None = None
-    #: Attribute-domain snapshot of the *original* dataset, captured at
-    #: prepare time; query estimation resolves hierarchy-free generalized
+    #: Attribute-domain snapshot of the *original* dataset, captured once
+    #: per resources object; query estimation resolves hierarchy-free generalized
     #: labels against it.
     domains: DatasetDomains | None = None
+
+    # The memo of generated artefacts is not a field: keys never encode it,
+    # and it stays in this process.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
     @classmethod
     def prepare(
@@ -63,7 +94,7 @@ class ExperimentResources:
         resources.ensure_for(dataset, config, workload_queries=workload_queries, seed=seed)
         return resources
 
-    # -- completion ---------------------------------------------------------------
+    # -- resolution ---------------------------------------------------------------
     def ensure_for(
         self,
         dataset: Dataset,
@@ -71,21 +102,101 @@ class ExperimentResources:
         workload_queries: int = 50,
         seed: int = 0,
     ) -> None:
-        """Generate any resource the configuration needs but does not have."""
-        transaction_attribute = self._transaction_attribute(dataset, config)
+        """Set every field to what ``config`` reads (see :meth:`for_config`)."""
+        resolved = self.for_config(dataset, config, workload_queries, seed)
+        for slot in fields(self):
+            setattr(self, slot.name, getattr(resolved, slot.name))
+
+    def for_config(
+        self,
+        dataset: Dataset,
+        config: AnonymizationConfig,
+        workload_queries: int = 50,
+        seed: int = 0,
+    ) -> "ExperimentResources":
+        """The resources exactly as ``config`` reads them; ``self`` is unchanged.
+
+        A slot holding an artefact that this object's memo did not generate
+        belongs to the caller and is used as given; the privacy policy only
+        where its ``k`` is the configuration's.  Every other artefact
+        ``config`` reads comes from the memo, keyed by the arguments of its
+        generator, so each is generated once and never depends on the
+        configurations resolved before.  Generated artefacts ``config`` does
+        not read are left out.  The workload and the domains depend on no
+        configuration: a filled slot is kept whoever filled it.
+        """
+        memo = self.__dict__.setdefault("_memo", _Memo())
+        attribute = config.transaction_attribute_in(dataset)
+        fanout = config.hierarchy_fanout
+        hierarchies = {
+            name: hierarchy
+            for name, hierarchy in self.hierarchies.items()
+            if memo.given(hierarchy) is not None
+        }
         if config.relational_algorithm is not None:
-            self._ensure_relational_hierarchies(dataset, config)
-        if config.transaction_algorithm is not None and transaction_attribute:
-            self._ensure_item_hierarchy(dataset, config, transaction_attribute)
-            self._ensure_policies(dataset, config, transaction_attribute)
-        if self.domains is None and len(dataset):
+            for name in config.relational_attributes_in(dataset):
+                if name in hierarchies:
+                    continue
+                key = ("hierarchy", name, fanout)
+                if key not in memo:
+                    memo[key] = build_hierarchies_for_dataset(
+                        dataset, fanout=fanout, attributes=[name]
+                    )[name]
+                hierarchies[name] = memo[key]
+        item_hierarchy = memo.given(self.item_hierarchy)
+        privacy_policy = memo.given(self.privacy_policy)
+        utility_policy = memo.given(self.utility_policy)
+        if config.transaction_algorithm is not None and attribute:
+            if item_hierarchy is None:
+                key = ("item hierarchy", attribute, fanout)
+                if key not in memo:
+                    memo[key] = build_item_hierarchy(
+                        dataset.item_universe(attribute), fanout=fanout, attribute=attribute
+                    )
+                item_hierarchy = memo[key]
+            if get_spec(config.transaction_algorithm).uses_policies:
+                if privacy_policy is None or privacy_policy.k != config.k:
+                    privacy_policy = memo.generate(
+                        ("privacy", attribute, config.k, config.privacy_strategy),
+                        generate_privacy_policy,
+                        dataset,
+                        k=config.k,
+                        strategy=config.privacy_strategy,
+                        attribute=attribute,
+                    )
+                if utility_policy is None:
+                    utility_policy = memo.generate(
+                        (
+                            "utility",
+                            attribute,
+                            item_hierarchy,
+                            config.utility_strategy,
+                            config.utility_group_size,
+                        ),
+                        generate_utility_policy,
+                        dataset,
+                        strategy=config.utility_strategy,
+                        attribute=attribute,
+                        group_size=config.utility_group_size,
+                        hierarchy=item_hierarchy,
+                    )
+        domains = self.domains
+        if domains is None and len(dataset):
             # Snapshot the original attribute domains before anonymization:
             # universe-aware ARE resolves generalized labels against them.
-            self.domains = DatasetDomains.capture(dataset)
-        if self.workload is None and self._can_generate_workload(dataset):
-            self.workload = generate_query_workload(
-                dataset, n_queries=workload_queries, seed=seed
+            domains = memo.generate(("domains",), DatasetDomains.capture, dataset)
+        workload = self.workload
+        if workload is None and self._can_generate_workload(dataset):
+            workload = memo.generate(
+                ("workload", workload_queries, seed),
+                generate_query_workload,
+                dataset,
+                n_queries=workload_queries,
+                seed=seed,
             )
+        return ExperimentResources(
+            hierarchies, item_hierarchy, privacy_policy, utility_policy, workload, domains
+        )
 
     def _can_generate_workload(self, dataset: Dataset) -> bool:
         """Whether the dataset has anything a generated workload could query.
@@ -102,76 +213,6 @@ class ExperimentResources:
         return any(
             attribute.quasi_identifier for attribute in dataset.schema.relational
         )
-
-    def _transaction_attribute(
-        self, dataset: Dataset, config: AnonymizationConfig
-    ) -> str | None:
-        if config.transaction_attribute:
-            return config.transaction_attribute
-        names = dataset.schema.transaction_names
-        return names[0] if names else None
-
-    def _relational_attributes(
-        self, dataset: Dataset, config: AnonymizationConfig
-    ) -> list[str]:
-        if config.relational_attributes is not None:
-            return list(config.relational_attributes)
-        return [
-            attribute.name
-            for attribute in dataset.schema.relational
-            if attribute.quasi_identifier
-        ]
-
-    def _ensure_relational_hierarchies(
-        self, dataset: Dataset, config: AnonymizationConfig
-    ) -> None:
-        needed = [
-            name
-            for name in self._relational_attributes(dataset, config)
-            if name not in self.hierarchies
-        ]
-        if needed:
-            # A new dict: shallow copies of these resources share the old one.
-            self.hierarchies = {
-                **self.hierarchies,
-                **build_hierarchies_for_dataset(
-                    dataset, fanout=config.hierarchy_fanout, attributes=needed
-                ),
-            }
-
-    def _ensure_item_hierarchy(
-        self, dataset: Dataset, config: AnonymizationConfig, attribute: str
-    ) -> None:
-        if self.item_hierarchy is None:
-            self.item_hierarchy = build_item_hierarchy(
-                dataset.item_universe(attribute),
-                fanout=config.hierarchy_fanout,
-                attribute=attribute,
-            )
-
-    def _ensure_policies(
-        self, dataset: Dataset, config: AnonymizationConfig, attribute: str
-    ) -> None:
-        from repro.algorithms.registry import get_spec
-
-        spec = get_spec(config.transaction_algorithm)
-        if not spec.uses_policies:
-            return
-        if self.privacy_policy is None or self.privacy_policy.k != config.k:
-            self.privacy_policy = generate_privacy_policy(
-                dataset,
-                k=config.k,
-                strategy=config.privacy_strategy,
-                attribute=attribute,
-            )
-        if self.utility_policy is None:
-            self.utility_policy = generate_utility_policy(
-                dataset,
-                strategy=config.utility_strategy,
-                attribute=attribute,
-                group_size=config.utility_group_size,
-                hierarchy=self.item_hierarchy,
-            )
 
     # -- reporting -----------------------------------------------------------------
     def hierarchies_with_items(self, transaction_attribute: str | None) -> dict[str, Hierarchy]:

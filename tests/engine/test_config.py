@@ -37,6 +37,48 @@ class TestValidation:
             rt_config("cluster", "apriori", delta=2.0)
 
 
+class TestExtraValidation:
+    """``extra`` names a selected algorithm, then its constructor keywords."""
+
+    def test_top_level_keyword_without_algorithm_is_rejected(self):
+        # It was once ignored silently: VPA ran with its default n_parts.
+        with pytest.raises(ConfigurationError, match=r"extra\['n_parts'\] must be a dict of keywords under one of \['transaction'\]"):
+            transaction_config("vpa", extra={"n_parts": 1})
+
+    def test_unknown_constructor_keyword_is_rejected(self):
+        # It was once a raw TypeError, raised only when the algorithm was built.
+        with pytest.raises(ConfigurationError, match=r"'vpa' takes no keyword \['bogus'\]"):
+            transaction_config("vpa", extra={"transaction": {"bogus": 1}})
+
+    def test_kind_of_an_unselected_algorithm_is_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"extra\['relational'\]"):
+            transaction_config("vpa", extra={"relational": {"attributes": None}})
+        with pytest.raises(ConfigurationError, match=r"extra\['rt'\] must be a dict of keywords under one of \['relational'\]"):
+            relational_config("cluster", extra={"rt": {"max_merges": 1}})
+
+    def test_keywords_must_be_a_mapping(self):
+        with pytest.raises(ConfigurationError, match="must be a dict of keywords"):
+            transaction_config("vpa", extra={"transaction": ["n_parts"]})
+
+    def test_constructor_keywords_are_accepted(self):
+        assert transaction_config("vpa", extra={"transaction": {"n_parts": 1}}).extra == {
+            "transaction": {"n_parts": 1}
+        }
+        config = rt_config(
+            "cluster",
+            "pcta",
+            extra={"rt": {"max_merges": 3}, "transaction": {"merge_candidates": 5}},
+        )
+        assert config.extra["rt"] == {"max_merges": 3}
+
+    def test_accepted_keywords_reach_the_algorithm(self):
+        from repro.engine import AnonymizationModule, ExperimentResources
+
+        config = transaction_config("vpa", extra={"transaction": {"n_parts": 1}})
+        algorithm = AnonymizationModule(None, ExperimentResources()).build_algorithm(config)
+        assert algorithm.n_parts == 1
+
+
 class TestDerivedViews:
     def test_mode(self):
         assert relational_config("cluster").mode == "relational"
