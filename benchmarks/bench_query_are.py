@@ -4,20 +4,23 @@ Measures the ARE hot path on a 50-query workload over a 50k-record
 RT-dataset, anonymized in the style of a cluster + item-grouping run
 (interval labels, group labels, a root ``*`` tail on both sides):
 
-* **estimate** — :meth:`Query.estimate` over the anonymized data with the
-  original dataset's domains snapshot.  Baseline: the per-record scan
+* **estimate** — the whole workload estimated over the anonymized data with
+  the original dataset's domains snapshot.  Baseline: the per-record scan
   (``estimate_scan`` in ``tests/oracles/queries.py``, the exact semantic
-  reference).  Kernel: the
-  per-distinct-label probability tables gathered through the columnar code
-  arrays plus the CSR ``maximum.reduceat`` item reduction.  Both sides share
-  one set of prebuilt universe-keyed interpreters (the workload-evaluation
-  regime) and the kernel is asserted bit-for-bit equal per query.
+  reference), query by query.  Kernel: :func:`estimate_workload`, the
+  batched pass :func:`average_relative_error` runs — one match table per
+  distinct condition gathered through the columnar code arrays, one
+  item-match matrix per output (``row_maxima``), then per query its products
+  and a sequential sum.  Both sides share one set of prebuilt
+  universe-keyed interpreters and the kernel is asserted bit-for-bit equal
+  per query.
 * **count** — :meth:`Query.count` over the original data.  Baseline: the
   per-record match scan (``count_scan``, same oracle).  Kernel: per-distinct-value
   match tables plus AND+popcount over the required items' posting bitsets.
-* **are** — :func:`average_relative_error` end to end (count + estimate per
-  query), against its per-record twin ``average_relative_error_scan``
-  (``tests/oracles/queries.py``).
+* **are** — :func:`average_relative_error` end to end (a count per query,
+  one batched estimate), against its per-record twin
+  ``average_relative_error_scan`` (``tests/oracles/queries.py``); every
+  per-query actual and estimate is asserted equal, not only the mean.
 
 Besides asserting the >= 5x acceptance bar on the estimator, the run writes
 a machine-readable ``BENCH_are.json`` at the repository root (seconds and
@@ -44,7 +47,11 @@ import pytest
 
 from repro.datasets import DatasetDomains, generate_rt_dataset
 from repro.hierarchy.builders import format_interval
-from repro.queries import average_relative_error, generate_query_workload
+from repro.queries import (
+    average_relative_error,
+    estimate_workload,
+    generate_query_workload,
+)
 from repro.queries.are import workload_interpreters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -119,10 +126,7 @@ def workload_estimates(workload, anonymized, interpreters, domains, scan):
             estimate_scan(query, anonymized, interpreters=interpreters, domains=domains)
             for query in workload
         ]
-    return [
-        query.estimate(anonymized, interpreters=interpreters, domains=domains)
-        for query in workload
-    ]
+    return estimate_workload(workload, anonymized, interpreters=interpreters, domains=domains)
 
 
 def workload_counts(workload, original, scan):
@@ -176,6 +180,9 @@ def run_benchmark(
         domains=domains, repeats=kernel_repeats,
     )
     assert kernel_are.are == scan_are.are
+    assert [(e.actual, e.estimate) for e in kernel_are.per_query] == [
+        (e.actual, e.estimate) for e in scan_are.per_query
+    ]
 
     def entry(scan_seconds: float, kernel_seconds: float, **extra) -> dict:
         return {

@@ -17,7 +17,7 @@ loss).  This package supplies the compact, vectorizable twin:
   rare-combination enumerator over Python ``int`` bitsets,
 * :mod:`repro.columnar.estimation` — shape-level reduction kernels for the
   query-estimation hot path (order-preserving :func:`sequential_sum`,
-  per-CSR-row :func:`row_max`, boolean-mask packing),
+  per-CSR-row :func:`row_maxima`, boolean-mask packing),
 * :mod:`repro.columnar.shared` — zero-copy fan-out: pack the flat column
   arrays into one ``multiprocessing.shared_memory`` segment
   (:class:`SharedDatasetExport`) and rebuild read-only dataset views in
@@ -44,7 +44,7 @@ from repro.columnar.bitset import (
     word_count,
 )
 from repro.columnar.column import TransactionColumn
-from repro.columnar.estimation import mask_to_bitset, row_max, sequential_sum
+from repro.columnar.estimation import mask_to_bitset, row_maxima, sequential_sum
 from repro.columnar.relational import CategoricalColumn, NumericColumn
 from repro.columnar.shared import (
     SharedDatasetExport,
@@ -73,7 +73,7 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "posting_matrix",
-    "row_max",
+    "row_maxima",
     "sequential_sum",
     "union_rows",
     "word_count",

@@ -283,8 +283,7 @@ def _encode(value: object) -> Iterator[bytes]:
         yield from _tagged(b"UP")
         yield from _encode([constraint.items for constraint in value.constraints])
     elif isinstance(value, QueryWorkload):
-        yield from _tagged(b"QW", value.name.encode())
-        yield from _encode(value.queries)
+        yield _encoded_workload(value)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         yield from _tagged(
             b"C", f"{type(value).__module__}.{type(value).__qualname__}".encode()
@@ -340,6 +339,26 @@ def _encoded_hierarchy(hierarchy: Hierarchy) -> bytes:
         encoded = b"".join(_encode_hierarchy(hierarchy))
         _HIERARCHY_ENCODINGS[hierarchy] = encoded
         return encoded
+
+
+#: Workloads can change (``QueryWorkload.add``/``remove``, a new ``name``),
+#: so a memoised encoding is kept with the revision and name it was derived
+#: from and re-derived when either moved.  Queries are frozen, so the memo
+#: assumes no query's ``conditions`` dict is edited in place.  Key derivation
+#: encodes the same workload once per ``configuration_keys`` call otherwise.
+_WORKLOAD_ENCODINGS: "weakref.WeakKeyDictionary[QueryWorkload, tuple[tuple[int, str], bytes]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _encoded_workload(workload: QueryWorkload) -> bytes:
+    stamp = (workload.revision, workload.name)
+    cached = _WORKLOAD_ENCODINGS.get(workload)
+    if cached is None or cached[0] != stamp:
+        encoded = b"".join(_tagged(b"QW", workload.name.encode()))
+        cached = (stamp, encoded + _encoded(workload.queries))
+        _WORKLOAD_ENCODINGS[workload] = cached
+    return cached[1]
 
 
 def stable_digest(value: object) -> str:

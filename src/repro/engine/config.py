@@ -25,6 +25,29 @@ if TYPE_CHECKING:
 #: The parameters a varying-parameter experiment may sweep.
 SWEEPABLE_PARAMETERS = ("k", "m", "delta")
 
+#: Constructor keywords the Anonymization Module fills in itself, from the
+#: configuration and its resources, per algorithm kind; ``extra`` may not
+#: pass them a second time.
+_SUPPLIED_KEYWORDS = {
+    "relational": frozenset({"k", "hierarchies", "attributes"}),
+    "transaction": frozenset(
+        {"k", "m", "hierarchy", "attribute", "privacy_policy", "utility_policy"}
+    ),
+    "rt": frozenset(
+        {
+            "k",
+            "m",
+            "delta",
+            "relational_algorithm",
+            "transaction_algorithm",
+            "hierarchies",
+            "item_hierarchy",
+            "relational_attributes",
+            "transaction_attribute",
+        }
+    ),
+}
+
 
 @dataclass(frozen=True)
 class AnonymizationConfig:
@@ -106,11 +129,18 @@ class AnonymizationConfig:
                 raise ConfigurationError(
                     f"extra[{kind!r}] must be a dict of keywords under one of {choices}"
                 )
-            accepted = inspect.signature(get_spec(selected[kind]).cls).parameters
-            unknown = sorted(set(keywords) - set(accepted))
+            parameters = set(inspect.signature(get_spec(selected[kind]).cls).parameters)
+            accepted = sorted(parameters - _SUPPLIED_KEYWORDS[kind])
+            unknown = sorted(set(keywords) - parameters)
             if unknown:
                 raise ConfigurationError(
-                    f"{selected[kind]!r} takes no keyword {unknown}; it takes {sorted(accepted)}"
+                    f"{selected[kind]!r} takes no keyword {unknown}; it takes {accepted}"
+                )
+            supplied = sorted(_SUPPLIED_KEYWORDS[kind] & set(keywords))
+            if supplied:
+                raise ConfigurationError(
+                    f"extra[{kind!r}] may not set {supplied}: the configuration and "
+                    f"its resources supply them to {selected[kind]!r}, which takes {accepted}"
                 )
 
     # -- derived views ----------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.queries.query import (
     RangeCondition,
     ValueCondition,
     condition_from_dict,
+    estimate_workload,
 )
 from repro.queries.workload import QueryWorkload, generate_query_workload
 
@@ -31,6 +32,7 @@ __all__ = [
     "RangeCondition",
     "ValueCondition",
     "condition_from_dict",
+    "estimate_workload",
     "QueryWorkload",
     "generate_query_workload",
 ]

@@ -30,7 +30,7 @@ from repro.datasets.domains import DatasetDomains
 from repro.exceptions import QueryError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import LabelInterpreter, interpreter_for
-from repro.queries.query import Query
+from repro.queries.query import Query, estimate_workload
 from repro.queries.workload import QueryWorkload
 
 
@@ -142,6 +142,12 @@ def average_relative_error(
 ) -> AreResult:
     """Evaluate a whole workload and return the ARE with per-query detail.
 
+    Each query is counted on ``original`` (:meth:`Query.count`), and the
+    whole workload is estimated on ``anonymized`` in one batched pass
+    (:func:`~repro.queries.query.estimate_workload`), which shares one match
+    table per distinct condition and one item-match matrix among the queries.
+    Every estimate equals the query's own :meth:`Query.estimate` bit for bit.
+
     ``domains`` threads a prepared snapshot of the original dataset's
     attribute domains (the engine captures one in its experiment resources);
     when omitted it is captured from ``original`` directly, so the
@@ -150,22 +156,27 @@ def average_relative_error(
     """
     if workload is None:
         raise QueryError("average_relative_error needs a query workload, got None")
+    queries = list(workload)
+    if not queries:
+        raise QueryError("cannot compute the ARE of an empty query workload")
     if domains is None:
         domains = DatasetDomains.capture(original)
-    interpreters = workload_interpreters(hierarchies, domains)
-    per_query = tuple(
-        evaluate_query(
-            query,
-            original,
-            anonymized,
-            hierarchies=hierarchies,
-            floor=floor,
-            interpreters=interpreters,
-            domains=domains,
-        )
-        for query in workload
+    actuals = [float(query.count(original)) for query in queries]
+    estimates = estimate_workload(
+        queries,
+        anonymized,
+        hierarchies,
+        workload_interpreters(hierarchies, domains),
+        domains=domains,
     )
-    if not per_query:
-        raise QueryError("cannot compute the ARE of an empty query workload")
+    per_query = tuple(
+        QueryEvaluation(
+            query=query,
+            actual=actual,
+            estimate=estimate,
+            relative_error=relative_error(actual, estimate, floor=floor),
+        )
+        for query, actual, estimate in zip(queries, actuals, estimates)
+    )
     are = sum(entry.relative_error for entry in per_query) / len(per_query)
     return AreResult(are=are, per_query=per_query)

@@ -37,10 +37,12 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.columnar import (
+    CategoricalColumn,
+    TransactionColumn,
     intersect_rows,
     mask_to_bitset,
     popcount,
-    row_max,
+    row_maxima,
     sequential_sum,
 )
 from repro.datasets.dataset import Dataset
@@ -203,25 +205,10 @@ class Query:
         """
         transaction_attribute = self._item_attribute(dataset)
         mask: np.ndarray | None = None
+        # Original cells resolve against no hierarchy and no universe.
+        exact = interpreter_for(None)
         for attribute, condition in self.conditions.items():
-            column = dataset.columnar(attribute)
-            if isinstance(condition, ValueCondition):
-                codes, labels = column.string_codes()
-                table = np.empty(len(labels) + 1, dtype=bool)
-                for code, label in enumerate(labels):
-                    table[code] = condition.match_probability(label) >= 1.0
-                table[len(labels)] = False  # missing cells never match
-                matches = table[codes]
-            else:
-                table = np.fromiter(
-                    (
-                        condition.match_probability(value) >= 1.0
-                        for value in column.values
-                    ),
-                    dtype=bool,
-                    count=len(column.values),
-                )
-                matches = table[column.codes]
+            matches = match_gather(dataset.columnar(attribute), condition, exact) >= 1.0
             mask = matches if mask is None else mask & matches
         if not self.items:
             return len(dataset) if mask is None else int(np.count_nonzero(mask))
@@ -259,77 +246,13 @@ class Query:
         leaf-uniform probabilities consistent with the utility-loss charging
         rule; without it labels resolve against their hierarchies alone.
 
-        Each predicate is resolved once per *distinct* label into a
-        probability table and gathered per record through the columnar code
-        arrays; required items reduce per CSR row with ``maximum.reduceat``.
-        The multiplication and accumulation orders replicate the per-record
-        reference (``tests/oracles/queries.py``) exactly, so both agree to
-        the last ulp.
+        This is :func:`estimate_workload` over the one query; its result is
+        bit-identical to the per-record reference
+        (``tests/oracles/queries.py``).
         """
-        transaction_attribute = self._item_attribute(dataset)
-        hierarchies = hierarchies or {}
-        interpreters = dict(interpreters or {})
-        for attribute in (*self.conditions, transaction_attribute):
-            if attribute is not None and attribute not in interpreters:
-                interpreters[attribute] = interpreter_for(
-                    hierarchies.get(attribute),
-                    domains.universe_for(attribute) if domains is not None else None,
-                )
-        if len(dataset) == 0:
-            return 0.0
-        probability = np.ones(len(dataset), dtype=np.float64)
-        for attribute, condition in self.conditions.items():
-            column = dataset.columnar(attribute)
-            hierarchy = hierarchies.get(attribute)
-            interpreter = interpreters[attribute]
-            if isinstance(condition, ValueCondition):
-                # String-identity codes: the condition compares ``str(value)``
-                # and sends missing cells to 0, exactly the sentinel code.
-                codes, labels = column.string_codes()
-                table = np.empty(len(labels) + 1, dtype=np.float64)
-                for code, label in enumerate(labels):
-                    table[code] = condition.match_probability(
-                        label, hierarchy, interpreter
-                    )
-                table[len(labels)] = 0.0
-                probability *= table[codes]
-            else:
-                # Dictionary-key codes: cells sharing a code (25 vs 25.0) are
-                # numerically equal, which a range predicate cannot tell apart.
-                table = np.fromiter(
-                    (
-                        condition.match_probability(value, hierarchy, interpreter)
-                        for value in column.values
-                    ),
-                    dtype=np.float64,
-                    count=len(column.values),
-                )
-                probability *= np.take(table, column.codes)
-        if self.items:
-            column = dataset.columnar(transaction_attribute)
-            interpreter = interpreters[transaction_attribute]
-            vocabulary = column.vocabulary
-            # The per-record reference computes the whole itemset product
-            # first, in sorted item order, and multiplies it into the record
-            # probability once; float multiplication is not associative, so
-            # the kernel must do the same to stay bit-for-bit equal.
-            itemset_probability = np.ones(len(dataset), dtype=np.float64)
-            for item in sorted(self.items):
-                weights = np.zeros(len(vocabulary), dtype=np.float64)
-                for token, label in enumerate(vocabulary.items):
-                    leaves = interpreter.restricted_leaves(label)
-                    if item in leaves:
-                        weights[token] = 1.0 / len(leaves)
-                own = vocabulary.token(item)
-                if own is not None:
-                    # Literal containment matches with certainty, regardless
-                    # of how the label resolves against the universe.
-                    weights[own] = 1.0
-                itemset_probability *= row_max(
-                    column.indptr, np.take(weights, column.tokens)
-                )
-            probability *= itemset_probability
-        return sequential_sum(probability)
+        return estimate_workload(
+            [self], dataset, hierarchies, interpreters, domains=domains
+        )[0]
 
     def _item_attribute(self, dataset: Dataset) -> str | None:
         """The attribute the required items are asked of (``None``: no items).
@@ -396,3 +319,133 @@ class Query:
         if self.items:
             parts.append(f"items ⊇ {sorted(self.items)}")
         return "COUNT where " + " and ".join(parts)
+
+
+# -- batched estimation ---------------------------------------------------------------
+def match_gather(
+    column: CategoricalColumn, condition: Condition, interpreter: LabelInterpreter
+) -> np.ndarray:
+    """Per-record match probabilities of ``condition`` over one relational column.
+
+    The condition is resolved once per distinct cell into a table, which is
+    gathered through the column's code array.
+    """
+    if isinstance(condition, ValueCondition):
+        # String-identity codes: the condition compares ``str(value)`` and
+        # sends missing cells to 0, exactly the sentinel code.
+        codes, labels = column.string_codes()
+        table = np.empty(len(labels) + 1, dtype=np.float64)
+        for code, label in enumerate(labels):
+            table[code] = condition.match_probability(label, interpreter=interpreter)
+        table[len(labels)] = 0.0
+        return table[codes]
+    # Dictionary-key codes: cells sharing a code (25 vs 25.0) are numerically
+    # equal, which a range predicate cannot tell apart.
+    table = np.fromiter(
+        (
+            condition.match_probability(value, interpreter=interpreter)
+            for value in column.values
+        ),
+        dtype=np.float64,
+        count=len(column.values),
+    )
+    return np.take(table, column.codes)
+
+
+def item_matches(
+    column: TransactionColumn, position: Mapping[str, int], interpreter: LabelInterpreter
+) -> np.ndarray:
+    """Per record, the probability that its itemset stands for each queried item.
+
+    ``position`` maps each queried item to its column of the
+    ``(records, items)`` result.  One weight matrix of vocabulary × items: a
+    label covering an item weighs ``1/|restricted_leaves|``, and an item's own
+    token weighs 1 (literal containment matches with certainty, however the
+    label resolves against the universe).  Each record takes, per item, the
+    largest weight among its labels, and 0 when none covers the item.
+    """
+    wanted = frozenset(position)
+    vocabulary = column.vocabulary
+    weights = np.zeros((len(vocabulary), len(position)), dtype=np.float64)
+    for token, label in enumerate(vocabulary.items):
+        leaves = interpreter.restricted_leaves(label)
+        if leaves:
+            weight = 1.0 / len(leaves)
+            for item in leaves & wanted:
+                weights[token, position[item]] = weight
+    for item, index in position.items():
+        own = vocabulary.token(item)
+        if own is not None:
+            weights[own, index] = 1.0
+    return row_maxima(column.indptr, column.tokens, weights)
+
+
+def estimate_workload(
+    queries: Iterable[Query],
+    dataset: Dataset,
+    hierarchies: Mapping[str, Hierarchy] | None = None,
+    interpreters: Mapping[str, LabelInterpreter] | None = None,
+    *,
+    domains: DatasetDomains | None = None,
+) -> list[float]:
+    """:meth:`Query.estimate` of every query over one dataset, in one pass.
+
+    The queries share what they have in common: one match table per distinct
+    (attribute, condition), and one item-match matrix per transaction
+    attribute over the distinct items queried of it (:func:`item_matches`).
+    Each query then multiplies its condition gathers in its condition order,
+    forms its itemset product over the item columns in sorted item order,
+    multiplies that in once and sums sequentially — the per-record
+    reference's exact order of operations, so every estimate is
+    bit-identical to it.
+    """
+    queries = list(queries)
+    hierarchies = hierarchies or {}
+    interpreters = dict(interpreters or {})
+    item_attributes = [query._item_attribute(dataset) for query in queries]
+    queried_items: dict[str, set[str]] = {}
+    for query, item_attribute in zip(queries, item_attributes):
+        for attribute in (*query.conditions, item_attribute):
+            if attribute is not None and attribute not in interpreters:
+                interpreters[attribute] = interpreter_for(
+                    hierarchies.get(attribute),
+                    domains.universe_for(attribute) if domains is not None else None,
+                )
+        if query.items:
+            queried_items.setdefault(item_attribute, set()).update(query.items)
+    if len(dataset) == 0:
+        return [0.0] * len(queries)
+    item_columns: dict[str, tuple[dict[str, int], np.ndarray]] = {}
+    for attribute, items in queried_items.items():
+        position = {item: index for index, item in enumerate(sorted(items))}
+        item_columns[attribute] = (
+            position,
+            item_matches(dataset.columnar(attribute), position, interpreters[attribute]),
+        )
+    gathers: dict[tuple[str, Condition], np.ndarray] = {}
+    estimates = []
+    for query, item_attribute in zip(queries, item_attributes):
+        # Products start from their first factor: 1.0 * x == x exactly, so
+        # this matches the reference's running products seeded with 1.0.
+        probability: np.ndarray | None = None
+        for attribute, condition in query.conditions.items():
+            key = (attribute, condition)
+            gathered = gathers.get(key)
+            if gathered is None:
+                gathered = gathers[key] = match_gather(
+                    dataset.columnar(attribute), condition, interpreters[attribute]
+                )
+            probability = gathered if probability is None else probability * gathered
+        if query.items:
+            # The reference computes the whole itemset product first, in
+            # sorted item order, and multiplies it into the record probability
+            # once; float multiplication is not associative, so the order is
+            # part of the result.
+            position, matches = item_columns[item_attribute]
+            itemset: np.ndarray | None = None
+            for item in sorted(query.items):
+                factor = matches[:, position[item]]
+                itemset = factor if itemset is None else itemset * factor
+            probability = itemset if probability is None else probability * itemset
+        estimates.append(sequential_sum(probability))
+    return estimates

@@ -24,6 +24,7 @@ class QueryWorkload:
     def __init__(self, queries: Iterable[Query], name: str = "workload"):
         self._queries = list(queries)
         self.name = name
+        self._revision = 0
         if not self._queries:
             raise QueryError("a query workload needs at least one query")
 
@@ -43,9 +44,15 @@ class QueryWorkload:
     def queries(self) -> list[Query]:
         return list(self._queries)
 
+    @property
+    def revision(self) -> int:
+        """How many times :meth:`add` and :meth:`remove` changed the queries."""
+        return self._revision
+
     def add(self, query: Query) -> None:
         """Append a query (the Queries Editor's "insert directly" action)."""
         self._queries.append(query)
+        self._revision += 1
 
     def remove(self, index: int) -> None:
         """Delete the query at ``index``; the last query cannot be removed.
@@ -61,6 +68,7 @@ class QueryWorkload:
         if len(self._queries) == 1:
             raise QueryError("cannot remove the last query of a workload")
         del self._queries[index]
+        self._revision += 1
 
     # -- serialisation ----------------------------------------------------------
     def to_dict(self) -> dict:

@@ -9,6 +9,7 @@ computed-and-stored, corrupt cells recomputed with a structured warning).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import struct
@@ -24,6 +25,8 @@ from repro.engine import Execution, run_many
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
+    _encode,
+    _tagged,
     atomic_write_bytes,
     configuration_keys,
     decode_frame,
@@ -39,6 +42,7 @@ from repro.exceptions import CheckpointError
 from repro.hierarchy.builders import build_numeric_hierarchy
 from repro.policies.privacy import PrivacyPolicy
 from repro.policies.utility import UtilityPolicy
+from repro.queries import Query, QueryWorkload, generate_query_workload
 
 
 def make_dataset(rows=None, name="ckpt-test") -> Dataset:
@@ -389,6 +393,38 @@ class TestKeys:
             "1fd6721fe1d21ebca8af44c036b9c3d064053103",
             "de2db9fad1526fb77b17df1712f4222635b3ce4b",
         ]
+
+    def test_memoised_workload_encoding_equals_the_direct_one(self):
+        dataset = make_dataset()
+        workload = generate_query_workload(dataset, n_queries=5, seed=3)
+        direct = b"".join(_tagged(b"QW", workload.name.encode())) + b"".join(
+            _encode(workload.queries)
+        )
+        assert b"".join(_encode(workload)) == direct
+        assert b"".join(_encode(workload)) == direct  # served from the memo
+
+    def test_workload_changed_after_a_key_changes_the_next_key(self):
+        dataset = make_dataset()
+        config = transaction_config("coat", k=2, m=2)
+        resources = ExperimentResources.prepare(dataset, config)
+        sweep = ParameterSweep("k", (2,))
+        workload = resources.workload
+        keys = [configuration_keys(dataset, resources, False, [config], sweep)]
+        workload.add(Query(items=["i0"]))
+        keys.append(configuration_keys(dataset, resources, False, [config], sweep))
+        workload.remove(len(workload) - 1)
+        keys.append(configuration_keys(dataset, resources, False, [config], sweep))
+        workload.name = "renamed"
+        keys.append(configuration_keys(dataset, resources, False, [config], sweep))
+        first, added, removed, renamed = (key for (key,) in keys)
+        assert added != first
+        assert removed == first  # the same queries and name again
+        assert renamed not in (first, added)
+        # Each key is still the one a fresh encoding of the workload derives.
+        copy = QueryWorkload(workload.queries, name=workload.name)
+        assert configuration_keys(
+            dataset, dataclasses.replace(resources, workload=copy), False, [config], sweep
+        ) == keys[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for anonymization configurations."""
 
+import inspect
+
 import pytest
 
+from repro.algorithms.registry import algorithm_names, bounding_methods, get_spec
 from repro.engine import (
     AnonymizationConfig,
     relational_config,
@@ -35,6 +38,20 @@ class TestValidation:
             transaction_config("apriori", m=0)
         with pytest.raises(ConfigurationError):
             rt_config("cluster", "apriori", delta=2.0)
+
+
+#: The constructor keywords ``extra`` may set, per algorithm.
+TUNABLE = {
+    "incognito": set(),
+    "top-down": set(),
+    "cluster": set(),
+    "full-subtree": set(),
+    "coat": set(),
+    "pcta": {"merge_candidates"},
+    "apriori": {"hierarchy_fanout"},
+    "lra": {"partition_size", "hierarchy_fanout"},
+    "vpa": {"n_parts", "hierarchy_fanout"},
+}
 
 
 class TestExtraValidation:
@@ -77,6 +94,40 @@ class TestExtraValidation:
         config = transaction_config("vpa", extra={"transaction": {"n_parts": 1}})
         algorithm = AnonymizationModule(None, ExperimentResources()).build_algorithm(config)
         assert algorithm.n_parts == 1
+
+    def test_keyword_the_module_supplies_is_rejected(self):
+        # It was once a raw TypeError ("got multiple values for argument 'k'"),
+        # raised only when the algorithm was built.
+        with pytest.raises(ConfigurationError, match=r"extra\['transaction'\] may not set \['k'\]"):
+            transaction_config("vpa", extra={"transaction": {"k": 3}})
+
+    @pytest.mark.parametrize(
+        "name", algorithm_names("relational") + algorithm_names("transaction")
+    )
+    def test_every_constructor_keyword_is_tunable_or_rejected(self, name):
+        """Each keyword either reaches the algorithm or fails at configuration time."""
+        from repro.engine import AnonymizationModule, ExperimentResources
+        from repro.policies import PrivacyPolicy
+
+        kind = get_spec(name).kind
+        make = relational_config if kind == "relational" else transaction_config
+        resources = ExperimentResources(privacy_policy=PrivacyPolicy([["a"]], k=2))
+        for parameter in inspect.signature(get_spec(name).cls).parameters.values():
+            extra = {kind: {parameter.name: parameter.default}}
+            if parameter.name in TUNABLE[name]:
+                AnonymizationModule(None, resources).build_algorithm(make(name, extra=extra))
+            else:
+                with pytest.raises(ConfigurationError, match="may not set"):
+                    make(name, extra=extra)
+
+    @pytest.mark.parametrize("bounding", bounding_methods())
+    def test_rt_slots_are_rejected_and_max_merges_accepted(self, bounding):
+        assert rt_config("cluster", "apriori", bounding=bounding, extra={"rt": {"max_merges": 2}})
+        for slot in inspect.signature(get_spec(bounding).cls).parameters:
+            if slot != "max_merges":
+                with pytest.raises(ConfigurationError, match="may not set"):
+                    rt_config("cluster", "apriori", bounding=bounding, extra={"rt": {slot: None}})
+
 
 
 class TestDerivedViews:
