@@ -12,22 +12,19 @@ as a CI gate:
 
 ``python -m repro.analysis [paths...]``
 
-The rules (REP000–REP008) are syntactic checks over one module at a time;
-only REP006 also consults the project call graph (:mod:`repro.analysis.graph`)
-to resolve worker names and factories.  A rule stays only while it catches
-bugs no other rule catches.
+The rules (REP000–REP006 and REP008) are syntactic checks over one module at
+a time, plus manifest-driven symbol resolution.  A rule stays only while it
+catches bugs that neither another rule, a runtime guard nor a narrower test
+already catches.
 
-Findings can be silenced three ways, in order of preference: fix the code,
-suppress one line with ``# repro: allow[REP0xx] -- reason`` (the reason is
-mandatory), or grandfather a pre-existing finding into the committed
-baseline file (``.repro-lint-baseline.json``) with a reason.  See
+A finding is either fixed or suppressed on its line with
+``# repro: allow[REP0xx] -- reason`` (the reason is mandatory).  See
 ``docs/static-analysis.md`` for the rule catalogue and etiquette, and
 ``python -m repro.analysis --explain REP001`` for any single rule.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import (
     AnalysisReport,
     Finding,
@@ -42,7 +39,6 @@ from repro.analysis.manifest import InvariantManifest
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "InvariantManifest",
     "ModuleContext",

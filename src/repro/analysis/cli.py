@@ -1,6 +1,6 @@
 """Command-line driver: ``python -m repro.analysis [paths]``.
 
-Exit codes: 0 — clean (modulo suppressions and baseline), 1 — new findings,
+Exit codes: 0 — clean (modulo suppressions), 1 — new findings,
 2 — the analyzer itself was misused (bad path, bad manifest, unknown rule).
 """
 
@@ -9,19 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline, fingerprint
-from repro.analysis.core import (
-    AnalysisReport,
-    Finding,
-    ModuleContext,
-    all_rules,
-    analyze_paths,
-    rule_by_code,
-)
+from repro.analysis.core import all_rules, analyze_paths, rule_by_code
 from repro.analysis.manifest import InvariantManifest
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.exceptions import AnalysisError
@@ -41,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root",
         default=None,
-        help="repository root that manifest/baseline paths are relative to "
+        help="repository root that manifest paths are relative to "
         "(default: current directory)",
     )
     parser.add_argument(
@@ -54,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list suppressed and baselined findings in text output",
+        help="also list suppressed findings in text output",
     )
     parser.add_argument(
         "--select",
@@ -66,30 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--manifest",
         default=None,
         help="alternative invariant manifest (default: the packaged one)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file (report grandfathered findings as new)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current new findings to the baseline file and exit 0; "
-        "requires --reason to justify the grandfathering",
-    )
-    parser.add_argument(
-        "--reason",
-        default=None,
-        metavar="TEXT",
-        help="justification stamped on every entry --write-baseline creates "
-        "(required with --write-baseline; edit per-entry afterwards if the "
-        "findings deserve distinct justifications)",
     )
     parser.add_argument(
         "--explain",
@@ -119,46 +86,6 @@ def _list_rules() -> int:
     return 0
 
 
-def _line_text(
-    root: Path, finding: Finding, lines_by_path: dict[str, list[str]]
-) -> str:
-    """Source text of the finding's line ('' when unavailable)."""
-    lines = lines_by_path.get(finding.path)
-    if lines is None:
-        try:
-            lines = (root / finding.path).read_text().splitlines()
-        except (OSError, UnicodeDecodeError):
-            lines = []
-        lines_by_path[finding.path] = lines
-    if 1 <= finding.line <= len(lines):
-        return lines[finding.line - 1]
-    return ""
-
-
-def _apply_baseline(
-    report: AnalysisReport,
-    baseline: Baseline,
-    root: Path,
-    lines_by_path: dict[str, list[str]],
-) -> AnalysisReport:
-    resolved: list[Finding] = []
-    for finding in report.findings:
-        # REP000 findings (malformed suppressions, parse failures) cannot be
-        # grandfathered: they are defects in the escape hatches themselves.
-        if finding.is_new and finding.code != "REP000":
-            entry = baseline.lookup(
-                fingerprint(
-                    finding, line_text=_line_text(root, finding, lines_by_path)
-                )
-            )
-            if entry is not None:
-                finding = replace(
-                    finding, baselined=True, baseline_reason=entry.reason
-                )
-        resolved.append(finding)
-    return AnalysisReport(findings=resolved, analyzed_files=report.analyzed_files)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -167,49 +94,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.list_rules:
             return _list_rules()
 
-        root = Path(args.root).resolve() if args.root else Path.cwd()
-        manifest = InvariantManifest.load(args.manifest)
-        lines_by_path: dict[str, list[str]] = {}
-
-        def remember(module: ModuleContext) -> None:
-            lines_by_path[module.relpath] = module.lines
-
         report = analyze_paths(
             args.paths,
-            root=root,
-            manifest=manifest,
+            root=Path(args.root).resolve() if args.root else Path.cwd(),
+            manifest=InvariantManifest.load(args.manifest),
             select=args.select,
-            on_module=remember,
         )
-
-        baseline_path = (
-            Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-        )
-        if args.write_baseline:
-            if not (args.reason or "").strip():
-                raise AnalysisError(
-                    "--write-baseline requires --reason: a baseline entry "
-                    "without a justification is exactly the silent exemption "
-                    "REP000 exists to prevent"
-                )
-            entries = Baseline.from_findings(
-                (
-                    (finding, _line_text(root, finding, lines_by_path))
-                    for finding in report.new_findings
-                    if finding.code != "REP000"
-                ),
-                reason=args.reason.strip(),
-            )
-            entries.save(baseline_path)
-            print(
-                f"wrote {len(entries)} entr{'y' if len(entries) == 1 else 'ies'} "
-                f"to {baseline_path}"
-            )
-            return 0
-        if not args.no_baseline:
-            report = _apply_baseline(
-                report, Baseline.load(baseline_path), root, lines_by_path
-            )
     except AnalysisError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2

@@ -14,13 +14,10 @@ import ast
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.manifest import InvariantManifest
 from repro.exceptions import AnalysisError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.graph import ProjectGraph
 
 #: ``# repro: allow[REP001] -- reason`` (also accepts ``:`` or an em-dash
 #: before the reason, and a comma-separated code list).
@@ -45,13 +42,11 @@ class Finding:
     #: Set by the driver, not by rules:
     suppressed: bool = False
     suppression_reason: str = ""
-    baselined: bool = False
-    baseline_reason: str = ""
 
     @property
     def is_new(self) -> bool:
         """Whether the finding should fail the run."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.column}"
@@ -76,7 +71,6 @@ class ModuleContext:
         self.root = root
         self.path = path
         self.relpath = path.relative_to(root).as_posix()
-        self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
         self._parents: dict[ast.AST, ast.AST] = {}
@@ -146,9 +140,6 @@ class ModuleContext:
         return suppressions, problems
 
     # -- lookups --------------------------------------------------------------
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self._parents.get(node)
         while current is not None:
@@ -208,20 +199,9 @@ class Project:
         self.manifest = manifest
         self._by_relpath = {module.relpath: module for module in self.modules}
         self._symbol_cache: dict[str, frozenset[str] | None] = {}
-        self._graph: object | None = None
 
     def module(self, relpath: str) -> ModuleContext | None:
         return self._by_relpath.get(relpath)
-
-    def graph(self) -> "ProjectGraph":
-        """The project's call graph, built lazily and shared across rules."""
-        from repro.analysis.graph import ProjectGraph
-
-        if self._graph is None:
-            self._graph = ProjectGraph.build(self)
-        if not isinstance(self._graph, ProjectGraph):
-            raise AnalysisError("Project.graph cache holds a non-graph value")
-        return self._graph
 
     def symbols_in(self, relpath: str) -> frozenset[str] | None:
         """Top-level defined names of ``relpath`` (``None`` if unreadable).
@@ -378,10 +358,6 @@ class AnalysisReport:
         return [finding for finding in self.findings if finding.suppressed]
 
     @property
-    def baselined_findings(self) -> list[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
-
-    @property
     def exit_code(self) -> int:
         return 1 if self.new_findings else 0
 
@@ -410,14 +386,10 @@ def analyze_paths(
     manifest: InvariantManifest | None = None,
     rules: Sequence[Rule] | None = None,
     select: Sequence[str] | None = None,
-    on_module: Callable[[ModuleContext], None] | None = None,
 ) -> AnalysisReport:
     """Run the rule set over every Python file under ``paths``.
 
-    Findings come back sorted by location with suppressions already applied;
-    baseline matching is the caller's concern (see
-    :mod:`repro.analysis.baseline`), so the CLI can report baselined findings
-    distinctly from suppressed ones.
+    Findings come back sorted by location with suppressions already applied.
     """
     resolved_root = Path(root).resolve() if root is not None else Path.cwd()
     active_manifest = manifest if manifest is not None else InvariantManifest.load()
@@ -456,8 +428,6 @@ def analyze_paths(
             )
             continue
         modules.append(module)
-        if on_module is not None:
-            on_module(module)
         for rule in active_rules:
             if rule.applies_to(module):
                 findings.extend(rule.check_module(module, active_manifest))

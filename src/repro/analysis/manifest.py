@@ -78,12 +78,6 @@ class InvariantManifest:
     forbidden_field_types: tuple[str, ...] = ()
     #: ``callable name -> worker-argument declaration`` for REP006.
     worker_calls: Mapping[str, WorkerCall] = field(default_factory=dict)
-    #: REP007: path prefixes the retry discipline applies to, the call names
-    #: that count as (re)submission, and the ``path::qualname`` helpers whose
-    #: policy-bounded sleeps are sanctioned.
-    retry_scope: tuple[str, ...] = ()
-    resubmit_calls: tuple[str, ...] = ()
-    sleep_helpers: tuple[str, ...] = ()
     #: REP008: path prefixes the durability discipline applies to, plus the
     #: ``path::qualname`` helpers sanctioned to perform raw writes (the
     #: atomic write-temp-fsync-rename implementation itself).
@@ -162,9 +156,6 @@ class InvariantManifest:
             spec_classes=strings("rep006", "spec_classes"),
             forbidden_field_types=strings("rep006", "forbidden_field_types"),
             worker_calls=worker_calls,
-            retry_scope=strings("rep007", "scope"),
-            resubmit_calls=strings("rep007", "resubmit_calls"),
-            sleep_helpers=strings("rep007", "sleep_helpers"),
             durability_scope=strings("rep008", "scope"),
             atomic_helpers=strings("rep008", "atomic_helpers"),
         )

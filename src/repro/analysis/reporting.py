@@ -9,19 +9,15 @@ from repro.analysis.core import AnalysisReport, Finding, all_rules
 
 
 def _status(finding: Finding) -> str:
-    if finding.suppressed:
-        return "suppressed"
-    if finding.baselined:
-        return "baselined"
-    return "new"
+    return "suppressed" if finding.suppressed else "new"
 
 
 def render_text(report: AnalysisReport, verbose: bool = False) -> str:
     """Human-readable report: one line per finding plus a summary line.
 
     By default only *new* findings are listed; ``verbose`` also lists the
-    suppressed and baselined ones (tagged), which is how you audit what the
-    escape hatches are currently hiding.
+    suppressed ones (tagged), which is how you audit what the inline
+    allows are currently hiding.
     """
     lines: list[str] = []
     for finding in report.findings:
@@ -34,8 +30,7 @@ def render_text(report: AnalysisReport, verbose: bool = False) -> str:
         )
     lines.append(
         f"{len(report.new_findings)} new finding(s), "
-        f"{len(report.suppressed_findings)} suppressed, "
-        f"{len(report.baselined_findings)} baselined "
+        f"{len(report.suppressed_findings)} suppressed "
         f"({report.analyzed_files} files analyzed)"
     )
     return "\n".join(lines)
@@ -48,7 +43,6 @@ def render_json(report: AnalysisReport) -> str:
             "analyzed_files": report.analyzed_files,
             "new": len(report.new_findings),
             "suppressed": len(report.suppressed_findings),
-            "baselined": len(report.baselined_findings),
             "exit_code": report.exit_code,
         },
         "findings": [
@@ -60,7 +54,7 @@ def render_json(report: AnalysisReport) -> str:
                 "column": finding.column,
                 "symbol": finding.symbol,
                 "status": _status(finding),
-                "reason": finding.suppression_reason or finding.baseline_reason,
+                "reason": finding.suppression_reason,
             }
             for finding in report.findings
         ],
@@ -98,33 +92,20 @@ def _sarif_result(finding: Finding) -> dict[str, Any]:
         result["logicalLocations"] = [
             {"fullyQualifiedName": finding.symbol, "kind": "function"}
         ]
-    suppressions: list[dict[str, Any]] = []
     if finding.suppressed:
-        suppressions.append(
-            {
-                "kind": "inSource",
-                "justification": finding.suppression_reason,
-            }
-        )
-    if finding.baselined:
-        suppressions.append(
-            {
-                "kind": "external",
-                "justification": finding.baseline_reason,
-            }
-        )
-    if suppressions:
-        result["suppressions"] = suppressions
+        result["suppressions"] = [
+            {"kind": "inSource", "justification": finding.suppression_reason}
+        ]
     return result
 
 
 def render_sarif(report: AnalysisReport) -> str:
     """SARIF 2.1.0 log for CI PR annotation (codeql-action/upload-sarif).
 
-    New findings are ``error``-level results; suppressed and baselined
-    findings ship as ``note``-level results carrying SARIF ``suppressions``
-    (``inSource`` for ``# repro: allow`` comments, ``external`` for baseline
-    entries) so the escape hatches stay auditable in the uploaded log.
+    New findings are ``error``-level results; suppressed findings ship as
+    ``note``-level results carrying an ``inSource`` SARIF suppression with
+    the ``# repro: allow`` reason, so the escape hatch stays auditable in
+    the uploaded log.
     """
     driver = {
         "name": "repro-lint",

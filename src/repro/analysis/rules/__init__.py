@@ -15,6 +15,5 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     rep004_hot_loops,
     rep005_exceptions,
     rep006_process_safety,
-    rep007_retry_discipline,
     rep008_durability,
 )

@@ -1,26 +1,24 @@
-"""REP006 — worker-pool payloads must survive pickling under spawn.
+"""REP006 — worker-pool payloads must survive pickling.
 
-``WorkerPool`` runs with the spawn start method: everything crossing the
-process boundary is pickled.  The manifest's ``spec_classes`` are the
+``WorkerPool`` pickles everything that crosses the process boundary: each
+task and the worker callable.  The manifest's ``spec_classes`` are the
 dataclasses shipped inside task tuples; this rule bans fields whose types
 can never pickle (locks, shared-memory handles, open files, executors) and
 lambda defaults.  It also checks the worker argument of the pool entry
 points (``run_many``/``fan_out_shared``/``pool.map``) whenever the call's
-``Execution`` can select process mode: lambdas and local functions fail at
-fan-out time with an opaque pickling error, so the rule surfaces them at
-lint time instead.
+``Execution`` can select process mode: a lambda literal there can never
+pickle, so the rule flags it at lint time.  A worker that is a local
+function, or that a factory builds, is rejected when the fan-out starts, by
+:func:`repro.engine.pool.require_picklable_worker`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.analysis.core import Finding, ModuleContext, Rule, register
 from repro.analysis.manifest import InvariantManifest, WorkerCall
-
-if TYPE_CHECKING:
-    from repro.analysis.core import Project
 
 
 def _annotation_names(annotation: ast.expr) -> Iterable[str]:
@@ -86,56 +84,25 @@ def _can_reach_process_mode(call: ast.Call, spec: WorkerCall) -> bool:
     return True  # a variable or computed Execution: assume the worst
 
 
-def _returns_nested_function(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Whether ``function`` itself returns a lambda or one of its nested defs.
-
-    Returns inside nested functions, lambdas and classes belong to those
-    scopes and are not followed.
-    """
-    nested = {
-        node.name
-        for node in ast.walk(function)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node is not function
-    }
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        if isinstance(node, ast.Return) and (
-            isinstance(node.value, ast.Lambda)
-            or isinstance(node.value, ast.Name)
-            and node.value.id in nested
-        ):
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 @register
 class ProcessSafety(Rule):
     code = "REP006"
     name = "process-safety"
-    summary = "pool payload classes and worker callables must be picklable under spawn"
+    summary = "pool payload classes and lambda workers must be picklable"
     explanation = (
-        "WorkerPool uses the spawn start method, so task payloads and worker "
-        "callables are pickled into the children.  The manifest's "
-        "spec_classes (AnonymizationConfig, ExperimentResources, "
+        "WorkerPool pickles every task payload and the worker callable into "
+        "its worker processes, whatever the platform's start method.  The "
+        "manifest's spec_classes (AnonymizationConfig, ExperimentResources, "
         "ParameterSweep, the shared-memory manifests) must therefore not "
         "declare fields typed as locks, threads, SharedMemory handles, open "
         "files, executors or pools — those either fail to pickle or, worse, "
-        "pickle into a disconnected copy.  Lambda field defaults and lambda/"
-        "local-function workers passed to run_many/fan_out_shared/pool.map "
-        "fail at fan-out time with an opaque PicklingError; this rule moves "
-        "that failure to lint time.  Worker names are resolved through the "
-        "project call graph, so a local function passed by name — or a "
-        "call to a factory that returns a nested function or lambda — is "
-        "caught wherever it was defined, not just when it sits next to the "
-        "call.  Hold live resources in the runner process and ship "
-        "names/specs, as SharedDatasetManifest does."
+        "pickle into a disconnected copy.  Lambda field defaults, and lambda "
+        "workers passed to run_many/fan_out_shared/pool.map when the call "
+        "can reach process mode, can never pickle; this rule flags them at "
+        "lint time.  A worker that is a local function or built by a "
+        "factory is rejected at fan-out time by require_picklable_worker "
+        "with a ConfigurationError.  Hold live resources in the runner "
+        "process and ship names/specs, as SharedDatasetManifest does."
     )
 
     def check_module(
@@ -191,63 +158,10 @@ class ProcessSafety(Rule):
         if not _can_reach_process_mode(call, spec):
             return
         worker = _argument(call, spec.arg, "worker")
-        if worker is None:
-            return
         if isinstance(worker, ast.Lambda):
             yield module.finding(
                 self,
                 worker,
-                f"lambda worker passed to {key}() cannot pickle under "
-                f"spawn; use a module-level function",
+                f"lambda worker passed to {key}() cannot pickle; use a "
+                f"module-level function",
             )
-
-    def finalize(self, project: "Project") -> Iterable[Finding]:
-        """Call-graph pass: workers passed by name or built by factories.
-
-        The per-module check catches a lambda sitting in the argument list;
-        this pass resolves worker *names* through the project call graph
-        (a nested function is unpicklable no matter how far from the call it
-        was defined) and resolves factory calls to the function they call,
-        flagging a factory that returns a nested function or lambda.
-        """
-        worker_calls = dict(project.manifest.worker_calls)
-        if not worker_calls:
-            return
-        graph = project.graph()
-        for site in graph.all_call_sites():
-            resolved = _worker_call_key(site.call, worker_calls)
-            if resolved is None:
-                continue
-            key, spec = resolved
-            if not _can_reach_process_mode(site.call, spec):
-                continue
-            worker = _argument(site.call, spec.arg, "worker")
-            module = project.module(site.module)
-            if worker is None or module is None:
-                continue
-            if isinstance(worker, ast.Name):
-                worker_id, _ = graph.resolve_name(
-                    site.module, site.caller, worker.id
-                )
-                info = graph.function(worker_id) if worker_id else None
-                if info is not None and info.nested:
-                    yield module.finding(
-                        self,
-                        worker,
-                        f"worker {worker.id!r} passed to {key}() is a local "
-                        f"function and cannot pickle under spawn; move it to "
-                        f"module level",
-                    )
-            elif isinstance(worker, ast.Call):
-                factory_id, _ = graph.resolve_call(
-                    site.module, site.caller, worker
-                )
-                factory = graph.function(factory_id) if factory_id else None
-                if factory is not None and _returns_nested_function(factory.node):
-                    yield module.finding(
-                        self,
-                        worker,
-                        f"worker built by {key}()'s factory argument is a "
-                        f"nested function/lambda and cannot pickle under "
-                        f"spawn; return a module-level callable instead",
-                    )

@@ -343,8 +343,8 @@ def _encoded_hierarchy(hierarchy: Hierarchy) -> bytes:
 
 #: Workloads can change (``QueryWorkload.add``/``remove``, a new ``name``),
 #: so a memoised encoding is kept with the revision and name it was derived
-#: from and re-derived when either moved.  Queries are frozen, so the memo
-#: assumes no query's ``conditions`` dict is edited in place.  Key derivation
+#: from and re-derived when either moved.  Queries are frozen and their
+#: ``conditions`` read-only, so nothing else can move.  Key derivation
 #: encodes the same workload once per ``configuration_keys`` call otherwise.
 _WORKLOAD_ENCODINGS: "weakref.WeakKeyDictionary[QueryWorkload, tuple[tuple[int, str], bytes]]" = (
     weakref.WeakKeyDictionary()

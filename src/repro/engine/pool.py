@@ -118,19 +118,13 @@ class WorkerPool:
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.  Zero or negative values
         raise :class:`~repro.exceptions.ConfigurationError`.
-    mp_context:
-        Optional ``multiprocessing`` context (e.g. ``get_context("spawn")``);
-        defaults to the platform's default start method.
+
+    Workers start with the platform's default start method.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        mp_context: Any | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         validate_max_workers(max_workers)
         self._max_workers = max_workers or (os.cpu_count() or 1)
-        self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         #: id(dataset) -> (dataset weakref, export, eviction finalizer).  The
         #: weak reference lets a dropped dataset free its segment immediately
@@ -195,9 +189,7 @@ class WorkerPool:
         """Submit one call to the pool's executor (spawned lazily)."""
         self._require_open()
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers, mp_context=self._mp_context
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self._max_workers)
         return self._executor.submit(fn, *args)
 
     def respawn(self, reason: str) -> Callable[[Any], Any] | None:

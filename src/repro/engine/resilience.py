@@ -29,7 +29,8 @@ wrapped in :class:`~repro.exceptions.TaskError` with the task index, attempt
 count and original exception chained — unless ``retry_errors`` is set.
 
 Every retry loop here is bounded by the policy (``max_attempts`` per rung,
-two rungs); the REP007 linter rule keeps it that way.
+two rungs) and nothing sleeps; ``tests/engine/test_engine_never_waits.py``
+keeps it that way.
 """
 
 from __future__ import annotations

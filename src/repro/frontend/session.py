@@ -47,19 +47,13 @@ from repro.queries.workload import QueryWorkload
 class Session:
     """One interactive SECRETA session over a single dataset."""
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        checkpoint_dir: str | Path | None = None,
-    ):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.dataset_editor = DatasetEditor(dataset)
         self.configuration_editor = ConfigurationEditor(dataset)
         self.queries_editor = QueriesEditor(dataset)
         self._verify_privacy = True
-        self._checkpoint: CheckpointStore | None = (
-            CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
-        )
+        self._checkpoint: CheckpointStore | None = None
 
     # -- constructors --------------------------------------------------------------
     @classmethod

@@ -175,6 +175,26 @@ def condition_from_dict(data: Mapping) -> Condition:
     raise QueryError(f"unknown condition type {kind!r}")
 
 
+class _Conditions(dict):
+    """A query's ``attribute -> condition`` map, read-only.
+
+    Reads are a plain ``dict``'s, and the checkpoint key encodes it as one,
+    byte for byte.  Every mutator raises, because a workload's key is
+    memoised by revision: a query edited in place would keep its old key.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise QueryError("a query's conditions are read-only; build a new Query")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _read_only  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple[type, tuple[dict]]:
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Query:
     """A COUNT query over relational predicates and required items."""
@@ -189,7 +209,7 @@ class Query:
         items: Iterable[str] = (),
         transaction_attribute: str | None = None,
     ):
-        object.__setattr__(self, "conditions", dict(conditions or {}))
+        object.__setattr__(self, "conditions", _Conditions(conditions or {}))
         object.__setattr__(self, "items", frozenset(str(item) for item in items))
         object.__setattr__(self, "transaction_attribute", transaction_attribute)
         if not self.conditions and not self.items:

@@ -1,13 +1,19 @@
 """The analyzer yield audit, kept as regression fixtures.
 
-Each fixture is one bug shape from the audit recorded in ROADMAP item 6,
-written at the repository path where it was seeded and linted against the
-repository's own invariant manifest.  Every shape a rule caught when the
-audit ran must still be caught by that rule, so a manifest edit that drops
-a module from a rule's scope, or a rule change that stops matching the
-shape, fails here.  The fixture tree holds only the seeded module, so the
-check looks for the finding on the seeded symbol (REP003 also reports the
+Each fixture is one bug shape from the audit recorded in the PR 20 entry of
+CHANGES.md, written at the repository path where it was seeded and linted
+against the repository's own invariant manifest.  Every shape a rule still
+owns must still be caught by that rule, so a manifest edit that drops a
+module from a rule's scope, or a rule change that stops matching the shape,
+fails here.  The fixture tree holds only the seeded module, so the check
+looks for the finding on the seeded symbol (REP003 also reports the
 manifest's references into modules the fixture leaves out).
+
+Three shapes of the audit moved to narrower checks with the same reach: a
+local-function or factory-built process worker raises ``ConfigurationError``
+at fan-out (``tests/engine/test_runner.py``), and a ``while True`` /
+``time.sleep`` retry in the engine fails
+``tests/engine/test_engine_never_waits.py``.
 """
 
 from __future__ import annotations
@@ -93,50 +99,6 @@ SEEDS = {
 
         def _seeded_lambda(tasks):
             return run_many(tasks, lambda task: task, Execution(mode="process"))
-        """,
-    ),
-    "local-function-worker-in-process-mode": (
-        "REP006",
-        "_seeded_local",
-        "src/repro/engine/_seeded.py",
-        """
-        from repro.engine import Execution, run_many
-
-        def _seeded_local(tasks):
-            def worker(task):
-                return task
-            return run_many(tasks, worker, Execution(mode="process"))
-        """,
-    ),
-    "factory-built-worker-in-process-mode": (
-        "REP006",
-        "_seeded_fanout",
-        "src/repro/engine/_seeded.py",
-        """
-        from repro.engine import Execution, run_many
-
-        def _seeded_factory():
-            def worker(task):
-                return task
-            return worker
-
-        def _seeded_fanout(tasks):
-            return run_many(tasks, _seeded_factory(), Execution(mode="process"))
-        """,
-    ),
-    "while-true-sleep-retry-around-submit": (
-        "REP007",
-        "_seeded_retry",
-        "src/repro/engine/_seeded.py",
-        """
-        import time
-
-        def _seeded_retry(pool, task):
-            while True:
-                try:
-                    return pool.submit(task).result()
-                except OSError:
-                    time.sleep(1.0)
         """,
     ),
     "bare-open-in-the-checkpoint-store": (

@@ -9,7 +9,7 @@ from repro.analysis.core import all_rules
 
 DOC_PATH = Path(__file__).resolve().parents[2] / "docs" / "static-analysis.md"
 
-#: A rule-table row: ``| REP006 | process-safety | syntactic + call graph |``.
+#: A rule-table row: ``| REP006 | process-safety | ... |``.
 _ROW = re.compile(r"^\|\s*(REP\d{3})\s*\|\s*([a-z0-9-]+)\s*\|", re.MULTILINE)
 
 

@@ -1,14 +1,11 @@
-"""Framework behavior: suppressions, baseline, registry, manifest loading."""
+"""Framework behavior: suppressions, registry, manifest loading."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from lint_harness import new_codes
 
-from repro.analysis.baseline import Baseline, BaselineEntry, fingerprint
 from repro.analysis.core import Finding, Rule, all_rules, register, rule_by_code
 from repro.analysis.manifest import DEFAULT_MANIFEST_PATH, InvariantManifest
 from repro.exceptions import AnalysisError
@@ -70,69 +67,6 @@ class TestSuppressionHygiene:
         assert new_codes(findings) == ["REP005"]
 
 
-class TestBaseline:
-    def _finding_and_line(self, harness):
-        harness.write("src/mod.py", SWALLOWED)
-        report = harness.lint("src", manifest=SCOPED, select=["REP005"])
-        (finding,) = report.findings
-        line_text = (harness.root / "src/mod.py").read_text().splitlines()[
-            finding.line - 1
-        ]
-        return finding, line_text
-
-    def test_round_trip_and_match(self, harness, tmp_path):
-        finding, line_text = self._finding_and_line(harness)
-        baseline = Baseline.from_findings([(finding, line_text)], reason="legacy")
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 1
-        entry = loaded.lookup(fingerprint(finding, line_text=line_text))
-        assert entry is not None
-        assert entry.reason == "legacy"
-        assert entry.code == "REP005"
-
-    def test_fingerprint_survives_line_drift_but_not_edits(self, harness):
-        finding, line_text = self._finding_and_line(harness)
-        original = fingerprint(finding, line_text=line_text)
-        # Same content at a different line number: same fingerprint.
-        from dataclasses import replace
-
-        shifted = replace(finding, line=finding.line + 10)
-        assert fingerprint(shifted, line_text=line_text) == original
-        # Whitespace-only change: same fingerprint.
-        assert fingerprint(finding, line_text="  " + line_text + "  ") == original
-        # The offending line itself changed: the entry expires.
-        assert fingerprint(finding, line_text="except BaseException:") != original
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-    def test_bad_version_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(AnalysisError, match="version"):
-            Baseline.load(path)
-
-    def test_malformed_entry_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps({"version": 1, "entries": [{"code": "REP001"}]})
-        )
-        with pytest.raises(AnalysisError, match="missing"):
-            Baseline.load(path)
-
-    def test_save_is_deterministic(self, tmp_path):
-        entries = [
-            BaselineEntry("bb", "REP002", "src/b.py", "f", "why"),
-            BaselineEntry("aa", "REP001", "src/a.py", "g", "why"),
-        ]
-        first, second = tmp_path / "one.json", tmp_path / "two.json"
-        Baseline(entries).save(first)
-        Baseline(reversed(entries)).save(second)
-        assert first.read_text() == second.read_text()
-
-
 class TestRegistry:
     def test_all_rules_covers_every_rep_code(self):
         codes = {rule.code for rule in all_rules()}
@@ -144,7 +78,6 @@ class TestRegistry:
             "REP004",
             "REP005",
             "REP006",
-            "REP007",
             "REP008",
         }
 
@@ -210,7 +143,6 @@ class TestFindingModel:
         from dataclasses import replace
 
         assert not replace(finding, suppressed=True).is_new
-        assert not replace(finding, baselined=True).is_new
 
     def test_nonexistent_path_raises(self, harness):
         with pytest.raises(AnalysisError, match="no such path"):

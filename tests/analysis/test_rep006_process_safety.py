@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import ast
-import textwrap
-
-import pytest
-
 from lint_harness import new_codes
 
 from repro.analysis.manifest import InvariantManifest, WorkerCall
-from repro.analysis.rules.rep006_process_safety import _returns_nested_function
 
 MANIFEST = InvariantManifest(
     spec_classes=("src/pkg/specs.py::TaskSpec",),
@@ -70,14 +64,6 @@ LAMBDA_TO_FAN_OUT_DEFAULT = """
         return fan_out_shared(dataset, make_tasks, lambda task: task, Execution())
 """
 
-LOCAL_WORKER_TO_POOL_MAP = """
-    def launch(pool, tasks):
-        def helper(task):
-            return task
-
-        return pool.map(helper, tasks)
-"""
-
 LAMBDA_TO_RUN_MANY_DEFAULT = """
     def launch(tasks):
         return run_many(tasks, lambda task: task)
@@ -110,52 +96,6 @@ MODULE_LEVEL_WORKER = """
     def launch(dataset, execution):
         return fan_out_shared(dataset, make_tasks, worker, execution)
 """
-
-NESTED_WORKER_VIA_FACTORY = """
-    def make_worker(scale):
-        def worker(task):
-            return task * scale
-
-        return worker
-
-    def launch(dataset, execution):
-        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
-"""
-
-MODULE_LEVEL_WORKER_VIA_FACTORY = """
-    def worker(task):
-        return task
-
-    def make_worker(scale):
-        return worker
-
-    def launch(dataset, execution):
-        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
-"""
-
-FACTORY_MODULE = """
-    def make_worker(scale):
-        def worker(task):
-            return task * scale
-
-        return worker
-"""
-
-LAUNCH_WITH_IMPORTED_FACTORY = """
-    from pkg.factories import make_worker
-
-    def launch(dataset, execution):
-        return fan_out_shared(dataset, make_tasks, make_worker(2), execution)
-"""
-
-NESTED_WORKER_PASSED_BY_NAME = """
-    def launch(dataset, execution):
-        def worker(task):
-            return task
-
-        return fan_out_shared(dataset, make_tasks, worker, execution)
-"""
-
 
 class TestRep006SpecClasses:
     def test_lock_field_is_flagged(self, harness):
@@ -211,16 +151,6 @@ class TestRep006Workers:
             )
             == []
         )
-
-    def test_local_function_to_pool_map_is_flagged(self, harness):
-        findings = harness.findings(
-            "src/pkg/mod.py",
-            LOCAL_WORKER_TO_POOL_MAP,
-            manifest=MANIFEST,
-            select=["REP006"],
-        )
-        assert new_codes(findings) == ["REP006"]
-        assert "helper" in findings[0].message
 
     def test_run_many_defaults_are_not_process_backed(self, harness):
         assert (
@@ -282,35 +212,6 @@ class TestRep006Workers:
             == []
         )
 
-    def test_nested_worker_passed_by_name_is_flagged(self, harness):
-        findings = harness.findings(
-            "src/pkg/mod.py",
-            NESTED_WORKER_PASSED_BY_NAME,
-            manifest=MANIFEST,
-            select=["REP006"],
-        )
-        assert new_codes(findings) == ["REP006"]
-        assert "worker" in findings[0].message
-
-    def test_factory_returning_nested_worker_is_flagged(self, harness):
-        """Interprocedural: the call graph sees through ``make_worker(2)``."""
-        findings = harness.findings(
-            "src/pkg/mod.py",
-            NESTED_WORKER_VIA_FACTORY,
-            manifest=MANIFEST,
-            select=["REP006"],
-        )
-        assert new_codes(findings) == ["REP006"]
-
-    def test_factory_returning_module_level_worker_is_clean(self, harness):
-        findings = harness.findings(
-            "src/pkg/mod.py",
-            MODULE_LEVEL_WORKER_VIA_FACTORY,
-            manifest=MANIFEST,
-            select=["REP006"],
-        )
-        assert new_codes(findings) == []
-
     def test_suppression_with_reason_is_honored(self, harness):
         source = LAMBDA_TO_RUN_MANY_PROCESS.replace(
             'mode="process"))',
@@ -322,100 +223,3 @@ class TestRep006Workers:
         assert len(findings) == 1
         assert findings[0].suppressed
         assert new_codes(findings) == []
-
-    def test_factory_imported_from_another_module_is_flagged(self, harness):
-        harness.write("src/pkg/factories.py", FACTORY_MODULE)
-        harness.write("src/pkg/mod.py", LAUNCH_WITH_IMPORTED_FACTORY)
-        report = harness.lint(
-            "src/pkg/factories.py",
-            "src/pkg/mod.py",
-            manifest=MANIFEST,
-            select=["REP006"],
-        )
-        assert new_codes(report.findings) == ["REP006"]
-        assert report.findings[0].path.endswith("mod.py")
-
-
-FACTORY_SHAPES = {
-    "returns-nested-def": (
-        """
-        def factory():
-            def worker(task):
-                return task
-            return worker
-        """,
-        True,
-    ),
-    "returns-lambda": (
-        """
-        def factory(scale):
-            return lambda task: task * scale
-        """,
-        True,
-    ),
-    "returns-nested-async-def": (
-        """
-        def factory():
-            async def worker(task):
-                return task
-            return worker
-        """,
-        True,
-    ),
-    "returns-nested-def-on-one-branch": (
-        """
-        def factory(fast):
-            def worker(task):
-                return task
-            if fast:
-                return worker
-            return module_worker
-        """,
-        True,
-    ),
-    "returns-module-level-name": (
-        """
-        def factory():
-            return module_worker
-        """,
-        False,
-    ),
-    "calls-its-nested-def": (
-        """
-        def factory(task):
-            def worker(value):
-                return value
-            return worker(task)
-        """,
-        False,
-    ),
-    "lambda-returned-only-by-a-nested-def": (
-        """
-        def factory():
-            def inner():
-                return lambda task: task
-            inner()
-        """,
-        False,
-    ),
-    "nested-def-returned-only-by-a-nested-class": (
-        """
-        def factory():
-            class Holder:
-                def get(self):
-                    def worker(task):
-                        return task
-                    return worker
-            return Holder()
-        """,
-        False,
-    ),
-}
-
-
-class TestReturnsNestedFunction:
-    @pytest.mark.parametrize("shape", sorted(FACTORY_SHAPES))
-    def test_factory_shape(self, shape):
-        source, expected = FACTORY_SHAPES[shape]
-        function = ast.parse(textwrap.dedent(source)).body[0]
-        assert _returns_nested_function(function) is expected

@@ -38,7 +38,7 @@ class TestSarifSchema:
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(_sarif_log(harness), schema)
 
-    def test_suppressed_and_baselined_results_validate_too(self, harness):
+    def test_suppressed_results_validate_too(self, harness):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA_PATH.read_text())
         suppressed = SWALLOWED.replace(

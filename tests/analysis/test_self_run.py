@@ -2,8 +2,7 @@
 
 Runs the exact command CI runs (``python -m repro.analysis src tests
 benchmarks``) against the working tree and requires zero new findings —
-everything the rules flag must be fixed, suppressed with a reason, or
-carried in the committed baseline.
+everything the rules flag must be fixed or suppressed with a reason.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestSelfRun:
-    def test_repository_is_clean_modulo_baseline(self, capsys):
+    def test_repository_is_clean(self, capsys):
         exit_code = main(
             [
                 "src",
@@ -34,7 +33,7 @@ class TestSelfRun:
         assert new == [], f"repo has unhandled lint findings: {new}"
         assert exit_code == 0
 
-    def test_every_suppression_and_baseline_entry_carries_a_reason(self, capsys):
+    def test_every_suppression_carries_a_reason(self, capsys):
         main(
             [
                 "src",
@@ -47,23 +46,8 @@ class TestSelfRun:
             ]
         )
         payload = json.loads(capsys.readouterr().out)
-        handled = [
-            f for f in payload["findings"] if f["status"] in ("suppressed", "baselined")
-        ]
-        assert handled, "expected the repo to exercise suppressions and baseline"
+        handled = [f for f in payload["findings"] if f["status"] == "suppressed"]
+        assert handled, "expected the repo to exercise suppressions"
         for finding in handled:
             assert finding["reason"].strip(), finding
             assert "TODO" not in finding["reason"], finding
-
-    def test_committed_baseline_fingerprints_are_current(self):
-        baseline_path = REPO_ROOT / ".repro-lint-baseline.json"
-        payload = json.loads(baseline_path.read_text())
-        assert payload["version"] == 2
-        assert payload["fingerprint_fields"] == [
-            "code",
-            "path",
-            "symbol",
-            "normalized_line",
-        ]
-        for entry in payload["entries"]:
-            assert (REPO_ROOT / entry["path"]).exists(), entry

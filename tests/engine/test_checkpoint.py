@@ -38,11 +38,11 @@ from repro.engine.config import transaction_config
 from repro.engine.experiment import ParameterSweep
 from repro.engine.resilience import ExecutionPolicy, RunReport
 from repro.engine.resources import ExperimentResources
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, QueryError
 from repro.hierarchy.builders import build_numeric_hierarchy
 from repro.policies.privacy import PrivacyPolicy
 from repro.policies.utility import UtilityPolicy
-from repro.queries import Query, QueryWorkload, generate_query_workload
+from repro.queries import Query, QueryWorkload, RangeCondition, generate_query_workload
 
 
 def make_dataset(rows=None, name="ckpt-test") -> Dataset:
@@ -425,6 +425,21 @@ class TestKeys:
         assert configuration_keys(
             dataset, dataclasses.replace(resources, workload=copy), False, [config], sweep
         ) == keys[-1]
+
+    def test_a_query_cannot_change_under_its_memoised_key(self):
+        # The workload's encoding is memoised by revision, so a query edited
+        # in place would keep its old key and a store would serve stale
+        # cells: the edit raises instead, and the key stays the one a fresh
+        # encoding derives, also after a pickle round trip.
+        workload = generate_query_workload(make_dataset(), n_queries=5, seed=3)
+        key = stable_digest(workload)
+        query = next(query for query in workload if query.conditions)
+        with pytest.raises(QueryError, match="read-only"):
+            query.conditions["Age"] = RangeCondition(0, 1)
+        restored = pickle.loads(pickle.dumps(workload))
+        fresh = QueryWorkload(workload.queries, name=workload.name)
+        assert stable_digest(workload) == stable_digest(restored) == key
+        assert stable_digest(fresh) == key
 
 
 # ---------------------------------------------------------------------------

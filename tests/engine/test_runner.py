@@ -34,6 +34,14 @@ def _explode(value):  # pragma: no cover - must never be called
     raise AssertionError("worker must not run for an empty task list")
 
 
+def _worker_factory():
+    # A factory-built worker is a nested function: it cannot pickle.
+    def built_worker(value):  # pragma: no cover - never reaches a worker
+        return value
+
+    return built_worker
+
+
 class TestExecution:
     def test_defaults_to_sequential(self):
         assert Execution() == Execution(mode="sequential")
@@ -65,6 +73,11 @@ class TestExecution:
         with pytest.raises(TypeError, match="policy"):
             WorkerPool(max_workers=1, policy=None)
         assert not hasattr(WorkerPool, "policy")
+
+    def test_worker_pool_takes_no_start_method(self):
+        # Workers start with the platform's default start method.
+        with pytest.raises(TypeError, match="mp_context"):
+            WorkerPool(max_workers=1, mp_context=None)
 
 
 class TestRunMany:
@@ -100,12 +113,13 @@ class TestRunMany:
             run_many([1, 2], lambda value: value, Execution(mode="process"))
 
     def test_unpicklable_worker_error_names_the_worker(self):
-        def local_closure(value):
+        def local_closure(value):  # pragma: no cover - never reaches a worker
             return value
 
-        with pytest.raises(ConfigurationError, match="picklable worker"):
-            # repro: allow[REP006] -- deliberately unpicklable: tests the error
-            run_many([1, 2], local_closure, Execution(mode="process"))
+        for worker in (local_closure, _worker_factory()):
+            with pytest.raises(ConfigurationError, match="picklable worker") as excinfo:
+                run_many([1, 2], worker, Execution(mode="process"))
+            assert worker.__qualname__ in str(excinfo.value)
 
     def test_unpicklable_task_raises_clear_error(self):
         tasks = [(1, threading.Lock()), (2, threading.Lock())]

@@ -90,6 +90,12 @@ class TestEvaluationWorkflow:
         assert isinstance(result.run_report, RunReport)
         assert len(result.run_report.tasks) == 2
 
+    def test_checkpoints_are_set_only_through_with_checkpoints(self, session, tmp_path):
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            Session(session.dataset, checkpoint_dir=tmp_path)
+        assert session.checkpoint is None
+        assert session.with_checkpoints(tmp_path).checkpoint is not None
+
     def test_worker_pool_takes_no_policy(self, session):
         # A policy is given per sweep/compare call, never to the pool.
         with pytest.raises(TypeError, match="policy"):

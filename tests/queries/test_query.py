@@ -1,5 +1,8 @@
 """Tests for COUNT queries and their probabilistic estimation."""
 
+import copy
+import pickle
+
 import pytest
 
 from oracles.queries import count_scan, estimate_scan
@@ -69,6 +72,34 @@ class TestConditions:
         assert condition_from_dict(value_condition.to_dict()) == value_condition
         with pytest.raises(QueryError):
             condition_from_dict({"type": "bogus"})
+
+
+class TestQueryIsReadOnly:
+    MUTATIONS = {
+        "setitem": lambda conditions: conditions.__setitem__("Age", RangeCondition(0, 1)),
+        "delitem": lambda conditions: conditions.__delitem__("Age"),
+        "ior": lambda conditions: conditions.__ior__({"Age": RangeCondition(0, 1)}),
+        "clear": lambda conditions: conditions.clear(),
+        "pop": lambda conditions: conditions.pop("Age"),
+        "popitem": lambda conditions: conditions.popitem(),
+        "setdefault": lambda conditions: conditions.setdefault("Zip", RangeCondition(0, 1)),
+        "update": lambda conditions: conditions.update(Zip=RangeCondition(0, 1)),
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_conditions_cannot_be_edited_in_place(self, mutation):
+        query = Query({"Age": RangeCondition(20, 30)})
+        with pytest.raises(QueryError, match="read-only"):
+            self.MUTATIONS[mutation](query.conditions)
+        assert query.conditions == {"Age": RangeCondition(20, 30)}
+
+    def test_conditions_read_and_pickle_as_a_dict(self):
+        query = Query({"Age": RangeCondition(20, 30)}, items=["a"])
+        assert isinstance(query.conditions, dict)
+        for restored in (pickle.loads(pickle.dumps(query)), copy.deepcopy(query)):
+            assert restored == query
+            with pytest.raises(QueryError, match="read-only"):
+                restored.conditions["Age"] = RangeCondition(0, 1)
 
 
 class TestQueryCount:
