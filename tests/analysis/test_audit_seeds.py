@@ -11,16 +11,20 @@ manifest's references into modules the fixture leaves out).
 
 Three shapes of the audit moved to narrower checks with the same reach: a
 local-function or factory-built process worker raises ``ConfigurationError``
-at fan-out (``tests/engine/test_runner.py``), and a ``while True`` /
+at fan-out (``WORKER_SEEDS`` below, and
+``tests/engine/test_picklable_worker.py``), and a ``while True`` /
 ``time.sleep`` retry in the engine fails
 ``tests/engine/test_engine_never_waits.py``.
 """
 
 from __future__ import annotations
 
+import textwrap
+
 import pytest
 
 from repro.analysis.manifest import InvariantManifest
+from repro.exceptions import ConfigurationError
 
 MANIFEST = InvariantManifest.load()
 
@@ -120,3 +124,42 @@ def test_seeded_shape_is_caught_by_its_rule(harness, shape):
     findings = harness.findings(relpath, source, manifest=MANIFEST, select=[code])
     caught = {(f.code, f.symbol) for f in findings if f.is_new}
     assert (code, symbol) in caught, f"{code} no longer catches {shape}"
+
+
+#: The audit's process-worker shapes, now rejected when the fan-out starts.
+WORKER_SEEDS = {
+    "local-function-worker-in-process-mode": (
+        "_seeded_local",
+        """
+        from repro.engine import Execution, run_many
+
+        def _seeded_local(tasks):
+            def worker(task):
+                return task
+            return run_many(tasks, worker, Execution(mode="process"))
+        """,
+    ),
+    "factory-built-worker-in-process-mode": (
+        "_seeded_fanout",
+        """
+        from repro.engine import Execution, run_many
+
+        def _seeded_factory():
+            def worker(task):
+                return task
+            return worker
+
+        def _seeded_fanout(tasks):
+            return run_many(tasks, _seeded_factory(), Execution(mode="process"))
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WORKER_SEEDS))
+def test_seeded_worker_shape_is_rejected_at_fan_out(shape):
+    symbol, source = WORKER_SEEDS[shape]
+    namespace: dict = {}
+    exec(compile(textwrap.dedent(source), f"<{shape}>", "exec"), namespace)
+    with pytest.raises(ConfigurationError, match="picklable worker"):
+        namespace[symbol]([1, 2])

@@ -66,6 +66,27 @@ class TestCli:
         assert payload["findings"][0]["code"] == "REP005"
         assert payload["findings"][0]["status"] == "new"
 
+    def test_json_carries_a_suppressed_finding_with_its_reason(self, tmp_path, capsys):
+        harness = LintHarness(tmp_path)
+        harness.write(
+            "src/mod.py",
+            SWALLOWED.replace(
+                "except Exception:",
+                "except Exception:  # repro: allow[REP005] -- fixture cleanup",
+            ),
+        )
+        harness.write("invariants.toml", MANIFEST_TOML)
+        assert _run(tmp_path, "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"] == {
+            "analyzed_files": 1,
+            "new": 0,
+            "suppressed": 1,
+            "exit_code": 0,
+        }
+        (finding,) = payload["findings"]
+        assert (finding["status"], finding["reason"]) == ("suppressed", "fixture cleanup")
+
     def test_unknown_select_exits_2(self, tmp_path, capsys):
         _setup(tmp_path)
         assert _run(tmp_path, "--select", "REP999") == 2

@@ -67,6 +67,55 @@ class TestSuppressionHygiene:
         assert new_codes(findings) == ["REP005"]
 
 
+class TestInlineAllow:
+    """The inline allow is the one escape hatch: pin where it reaches."""
+
+    def _rep005(self, harness, source):
+        return harness.findings("src/mod.py", source, manifest=SCOPED, select=["REP005"])
+
+    @pytest.mark.parametrize("separator", ["--", ":", "—"])
+    def test_each_reason_separator_suppresses_and_keeps_the_reason(
+        self, harness, separator
+    ):
+        source = SWALLOWED.replace(
+            "except Exception:",
+            f"except Exception:  {_ALLOW}[REP005] {separator} logged upstream",
+        )
+        (finding,) = self._rep005(harness, source)
+        assert finding.suppressed
+        assert finding.suppression_reason == "logged upstream"
+        assert new_codes([finding]) == []
+
+    def test_standalone_comment_covers_the_next_line(self, harness):
+        source = SWALLOWED.replace(
+            "        except Exception:",
+            f"        {_ALLOW}[REP005] -- logged upstream\n        except Exception:",
+        )
+        (finding,) = self._rep005(harness, source)
+        assert finding.suppressed
+
+    def test_standalone_comment_does_not_reach_two_lines_down(self, harness):
+        source = SWALLOWED.replace(
+            "        try:",
+            f"        {_ALLOW}[REP005] -- logged upstream\n        try:",
+        )
+        assert new_codes(self._rep005(harness, source)) == ["REP005"]
+
+    def test_a_code_list_covers_each_listed_code(self, harness):
+        source = SWALLOWED.replace(
+            "except Exception:",
+            f"except Exception:  {_ALLOW}[REP001, REP005] -- logged upstream",
+        )
+        (finding,) = self._rep005(harness, source)
+        assert finding.suppressed
+
+    def test_an_allow_on_another_statement_does_not_apply(self, harness):
+        source = SWALLOWED.replace(
+            "work()", f"work()  {_ALLOW}[REP005] -- logged upstream"
+        )
+        assert new_codes(self._rep005(harness, source)) == ["REP005"]
+
+
 class TestRegistry:
     def test_all_rules_covers_every_rep_code(self):
         codes = {rule.code for rule in all_rules()}

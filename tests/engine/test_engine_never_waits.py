@@ -51,7 +51,8 @@ def test_engine_neither_sleeps_nor_spins():
     assert found == []
 
 
-#: The retry shape the scan exists for, and each of its halves alone.
+#: The retry shape the scan exists for, each way to wait or spin on its own,
+#: and the bounded loops the scan must leave alone.
 SHAPES = {
     "while-true-sleep-retry-around-submit": (
         """
@@ -84,6 +85,55 @@ SHAPES = {
         """,
         1,
     ),
+    "asyncio-sleep": (
+        """
+        import asyncio
+
+        async def settle():
+            await asyncio.sleep(0)
+        """,
+        1,
+    ),
+    "sleep-inside-a-nested-def": (
+        """
+        import time
+
+        def make_backoff():
+            def backoff(attempt):
+                time.sleep(0.1 * attempt)
+            return backoff
+        """,
+        1,
+    ),
+    "while-true-without-a-submit": (
+        """
+        def consume(queue):
+            while True:
+                item = queue.get()
+                if item is None:
+                    return
+        """,
+        1,
+    ),
+    "attempt-bounded-for-loop": (
+        """
+        def attempt(pool, task, policy):
+            for _ in range(policy.max_attempts):
+                future = pool.submit(task)
+                if future.exception() is None:
+                    return future.result()
+            raise RuntimeError("attempts exhausted")
+        """,
+        0,
+    ),
+    "while-pending-drain": (
+        """
+        def drain(pending):
+            while pending:
+                pending.pop().result()
+        """,
+        0,
+    ),
     "bounded-loop-without-sleep": (
         """
         def drain(pending, policy):
@@ -101,3 +151,11 @@ SHAPES = {
 def test_the_scan_flags_each_waiting_shape(shape):
     source, expected = SHAPES[shape]
     assert len(waits(textwrap.dedent(source))) == expected
+
+
+def test_the_scan_names_file_and_line_of_each_hazard():
+    source = textwrap.dedent(SHAPES["while-true-sleep-retry-around-submit"][0])
+    assert waits(source, "src/repro/engine/retry.py") == [
+        "src/repro/engine/retry.py:5: while-True loop",
+        "src/repro/engine/retry.py:9: sleep call",
+    ]
