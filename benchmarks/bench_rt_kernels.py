@@ -14,12 +14,14 @@ Measures the two hot paths PR 3 vectorized, on a 50k-record RT-dataset:
   transaction Jaccard).  Baseline: the scalar merge-score loop that
   re-walks every member record of both clusters per candidate partner
   (restated verbatim as :func:`scalar_merge_score`).  The
-  kernel path maintains per-cluster summaries (:class:`_MergeState`) and
-  scores all partners in one vectorized pass per step.
+  kernel path maintains per-cluster summaries (:class:`_MergeState`) in
+  fixed slots and scores all partners in one vectorized pass per step.
 
 Besides asserting the >= 5x acceptance bar, the run writes a machine-readable
 ``BENCH_rt.json`` at the repository root (seconds and speedups per workload)
-so the repo carries a perf trajectory file.
+so the repo carries a perf trajectory file.  The full run also records the
+``cluster merging`` phase of one end-to-end 20k-record RTmerger evaluation
+(``eval-rt``'s configuration: Cluster + Apriori, k=10, m=2, δ=0.5, seed 1).
 
 Run standalone::
 
@@ -42,6 +44,9 @@ import pytest
 from repro.algorithms import ClusterAnonymizer, RTmerger
 from repro.algorithms.rt.bounding import _MergeState
 from repro.datasets import generate_rt_dataset
+from repro.engine.config import rt_config
+from repro.engine.resources import ExperimentResources
+from repro.frontend.session import Session
 from repro.hierarchy.builders import format_interval
 from repro.metrics import RelationalLossContext, global_certainty_penalty
 
@@ -101,7 +106,7 @@ def scalar_merge_phase(algorithm, helper, dataset, attributes, attribute, cluste
 
 
 def kernel_merge_phase(algorithm, helper, dataset, attributes, attribute, clusters, steps):
-    """The PR 3 merge loop: summary build + vectorized partner selection."""
+    """The slot-based merge loop: summary build + vectorized partner selection."""
     clusters = [list(cluster) for cluster in clusters]
     state = _MergeState(
         algorithm.merge_strategy, helper, dataset, attributes, attribute, clusters
@@ -110,12 +115,28 @@ def kernel_merge_phase(algorithm, helper, dataset, attributes, attribute, cluste
     for _ in range(steps):
         worst = 0
         partner = state.best_partner(worst)
-        merged = sorted(clusters[worst] + clusters[partner])
-        keep = [p for p in range(len(clusters)) if p not in (worst, partner)]
-        clusters = [clusters[p] for p in keep] + [merged]
+        slot, other = state.order[worst], state.order[partner]
         state.merge(worst, partner)
+        clusters[slot] = sorted(clusters[slot] + clusters[other])
         chosen.append(partner)
     return chosen
+
+
+def rtmerger_merging_phase(n_records: int = 20_000, seed: int = 1) -> dict:
+    """The ``cluster merging`` phase of one end-to-end RTmerger evaluation."""
+    dataset = generate_rt_dataset(n_records=n_records, n_items=40, seed=seed)
+    config = rt_config("cluster", "apriori", bounding="rtmerger", k=10, m=2, delta=0.5)
+    resources = ExperimentResources.prepare(dataset, config)
+    session = Session(dataset)
+    session.verify_privacy = False
+    result = session.evaluate(config, resources=resources).result
+    return {
+        "n_records": n_records,
+        "seed": seed,
+        "merges": result.statistics["merges"],
+        "cluster_merging_seconds": result.phase_seconds["cluster merging"],
+        "algorithm_seconds": result.runtime_seconds,
+    }
 
 
 # -- workload construction --------------------------------------------------------
@@ -240,6 +261,7 @@ def write_trajectory(payload: dict) -> Path:
 @pytest.mark.slow
 def test_rt_kernel_speedup(record):
     payload = run_benchmark()
+    payload["rtmerger_20k"] = rtmerger_merging_phase()
     record("rt_kernels", payload)
     write_trajectory(payload)
     assert payload["gcp_scoring"]["speedup"] >= REQUIRED_SPEEDUP
@@ -266,6 +288,7 @@ def test_rt_kernel_equivalence_smoke():
 
 if __name__ == "__main__":
     result = run_benchmark()
+    result["rtmerger_20k"] = rtmerger_merging_phase()
     path = write_trajectory(result)
     gcp = result["gcp_scoring"]
     merge = result["merge_phase"]
@@ -281,5 +304,10 @@ if __name__ == "__main__":
     print(
         f"merge phase: baseline {merge['baseline_seconds']:.3f}s, "
         f"kernel {merge['kernel_seconds']:.3f}s, speedup {merge['speedup']:.1f}x"
+    )
+    at_scale = result["rtmerger_20k"]
+    print(
+        f"rtmerger at {at_scale['n_records']} records: cluster merging "
+        f"{at_scale['cluster_merging_seconds']:.2f}s over {at_scale['merges']} merges"
     )
     print(f"trajectory written to {path}")

@@ -19,10 +19,6 @@ the enumerator of the k^m verifier
 :class:`KmAnonymityChecker` over a cut's node rows, and
 :func:`greedy_km_anonymize` once per round and then, per promotion, only for
 the combinations containing the new parent.
-
-:func:`forced_root_publication` recognises, before any search, the inputs on
-which the search can only end at the hierarchy root, and publishes them
-directly; the RT bounding methods call it on every cluster.
 """
 
 from __future__ import annotations
@@ -47,16 +43,6 @@ def _node_memo(hierarchy: Hierarchy) -> tuple[dict, dict, dict[str, frozenset[st
     nodes = list(hierarchy.iter_nodes())
     parents = {node.label: node.parent.label if node.parent else None for node in nodes}
     return parents, {node.label: (node.depth, node.label) for node in nodes}, {}
-
-
-@functools.lru_cache(maxsize=32)
-def _root_branches(hierarchy: Hierarchy) -> dict[str, int]:
-    """Per hierarchy: each leaf's root child, as its position among the root's children."""
-    return {
-        leaf: position
-        for position, child in enumerate(hierarchy.root.children)
-        for leaf in hierarchy.leaves(child.label)
-    }
 
 
 class ItemCut:
@@ -319,54 +305,3 @@ def greedy_km_anonymize(
         "unresolvable_violations": len(checker.all_violations(cut)),
     }
     return cut, statistics
-
-
-def forced_root_publication(
-    itemsets: Sequence[frozenset], hierarchy: Hierarchy, k: int, m: int
-) -> list[frozenset] | None:
-    """What Apriori publishes for ``itemsets`` when its search must end at the root.
-
-    Returns ``None`` when that is not decided in advance; the caller then
-    runs the search.  The check ORs the items' postings into one record
-    bitset per child of the root and looks for a combination of 1..``m``
-    root children with support in (0, ``k``).
-
-    A hit decides the search, provided every item is a leaf of ``hierarchy``.
-    Every cut that leaves the items below the root refines the root-children
-    cut.  Take one record supporting the rare combination, and one of its
-    items under each of the combination's root children.  Their cut nodes
-    form a combination of the same size, with support at least 1 (that
-    record) and at most the rare one's.  So every such cut violates
-    k^m-anonymity.  With leaf items every promotion moves an item, so no
-    node gets stuck, and the greedy search runs until the cut is
-    k^m-anonymous or fully generalized: here, until every item maps to the
-    root.  An item that is an inner node can leave a cut stuck below the
-    root, so it falls back to the search, as does an item outside the
-    hierarchy (the search raises the typed error).
-
-    The decided output is ``{root}`` for each non-empty itemset and the empty
-    set for each empty one.  When fewer than ``k`` itemsets are non-empty the
-    root itself is rare, and every itemset is suppressed, as
-    :meth:`~repro.algorithms.transaction.apriori.AprioriAnonymizer.publish`
-    does for violations left unresolvable.  Either way the cluster's UL
-    (:func:`~repro.metrics.transaction.itemset_utility_loss`) is exactly 1.0:
-    a suppressed occurrence is charged 1, and a generalized one
-    ``min(1, cost(root))``, which is 1 over a universe of two or more items.
-    A one-item universe is decided only through suppression: its one
-    non-empty root child is rare only when fewer than ``k`` itemsets are
-    non-empty.
-    """
-    checker = KmAnonymityChecker(itemsets, k, m)
-    branches = _root_branches(hierarchy)
-    rows = [0] * len(hierarchy.root.children)
-    for item, posting in zip(checker.items, checker.postings):
-        branch = branches.get(item)
-        if branch is None:
-            return None
-        rows[branch] |= posting
-    if not any(next(rare_combinations(rows, size, k), None) for size in range(1, m + 1)):
-        return None
-    if sum(1 for itemset in itemsets if itemset) < k:
-        return [frozenset()] * len(itemsets)
-    root = frozenset([hierarchy.root.label])
-    return [root if itemset else frozenset() for itemset in itemsets]

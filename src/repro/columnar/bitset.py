@@ -95,6 +95,24 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return _bitwise_count(matrix).sum(axis=1, dtype=np.int64)
 
 
+def popcount_segments(matrix: np.ndarray, starts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Per-column set-bit counts of each run of rows of a word-major bitset matrix.
+
+    ``matrix`` holds one bitset per column, word ``w`` in row ``w``.  Segment
+    ``j`` spans the rows from ``starts[j]`` up to the next start (or the last
+    row); the result is ``(len(starts), columns)`` ``int64``.
+    """
+    counts = _bitwise_count(matrix).astype(np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    segments = counts[starts]
+    # A gather of each segment's first word; only longer segments add more
+    # (``np.add.reduceat`` along the rows is several times slower).
+    ends = np.append(starts[1:], len(counts))
+    for position in np.flatnonzero(ends - starts > 1):
+        segments[position] += counts[starts[position] + 1 : ends[position]].sum(axis=0)
+    return segments
+
+
 def union_rows(matrix: np.ndarray, rows: Sequence[int] | np.ndarray) -> np.ndarray:
     """Bitwise OR of the selected ``rows`` of a posting matrix (empty → zeros)."""
     rows = np.asarray(rows, dtype=np.int64)

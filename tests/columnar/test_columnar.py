@@ -14,6 +14,7 @@ from repro.columnar import (
     union_rows,
     word_count,
 )
+from repro.columnar.bitset import popcount_segments
 from repro.datasets import Attribute, Dataset, Schema
 from repro.exceptions import SchemaError
 
@@ -59,6 +60,20 @@ class TestBitsetKernels:
     def test_empty_bitset(self):
         assert popcount(empty_bitset(300)) == 0
         assert members_of(empty_bitset(300)) == []
+
+    @pytest.mark.parametrize("widths", [[1], [1, 1, 1], [3, 1, 2], [2]])
+    def test_popcount_segments_match_per_segment_counts(self, widths):
+        rng = np.random.default_rng(sum(widths))
+        matrix = rng.integers(0, 2**63, size=(sum(widths), 7), dtype=np.uint64)
+        starts = np.cumsum([0] + widths)[:-1]
+        expected = [
+            [
+                sum(bin(int(word)).count("1") for word in matrix[start : start + width, column])
+                for column in range(matrix.shape[1])
+            ]
+            for start, width in zip(starts, widths)
+        ]
+        assert popcount_segments(matrix, starts).tolist() == expected
 
     def test_union_rows(self):
         matrix = posting_matrix([0, 0, 1, 2], [1, 5, 2, 5], 3, 70)

@@ -12,7 +12,11 @@ scratch at every step:
   takes its node out of the round's candidates;
 * :func:`participation` — the per-step rescoring that the incremental
   search replaced: every cut node's count of rare combinations, recounted
-  with ``itertools.combinations`` over the cut's node bitsets.
+  with ``itertools.combinations`` over the cut's node bitsets;
+* :func:`forced_root_publication` — the RT bounding methods' forced-root
+  shortcut over one cluster's itemsets, as the per-item checker computed it
+  before each slot kept its root-child bitsets
+  (``repro.algorithms.rt.bounding._RootChildBits``).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import operator
 from collections import Counter
 
 from repro.algorithms.transaction._itemcut import ItemCut, KmAnonymityChecker
+from repro.columnar.bitset import rare_combinations
 
 
 def scalar_cut_violations(itemsets, cut, k, size):
@@ -93,3 +98,33 @@ def participation(checker: KmAnonymityChecker, cut: ItemCut, sizes) -> dict[str,
             if 0 < together.bit_count() < checker.k:
                 counts.update(combination)
     return dict(counts)
+
+
+def forced_root_publication(itemsets, hierarchy, k, m):
+    """What Apriori publishes for ``itemsets`` when its search must end at the root.
+
+    ``None`` when that is not decided in advance.  The items' postings are
+    ORed into one record bitset per child of the root; a combination of
+    1..``m`` root children with support in (0, ``k``) decides the search,
+    unless some item is not a leaf.  The decided output is ``{root}`` per
+    non-empty itemset, or every itemset suppressed when fewer than ``k`` are
+    non-empty (``_RootChildBits.publication`` gives the argument).
+    """
+    checker = KmAnonymityChecker(itemsets, k, m)
+    branches = {
+        leaf: position
+        for position, child in enumerate(hierarchy.root.children)
+        for leaf in hierarchy.leaves(child.label)
+    }
+    rows = [0] * len(hierarchy.root.children)
+    for item, posting in zip(checker.items, checker.postings):
+        branch = branches.get(item)
+        if branch is None:
+            return None
+        rows[branch] |= posting
+    if not any(next(rare_combinations(rows, size, k), None) for size in range(1, m + 1)):
+        return None
+    if sum(1 for itemset in itemsets if itemset) < k:
+        return [frozenset()] * len(itemsets)
+    root = frozenset([hierarchy.root.label])
+    return [root if itemset else frozenset() for itemset in itemsets]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles.index import FrozensetIndex
 from oracles.itemcut import (
+    forced_root_publication,
     participation,
     scalar_cut_violations,
     scalar_greedy_km_anonymize,
@@ -27,7 +28,6 @@ from repro.algorithms.transaction._itemcut import (
     ItemCut,
     KmAnonymityChecker,
     _Promotions,
-    forced_root_publication,
     greedy_km_anonymize,
 )
 from repro.columnar.bitset import rare_combinations
@@ -437,27 +437,22 @@ class TestItemCutEquivalence:
         rt = generate_rt_dataset(n_records=600, n_items=30, seed=41)
         item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
         publishes, decided = [], []
-        forced_root_publication = bounding.forced_root_publication
-        cluster_publisher = RTmerger._cluster_publisher
+        publication = bounding._RootChildBits.publication
+        publish = bounding._ClusterPublisher.publish
 
-        def recording_decision(*args):
-            output = forced_root_publication(*args)
+        def recording_decision(self, slot, cluster):
+            output = publication(self, slot, cluster)
             decided.append(output is not None)
             return output
 
-        def recording_publisher(self, dataset, attribute):
-            publish = cluster_publisher(self, dataset, attribute)
+        def recording_publish(self, slot, cluster):
+            published, loss = publish(self, slot, cluster)
+            original = [self.dataset[index][self.attribute] for index in cluster]
+            publishes.append((original, published, loss))
+            return published, loss
 
-            def recording(cluster):
-                published, loss = publish(cluster)
-                original = [dataset[index][attribute] for index in cluster]
-                publishes.append((original, published, loss))
-                return published, loss
-
-            return recording
-
-        monkeypatch.setattr(bounding, "forced_root_publication", recording_decision)
-        monkeypatch.setattr(RTmerger, "_cluster_publisher", recording_publisher)
+        monkeypatch.setattr(bounding._RootChildBits, "publication", recording_decision)
+        monkeypatch.setattr(bounding._ClusterPublisher, "publish", recording_publish)
         result = RTmerger(k=5, m=2, delta=0.3, item_hierarchy=item_hierarchy).anonymize(rt)
         assert result.statistics["merges"] > 0
         assert len(publishes) == len(decided) == (
@@ -540,3 +535,73 @@ class TestForcedRootPublication:
         assert forced_root_publication(few, hierarchy, 5, 2) == [frozenset()] * 3
         assert forced_root_publication(many, hierarchy, 5, 2) is None
         assert scalar_publish(many, hierarchy, 5, 2) == (many, 0.0)
+
+    @given(
+        itemsets=st.lists(
+            st.sets(st.sampled_from(ITEMS), max_size=4), min_size=2, max_size=40
+        ),
+        odd_items=st.lists(st.integers(0, 200), max_size=3),
+        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=10),
+        merges=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=8),
+        fanout=st.integers(2, 4),
+        k=st.integers(2, 6),
+        m=st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_merged_slot_decisions_match_the_reference(
+        self, itemsets, odd_items, sizes, merges, fanout, k, m
+    ):
+        """Every slot, before and after merges, decides as the reference does on its rows.
+
+        Some records may hold an inner node, the root or an item outside the
+        hierarchy, and empty itemsets make clusters with fewer than ``k``
+        non-empty ones.
+        """
+        hierarchy = build_item_hierarchy(ITEMS, fanout=fanout)
+        odd = [label for label in hierarchy.labels if not hierarchy.is_leaf(label)]
+        odd.append("zz-outside")
+        for pick in odd_items:
+            itemsets[pick % len(itemsets)] = itemsets[pick % len(itemsets)] | {
+                odd[pick % len(odd)]
+            }
+        dataset = make_dataset(itemsets)
+        clusters, start = [], 0
+        for size in sizes:
+            if start < len(dataset):
+                clusters.append(list(range(start, min(start + size, len(dataset)))))
+                start += size
+        if start < len(dataset):
+            clusters.append(list(range(start, len(dataset))))
+        bits = bounding._RootChildBits(dataset.columnar("Items"), hierarchy, clusters, k, m)
+
+        def assert_decides_as_reference(slot):
+            rows = [dataset[index]["Items"] for index in clusters[slot]]
+            expected = forced_root_publication(rows, hierarchy, k, m)
+            assert bits.publication(slot, clusters[slot]) == expected
+
+        for slot in range(len(clusters)):
+            assert_decides_as_reference(slot)
+        live = list(range(len(clusters)))
+        for first, second in merges:
+            if len(live) < 2:
+                break
+            slot = live[first % len(live)]
+            others = [candidate for candidate in live if candidate != slot]
+            other = others[second % len(others)]
+            live.remove(other)
+            clusters[slot] = sorted(clusters[slot] + clusters[other])
+            bits.merge(slot, other)
+            assert_decides_as_reference(slot)
+
+    def test_a_merged_slot_with_few_nonempty_itemsets_is_suppressed(self):
+        hierarchy = build_item_hierarchy(ITEMS, fanout=2)
+        left, right = (hierarchy.leaves(child.label)[0] for child in hierarchy.root.children)
+        itemsets = [{left}, set(), set(), {right}, set(), set()]
+        dataset = make_dataset(itemsets)
+        clusters = [[0, 1, 2], [3, 4, 5]]
+        bits = bounding._RootChildBits(dataset.columnar("Items"), hierarchy, clusters, 3, 2)
+        bits.merge(0, 1)
+        merged = [0, 1, 2, 3, 4, 5]
+        rows = [dataset[index]["Items"] for index in merged]
+        assert bits.publication(0, merged) == [frozenset()] * 6
+        assert forced_root_publication(rows, hierarchy, 3, 2) == [frozenset()] * 6

@@ -32,14 +32,14 @@ from repro.algorithms import (
     RTmerger,
     Tmerger,
 )
-from repro.algorithms.base import Anonymizer
+from repro.algorithms.base import Anonymizer, relational_quasi_identifiers
 from oracles.relational import (
     ClusterBounds,
     FrontierClusterKernel,
     ScalarClusterAnonymizer,
     average_cell_ncp,
 )
-from oracles.rt import ScalarMergeState, merge_score
+from oracles.rt import ScalarMergeState, list_merge_loop, merge_score, row_publisher
 from repro.algorithms.relational.cluster import _ClusterKernel
 from repro.algorithms.rt import bounding
 from repro.algorithms.rt.bounding import _MergeState
@@ -345,49 +345,62 @@ def scalar_merged_rep(hierarchy, rep, other):
     return hierarchy.lowest_common_ancestor([rep, other])
 
 
-class TestAncestorTable:
+class TestLcaTable:
+    """The pairwise LCA table against ``Hierarchy.lowest_common_ancestor``."""
+
+    @given(values=hierarchy_values, fanout=st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_node_pair_matches_hierarchy(self, values, fanout):
+        hierarchy = build_categorical_hierarchy(values, fanout=fanout)
+        table = bounding._LcaTable(hierarchy)
+        ids = {label: table.id_of(label) for label in hierarchy.labels}
+        for label, node in ids.items():
+            lca, leaves = table.row(node)
+            # Column 0 is no value: the LCA is the node itself.
+            assert (lca[0], leaves[0]) == (node, hierarchy.leaf_count(label))
+            assert table.merged(node, -1) == table.merged(-1, node) == node
+            for other, partner in ids.items():
+                expected = hierarchy.lowest_common_ancestor([label, other])
+                assert table.label_of(lca[1 + partner]) == expected
+                assert leaves[1 + partner] == hierarchy.leaf_count(expected)
+                assert table.merged(node, partner) == lca[1 + partner]
+            assert table.merged(node, node) == node
+            for ancestor in hierarchy.ancestors(label):
+                assert table.merged(node, ids[ancestor]) == ids[ancestor]
+                assert table.merged(ids[ancestor], node) == ids[ancestor]
+        lca, _ = table.row(-1)
+        assert lca.tolist() == [-1] + list(ids.values())
+        assert table.merged(-1, -1) == -1
+
     @given(
         values=hierarchy_values,
         fanout=st.integers(2, 4),
         picks=st.lists(st.integers(-3, 60), min_size=2, max_size=12),
     )
     @settings(max_examples=80, deadline=None)
-    def test_table_lca_matches_hierarchy(self, values, fanout, picks):
+    def test_outside_values_raise_where_the_hierarchy_does(self, values, fanout, picks):
         hierarchy = build_categorical_hierarchy(values, fanout=fanout)
         choices = [None, "zz-outside", "yy-outside"] + hierarchy.labels
         labels = [choices[pick % len(choices)] for pick in picks]
-        reps = bounding._LcaReps(hierarchy, len(labels))
-        ids = np.array(
-            [-1 if label is None else reps.id_of(label) for label in labels], dtype=np.int64
-        )
+        table = bounding._LcaTable(hierarchy)
+        ids = [-1 if label is None else table.id_of(label) for label in labels]
         for label, rep in zip(labels, ids):
-            try:
-                expected = [scalar_merged_rep(hierarchy, label, other) for other in labels]
-            except HierarchyError:
-                with pytest.raises(HierarchyError):
-                    reps.merged(rep, ids)
-                continue
-            merged = reps.merged(rep, ids)
-            assert [None if node < 0 else reps.label_of(node) for node in merged] == expected
-            for node, label_after in zip(merged, expected):
-                if label_after is None:
-                    continue
-                if label_after in hierarchy:
-                    assert reps.leaf_counts(np.array([node]))[0] == hierarchy.leaf_count(
-                        label_after
-                    )
-                else:
+            for other, partner in zip(labels, ids):
+                try:
+                    expected = scalar_merged_rep(hierarchy, label, other)
+                except HierarchyError:
                     with pytest.raises(HierarchyError):
-                        reps.leaf_counts(np.array([node]))
+                        table.merged(rep, partner)
+                    continue
+                merged = table.merged(rep, partner)
+                assert (None if merged < 0 else table.label_of(merged)) == expected
 
     def test_equal_and_root_reps(self):
         hierarchy = build_categorical_hierarchy(EDUCATION, fanout=2)
-        reps = bounding._LcaReps(hierarchy, 1)
-        root = reps.id_of("*")
-        leaf = reps.id_of("A")
-        others = np.array([root, leaf, -1], dtype=np.int64)
-        assert reps.merged(root, others).tolist() == [root, root, root]
-        assert reps.merged(leaf, others).tolist() == [root, leaf, leaf]
+        table = bounding._LcaTable(hierarchy)
+        root, leaf = table.id_of("*"), table.id_of("A")
+        assert [table.merged(root, other) for other in (root, leaf, -1)] == [root] * 3
+        assert [table.merged(leaf, other) for other in (root, leaf, -1)] == [root, leaf, leaf]
 
 
 #: Cluster sizes used to partition the generated records into merge clusters.
@@ -467,6 +480,40 @@ class TestMergeKernels:
                 )
                 assert state.best_partner(position) == fresh.best_partner(position)
 
+    @given(rows=records, sizes=partitions, known=st.sets(st.sampled_from(EDUCATION), min_size=1))
+    @settings(max_examples=50, deadline=None)
+    def test_outside_values_raise_where_the_scalar_scores_do(self, rows, sizes, known):
+        """A value outside the hierarchy raises only where a score climbs from it."""
+        dataset = make_rt(rows)
+        clusters = partition(dataset, sizes)
+        if clusters is None:
+            return
+        attributes = ["Age", "Education"]
+        hierarchies = {"Education": build_categorical_hierarchy(sorted(known), fanout=2)}
+        helper = ClusterAnonymizer(2, hierarchies, attributes=attributes)
+        helper._prepare(dataset, attributes)
+        try:
+            state = _MergeState("r", helper, dataset, attributes, "Items", clusters)
+        except HierarchyError:
+            values = [{dataset[i]["Education"] for i in cluster} - {None} for cluster in clusters]
+            assert any(len(distinct) > 1 and not distinct <= known for distinct in values)
+            return
+        for worst in range(len(clusters)):
+            partners = [p for p in range(len(clusters)) if p != worst]
+            try:
+                expected = [
+                    merge_score(
+                        "r", helper, dataset, attributes, "Items", clusters[worst], clusters[p]
+                    )
+                    for p in partners
+                ]
+            except HierarchyError:
+                with pytest.raises(HierarchyError):
+                    state.relational_scores(worst)
+                continue
+            scores = state.relational_scores(worst)
+            assert [scores[p] for p in partners] == expected
+
     @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
     def test_bounding_output_equivalence_end_to_end(self, merger, monkeypatch):
         rt = generate_rt_dataset(n_records=90, n_items=15, seed=23)
@@ -514,6 +561,95 @@ class TestMergeKernels:
                 and not any(fast.dataset[i]["Items"] for i in cluster)
             ]
             assert suppressed
+
+
+def assert_slot_loop_matches_list_loop(algorithm, dataset, clusters, helper, monkeypatch):
+    """The slot loop merges what the list-based loop merges, in the same order.
+
+    Both start from the same initial clusters: the slot loop through
+    ``anonymize``, recording each (worst, partner) pair it scores; the list
+    loop from ``tests/oracles/rt.py`` with a fresh ``_MergeState`` and the
+    row-reading publish.
+    """
+    attributes = relational_quasi_identifiers(dataset)
+    attribute = dataset.single_transaction_attribute()
+    picks = []
+    best_partner = _MergeState.best_partner
+
+    def recording(self, worst):
+        partner = best_partner(self, worst)
+        picks.append((worst, partner))
+        return partner
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            type(algorithm),
+            "_initial_clusters",
+            lambda self, data, names: ([list(cluster) for cluster in clusters], helper),
+        )
+        patch.setattr(_MergeState, "best_partner", recording)
+        result = algorithm.anonymize(dataset)
+    state = _MergeState(algorithm.merge_strategy, helper, dataset, attributes, attribute, clusters)
+    apriori = AprioriAnonymizer(algorithm.k, algorithm.m, hierarchy=algorithm.item_hierarchy)
+    publish = row_publisher(apriori, algorithm.item_hierarchy, dataset, attribute)
+    expected, final, outputs = list_merge_loop(
+        state, publish, clusters, algorithm.delta, len(clusters)
+    )
+    assert picks == expected
+    assert result.statistics["merges"] == len(expected)
+    assert result.statistics["cluster_assignment"] == final
+    assert result.statistics["max_cluster_ul"] == max(loss for _, loss in outputs)
+    return picks
+
+
+class TestMergeLoop:
+    """The slot-based merge loop against the list-based loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 104729])
+    @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
+    def test_generated_datasets(self, merger, seed, monkeypatch):
+        rt = generate_rt_dataset(n_records=400, n_items=30, seed=seed)
+        item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
+        algorithm = merger(k=5, m=2, delta=0.3, item_hierarchy=item_hierarchy)
+        attributes = relational_quasi_identifiers(rt)
+        clusters, helper = algorithm._initial_clusters(rt, attributes)
+        picks = assert_slot_loop_matches_list_loop(algorithm, rt, clusters, helper, monkeypatch)
+        assert len(picks) > 10
+
+    @pytest.mark.parametrize("merger", [Rmerger, Tmerger, RTmerger])
+    def test_ties_break_at_the_first_position(self, merger, monkeypatch):
+        """Losses tie at the maximum and partners tie in score.
+
+        Cluster 0 publishes its items unchanged (UL 0) and differs in every
+        attribute; clusters 1-4 are identical, and each forces the root (UL
+        1).  The worst cluster is the first of the tied ones, and its partner
+        the first of the tied partners.
+        """
+        item_hierarchy = build_item_hierarchy(ITEMS, fanout=2)
+        left, right = (item_hierarchy.leaves(child.label)[0] for child in item_hierarchy.root.children)
+        schema = Schema(
+            [
+                Attribute.numeric("Age"),
+                Attribute.categorical("Education"),
+                Attribute.transaction("Items"),
+            ]
+        )
+        rows = [{"Age": 80, "Education": "E", "Items": [left]}] * 3
+        rows += [
+            {"Age": 30, "Education": "A", "Items": items}
+            for _ in range(4)
+            for items in ([left], [right], [left, right])
+        ]
+        dataset = Dataset(schema, rows)
+        clusters = [list(range(start, start + 3)) for start in range(0, 15, 3)]
+        attributes = ["Age", "Education"]
+        helper = ClusterAnonymizer(3, attributes=attributes)
+        helper._prepare(dataset, attributes)
+        algorithm = merger(k=3, m=2, delta=0.5, item_hierarchy=item_hierarchy)
+        picks = assert_slot_loop_matches_list_loop(
+            algorithm, dataset, clusters, helper, monkeypatch
+        )
+        assert picks == [(1, 2)] * 3
 
 
 class SubsetRouteApriori(Anonymizer):
