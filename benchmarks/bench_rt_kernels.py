@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -52,6 +53,9 @@ from repro.metrics import RelationalLossContext, global_certainty_penalty
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_FILE = REPO_ROOT / "BENCH_rt.json"
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.relational import cluster_cost_scalar  # noqa: E402  (the oracle lives with the tests)
 
 N_RECORDS = 50_000
 CLUSTER_SIZE = 25
@@ -73,7 +77,9 @@ def scalar_gcp(context: RelationalLossContext, anonymized) -> float:
 
 def scalar_merge_score(helper, dataset, attributes, attribute, cluster_a, cluster_b):
     """The pre-kernel RTmerger score: half merged-cluster NCP, half item Jaccard distance."""
-    relational = helper._cluster_cost(dataset, list(attributes), list(cluster_a) + list(cluster_b))
+    relational = cluster_cost_scalar(
+        helper, dataset, list(attributes), list(cluster_a) + list(cluster_b)
+    )
     items_a: set = set()
     for index in cluster_a:
         items_a |= set(dataset[index][attribute])

@@ -177,6 +177,6 @@ def publish_items(
         else [mapping.get(item, item) for item in items]
         for mapping in mappings
     ]
-    return dataset.with_column(
-        attribute, source.remap(images, groups), name=f"{dataset.name}[{algorithm}]"
+    return dataset.with_columns(
+        {attribute: source.remap(images, groups)}, name=f"{dataset.name}[{algorithm}]"
     )

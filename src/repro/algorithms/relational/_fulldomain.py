@@ -6,7 +6,7 @@ a level vector induces.  Recomputing generalized tuples record by record for
 every candidate is prohibitively slow in Python, so :class:`FullDomainIndex`
 pre-computes, per attribute and per level, an integer code for every record
 and answers class-size queries with a single vectorised pass; the same codes
-score NCP per level and write the chosen generalization.
+score NCP per level and publish the chosen generalization as columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.columnar.relational import class_sizes, mixed_radix_keys
+from repro.columnar.relational import CategoricalColumn, class_sizes, mixed_radix_keys
 from repro.datasets.dataset import Dataset, _normalise_cell
 from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
 from repro.metrics.relational import RelationalLossContext
@@ -81,14 +81,21 @@ class FullDomainIndex:
 
     # -- application --------------------------------------------------------------
     def apply(self, dataset: Dataset, node: LevelVector) -> Dataset:
-        """Return a copy of ``dataset`` generalized to the level vector."""
-        result = dataset.copy(name=f"{dataset.name}[full-domain]")
+        """``dataset`` generalized to the level vector, built from columns.
+
+        Each generalized attribute is its level's codes and labels
+        (:meth:`~repro.columnar.relational.CategoricalColumn.from_images`);
+        an attribute at level 0 keeps the input's cells and column.
+        """
+        columns = {}
         for attribute, level in zip(self.attributes, node):
             if level <= 0:
                 continue
             codes, labels = self._level(attribute, level)
-            result.set_column(attribute, np.array(labels, dtype=object)[codes].tolist())
-        return result
+            columns[attribute] = CategoricalColumn.from_images(
+                dataset.schema[attribute], labels, codes
+            )
+        return dataset.with_columns(columns, name=f"{dataset.name}[full-domain]")
 
     def level_ncp(
         self,

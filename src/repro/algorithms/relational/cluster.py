@@ -21,7 +21,8 @@ reported in the result statistics.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,12 +33,122 @@ from repro.algorithms.base import (
     relational_quasi_identifiers,
     validate_k,
 )
+from repro.columnar.bitset import popcount_segments, posting_matrix
+from repro.columnar.relational import CategoricalColumn
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.builders import format_interval
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.metrics.relational import global_certainty_penalty
 from repro.policies.utility import generalized_label
+
+
+def _slot_layout(clusters: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's record count, and its records concatenated in slot order."""
+    sizes = np.fromiter(map(len, clusters), dtype=np.int64, count=len(clusters))
+    records = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum()))
+    return sizes, records
+
+
+class _LcaTable:
+    """Pairwise lowest common ancestors of one hierarchy's nodes, by integer id.
+
+    Ids index the hierarchy's :meth:`~repro.hierarchy.hierarchy.Hierarchy.ancestor_table`;
+    ``-1`` is "no value", whose LCA with a node is the node.  A value that
+    is not in the hierarchy gets an id past the table.  Row ``a`` holds, at
+    column ``1 + b``, the id of LCA(``a``, ``b``) and the leaf count of that
+    LCA (the width a merge would publish); column 0 is no value.  A row is
+    built on first use from one ``==`` of ``a``'s ancestor row against the
+    whole ancestor table and an ``argmin`` for the first mismatch, so a wide
+    hierarchy pays only for the nodes that are some cluster's LCA.
+
+    A leaf count of ``-1`` marks a pair whose LCA would have to climb the
+    hierarchy from a value outside it; only there is the typed
+    :class:`~repro.exceptions.HierarchyError` raised.
+    """
+
+    def __init__(self, hierarchy: Hierarchy):
+        self.hierarchy = hierarchy
+        index, self._ancestors, self._leaf_counts = hierarchy.ancestor_table()
+        self._ids = dict(index)
+        self._labels = list(index)
+        self._n_nodes = len(index)
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def has_unknown(self) -> bool:
+        """Whether some value outside the hierarchy has an id."""
+        return len(self._ids) > self._n_nodes
+
+    def id_of(self, label: str) -> int:
+        if label not in self._ids:
+            self._ids[label] = len(self._ids)
+            self._labels.append(label)
+            self._rows.clear()  # a row covers every id
+        return self._ids[label]
+
+    def label_of(self, node: int) -> str:
+        return self._labels[node]
+
+    def cluster_ids(
+        self, slots: np.ndarray, codes: np.ndarray, labels: Sequence[str], capacity: int
+    ) -> np.ndarray:
+        """Each slot's id: its one value's, or its values' LCA (``-1``: no value).
+
+        ``(slots, codes)`` are the distinct (slot, label code) pairs, sorted.
+        The LCA of several values is the deepest ancestor-table column on
+        which all their rows agree.
+        """
+        ids = np.full(capacity, -1, dtype=np.int64)
+        nodes = np.array([self.id_of(label) for label in labels], dtype=np.int64)[codes]
+        if not nodes.size:
+            return ids
+        starts = np.flatnonzero(np.diff(slots, prepend=-1))
+        counts = np.diff(np.append(starts, len(slots)))
+        several = counts > 1
+        climbing = np.flatnonzero(np.repeat(several, counts) & (nodes >= self._n_nodes))
+        if climbing.size:
+            self.hierarchy.node(labels[codes[climbing[0]]])  # raises the typed error
+        ancestors = self._ancestors[np.where(nodes < self._n_nodes, nodes, 0)]
+        agree = np.minimum.reduceat(ancestors, starts) == np.maximum.reduceat(ancestors, starts)
+        lca = ancestors[starts, np.argmin(agree, axis=1) - 1]
+        ids[slots[starts]] = np.where(several, lca, nodes[starts])
+        return ids
+
+    def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """LCA ids and leaf counts of ``node`` with no value, then with every id."""
+        row = self._rows.get(node)
+        if row is None:
+            n_nodes, n_ids = self._n_nodes, len(self._ids)
+            if node < 0:
+                lca = np.arange(-1, n_ids)
+            else:
+                lca = np.full(n_ids + 1, -2, dtype=np.int64)  # -2: climbs from outside
+                if node < n_nodes:
+                    ancestors = self._ancestors
+                    first_mismatch = np.argmin(ancestors == ancestors[node], axis=1)
+                    lca[1 : n_nodes + 1] = ancestors[node, first_mismatch - 1]
+                lca[0] = lca[1 + node] = node
+            known = (lca >= 0) & (lca < n_nodes)
+            leaves = np.full(len(lca), -1, dtype=np.int64)
+            leaves[known] = self._leaf_counts[lca[known]]
+            row = self._rows[node] = (lca, leaves)
+        return row
+
+    def merged(self, rep: int, other: int) -> int:
+        """The LCA id of the nodes ``rep`` and ``other``."""
+        if rep < 0:
+            return other
+        if other < 0 or other == rep:
+            return rep
+        self.require_known((other, rep))
+        return int(self.row(rep)[0][1 + other])
+
+    def require_known(self, ids: Iterable[int]) -> None:
+        """Raise the typed error for the first of ``ids`` outside the hierarchy."""
+        for node in ids:
+            if node >= self._n_nodes:
+                self.hierarchy.node(self.label_of(node))  # raises the typed error
 
 
 class _ClusterKernel:
@@ -168,7 +279,7 @@ class ClusterAnonymizer(Anonymizer):
         self._domain_size: dict[str, int] = {}
         for name in attributes:
             attribute = dataset.schema[name]
-            domain = [v for v in dataset.column(name) if v is not None]
+            domain = [v for v in dataset.columnar(name).values if v is not None]
             if (
                 domain
                 and attribute.is_numeric
@@ -177,102 +288,56 @@ class ClusterAnonymizer(Anonymizer):
                 self._numeric.add(name)
                 low, high = float(min(domain)), float(max(domain))
                 self._domain_span[name] = max(high - low, 0.0)
-            self._domain_size[name] = len(set(domain)) or 1
+            self._domain_size[name] = len(domain) or 1
 
-    def _bounds(
-        self,
-        dataset: Dataset,
-        attributes: Sequence[str],
-        indices: Sequence[int],
-        start: list | None = None,
-    ) -> list:
-        """Per-attribute bounds of the records, widening ``start``.
+    def _cluster_labels(
+        self, dataset: Dataset, name: str, sizes: np.ndarray, records: np.ndarray
+    ) -> list[str | None]:
+        """Each cluster's published value of ``name``, from the input's columns.
 
-        ``(low, high)`` of a numeric attribute's present values (``None`` while
-        there are none), the frozenset of value strings of any other attribute.
+        A numeric attribute publishes its members' value or ``[low-high]``
+        range (``NumericColumn.numbers`` reduced per cluster), any other
+        attribute its members' one string, or their lowest common ancestor
+        (``generalized_label`` without a hierarchy).  A cluster whose
+        members all lack the attribute publishes it missing (``None``).
         """
-        bounds = list(start) if start is not None else [
-            None if name in self._numeric else frozenset() for name in attributes
-        ]
-        for index in indices:
-            record = dataset[index]
-            for position, name in enumerate(attributes):
-                value = record[name]
-                if value is None:
-                    continue
-                bound = bounds[position]
-                if name in self._numeric:
-                    number = float(value)
-                    bounds[position] = (
-                        (number, number)
-                        if bound is None
-                        else (min(bound[0], number), max(bound[1], number))
-                    )
+        column = dataset.columnar(name)
+        if name in self._numeric:
+            values = column.numbers[records]
+            starts = np.cumsum(sizes) - sizes
+            labels: list[str | None] = []
+            for low, high in zip(
+                np.fmin.reduceat(values, starts).tolist(),
+                np.fmax.reduceat(values, starts).tolist(),
+            ):
+                if low != low:  # NaN: no member has a value
+                    labels.append(None)
+                elif low == high:
+                    labels.append(str(int(low)) if low.is_integer() else str(low))
                 else:
-                    bounds[position] = bound | {str(value)}
-        return bounds
-
-    def _bounds_cost(self, attributes: Sequence[str], bounds: list) -> float:
-        """NCP of the minimum bounding generalization summarised by ``bounds``."""
-        cost = 0.0
-        for name, bound in zip(attributes, bounds):
-            if name in self._numeric:
-                span = self._domain_span[name]
-                if span <= 0 or bound is None:
-                    continue
-                cost += (bound[1] - bound[0]) / span
-            else:
-                size = self._domain_size[name]
-                if size <= 1:
-                    continue
-                hierarchy = self.hierarchies.get(name)
-                if hierarchy is not None and len(bound) > 1:
-                    ancestor = hierarchy.lowest_common_ancestor(bound)
-                    width = hierarchy.leaf_count(ancestor)
-                else:
-                    width = len(bound)
-                cost += (width - 1) / max(size - 1, 1)
-        return cost / max(len(attributes), 1)
-
-    def _cluster_cost(
-        self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
-    ) -> float:
-        """NCP of the minimum bounding generalization of the given records."""
-        return self._bounds_cost(attributes, self._bounds(dataset, attributes, indices))
-
-    def _generalized_values(
-        self, dataset: Dataset, attributes: Sequence[str], indices: Sequence[int]
-    ) -> dict[str, str | None]:
-        """The published value per attribute for one cluster.
-
-        An attribute that every member lacks stays missing (``None``).
-        """
-        published: dict[str, str | None] = {}
-        for name in attributes:
-            values = [dataset[index][name] for index in indices]
-            present = [value for value in values if value is not None]
-            if not present:
-                published[name] = None
-            elif name in self._numeric:
-                numeric_values = [float(v) for v in present]
-                low, high = min(numeric_values), max(numeric_values)
-                if low == high:
-                    published[name] = (
-                        str(int(low)) if float(low).is_integer() else str(low)
-                    )
-                else:
-                    published[name] = format_interval(low, high)
-            else:
-                distinct = {str(v) for v in present}
-                if len(distinct) == 1:
-                    published[name] = next(iter(distinct))
-                else:
-                    hierarchy = self.hierarchies.get(name)
-                    if hierarchy is not None:
-                        published[name] = hierarchy.lowest_common_ancestor(distinct)
-                    else:
-                        published[name] = generalized_label(distinct)
-        return published
+                    labels.append(format_interval(low, high))
+            return labels
+        codes, strings = column.string_codes()
+        labels = [None] * len(sizes)
+        members = codes[records]
+        present = members < len(strings)
+        if not present.any():
+            return labels
+        slots = np.repeat(np.arange(len(sizes)), sizes)
+        pairs = np.unique(slots[present] * len(strings) + members[present])
+        owners, values = np.divmod(pairs, len(strings))
+        hierarchy = self.hierarchies.get(name)
+        if hierarchy is not None:
+            table = _LcaTable(hierarchy)
+            ids = table.cluster_ids(owners, values, strings, len(sizes))
+            return [None if node < 0 else table.label_of(node) for node in ids.tolist()]
+        starts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
+        for start, end in zip(starts, starts[1:] + [len(owners)]):
+            distinct = [strings[code] for code in values[start:end].tolist()]
+            labels[int(owners[start])] = (
+                distinct[0] if len(distinct) == 1 else generalized_label(distinct)
+            )
+        return labels
 
     # -- clustering -----------------------------------------------------------------
     def build_clusters(
@@ -295,7 +360,9 @@ class ClusterAnonymizer(Anonymizer):
     ) -> None:
         """Append each leftover to the first cluster it widens least.
 
-        Bounds are summarised once per cluster and widened as leftovers join.
+        Every cluster is scored against a leftover in one pass over the
+        clusters' bounds (:class:`_ClusterBounds`), which widen as leftovers
+        join.
         """
         if not leftovers:
             return
@@ -304,15 +371,15 @@ class ClusterAnonymizer(Anonymizer):
                 "ClusterAnonymizer: cannot place leftover records; "
                 "the dataset is smaller than k"
             )
-        bounds = [self._bounds(dataset, attributes, cluster) for cluster in clusters]
-        for leftover in leftovers:
-            widened = [
-                self._bounds(dataset, attributes, [leftover], bound) for bound in bounds
-            ]
-            costs = [self._bounds_cost(attributes, bound) for bound in widened]
-            best = min(range(len(costs)), key=costs.__getitem__)
+        # Each leftover starts in a slot of its own, past the clusters'.
+        bounds = _ClusterBounds(
+            self, dataset, attributes, clusters + [[leftover] for leftover in leftovers]
+        )
+        targets = np.arange(len(clusters))
+        for slot, leftover in enumerate(leftovers, start=len(clusters)):
+            best = int(np.argmin(bounds.scores(slot, targets)))
             clusters[best].append(leftover)
-            bounds[best] = widened[best]
+            bounds.fold(best, slot)
 
     def _grow_clusters(
         self, dataset: Dataset, attributes: Sequence[str]
@@ -340,21 +407,30 @@ class ClusterAnonymizer(Anonymizer):
         attributes: Sequence[str] | None = None,
         name_suffix: str = "cluster",
     ) -> Dataset:
-        """Publish every cluster's minimum bounding generalization."""
+        """Publish every cluster's minimum bounding generalization.
+
+        Each attribute is one label per cluster gathered by cluster id
+        (:meth:`~repro.columnar.relational.CategoricalColumn.from_images`);
+        a record outside every cluster keeps its cell.  The output is built
+        from columns, with no row copied.
+        """
         attributes = list(attributes or self.attributes or relational_quasi_identifiers(dataset))
         if not hasattr(self, "_domain_size") or not self._domain_size:
             self._prepare(dataset, attributes)
-        anonymized = dataset.copy(name=f"{dataset.name}[{name_suffix}]")
-        columns = {attribute: anonymized.column(attribute) for attribute in attributes}
-        for cluster in clusters:
-            published = self._generalized_values(dataset, attributes, cluster)
-            for attribute, value in published.items():
-                column = columns[attribute]
-                for index in cluster:
-                    column[index] = value
-        for attribute, column in columns.items():
-            anonymized.set_column(attribute, column)
-        return anonymized
+        clusters = [cluster for cluster in clusters if len(cluster)]
+        sizes, records = _slot_layout(clusters)
+        ids = np.full(len(dataset), -1, dtype=np.int64)
+        ids[records] = np.repeat(np.arange(len(clusters)), sizes)
+        outside = np.flatnonzero(ids < 0)
+        ids[outside] = len(clusters) + np.arange(len(outside))
+        columns = {}
+        for name in attributes:
+            labels: list = self._cluster_labels(dataset, name, sizes, records)
+            if outside.size:
+                cells = dataset.column(name)
+                labels += [cells[index] for index in outside.tolist()]
+            columns[name] = CategoricalColumn.from_images(dataset.schema[name], labels, ids)
+        return dataset.with_columns(columns, name=f"{dataset.name}[{name_suffix}]")
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
         attributes = self.attributes or relational_quasi_identifiers(dataset)
@@ -385,3 +461,138 @@ class ClusterAnonymizer(Anonymizer):
                 "cluster_assignment": [list(cluster) for cluster in clusters],
             },
         )
+
+
+class _ClusterBounds:
+    """Per-cluster bounding generalizations, one cluster scored against many at once.
+
+    One slot per cluster, in attribute-major layouts (one row per attribute
+    or bitset word, one column per slot): numeric lo/hi bounds (``inf``/
+    ``-inf`` while a cluster has no value), categorical distinct-value
+    bitsets (one run of ``uint64`` words per attribute, counted with
+    ``popcount_segments``) and, for hierarchy-scored attributes, each
+    cluster's :class:`_LcaTable` id, whose row gives the leaf count of a
+    merged LCA.  :meth:`scores` costs one cluster merged with each of many
+    in one pass; the per-attribute costs are summed left to right in
+    attribute order, so every score equals the scalar NCP of the merged
+    members' bounds.  :meth:`fold` merges one slot into another in place.
+    Leftover placement and the RT merge phase both run on it.
+    """
+
+    def __init__(
+        self,
+        owner: ClusterAnonymizer,
+        dataset: Dataset,
+        attributes: Sequence[str],
+        clusters: Sequence[Sequence[int]],
+    ):
+        self._n_attributes = max(len(attributes), 1)
+        capacity = len(clusters)
+        sizes, records = _slot_layout(clusters)
+        starts = np.cumsum(sizes) - sizes
+        #: record index -> slot
+        membership = np.empty(len(dataset), dtype=np.int64)
+        membership[records] = np.repeat(np.arange(capacity), sizes)
+        #: per contributing attribute, in order: whether it is numeric
+        numeric: list[bool] = []
+        lows: list[np.ndarray] = []
+        highs: list[np.ndarray] = []
+        spans: list[float] = []
+        blocks: list[np.ndarray] = []
+        denominators: list[int] = []
+        #: per hierarchy-scored attribute: its categorical position, its
+        #: table and the slots' LCA ids
+        scored: list[tuple[int, _LcaTable, np.ndarray]] = []
+        for name in attributes:
+            if name in owner._numeric:
+                span = owner._domain_span[name]
+                if span <= 0:
+                    continue
+                values = dataset.columnar(name).numbers[records]
+                # fmin/fmax skip NaN; a cluster with no value keeps the
+                # empty bounds (inf, -inf).
+                lo = np.fmin.reduceat(values, starts)
+                hi = np.fmax.reduceat(values, starts)
+                lo[np.isnan(lo)], hi[np.isnan(hi)] = np.inf, -np.inf
+                numeric.append(True)
+                lows.append(lo)
+                highs.append(hi)
+                spans.append(span)
+            else:
+                size = owner._domain_size[name]
+                if size <= 1:
+                    continue
+                cells, labels = dataset.columnar(name).string_codes()
+                slots, codes = membership[cells < len(labels)], cells[cells < len(labels)]
+                hierarchy = owner.hierarchies.get(name)
+                if hierarchy is not None:
+                    table = _LcaTable(hierarchy)
+                    pairs = np.unique(slots * len(labels) + codes)
+                    ids = table.cluster_ids(*np.divmod(pairs, len(labels)), labels, capacity)
+                    scored.append((len(blocks), table, ids))
+                numeric.append(False)
+                blocks.append(posting_matrix(slots, codes, capacity, len(labels)).T)
+                denominators.append(max(size - 1, 1))
+        #: which cost terms, in attribute order, are numeric / categorical
+        self._numeric_terms = np.array(numeric, dtype=bool)
+        self._categorical_terms = ~self._numeric_terms
+        #: (numeric attribute, slot) bounds, and the attributes' domain spans
+        self._lo = np.array(lows).reshape(len(lows), capacity)
+        self._hi = np.array(highs).reshape(len(highs), capacity)
+        self._spans = np.array(spans, dtype=np.float64)[:, None]
+        #: (word, slot) categorical bitsets, one run of words per attribute
+        self._cat_bits = np.vstack(blocks) if blocks else np.empty((0, capacity), np.uint64)
+        self._segments = np.cumsum([0] + [block.shape[0] for block in blocks])[:-1]
+        self._denominators = np.array(denominators, dtype=np.float64)[:, None]
+        #: the hierarchy-scored attributes' categorical positions and tables,
+        #: (attribute, slot) LCA ids, and each attribute's offset into the
+        #: concatenation of one row per table (past its no-value column)
+        self._scored = np.array([position for position, _, _ in scored], dtype=np.int64)
+        self._tables = [table for _, table, _ in scored]
+        self._lca_ids = np.array([ids for _, _, ids in scored]).reshape(len(scored), capacity)
+        widths = [len(table.row(-1)[0]) for table in self._tables]
+        self._offsets = (np.cumsum([0] + widths[:-1]) + 1)[:, None]
+        self._unknown = any(table.has_unknown for table in self._tables)
+
+    def scores(self, slot: int, slots: np.ndarray) -> np.ndarray:
+        """Bounding-generalization NCP of ``slot``'s cluster merged with each of ``slots``'."""
+        terms = np.empty((len(self._numeric_terms), len(slots)))
+        lo, hi = self._lo, self._hi
+        width = np.maximum(np.take(hi, slots, axis=1), hi[:, slot, None]) - np.minimum(
+            np.take(lo, slots, axis=1), lo[:, slot, None]
+        )
+        terms[self._numeric_terms] = np.maximum(width, 0.0) / self._spans
+        if self._segments.size:
+            bits = self._cat_bits
+            merged = np.take(bits, slots, axis=1) | bits[:, slot, None]
+            counts = popcount_segments(merged, self._segments)
+            if self._tables:
+                ids, reps = np.take(self._lca_ids, slots, axis=1), self._lca_ids[:, slot]
+                rows = [table.row(rep)[1] for table, rep in zip(self._tables, reps)]
+                leaves = np.concatenate(rows)[ids + self._offsets]
+                distinct = counts[self._scored]
+                wide = distinct > 1
+                counts[self._scored] = np.where(wide, leaves, distinct)
+                if self._unknown:
+                    # A leaf count of -1: the LCA climbs from a value outside
+                    # the hierarchy.
+                    for table, others, partners, widths, rep in zip(
+                        self._tables, ids, wide, leaves, reps
+                    ):
+                        if (widths[partners] < 0).any():
+                            table.require_known(np.append(others[partners], rep))
+            terms[self._categorical_terms] = (counts - 1.0) / self._denominators
+        # Summed left to right in attribute order, from 0.0.
+        cost = np.zeros(len(slots))
+        for term in terms:
+            cost += term
+        return cost / self._n_attributes
+
+    def fold(self, slot: int, other: int) -> None:
+        """Widen ``slot``'s bounds with ``other``'s."""
+        lo, hi, ids = self._lo, self._hi, self._lca_ids
+        lo[:, slot] = np.minimum(lo[:, slot], lo[:, other])
+        hi[:, slot] = np.maximum(hi[:, slot], hi[:, other])
+        self._cat_bits[:, slot] |= self._cat_bits[:, other]
+        for row, table in enumerate(self._tables):
+            ids[row, slot] = table.merged(int(ids[row, slot]), int(ids[row, other]))

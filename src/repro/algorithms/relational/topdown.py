@@ -29,7 +29,7 @@ from repro.algorithms.base import (
     require_hierarchies,
     validate_k,
 )
-from repro.columnar.relational import class_sizes, mixed_radix_keys
+from repro.columnar.relational import CategoricalColumn, class_sizes, mixed_radix_keys
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -137,6 +137,26 @@ class TopDownSpecialization(Anonymizer):
         sizes = class_sizes(keys)
         return int(sizes.min()) if sizes.size else 0
 
+    def _publish(self, dataset: Dataset, states: dict[str, _AttributeState]) -> Dataset:
+        """``dataset`` with every distinct value replaced by its label in the final cut.
+
+        Each attribute is its state's per-record codes over the distinct
+        value strings and one cut label per distinct value
+        (:meth:`~repro.columnar.relational.CategoricalColumn.from_images`),
+        so no row is copied.
+        """
+        return dataset.with_columns(
+            {
+                attribute: CategoricalColumn.from_images(
+                    dataset.schema[attribute],
+                    [state.current_label(value) for value in state.distinct],
+                    state.codes,
+                )
+                for attribute, state in states.items()
+            },
+            name=f"{dataset.name}[top-down]",
+        )
+
     # -- main ----------------------------------------------------------------------
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
         attributes = self.attributes or relational_quasi_identifiers(dataset)
@@ -186,14 +206,7 @@ class TopDownSpecialization(Anonymizer):
                     break
 
         with timer.phase("apply"):
-            anonymized = dataset.copy(name=f"{dataset.name}[top-down]")
-            for attribute, state in states.items():
-                mapping = {
-                    value: state.current_label(value) for value in state.distinct
-                }
-                anonymized.map_column(
-                    attribute, lambda value, m=mapping: m.get(str(value), value)
-                )
+            anonymized = self._publish(dataset, states)
 
         gcp = global_certainty_penalty(
             dataset, anonymized, attributes=attributes, hierarchies=self.hierarchies

@@ -51,8 +51,7 @@ order, and the partner the first ``argmin`` of its merge scores.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +62,10 @@ from repro.algorithms.base import (
     relational_quasi_identifiers,
     validate_k,
 )
-from repro.algorithms.relational.cluster import ClusterAnonymizer
+from repro.algorithms.relational.cluster import ClusterAnonymizer, _ClusterBounds, _slot_layout
 from repro.algorithms.transaction.apriori import AprioriAnonymizer
 from repro.columnar import popcount_rows, posting_matrix
-from repro.columnar.bitset import popcount_segments, rare_combinations
+from repro.columnar.bitset import rare_combinations
 from repro.columnar.column import TransactionColumn
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
@@ -75,129 +74,17 @@ from repro.metrics.relational import global_certainty_penalty
 from repro.metrics.transaction import itemset_utility_loss, utility_loss
 
 
-def _slot_layout(clusters: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each cluster's record count, and its records concatenated in slot order."""
-    sizes = np.fromiter(map(len, clusters), dtype=np.int64, count=len(clusters))
-    records = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=int(sizes.sum()))
-    return sizes, records
-
-
-class _LcaTable:
-    """Pairwise lowest common ancestors of one hierarchy's nodes, by integer id.
-
-    Ids index the hierarchy's :meth:`~repro.hierarchy.hierarchy.Hierarchy.ancestor_table`;
-    ``-1`` is "no value", whose LCA with a node is the node.  A value that
-    is not in the hierarchy gets an id past the table.  Row ``a`` holds, at
-    column ``1 + b``, the id of LCA(``a``, ``b``) and the leaf count of that
-    LCA (the width a merge would publish); column 0 is no value.  A row is
-    built on first use from one ``==`` of ``a``'s ancestor row against the
-    whole ancestor table and an ``argmin`` for the first mismatch, so a wide
-    hierarchy pays only for the nodes that are some cluster's LCA.
-
-    A leaf count of ``-1`` marks a pair whose LCA would have to climb the
-    hierarchy from a value outside it; only there is the typed
-    :class:`~repro.exceptions.HierarchyError` raised.
-    """
-
-    def __init__(self, hierarchy: Hierarchy):
-        self.hierarchy = hierarchy
-        index, self._ancestors, self._leaf_counts = hierarchy.ancestor_table()
-        self._ids = dict(index)
-        self._n_nodes = len(index)
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def has_unknown(self) -> bool:
-        """Whether some value outside the hierarchy has an id."""
-        return len(self._ids) > self._n_nodes
-
-    def id_of(self, label: str) -> int:
-        if label not in self._ids:
-            self._ids[label] = len(self._ids)
-            self._rows.clear()  # a row covers every id
-        return self._ids[label]
-
-    def label_of(self, node: int) -> str:
-        return list(self._ids)[node]
-
-    def cluster_ids(
-        self, slots: np.ndarray, codes: np.ndarray, labels: Sequence[str], capacity: int
-    ) -> np.ndarray:
-        """Each slot's id: its one value's, or its values' LCA (``-1``: no value).
-
-        ``(slots, codes)`` are the distinct (slot, label code) pairs, sorted.
-        The LCA of several values is the deepest ancestor-table column on
-        which all their rows agree.
-        """
-        ids = np.full(capacity, -1, dtype=np.int64)
-        nodes = np.array([self.id_of(label) for label in labels], dtype=np.int64)[codes]
-        if not nodes.size:
-            return ids
-        starts = np.flatnonzero(np.diff(slots, prepend=-1))
-        counts = np.diff(np.append(starts, len(slots)))
-        several = counts > 1
-        climbing = np.flatnonzero(np.repeat(several, counts) & (nodes >= self._n_nodes))
-        if climbing.size:
-            self.hierarchy.node(labels[codes[climbing[0]]])  # raises the typed error
-        ancestors = self._ancestors[np.where(nodes < self._n_nodes, nodes, 0)]
-        agree = np.minimum.reduceat(ancestors, starts) == np.maximum.reduceat(ancestors, starts)
-        lca = ancestors[starts, np.argmin(agree, axis=1) - 1]
-        ids[slots[starts]] = np.where(several, lca, nodes[starts])
-        return ids
-
-    def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """LCA ids and leaf counts of ``node`` with no value, then with every id."""
-        row = self._rows.get(node)
-        if row is None:
-            n_nodes, n_ids = self._n_nodes, len(self._ids)
-            if node < 0:
-                lca = np.arange(-1, n_ids)
-            else:
-                lca = np.full(n_ids + 1, -2, dtype=np.int64)  # -2: climbs from outside
-                if node < n_nodes:
-                    ancestors = self._ancestors
-                    first_mismatch = np.argmin(ancestors == ancestors[node], axis=1)
-                    lca[1 : n_nodes + 1] = ancestors[node, first_mismatch - 1]
-                lca[0] = lca[1 + node] = node
-            known = (lca >= 0) & (lca < n_nodes)
-            leaves = np.full(len(lca), -1, dtype=np.int64)
-            leaves[known] = self._leaf_counts[lca[known]]
-            row = self._rows[node] = (lca, leaves)
-        return row
-
-    def merged(self, rep: int, other: int) -> int:
-        """The LCA id of the nodes ``rep`` and ``other``."""
-        if rep < 0:
-            return other
-        if other < 0 or other == rep:
-            return rep
-        self.require_known((other, rep))
-        return int(self.row(rep)[0][1 + other])
-
-    def require_known(self, ids: Iterable[int]) -> None:
-        """Raise the typed error for the first of ``ids`` outside the hierarchy."""
-        for node in ids:
-            if node >= self._n_nodes:
-                self.hierarchy.node(self.label_of(node))  # raises the typed error
-
-
 class _MergeState:
     """Incrementally maintained per-cluster summaries for the merge phase.
 
     The scalar merge loop re-walks every member record of both clusters for
     every candidate partner at every merge step.  This state keeps, per
-    cluster, exactly what the merge score needs — numeric lo/hi vectors,
-    categorical distinct-value bitsets (plus the cluster's LCA node id for
-    hierarchy-scored attributes), and transaction item bitsets — so scoring
-    the worst cluster against *all* partners is one vectorized pass over all
-    attributes at once: min/max widening of the (attribute × slot) numeric
-    bounds, OR + per-attribute popcount of the (word × slot) categorical
-    bitsets, and one row per hierarchy of its :class:`_LcaTable` gathered at
-    the partners' LCA ids.  The per-attribute costs are then summed left to
-    right in attribute order.  Scores are numerically identical to the
-    scalar re-scan of both clusters' members: the same operations run in the
-    same attribute order, widths are integer leaf counts, and the LCA of a
-    merged value set equals the LCA of the two clusters' LCA nodes.
+    cluster, exactly what the merge score needs: the relational bounds
+    (:class:`~repro.algorithms.relational.cluster._ClusterBounds`: numeric
+    lo/hi vectors, categorical distinct-value bitsets and the clusters' LCA
+    node ids) and transaction item bitsets, so scoring the worst cluster
+    against *all* partners is one vectorized pass.  Scores are numerically
+    identical to the scalar re-scan of both clusters' members.
 
     Summaries live in fixed-capacity slots, one per initial cluster.  A merge
     writes the merged summary into the worst cluster's slot in place, and
@@ -216,83 +103,20 @@ class _MergeState:
         clusters: Sequence[Sequence[int]],
     ):
         self._strategy = strategy
-        self._n_attributes = max(len(attributes), 1)
         capacity = len(clusters)
         #: logical position -> slot
         self.order = np.arange(capacity, dtype=np.int64)
-        sizes, records = _slot_layout(clusters)
-        starts = np.cumsum(sizes) - sizes
-        #: record index -> slot, used to scatter per-record occurrences into
-        #: per-cluster bitsets.
-        membership = np.empty(len(dataset), dtype=np.int64)
-        membership[records] = np.repeat(self.order, sizes)
-
-        # Attribute-major layouts: one row per attribute (or bitset word) and
-        # one column per slot, so each scoring step runs along the slots.
-        #: per contributing attribute, in order: whether it is numeric
-        numeric: list[bool] = []
-        lows: list[np.ndarray] = []
-        highs: list[np.ndarray] = []
-        spans: list[float] = []
-        blocks: list[np.ndarray] = []
-        denominators: list[int] = []
-        #: per hierarchy-scored attribute: its categorical position, its
-        #: table and the slots' LCA ids
-        scored: list[tuple[int, _LcaTable, np.ndarray]] = []
-        if strategy in ("r", "rt"):
-            for name in attributes:
-                if name in helper._numeric:
-                    span = helper._domain_span[name]
-                    if span <= 0:
-                        continue
-                    values = dataset.columnar(name).numbers[records]
-                    # fmin/fmax skip NaN; a cluster with no value keeps the
-                    # empty bounds (inf, -inf).
-                    lo = np.fmin.reduceat(values, starts)
-                    hi = np.fmax.reduceat(values, starts)
-                    lo[np.isnan(lo)], hi[np.isnan(hi)] = np.inf, -np.inf
-                    numeric.append(True)
-                    lows.append(lo)
-                    highs.append(hi)
-                    spans.append(span)
-                else:
-                    size = helper._domain_size[name]
-                    if size <= 1:
-                        continue
-                    cells, labels = dataset.columnar(name).string_codes()
-                    slots, codes = membership[cells < len(labels)], cells[cells < len(labels)]
-                    hierarchy = helper.hierarchies.get(name)
-                    if hierarchy is not None:
-                        table = _LcaTable(hierarchy)
-                        pairs = np.unique(slots * len(labels) + codes)
-                        ids = table.cluster_ids(*np.divmod(pairs, len(labels)), labels, capacity)
-                        scored.append((len(blocks), table, ids))
-                    numeric.append(False)
-                    blocks.append(posting_matrix(slots, codes, capacity, len(labels)).T)
-                    denominators.append(max(size - 1, 1))
-        #: which cost terms, in attribute order, are numeric / categorical
-        self._numeric_terms = np.array(numeric, dtype=bool)
-        self._categorical_terms = ~self._numeric_terms
-        #: (numeric attribute, slot) bounds, and the attributes' domain spans
-        self._lo = np.array(lows).reshape(len(lows), capacity)
-        self._hi = np.array(highs).reshape(len(highs), capacity)
-        self._spans = np.array(spans, dtype=np.float64)[:, None]
-        #: (word, slot) categorical bitsets, one run of words per attribute
-        self._cat_bits = np.vstack(blocks) if blocks else np.empty((0, capacity), np.uint64)
-        self._segments = np.cumsum([0] + [block.shape[0] for block in blocks])[:-1]
-        self._denominators = np.array(denominators, dtype=np.float64)[:, None]
-        #: the hierarchy-scored attributes' categorical positions and tables,
-        #: (attribute, slot) LCA ids, and each attribute's offset into the
-        #: concatenation of one row per table (past its no-value column)
-        self._scored = np.array([position for position, _, _ in scored], dtype=np.int64)
-        self._tables = [table for _, table, _ in scored]
-        self._lca_ids = np.array([ids for _, _, ids in scored]).reshape(len(scored), capacity)
-        widths = [len(table.row(-1)[0]) for table in self._tables]
-        self._offsets = (np.cumsum([0] + widths[:-1]) + 1)[:, None]
-        self._unknown = any(table.has_unknown for table in self._tables)
+        self._bounds = (
+            _ClusterBounds(helper, dataset, attributes, clusters)
+            if strategy in ("r", "rt")
+            else None
+        )
         #: (slot, word) transaction item bitsets
         self._transaction_bits = np.empty((capacity, 0), np.uint64)
         if strategy in ("t", "rt"):
+            sizes, records = _slot_layout(clusters)
+            membership = np.empty(len(dataset), dtype=np.int64)
+            membership[records] = np.repeat(self.order, sizes)
             column = dataset.columnar(attribute)
             self._transaction_bits = posting_matrix(
                 membership[column.record_ids()],
@@ -304,39 +128,7 @@ class _MergeState:
     # -- scoring -------------------------------------------------------------------
     def relational_scores(self, worst: int) -> np.ndarray:
         """Bounding-generalization NCP of merging ``worst`` with each cluster."""
-        order = self.order
-        slot = order[worst]
-        terms = np.empty((len(self._numeric_terms), len(order)))
-        lo, hi = self._lo, self._hi
-        width = np.maximum(np.take(hi, order, axis=1), hi[:, slot, None]) - np.minimum(
-            np.take(lo, order, axis=1), lo[:, slot, None]
-        )
-        terms[self._numeric_terms] = np.maximum(width, 0.0) / self._spans
-        if self._segments.size:
-            bits = self._cat_bits
-            merged = np.take(bits, order, axis=1) | bits[:, slot, None]
-            counts = popcount_segments(merged, self._segments)
-            if self._tables:
-                ids, reps = np.take(self._lca_ids, order, axis=1), self._lca_ids[:, slot]
-                rows = [table.row(rep)[1] for table, rep in zip(self._tables, reps)]
-                leaves = np.concatenate(rows)[ids + self._offsets]
-                distinct = counts[self._scored]
-                wide = distinct > 1
-                counts[self._scored] = np.where(wide, leaves, distinct)
-                if self._unknown:
-                    # A leaf count of -1: the LCA climbs from a value outside
-                    # the hierarchy.
-                    for table, others, partners, widths, rep in zip(
-                        self._tables, ids, wide, leaves, reps
-                    ):
-                        if (widths[partners] < 0).any():
-                            table.require_known(np.append(others[partners], rep))
-            terms[self._categorical_terms] = (counts - 1.0) / self._denominators
-        # Summed left to right in attribute order, from 0.0.
-        cost = np.zeros(len(order))
-        for term in terms:
-            cost += term
-        return cost / self._n_attributes
+        return self._bounds.scores(self.order[worst], self.order)
 
     def transaction_scores(self, worst: int) -> np.ndarray:
         """Jaccard distance between ``worst``'s item set and each cluster's."""
@@ -366,12 +158,8 @@ class _MergeState:
     def merge(self, worst: int, partner: int) -> None:
         """Merge ``partner`` into ``worst``'s slot; the merged cluster goes last."""
         slot, other = self.order[worst], self.order[partner]
-        lo, hi, ids = self._lo, self._hi, self._lca_ids
-        lo[:, slot] = np.minimum(lo[:, slot], lo[:, other])
-        hi[:, slot] = np.maximum(hi[:, slot], hi[:, other])
-        self._cat_bits[:, slot] |= self._cat_bits[:, other]
-        for row, table in enumerate(self._tables):
-            ids[row, slot] = table.merged(int(ids[row, slot]), int(ids[row, other]))
+        if self._bounds is not None:
+            self._bounds.fold(slot, other)
         self._transaction_bits[slot] |= self._transaction_bits[other]
         self.order = np.append(np.delete(self.order, [worst, partner]), slot)
 
@@ -663,14 +451,15 @@ class RtBoundingAnonymizer(Anonymizer):
             del publisher, state
 
         with timer.phase("apply"):
-            anonymized = helper.generalize_clusters(
-                dataset, clusters, attributes, name_suffix=self.name
-            )
-            published = anonymized.column(attribute)
+            # Both parts are published as columns: the clusters' labels by
+            # cluster id and the slots' itemsets as one CSR column.
+            published = dataset.column(attribute)
             for cluster, (itemsets, _loss) in zip(clusters, outputs):
                 for index, itemset in zip(cluster, itemsets):
                     published[index] = itemset
-            anonymized.set_column(attribute, published)
+            anonymized = helper.generalize_clusters(
+                dataset, clusters, attributes, name_suffix=self.name
+            ).with_columns({attribute: TransactionColumn.from_itemsets(published, attribute)})
 
         relational_gcp = global_certainty_penalty(
             dataset, anonymized, attributes=attributes, hierarchies=self.hierarchies

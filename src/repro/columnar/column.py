@@ -65,7 +65,13 @@ class TransactionColumn:
     ) -> "TransactionColumn":
         """Tokenize ``attribute`` of ``dataset`` (default: its only transaction one)."""
         attribute = attribute or dataset.single_transaction_attribute()
-        itemsets = [record[attribute] for record in dataset]
+        return cls.from_itemsets([record[attribute] for record in dataset], attribute)
+
+    @classmethod
+    def from_itemsets(
+        cls, itemsets: Sequence[frozenset], attribute: str = ""
+    ) -> "TransactionColumn":
+        """Tokenize one itemset of item labels per record."""
         vocabulary = ItemVocabulary(
             item for itemset in itemsets for item in itemset
         )
@@ -158,6 +164,13 @@ class TransactionColumn:
     def row_lengths(self) -> np.ndarray:
         """Itemset size per record."""
         return np.diff(self.indptr)
+
+    def cells(self) -> list[frozenset]:
+        """Every record's itemset, in record order (a new list)."""
+        items = self.vocabulary.items
+        labels = [items[token] for token in self.tokens.tolist()]
+        bounds = self.indptr.tolist()
+        return [frozenset(labels[start:end]) for start, end in zip(bounds, bounds[1:])]
 
     def row_tokens(self, index: int) -> np.ndarray:
         """Token ids of record ``index`` (a view into the CSR array)."""

@@ -16,6 +16,12 @@ tables, equivalence-class grouping, greedy cluster scoring — collapse into
   view with ``NaN`` where a cell is missing or holds a non-numeric
   (generalized) label, ready for ``fmin``/``fmax`` span kernels.
 
+:meth:`CategoricalColumn.from_images` builds a column from a code array and
+one image per code, normalising each distinct image once; the relational
+algorithms publish their outputs this way, without copying or re-encoding a
+row.  :meth:`CategoricalColumn.remap` rewrites a column through per-code
+images, one table per record group.
+
 Like the transaction column, a relational column is a snapshot:
 :meth:`repro.datasets.dataset.Dataset.columnar` caches one per attribute and
 drops it on any dataset mutation.
@@ -23,11 +29,12 @@ drops it on any dataset mutation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
+    from repro.datasets.attributes import Attribute
     from repro.datasets.dataset import Dataset
 
 
@@ -54,6 +61,11 @@ def class_sizes(keys: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_counts=True)[1]
 
 
+def _interchangeable(first: object, other: object) -> bool:
+    """Whether ``other`` reads exactly as ``first`` (same type and ``repr``)."""
+    return first is other or (type(first) is type(other) and repr(first) == repr(other))
+
+
 class CategoricalColumn:
     """Dense code-per-record view of one relational attribute."""
 
@@ -72,10 +84,10 @@ class CategoricalColumn:
         self.codes = codes
         self.attribute = attribute
         self._index: dict | None = None
-        #: Raw per-record cell values (shared references), kept until the
-        #: string-identity view is materialized: dictionary-key equality can
-        #: collapse cells whose string forms differ (``25`` vs ``25.0``), so
-        #: ``string_codes()`` must re-derive identity from the cells.
+        #: Raw per-record cell values (shared references): dictionary-key
+        #: equality can collapse cells whose string forms differ (``25`` vs
+        #: ``25.0``), so ``string_codes()`` and :meth:`cells` read them.
+        #: ``None`` when every code stands for one object, ``values[code]``.
         self._cells = cells
         self._string_codes: tuple[np.ndarray, tuple[str, ...]] | None = None
 
@@ -97,6 +109,93 @@ class CategoricalColumn:
         column._index = index
         return column
 
+    @staticmethod
+    def from_images(
+        spec: "Attribute", images: Sequence, codes: np.ndarray
+    ) -> "CategoricalColumn":
+        """The column of ``spec`` whose record ``r`` holds ``images[codes[r]]``.
+
+        Each image some record uses is normalised once, as the attribute
+        stores it (``_normalise_cell``; a string or ``None`` once per
+        distinct value, any other image once per code), and codes, values
+        and string-identity codes are numbered in first-seen record order.
+        So the result equals :meth:`from_dataset` over the written cells,
+        and it is a :class:`NumericColumn` for a numeric ``spec``.  Its
+        cells are decoded only when read (:meth:`cells`).
+        """
+        from repro.datasets.dataset import _normalise_cell
+
+        used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        used_images = used.tolist()
+        normalised: dict = {}
+        index: dict = {}
+        firsts: list = []
+        strings: dict[str, int] = {}
+        objects: list = [None] * len(used_images)
+        value_codes = np.empty(len(used_images), dtype=np.int32)
+        string_codes = np.empty(len(used_images), dtype=np.int64)
+        exact = True
+        for position in order.tolist():
+            image = images[used_images[position]]
+            if image is None or type(image) is str:
+                if image not in normalised:
+                    normalised[image] = _normalise_cell(spec, image)
+                cell = normalised[image]
+            else:
+                cell = _normalise_cell(spec, image)
+            code = index.setdefault(cell, len(index))
+            if code == len(firsts):
+                firsts.append(cell)
+            elif exact:
+                # An equal cell of another type or sign (25 and 25.0) shares
+                # the code: values[code] would no longer decode it.
+                exact = _interchangeable(firsts[code], cell)
+            objects[position] = cell
+            value_codes[position] = code
+            string_codes[position] = (
+                -1 if cell is None else strings.setdefault(str(cell), len(strings))
+            )
+        string_codes[string_codes < 0] = len(strings)
+        column_type = NumericColumn if spec.is_numeric else CategoricalColumn
+        column = column_type(
+            tuple(firsts),
+            value_codes[inverse],
+            attribute=spec.name,
+            cells=None if exact else [objects[position] for position in inverse.tolist()],
+        )
+        column._index = index
+        column._string_codes = (string_codes[inverse], tuple(strings))
+        return column
+
+    def remap(
+        self, images: Sequence[Sequence], groups: np.ndarray | None = None
+    ) -> "CategoricalColumn":
+        """This column with every cell replaced by its image.
+
+        ``images`` holds one table per record group, each with one entry per
+        code (per entry of :attr:`values`): the value the cell publishes as.
+        Record ``r`` is rewritten through table ``groups[r]`` (every record
+        through table 0 when ``groups`` is omitted).  Only the images some
+        record uses are read, and the result is built by :meth:`from_images`,
+        so it equals :meth:`from_dataset` over the rewritten cells.  A cell
+        left as it is keeps its identity only when its attribute is not
+        remapped at all: codes merge ``25`` and ``25.0``.
+        """
+        from repro.datasets.attributes import Attribute
+
+        spec = (Attribute.numeric if isinstance(self, NumericColumn) else Attribute.categorical)(
+            self.attribute
+        )
+        if groups is None:
+            return self.from_images(spec, images[0], self.codes)
+        width = len(self.values)
+        pairs = np.asarray(groups, dtype=np.int64) * width + self.codes
+        used, inverse = np.unique(pairs, return_inverse=True)
+        tables, codes = np.divmod(used, width)
+        flat = [images[table][code] for table, code in zip(tables.tolist(), codes.tolist())]
+        return self.from_images(spec, flat, inverse)
+
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(attribute={self.attribute!r}, "
@@ -112,6 +211,13 @@ class CategoricalColumn:
         if self._index is None:
             self._index = {value: code for code, value in enumerate(self.values)}
         return self._index.get(value)
+
+    def cells(self) -> list:
+        """Every record's cell, in record order (a new list)."""
+        if self._cells is not None:
+            return list(self._cells)
+        values = self.values
+        return [values[code] for code in self.codes.tolist()]
 
     def take(self, table: np.ndarray) -> np.ndarray:
         """Gather a per-code lookup ``table`` into a per-record array."""
@@ -145,7 +251,6 @@ class CategoricalColumn:
                     raw[position] = index.setdefault(str(value), len(index))
             raw[missing] = len(index)
             self._string_codes = (raw, tuple(index))
-            self._cells = None  # the derived view replaces the raw cells
         return self._string_codes
 
 

@@ -11,9 +11,10 @@ CSV load, a generator, an editor) store them, and the relational algorithms
 group, generalize and merge them, while column views are derived on demand.
 Three kinds of dataset are columns first and build their records only when
 something reads them (:meth:`Dataset.from_columns`): a dataset that crossed
-a process or checkpoint boundary, a shared-memory view, and a transaction
-algorithm's output (:meth:`Dataset.with_column`).  Their length and
-fingerprint are answered from the columns.
+a process or checkpoint boundary, a shared-memory view, and the output of
+every anonymization algorithm, relational, transaction or RT
+(:meth:`Dataset.with_columns`).  Their length and fingerprint are answered
+from the columns.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ import copy as _copy
 import hashlib
 import re
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.datasets.attributes import Attribute, AttributeKind, Schema
 from repro.exceptions import DatasetError, SchemaError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
-    from repro.columnar.column import TransactionColumn
 
 #: The type of a single relational cell (categorical label or number).
 RelationalValue = Any
@@ -151,14 +149,6 @@ def _narrowest(array: np.ndarray) -> np.ndarray:
     return array.astype(np.min_scalar_type(top))
 
 
-def _csr_itemsets(column: "TransactionColumn") -> list[frozenset]:
-    """The per-record itemsets of a transaction column's CSR layout."""
-    items = column.vocabulary.items
-    labels = [items[token] for token in column.tokens.tolist()]
-    bounds = column.indptr.tolist()
-    return [frozenset(labels[start:end]) for start, end in zip(bounds, bounds[1:])]
-
-
 class Dataset:
     """An in-memory RT-dataset: a schema plus an ordered list of records."""
 
@@ -237,12 +227,14 @@ class Dataset:
     ) -> "Dataset":
         """A dataset over prebuilt columns whose records are built on first read.
 
-        ``cells`` holds every relational attribute's cells in record order
-        and ``columns`` seeds the columnar cache; it must hold the
+        ``columns`` seeds the columnar cache; it must hold the
         :class:`~repro.columnar.column.TransactionColumn` of every
         transaction attribute, whose CSR layout the itemsets are decoded
-        from.  The shared-memory :func:`~repro.columnar.shared.attach` and
-        unpickling both build datasets this way.
+        from.  ``cells`` holds a relational attribute's cells in record
+        order; an attribute it omits is decoded from its column in
+        ``columns`` when read.  The shared-memory
+        :func:`~repro.columnar.shared.attach`, unpickling and
+        :meth:`with_columns` build datasets this way.
         """
         dataset = cls.__new__(cls)
         dataset._adopt_columns(schema, n_records, cells, columns, name, version)
@@ -262,16 +254,12 @@ class Dataset:
         self._version = version
         self._columnar = dict(columns)
         self._fingerprint = None
-        #: ``(n_records, {attribute: cells or TransactionColumn})`` until the
-        #: first read of ``_records`` materializes the rows (:meth:`__getattr__`).
+        #: ``(n_records, {attribute: cell list or column})`` until the first
+        #: read of ``_records`` materializes the rows (:meth:`__getattr__`).
         self._pending = (
             n_records,
             {
-                attribute.name: (
-                    columns[attribute.name]
-                    if attribute.is_transaction
-                    else cells[attribute.name]
-                )
+                attribute.name: cells.get(attribute.name, columns.get(attribute.name))
                 for attribute in schema
             },
         )
@@ -303,7 +291,7 @@ class Dataset:
         n_records, sources = state["_pending"]
         names = list(sources)
         per_attribute = [
-            source if isinstance(source, list) else _csr_itemsets(source)
+            source if isinstance(source, list) else source.cells()
             for source in sources.values()
         ]
         if names:
@@ -450,7 +438,7 @@ class Dataset:
         pending = self.__dict__.get("_pending")
         if pending is not None:
             source = pending[1][name]
-            return list(source) if isinstance(source, list) else _csr_itemsets(source)
+            return list(source) if isinstance(source, list) else source.cells()
         return [record[name] for record in self._records]
 
     def itemset(self, index: int, attribute: str | None = None) -> frozenset:
@@ -534,14 +522,33 @@ class Dataset:
         """Group record indices by their values on ``names``.
 
         This is the equivalence-class view used by the k-anonymity checks and
-        by several algorithms.
+        by several algorithms.  Groups come in first-seen order, each keyed
+        by its first record's cells.  Relational attributes are grouped on
+        their cached columns (codes share the dictionary-key equality of the
+        keys), so a dataset whose records are pending stays so.
         """
+        from repro.columnar.relational import mixed_radix_keys
+
         for name in names:
             self._require_attribute(name)
         groups: dict[tuple, list[int]] = {}
-        for index, record in enumerate(self._records):
-            key = record.values_for(names)
-            groups.setdefault(key, []).append(index)
+        if any(self._schema[name].is_transaction for name in names):
+            for index, record in enumerate(self._records):
+                key = record.values_for(names)
+                groups.setdefault(key, []).append(index)
+            return groups
+        columns = [self.columnar(name) for name in names]
+        keys = mixed_radix_keys(
+            ((column.codes, len(column.values)) for column in columns), len(self)
+        )
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        members = np.split(
+            np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1]
+        )
+        cells = [column.cells() for column in columns]
+        for group in np.argsort(first).tolist():
+            key = tuple(column[int(first[group])] for column in cells)
+            groups[key] = members[group].tolist()
         return groups
 
     # -- mutation ---------------------------------------------------------------
@@ -626,30 +633,41 @@ class Dataset:
         clone._records = [Record(record.as_dict()) for record in self._records]
         return clone
 
-    def with_column(
-        self, attribute: str, column: "TransactionColumn", name: str | None = None
-    ) -> "Dataset":
-        """A new dataset whose transaction ``attribute`` holds ``column``.
+    def with_columns(self, columns: Mapping[str, Any], name: str | None = None) -> "Dataset":
+        """A new dataset whose attributes named in ``columns`` hold those columns.
 
-        Every other cell is this dataset's: the relational cells are shared
-        and the other cached columns reused.  The records stay pending until
-        something reads them (:meth:`from_columns`).
+        A transaction attribute takes a
+        :class:`~repro.columnar.column.TransactionColumn`, a relational one a
+        :class:`~repro.columnar.relational.CategoricalColumn`.  Every other
+        attribute is this dataset's: its cells or column are shared and its
+        cached column reused.  The records stay pending until something
+        reads them (:meth:`from_columns`), and a relational attribute held as
+        its column decodes its cells only then.
         """
-        if attribute not in self._schema.transaction_names:
-            raise SchemaError(f"no transaction attribute {attribute!r}")
+        from repro.columnar import TransactionColumn
+
         n_records = len(self)
-        if column.n_records != n_records:
-            raise DatasetError(f"got {column.n_records} itemsets for {n_records} records")
-        cells = {
-            spec.name: self.column(spec.name)
-            for spec in self._schema
-            if not spec.is_transaction
-        }
-        columns = {key: cached for key, cached in self._columnar.items() if key in cells}
-        for other in self._schema.transaction_names:
-            columns[other] = column if other == attribute else self.columnar(other)
+        for attribute, column in columns.items():
+            self._require_attribute(attribute)
+            if self._schema[attribute].is_transaction != isinstance(column, TransactionColumn):
+                raise SchemaError(f"a {type(column).__name__} cannot hold attribute {attribute!r}")
+            if column.n_records != n_records:
+                raise DatasetError(f"got {column.n_records} cells for {n_records} records")
+        pending = self.__dict__.get("_pending")
+        cells: dict[str, list] = {}
+        cached = dict(columns)
+        for attribute in self._schema.names:
+            if attribute in columns:
+                continue
+            source = pending[1][attribute] if pending is not None else None
+            if isinstance(source, list):
+                cells[attribute] = source
+                if attribute in self._columnar:
+                    cached[attribute] = self._columnar[attribute]
+            else:
+                cached[attribute] = self.columnar(attribute)
         return Dataset.from_columns(
-            self._schema, n_records, cells, columns, name=name or self.name
+            self._schema, n_records, cells, cached, name=name or self.name
         )
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Dataset":

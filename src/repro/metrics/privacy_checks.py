@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import popcount, rare_combinations
+from repro.columnar.bitset import bitset_from_indices, popcount, rare_combinations
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -186,18 +186,39 @@ def km_violations(
     attribute = attribute or dataset.single_transaction_attribute()
 
     if universe is None:
-        unrestricted = interpreter_for(hierarchy)
-        universe = set().union(*map(unrestricted.leaves, dataset.item_universe(attribute)))
+        universe = _covered_items(hierarchy, dataset.item_universe(attribute))
+    ordered, rows = _candidate_rows(dataset, attribute, hierarchy, universe)
+    return _rare_item_combinations(ordered, rows, k, m, max_violations)
+
+
+def _covered_items(hierarchy: Hierarchy | None, labels: Iterable[str]) -> set[str]:
+    """The original items the labels may stand for."""
+    unrestricted = interpreter_for(hierarchy)
+    return set().union(*map(unrestricted.leaves, labels))
+
+
+def _candidate_rows(
+    dataset: Dataset, attribute: str, hierarchy: Hierarchy | None, universe: Iterable[str]
+) -> tuple[list[str], list[int]]:
+    """The universe's items in order, and each one's candidate records as an ``int`` bitset."""
     universe_set = {str(item) for item in universe}
     ordered = sorted(universe_set)
-
     # Pack each item's candidate records (records whose covered leaf set
     # contains the item) into one bitset row, label by label.
     interpreter = interpreter_for(hierarchy, universe_set)
     candidates = candidate_matrix(dataset, attribute, interpreter, ordered)
     little_endian = candidates.astype("<u8", copy=False)
-    rows = [int.from_bytes(row.tobytes(), "little") for row in little_endian]
+    return ordered, [int.from_bytes(row.tobytes(), "little") for row in little_endian]
 
+
+def _rare_item_combinations(
+    ordered: Sequence[str],
+    rows: Sequence[int],
+    k: int,
+    m: int,
+    max_violations: int | None,
+) -> list[KmViolation]:
+    """The combinations of at most ``m`` items supported by 1..k-1 of the rows' records."""
     # Enumerate by combination size, then lexicographically: the order of the
     # original itertools.combinations scan.
     violations: list[KmViolation] = []
@@ -300,25 +321,37 @@ def k_km_violations(
         )
         if full():
             return violations
-    for values, indices in equivalence_classes(
-        dataset, relational_attributes
-    ).items():
-        subset = dataset.subset(indices)
+    if m < 1 and len(dataset):
+        raise DatasetError("k and m must be at least 1")
+    # Each class is checked on the whole column's candidate rows masked to
+    # its records, which gives the supports and (dataset-level) records a
+    # check of the class's subset gives.
+    shared = (
+        None
+        if universe is None
+        else _candidate_rows(dataset, transaction_attribute, hierarchy, universe)
+    )
+    column = dataset.columnar(transaction_attribute)
+    for values, indices in equivalence_classes(dataset, relational_attributes).items():
+        members = bitset_from_indices(indices, len(dataset)).astype("<u8", copy=False)
+        mask = int.from_bytes(members.tobytes(), "little")
+        if shared is None:
+            held = column.tokens[np.isin(column.record_ids(), indices)]
+            labels = [column.vocabulary.items[token] for token in np.unique(held).tolist()]
+            ordered, rows = _candidate_rows(
+                dataset, transaction_attribute, hierarchy, _covered_items(hierarchy, labels)
+            )
+        else:
+            ordered, rows = shared
         remaining = None if max_violations is None else max_violations - len(violations)
-        for km_violation in km_violations(
-            subset,
-            k,
-            m,
-            attribute=transaction_attribute,
-            hierarchy=hierarchy,
-            universe=universe,
-            max_violations=remaining,
+        for km_violation in _rare_item_combinations(
+            ordered, [row & mask for row in rows], k, m, remaining
         ):
             violations.append(
                 KKmViolation(
                     kind="transaction",
                     class_values=values,
-                    records=tuple(indices[local] for local in km_violation.records),
+                    records=km_violation.records,
                     items=km_violation.items,
                     support=km_violation.support,
                 )

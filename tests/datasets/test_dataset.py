@@ -167,9 +167,9 @@ class TestTransformation:
         rebuilt = Dataset.from_rows(schema, dataset.to_rows())
         assert rebuilt == dataset
 
-    def test_with_column_replaces_one_transaction_attribute(self, dataset):
+    def test_with_columns_replaces_one_transaction_attribute(self, dataset):
         column = dataset.columnar("Items").remap([["x", None, "x"]])
-        replaced = dataset.with_column("Items", column, name="out")
+        replaced = dataset.with_columns({"Items": column}, name="out")
         assert "_records" not in vars(replaced)
         assert (replaced.name, len(replaced)) == ("out", 3)
         assert replaced.column("Items") == [frozenset({"x"}), frozenset(), frozenset({"x"})]
@@ -178,12 +178,16 @@ class TestTransformation:
         replaced.set_value(1, "Items", ["y"])
         assert replaced.columnar("Items").vocabulary.items == ("x", "y")
 
-    def test_with_column_checks_the_attribute_and_the_length(self, dataset):
+    def test_with_columns_checks_the_attribute_and_the_length(self, dataset):
         column = dataset.columnar("Items")
         with pytest.raises(SchemaError):
-            dataset.with_column("Age", column)
+            dataset.with_columns({"Age": column})
+        with pytest.raises(SchemaError):
+            dataset.with_columns({"Items": dataset.columnar("Age")})
+        with pytest.raises(SchemaError):
+            dataset.with_columns({"Height": dataset.columnar("Age")})
         with pytest.raises(DatasetError):
-            dataset.subset([0, 1]).with_column("Items", column)
+            dataset.subset([0, 1]).with_columns({"Items": column})
 
 
 class TestSetColumn:

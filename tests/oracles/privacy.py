@@ -6,16 +6,20 @@ transaction column once.  The references below walk every record instead:
 * :func:`candidate_support_scan` — the records whose labels' leaf sets
   together cover all of the given items;
 * :func:`derived_universe_scan` — the items the labels of any record may
-  stand for, the universe ``km_violations`` checks against by default.
+  stand for, the universe ``km_violations`` checks against by default;
+* :func:`group_by_rows` — ``Dataset.group_by`` walking every row;
+* :func:`k_km_violations_by_subsets` — the (k, k^m) witnesses with every
+  relational class checked on its own ``Dataset.subset``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.datasets.dataset import Dataset
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import interpreter_for
+from repro.metrics.privacy_checks import KKmViolation, km_violations
 
 
 def candidate_support_scan(
@@ -48,3 +52,47 @@ def derived_universe_scan(
         for label in record[attribute]:
             derived |= unrestricted.leaves(label)
     return derived
+
+
+def group_by_rows(dataset: Dataset, names: Sequence[str]) -> dict[tuple, list[int]]:
+    """Record indices grouped by their cells on ``names``, walking every row."""
+    groups: dict[tuple, list[int]] = {}
+    for index, record in enumerate(dataset):
+        groups.setdefault(record.values_for(names), []).append(index)
+    return groups
+
+
+def k_km_violations_by_subsets(
+    dataset: Dataset,
+    k: int,
+    m: int,
+    relational_attributes: Sequence[str],
+    transaction_attribute: str,
+    hierarchy: Hierarchy | None = None,
+    universe: Iterable[str] | None = None,
+) -> list[KKmViolation]:
+    """Every (k, k^m) witness, each class's k^m check run on its ``subset``."""
+    violations = [
+        KKmViolation(kind="relational", class_values=values, records=tuple(indices))
+        for values, indices in group_by_rows(dataset, relational_attributes).items()
+        if len(indices) < k
+    ]
+    for values, indices in group_by_rows(dataset, relational_attributes).items():
+        for witness in km_violations(
+            dataset.subset(indices),
+            k,
+            m,
+            attribute=transaction_attribute,
+            hierarchy=hierarchy,
+            universe=universe,
+        ):
+            violations.append(
+                KKmViolation(
+                    kind="transaction",
+                    class_values=values,
+                    records=tuple(indices[local] for local in witness.records),
+                    items=witness.items,
+                    support=witness.support,
+                )
+            )
+    return violations

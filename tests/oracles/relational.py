@@ -10,13 +10,17 @@ outputs:
   same growth rescoring every attribute of the whole unassigned frontier per
   added member, the reference of ``ClusterAnonymizer._grow_clusters`` at
   sizes where the scalar growth is too slow;
+* :func:`bounds_scalar` and :func:`bounds_cost_scalar` — a cluster's
+  bounds read from its rows and their bounding-generalization NCP, the
+  per-cluster reference of the clustering's leftover placement;
 * :class:`ScalarClusterAnonymizer` — the clustering with that growth, each
   leftover scored by :func:`cluster_cost_scalar` over all members of every
-  cluster, and per-cell ``set_value`` publishing;
+  cluster, and per-cell ``set_value`` publishing of the labels
+  :func:`generalized_values_scalar` reads off the members' rows;
 * :class:`ScalarIncognito` — selection that builds every minimal
   candidate dataset and scores it with ``global_certainty_penalty``;
 * :class:`ScalarTopDown` — ``_min_class_size`` grouping records into a tuple
-  dictionary;
+  dictionary, and the copy-then-``map_column`` publish;
 * :func:`apply_by_cells` — full-domain generalization by per-cell writes;
 * :func:`min_class_size_group_by` and :func:`k_violations_group_by` — the
   k-anonymity checks on ``Dataset.group_by``;
@@ -36,9 +40,11 @@ import numpy as np
 from repro.algorithms import ClusterAnonymizer, Incognito, TopDownSpecialization
 from repro.algorithms.base import relational_quasi_identifiers
 from repro.datasets import Dataset
+from repro.hierarchy.builders import format_interval
 from repro.hierarchy.lattice import GeneralizationLattice, LevelVector
 from repro.metrics.privacy_checks import KViolation, equivalence_classes
 from repro.metrics.relational import RelationalLossContext, global_certainty_penalty
+from repro.policies.utility import generalized_label
 
 
 class ClusterBounds:
@@ -284,6 +290,101 @@ def cluster_cost_scalar(
     return cost / max(len(attributes), 1)
 
 
+def bounds_scalar(
+    algorithm: ClusterAnonymizer,
+    dataset: Dataset,
+    attributes: Sequence[str],
+    indices: Sequence[int],
+    start: list | None = None,
+) -> list:
+    """Per-attribute bounds of the records, widening ``start``.
+
+    ``(low, high)`` of a numeric attribute's present values (``None`` while
+    there are none), the frozenset of value strings of any other attribute.
+    """
+    bounds = list(start) if start is not None else [
+        None if name in algorithm._numeric else frozenset() for name in attributes
+    ]
+    for index in indices:
+        record = dataset[index]
+        for position, name in enumerate(attributes):
+            value = record[name]
+            if value is None:
+                continue
+            bound = bounds[position]
+            if name in algorithm._numeric:
+                number = float(value)
+                bounds[position] = (
+                    (number, number)
+                    if bound is None
+                    else (min(bound[0], number), max(bound[1], number))
+                )
+            else:
+                bounds[position] = bound | {str(value)}
+    return bounds
+
+
+def bounds_cost_scalar(
+    algorithm: ClusterAnonymizer, attributes: Sequence[str], bounds: list
+) -> float:
+    """NCP of the minimum bounding generalization summarised by ``bounds``."""
+    cost = 0.0
+    for name, bound in zip(attributes, bounds):
+        if name in algorithm._numeric:
+            span = algorithm._domain_span[name]
+            if span <= 0 or bound is None:
+                continue
+            cost += (bound[1] - bound[0]) / span
+        else:
+            size = algorithm._domain_size[name]
+            if size <= 1:
+                continue
+            hierarchy = algorithm.hierarchies.get(name)
+            if hierarchy is not None and len(bound) > 1:
+                ancestor = hierarchy.lowest_common_ancestor(bound)
+                width = hierarchy.leaf_count(ancestor)
+            else:
+                width = len(bound)
+            cost += (width - 1) / max(size - 1, 1)
+    return cost / max(len(attributes), 1)
+
+
+def generalized_values_scalar(
+    algorithm: ClusterAnonymizer,
+    dataset: Dataset,
+    attributes: Sequence[str],
+    indices: Sequence[int],
+) -> dict[str, str | None]:
+    """The published value per attribute for one cluster, read off its rows.
+
+    An attribute that every member lacks stays missing (``None``).
+    """
+    published: dict[str, str | None] = {}
+    for name in attributes:
+        values = [dataset[index][name] for index in indices]
+        present = [value for value in values if value is not None]
+        if not present:
+            published[name] = None
+        elif name in algorithm._numeric:
+            numeric_values = [float(v) for v in present]
+            low, high = min(numeric_values), max(numeric_values)
+            if low == high:
+                published[name] = str(int(low)) if float(low).is_integer() else str(low)
+            else:
+                published[name] = format_interval(low, high)
+        else:
+            distinct = {str(v) for v in present}
+            if len(distinct) == 1:
+                published[name] = next(iter(distinct))
+            else:
+                hierarchy = algorithm.hierarchies.get(name)
+                if hierarchy is not None:
+                    published[name] = hierarchy.lowest_common_ancestor(distinct)
+                else:
+                    published[name] = generalized_label(distinct)
+    return published
+
+
 class ScalarClusterAnonymizer(ClusterAnonymizer):
     """:class:`ClusterAnonymizer` with every step on per-record loops."""
 
@@ -309,7 +410,7 @@ class ScalarClusterAnonymizer(ClusterAnonymizer):
             self._prepare(dataset, attributes)
         anonymized = dataset.copy(name=f"{dataset.name}[{name_suffix}]")
         for cluster in clusters:
-            published = self._generalized_values(dataset, attributes, cluster)
+            published = generalized_values_scalar(self, dataset, attributes, cluster)
             for index in cluster:
                 for attribute, value in published.items():
                     anonymized.set_value(index, attribute, value)
@@ -354,7 +455,15 @@ class ScalarIncognito(Incognito):
 
 
 class ScalarTopDown(TopDownSpecialization):
-    """:class:`TopDownSpecialization` counting classes in a tuple dictionary."""
+    """:class:`TopDownSpecialization` counting classes in a tuple dictionary and
+    publishing by copying the rows and rewriting each attribute with ``map_column``."""
+
+    def _publish(self, dataset, states):
+        anonymized = dataset.copy(name=f"{dataset.name}[top-down]")
+        for attribute, state in states.items():
+            mapping = {value: state.current_label(value) for value in state.distinct}
+            anonymized.map_column(attribute, lambda value, m=mapping: m.get(str(value), value))
+        return anonymized
 
     def _min_class_size(self, dataset, states):
         groups: dict[tuple, int] = {}

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from oracles.itemcut import forced_root_publication
+from oracles.relational import cluster_cost_scalar
 from repro.algorithms import AprioriAnonymizer, ClusterAnonymizer
 from repro.datasets import Dataset
 from repro.metrics.transaction import itemset_utility_loss
@@ -46,7 +47,7 @@ def relational_merge_cost(
     cluster_b: Sequence[int],
 ) -> float:
     merged = list(cluster_a) + list(cluster_b)
-    return helper._cluster_cost(dataset, list(attributes), merged)
+    return cluster_cost_scalar(helper, dataset, list(attributes), merged)
 
 
 def transaction_merge_cost(

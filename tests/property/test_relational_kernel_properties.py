@@ -40,7 +40,7 @@ from oracles.relational import (
     average_cell_ncp,
 )
 from oracles.rt import ScalarMergeState, list_merge_loop, merge_score, row_publisher
-from repro.algorithms.relational.cluster import _ClusterKernel
+from repro.algorithms.relational.cluster import _ClusterKernel, _LcaTable
 from repro.algorithms.rt import bounding
 from repro.algorithms.rt.bounding import _MergeState
 from repro.columnar.relational import class_sizes, mixed_radix_keys
@@ -352,7 +352,7 @@ class TestLcaTable:
     @settings(max_examples=60, deadline=None)
     def test_every_node_pair_matches_hierarchy(self, values, fanout):
         hierarchy = build_categorical_hierarchy(values, fanout=fanout)
-        table = bounding._LcaTable(hierarchy)
+        table = _LcaTable(hierarchy)
         ids = {label: table.id_of(label) for label in hierarchy.labels}
         for label, node in ids.items():
             lca, leaves = table.row(node)
@@ -382,7 +382,7 @@ class TestLcaTable:
         hierarchy = build_categorical_hierarchy(values, fanout=fanout)
         choices = [None, "zz-outside", "yy-outside"] + hierarchy.labels
         labels = [choices[pick % len(choices)] for pick in picks]
-        table = bounding._LcaTable(hierarchy)
+        table = _LcaTable(hierarchy)
         ids = [-1 if label is None else table.id_of(label) for label in labels]
         for label, rep in zip(labels, ids):
             for other, partner in zip(labels, ids):
@@ -397,7 +397,7 @@ class TestLcaTable:
 
     def test_equal_and_root_reps(self):
         hierarchy = build_categorical_hierarchy(EDUCATION, fanout=2)
-        table = bounding._LcaTable(hierarchy)
+        table = _LcaTable(hierarchy)
         root, leaf = table.id_of("*"), table.id_of("A")
         assert [table.merged(root, other) for other in (root, leaf, -1)] == [root] * 3
         assert [table.merged(leaf, other) for other in (root, leaf, -1)] == [root, leaf, leaf]
